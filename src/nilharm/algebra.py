@@ -85,6 +85,8 @@ class LauretAlgebra:
         self.basis_names = list(self.ops.names)
         self.v_blocks = list(self.ops.v_blocks)
         self._constants = None
+        flat = self.pi.reshape(self.dim_g, -1)
+        self._gram_inv = np.linalg.inv(flat @ flat.T)
 
     # -- coordinates ---------------------------------------------------------
     def split_center(self, x):
@@ -139,6 +141,33 @@ class LauretAlgebra:
         f = self.structure_constants
         return np.einsum("abc,a,b->c", f, np.asarray(x, dtype=float), np.asarray(y, dtype=float))
 
+    # -- the adjoint action of G' ---------------------------------------------
+    def ad_of(self, vmats):
+        """Ad(g) on g-coordinates, shape (S, dim_g, dim_g), for a stack
+        of V-matrices pi(g) (S, dim_v, dim_v).
+
+        pi is faithful, so pi(Ad(g) X) = pi(g) pi(X) pi(g)^T fixes Ad(g):
+        its coefficients follow by a solve against the Gram matrix of
+        pi.  The center is fixed up to rounding.
+        """
+        flat = self.pi.reshape(self.dim_g, -1)
+        vt = np.swapaxes(vmats, 1, 2)
+        # coef[s, j, i] = <pi(X_j), pi(g) pi(X_i) pi(g)^T>, one generator
+        # at a time so that no (S, dim_g, dim_v, dim_v) array is formed
+        coef = np.stack([(vmats @ p @ vt).reshape(len(vmats), -1) @ flat.T for p in self.pi], axis=2)
+        return self._gram_inv @ coef
+
+    def orbit_pairing(self, vmats, y, z):
+        """<Ad(g^-1) y, z> for each pi(g) of the stack, shape (S,).
+
+        Equal to y @ ad_of(vmats) @ z, computed as the quadratic form
+        vec(pi(g))^T (pi(y) kron pi(G^-1 z)) vec(pi(g)), G the Gram
+        matrix of pi: one matrix product for the whole stack.
+        """
+        form = np.kron(self.pi_of(y), self.pi_of(self._gram_inv @ np.asarray(z, dtype=float)))
+        flat = vmats.reshape(len(vmats), -1)
+        return np.einsum("sk,sk->s", flat @ form, flat)
+
     # -- group law ---------------------------------------------------------------
     def group_mult(self, p, q):
         """BCH product of two points p = (z, v) of N."""
@@ -182,11 +211,6 @@ def build_case(case, **params) -> LauretAlgebra:
     return LauretAlgebra(spec)
 
 
-def bracket_of(alg: LauretAlgebra, u, v):
-    """bracket(u, v) for u, v in V, in g-coordinates."""
-    return alg.bracket(u, v)
-
-
 @dataclass(frozen=True)
 class OrthAutomorphism:
     """An automorphism of n acting orthogonally: v -> v_mat v on V and
@@ -204,34 +228,12 @@ class OrthAutomorphism:
         return self.g_mat @ np.asarray(x, dtype=float)
 
 
-def apply_automorphism(alg: LauretAlgebra, k: OrthAutomorphism, point):
-    """Apply k to a point (z, v) of N."""
-    z, v = point
-    return k.apply(z, v)
-
-
-def _materialize_batch(alg: LauretAlgebra, batch, count):
-    """Turn a G' sample batch of closures into explicit (Ad, pi) matrix
-    pairs, identity on the center."""
-    dgp, dc, dv = alg.dim_gp, alg.dim_c, alg.dim_v
-    admats = np.zeros((count, alg.dim_g, alg.dim_g))
-    for i in range(dgp):
-        admats[:, :dgp, i] = batch.ad(np.eye(dgp)[i])
-    for i in range(dc):
-        admats[:, dgp + i, dgp + i] = 1.0
-    vmats = np.zeros((count, dv, dv))
-    for j in range(dv):
-        vmats[:, :, j] = batch.act_v(np.eye(dv)[j])
-    return admats, vmats
-
-
 def sample_automorphisms(alg: LauretAlgebra, rng=None, count=8, include_u=True):
     """Haar-ish sample of orthogonal automorphisms: Ad(g) x pi(g) for g
     in G', plus intertwiners that fix g where the case provides them."""
     rng = as_rng(rng)
-    batch = alg.ops.sample_gprime(rng, count)
-    admats, vmats = _materialize_batch(alg, batch, count)
-    out = [OrthAutomorphism(admats[s], vmats[s]) for s in range(count)]
+    vmats = alg.ops.sample_vmats(rng, count)
+    out = [OrthAutomorphism(a, v) for a, v in zip(alg.ad_of(vmats), vmats)]
     if include_u:
         for _ in range(max(2, count // 4)):
             u = alg.ops.u_part_automorphism(rng)
@@ -246,15 +248,13 @@ def sample_k_actions(alg: LauretAlgebra, rng=None, count=8):
     element composes a G' pair (Ad, pi) with an independent
     V-intertwiner that fixes g, where the case provides one."""
     rng = as_rng(rng)
-    batch = alg.ops.sample_gprime(rng, count)
-    admats, vmats = _materialize_batch(alg, batch, count)
+    vmats = alg.ops.sample_vmats(rng, count)
     out = []
-    for s in range(count):
-        vm = vmats[s]
+    for a, vm in zip(alg.ad_of(vmats), vmats):
         u = alg.ops.u_part_automorphism(rng)
         if u is not None:
             vm = np.asarray(u, dtype=float) @ vm
-        out.append(OrthAutomorphism(admats[s], vm))
+        out.append(OrthAutomorphism(a, vm))
     return out
 
 

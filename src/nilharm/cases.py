@@ -3,8 +3,11 @@
 Each case bundles an orthonormal basis of g = g' + c (center last), the
 stack of skew matrices pi(X_i) on V, the block structure of V, bridges
 between g'-coordinates and the matrix models used by the torus module,
-weight tables for the Pfaffian where available, and batched Haar
-samplers for G' used by orbit integrals.
+weight tables for the Pfaffian where available, and a Haar sampler
+for G' that returns the stack of V-matrices pi(g), shape
+(size, dim_v, dim_v).  That stack is the only representation of G': the
+adjoint action follows from it (LauretAlgebra.ad_of), as do the orbit
+integrals and the K-samples.
 
 Conventions fixed here and relied on elsewhere:
 
@@ -25,7 +28,13 @@ import numpy as np
 from scipy.linalg import block_diag
 
 from . import quat, torus
-from .numerics import haar_special_orthogonal, haar_special_unitary, haar_unitary
+from .numerics import (
+    as_complex_vector,
+    haar_special_orthogonal,
+    haar_special_unitary,
+    haar_symplectic_quat,
+    haar_unitary,
+)
 
 E1 = np.array([[1j, 0], [0, -1j]])
 E2 = np.array([[0, 1], [-1, 0]], dtype=complex)
@@ -35,28 +44,15 @@ SU2_QUATS = (quat.I, quat.J, quat.K)
 
 
 def realify(a):
-    """Complex (m, m) matrix as a real (2m, 2m) matrix on interleaved
-    coordinates."""
+    """Complex (..., m, m) matrices as real (..., 2m, 2m) matrices on
+    interleaved coordinates."""
     a = np.asarray(a, dtype=complex)
-    m = a.shape[0]
-    out = np.zeros((2 * m, 2 * m))
-    out[0::2, 0::2] = a.real
-    out[0::2, 1::2] = -a.imag
-    out[1::2, 0::2] = a.imag
-    out[1::2, 1::2] = a.real
-    return out
-
-
-def complex_vec(x):
-    x = np.asarray(x, dtype=float)
-    return x[..., 0::2] + 1j * x[..., 1::2]
-
-
-def real_vec(z):
-    z = np.asarray(z, dtype=complex)
-    out = np.empty(z.shape[:-1] + (2 * z.shape[-1],))
-    out[..., 0::2] = z.real
-    out[..., 1::2] = z.imag
+    m = a.shape[-1]
+    out = np.zeros(a.shape[:-2] + (2 * m, 2 * m))
+    out[..., 0::2, 0::2] = a.real
+    out[..., 0::2, 1::2] = -a.imag
+    out[..., 1::2, 0::2] = a.imag
+    out[..., 1::2, 1::2] = a.real
     return out
 
 
@@ -65,44 +61,25 @@ def cross_matrix(u):
     return np.array([[0.0, -u3, u2], [u3, 0.0, -u1], [-u2, u1, 0.0]])
 
 
-class GPrimeBatch:
-    """A batch of Haar samples of G' exposed through their actions."""
-
-    def __init__(self, size, ad, ad_inv, act_v):
-        self.size = size
-        self.ad = ad          # x (dgp,) -> (S, dgp), Ad(g) x
-        self.ad_inv = ad_inv  # x (dgp,) -> (S, dgp), Ad(g^-1) x
-        self.act_v = act_v    # v (dV,)  -> (S, dV), pi(g) v
-
-
-def _identity_batch(size, dgp, dv):
-    def ad(x):
-        return np.broadcast_to(np.asarray(x, dtype=float), (size, dgp)).copy()
-
-    def act_v(v):
-        return np.broadcast_to(np.asarray(v, dtype=float), (size, dv)).copy()
-
-    return GPrimeBatch(size, ad, ad, act_v)
+def _block_diag_stack(blocks):
+    """Block-diagonal (S, d, d) stack from per-sample blocks
+    (S, d_i, d_i); a single block is returned as it is."""
+    if len(blocks) == 1:
+        return blocks[0]
+    size = blocks[0].shape[0]
+    dim = sum(b.shape[-1] for b in blocks)
+    out = np.zeros((size, dim, dim))
+    at = 0
+    for b in blocks:
+        d = b.shape[-1]
+        out[:, at:at + d, at:at + d] = b
+        at += d
+    return out
 
 
-def _su_like_batch(us, basis_stack, act_v):
-    """Ad and Ad^-1 through matrix conjugation, coefficients via the
-    orthonormal basis (works for su(n) and so(n) models)."""
-    conj_t = us.conj().swapaxes(-1, -2)
-    bconj = basis_stack.conj()
-
-    def _coeffs(mats):
-        return np.real(np.einsum("sab,iab->si", mats, bconj))
-
-    def ad(x):
-        xm = np.tensordot(np.asarray(x, dtype=float), basis_stack, axes=1)
-        return _coeffs(us @ xm @ conj_t)
-
-    def ad_inv(x):
-        xm = np.tensordot(np.asarray(x, dtype=float), basis_stack, axes=1)
-        return _coeffs(conj_t @ xm @ us)
-
-    return ad, ad_inv, act_v
+def _haar_su_stack(n, rng, size):
+    """Haar samples of SU(n) acting on C^n = R^(2n), (size, 2n, 2n)."""
+    return realify(np.stack([haar_special_unitary(n, rng) for _ in range(size)]))
 
 
 class CaseOps:
@@ -149,8 +126,10 @@ class CaseOps:
         raise NotImplementedError(f"case {self.label} has no tabulated weight data")
 
     # -- samplers ----------------------------------------------------------
-    def sample_gprime(self, rng, size):
-        return _identity_batch(size, self.dim_gp, self.dim_v)
+    def sample_vmats(self, rng, size):
+        """Haar sample of G' as the stack pi(g), shape (size, dim_v, dim_v);
+        identities where G' is trivial."""
+        return np.tile(np.eye(self.dim_v), (size, 1, 1))
 
     def u_part_automorphism(self, rng):
         """One orthogonal intertwiner from U (identity on g), or None."""
@@ -160,7 +139,10 @@ class CaseOps:
     fock_n = None
 
     def to_complex(self, v):
-        raise NotImplementedError(f"case {self.label} has no aligned complex structure")
+        """The point v of V as fock_n complex coordinates."""
+        if self.fock_n is None:
+            raise NotImplementedError(f"case {self.label} has no aligned complex structure")
+        return as_complex_vector(v, self.fock_n)
 
 
 def _su2_to_factor(xp):
@@ -170,13 +152,6 @@ def _su2_to_factor(xp):
 
 def _su2_from_factor(m):
     return np.array([m[0, 0].imag, m[0, 1].real, m[0, 1].imag])
-
-
-def _quat_block_batch(g, v, n):
-    """Left-multiply the n quaternionic coordinates of v by the batch g."""
-    vq = quat.quat_coords(np.asarray(v, dtype=float))
-    out = quat.qvec_mul(g, vq)
-    return out.reshape(g.shape[0], 4 * n)
 
 
 class CaseI(CaseOps):
@@ -210,20 +185,9 @@ class CaseI(CaseOps):
         th = float(np.atleast_1d(angles[0])[0])
         return [(th, 2 * self.n), (-th, 2 * self.n)]
 
-    def sample_gprime(self, rng, size):
+    def sample_vmats(self, rng, size):
         g = quat.random_unit(rng, size)
-        rot = quat.rotation_matrix(g)
-
-        def ad(x):
-            return np.einsum("sab,b->sa", rot, np.asarray(x, dtype=float))
-
-        def ad_inv(x):
-            return np.einsum("sba,b->sa", rot, np.asarray(x, dtype=float))
-
-        def act_v(v):
-            return _quat_block_batch(g, v, self.n)
-
-        return GPrimeBatch(size, ad, ad_inv, act_v)
+        return _block_diag_stack([quat.left_mult_matrix(g)] * self.n)
 
     def u_part_automorphism(self, rng):
         a = quat.random_unit(rng)
@@ -231,9 +195,6 @@ class CaseI(CaseOps):
         # multiplications and is orthogonal
         block = quat.right_mult_matrix(quat.qconj(a))
         return block_diag(*([block] * self.n))
-
-    def to_complex(self, v):
-        return complex_vec(v)
 
 
 class CaseII(CaseI):
@@ -263,31 +224,12 @@ class CaseII(CaseI):
     def weights(self, angles, zc):
         raise NotImplementedError("case II has no tabulated weight data")
 
-    def sample_gprime(self, rng, size):
+    def sample_vmats(self, rng, size):
         g = quat.random_unit(rng, size)
-        rot = quat.rotation_matrix(g)
-
-        def ad(x):
-            return np.einsum("sab,b->sa", rot, np.asarray(x, dtype=float))
-
-        def ad_inv(x):
-            return np.einsum("sba,b->sa", rot, np.asarray(x, dtype=float))
-
-        def act_v(v):
-            v = np.asarray(v, dtype=float)
-            first = np.einsum("sab,b->sa", rot, v[:3])
-            if self.n == 0:
-                return first
-            rest = _quat_block_batch(g, v[3:], self.n)
-            return np.concatenate([first, rest], axis=1)
-
-        return GPrimeBatch(size, ad, ad_inv, act_v)
+        return _block_diag_stack([quat.rotation_matrix(g)] + [quat.left_mult_matrix(g)] * self.n)
 
     def u_part_automorphism(self, rng):
         return None
-
-    def to_complex(self, v):
-        raise NotImplementedError("case II has no aligned complex structure")
 
 
 class CaseIII(CaseOps):
@@ -320,40 +262,13 @@ class CaseIII(CaseOps):
     def from_factor_mats(self, mats):
         return np.concatenate([_su2_from_factor(mats[0]), _su2_from_factor(mats[1])])
 
-    def sample_gprime(self, rng, size):
+    def sample_vmats(self, rng, size):
         g1 = quat.random_unit(rng, size)
         g2 = quat.random_unit(rng, size)
-        rot1, rot2 = quat.rotation_matrix(g1), quat.rotation_matrix(g2)
-        k1, k2 = self.k1, self.k2
-
-        def _split(x):
-            x = np.asarray(x, dtype=float)
-            return x[:3], x[3:]
-
-        def ad(x):
-            a, b = _split(x)
-            return np.concatenate(
-                [np.einsum("sab,b->sa", rot1, a), np.einsum("sab,b->sa", rot2, b)], axis=1
-            )
-
-        def ad_inv(x):
-            a, b = _split(x)
-            return np.concatenate(
-                [np.einsum("sba,b->sa", rot1, a), np.einsum("sba,b->sa", rot2, b)], axis=1
-            )
-
-        def act_v(v):
-            v = np.asarray(v, dtype=float)
-            parts = []
-            if k1:
-                parts.append(_quat_block_batch(g1, v[: 4 * k1], k1))
-            mid = v[4 * k1: 4 * k1 + 4]
-            parts.append(quat.qmul(g1, quat.qmul(mid, quat.qconj(g2))))
-            if k2:
-                parts.append(_quat_block_batch(g2, v[4 * k1 + 4:], k2))
-            return np.concatenate(parts, axis=1)
-
-        return GPrimeBatch(size, ad, ad_inv, act_v)
+        l1, l2 = quat.left_mult_matrix(g1), quat.left_mult_matrix(g2)
+        # the middle R^4 = H carries x -> g1 x conj(g2)
+        mid = l1 @ quat.right_mult_matrix(quat.qconj(g2))
+        return _block_diag_stack([l1] * self.k1 + [mid] + [l2] * self.k2)
 
 
 class CaseIV(CaseOps):
@@ -389,30 +304,11 @@ class CaseIV(CaseOps):
         xq = quat.complex_to_qmat(np.asarray(mats[0]))
         return np.einsum("abc,iabc->i", xq, self._qstack)
 
-    def sample_gprime(self, rng, size):
-        from .numerics import haar_symplectic_quat
-
+    def sample_vmats(self, rng, size):
         gs = np.stack([haar_symplectic_quat(2, rng) for _ in range(size)])
-        gdag = quat.qmat_dagger(gs)
-        qstack = self._qstack
-
-        def _coeffs(mats):
-            return np.einsum("sabc,iabc->si", mats, qstack)
-
-        def ad(x):
-            xq = np.tensordot(np.asarray(x, dtype=float), qstack, axes=1)
-            return _coeffs(quat.qmat_mul(quat.qmat_mul(gs, xq[None]), gdag))
-
-        def ad_inv(x):
-            xq = np.tensordot(np.asarray(x, dtype=float), qstack, axes=1)
-            return _coeffs(quat.qmat_mul(quat.qmat_mul(gdag, xq[None]), gs))
-
-        def act_v(v):
-            vq = quat.quat_coords(np.asarray(v, dtype=float)).reshape(self.n, 2, 4)
-            cols = [quat.qmat_vec(gs, vq[l]) for l in range(self.n)]
-            return np.concatenate([c.reshape(size, 8) for c in cols], axis=1)
-
-        return GPrimeBatch(size, ad, ad_inv, act_v)
+        # (S, 2, 2, 4, 4) quaternion entries -> (S, 8, 8) on H^2
+        block = quat.left_mult_matrix(gs).swapaxes(2, 3).reshape(size, 8, 8)
+        return _block_diag_stack([block] * self.n)
 
 
 class CaseV(CaseOps):
@@ -446,23 +342,11 @@ class CaseV(CaseOps):
         th = np.atleast_1d(angles[0])
         return [(float(t), 1) for t in th] + [(-float(t), 1) for t in th]
 
-    def _unitary_batch(self, rng, size):
-        return np.stack([haar_special_unitary(self.n, rng) for _ in range(size)])
-
-    def sample_gprime(self, rng, size):
-        us = self._unitary_batch(rng, size)
-
-        def act_v(v):
-            return real_vec(np.einsum("sab,b->sa", us, complex_vec(v)))
-
-        ad, ad_inv, act_v = _su_like_batch(us, self._bstack, act_v)
-        return GPrimeBatch(size, ad, ad_inv, act_v)
+    def sample_vmats(self, rng, size):
+        return _haar_su_stack(self.n, rng, size)
 
     def u_part_automorphism(self, rng):
         return realify(np.exp(1j * rng.uniform(0, 2 * np.pi)) * np.eye(self.n))
-
-    def to_complex(self, v):
-        return complex_vec(v)
 
 
 class CaseVI(CaseOps):
@@ -508,21 +392,10 @@ class CaseVI(CaseOps):
         th = np.atleast_1d(angles[0])
         return [(float(t), 1) for t in th] + [(-float(t), 1) for t in th]
 
-    def sample_gprime(self, rng, size):
+    def sample_vmats(self, rng, size):
         if self.n == 2:
-            return _identity_batch(size, 0, self.dim_v)
-        os = np.stack([haar_special_orthogonal(self.n, rng) for _ in range(size)])
-
-        def act_v(v):
-            return np.einsum("sab,b->sa", os, np.asarray(v, dtype=float))
-
-        ad, ad_inv, act_v = _su_like_batch(os.astype(complex), self._bstack.astype(complex), act_v)
-        return GPrimeBatch(size, ad, ad_inv, act_v)
-
-    def to_complex(self, v):
-        if self.n % 2:
-            raise NotImplementedError("odd free case has no aligned complex structure")
-        return complex_vec(v)
+            return super().sample_vmats(rng, size)
+        return np.stack([haar_special_orthogonal(self.n, rng) for _ in range(size)])
 
 
 class CaseVII(CaseOps):
@@ -549,9 +422,6 @@ class CaseVII(CaseOps):
 
     def u_part_automorphism(self, rng):
         return realify(haar_unitary(self.n, rng))
-
-    def to_complex(self, v):
-        return complex_vec(v)
 
 
 class CaseVIII(CaseOps):
@@ -592,28 +462,10 @@ class CaseVIII(CaseOps):
             out += [(th, 2 * self.n), (-th, 2 * self.n)]
         return out
 
-    def sample_gprime(self, rng, size):
+    def sample_vmats(self, rng, size):
         g = quat.random_unit(rng, size)
-        rot = quat.rotation_matrix(g)
-        su2 = quat.to_su2(g)
-        k, n = self.k, self.n
-
-        def ad(x):
-            return np.einsum("sab,b->sa", rot, np.asarray(x, dtype=float))
-
-        def ad_inv(x):
-            return np.einsum("sba,b->sa", rot, np.asarray(x, dtype=float))
-
-        def act_v(v):
-            v = np.asarray(v, dtype=float)
-            zk = complex_vec(v[: 4 * k]).reshape(k, 2)
-            out = np.einsum("sab,cb->sca", su2, zk).reshape(size, 2 * k)
-            parts = [real_vec(out)]
-            if n:
-                parts.append(_quat_block_batch(g, v[4 * k:], n))
-            return np.concatenate(parts, axis=1)
-
-        return GPrimeBatch(size, ad, ad_inv, act_v)
+        blocks = [realify(quat.to_su2(g))] * self.k + [quat.left_mult_matrix(g)] * self.n
+        return _block_diag_stack(blocks)
 
     def u_part_automorphism(self, rng):
         u = haar_unitary(self.k, rng)
@@ -654,20 +506,11 @@ class CaseIX(CaseOps):
         t = float(np.atleast_1d(zc)[0])
         return [(float(a) + t, 1) for a in th] + [(-float(a) - t, 1) for a in th]
 
-    def sample_gprime(self, rng, size):
-        us = np.stack([haar_special_unitary(self.n, rng) for _ in range(size)])
-
-        def act_v(v):
-            return real_vec(np.einsum("sab,b->sa", us, complex_vec(v)))
-
-        ad, ad_inv, act_v = _su_like_batch(us, self._bstack, act_v)
-        return GPrimeBatch(size, ad, ad_inv, act_v)
+    def sample_vmats(self, rng, size):
+        return _haar_su_stack(self.n, rng, size)
 
     def u_part_automorphism(self, rng):
         return realify(np.exp(1j * rng.uniform(0, 2 * np.pi)) * np.eye(self.n))
-
-    def to_complex(self, v):
-        return complex_vec(v)
 
 
 class CaseX(CaseOps):
@@ -716,36 +559,11 @@ class CaseX(CaseOps):
         first = np.real(np.einsum("ab,iab->i", np.asarray(mats[0]), self._bstack.conj()))
         return np.concatenate([first, _su2_from_factor(mats[1])])
 
-    def sample_gprime(self, rng, size):
-        us = np.stack([haar_special_unitary(self.m, rng) for _ in range(size)])
+    def sample_vmats(self, rng, size):
+        us = _haar_su_stack(self.m, rng, size)
         g = quat.random_unit(rng, size)
-        rot = quat.rotation_matrix(g)
-        su2 = quat.to_su2(g)
-        m, k, n = self.m, self.k, self.n
-        d = len(self.su_basis)
-        ad_su, ad_inv_su, _ = _su_like_batch(us, self._bstack, None)
-
-        def ad(x):
-            x = np.asarray(x, dtype=float)
-            return np.concatenate([ad_su(x[:d]), np.einsum("sab,b->sa", rot, x[d:])], axis=1)
-
-        def ad_inv(x):
-            x = np.asarray(x, dtype=float)
-            return np.concatenate([ad_inv_su(x[:d]), np.einsum("sba,b->sa", rot, x[d:])], axis=1)
-
-        def act_v(v):
-            v = np.asarray(v, dtype=float)
-            zfirst = np.einsum("sab,b->sa", us, complex_vec(v[: 2 * m]))
-            parts = [real_vec(zfirst)]
-            if k:
-                zk = complex_vec(v[2 * m: 2 * m + 4 * k]).reshape(k, 2)
-                out = np.einsum("sab,cb->sca", su2, zk)
-                parts.append(real_vec(out.reshape(size, -1)))
-            if n:
-                parts.append(_quat_block_batch(g, v[2 * m + 4 * k:], n))
-            return np.concatenate(parts, axis=1)
-
-        return GPrimeBatch(size, ad, ad_inv, act_v)
+        blocks = [us] + [realify(quat.to_su2(g))] * self.k + [quat.left_mult_matrix(g)] * self.n
+        return _block_diag_stack(blocks)
 
 
 CASES = {

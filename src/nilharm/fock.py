@@ -30,7 +30,7 @@ from typing import Optional
 
 import numpy as np
 
-from .numerics import node_budget
+from .numerics import as_complex_vector, node_budget
 
 
 def monomials_of_degree(nvars, degree):
@@ -118,19 +118,6 @@ def _coord_table(mu, vj, dmax):
     return tab
 
 
-def _as_complex_vector(v, n):
-    v = np.asarray(v)
-    if np.iscomplexobj(v):
-        if v.shape[-1] != n:
-            raise ValueError(f"expected {n} complex coordinates")
-        return v.astype(complex)
-    if v.shape[-1] == 2 * n:
-        return v[..., 0::2] + 1j * v[..., 1::2]
-    if v.shape[-1] == n:
-        return v.astype(complex)
-    raise ValueError(f"cannot interpret shape {v.shape} as C^{n}")
-
-
 def pi_matrix(lam, t, v, basis: FockBasis, weights=None):
     """Matrix of pi_lam(t, v) on the normalized monomial basis.
 
@@ -158,7 +145,7 @@ def pi_matrix(lam, t, v, basis: FockBasis, weights=None):
     if lam == 0.0:
         raise ValueError("lam must be nonzero")
     alam, conj_all = abs(lam), lam < 0
-    z = _as_complex_vector(v, basis.n)
+    z = as_complex_vector(v, basis.n)
     if weights is None:
         weights = np.ones(basis.n)
     weights = np.asarray(weights, dtype=float)
@@ -196,7 +183,7 @@ def coefficient_grid(lam, basis: FockBasis, m, r, t, v, weights=None):
     alam = abs(lam)
     m = tuple(m)
     r = tuple(r)
-    z = _as_complex_vector(np.asarray(v), basis.n)
+    z = as_complex_vector(np.asarray(v), basis.n)
     z = np.atleast_2d(z)
     t = np.atleast_1d(np.asarray(t, dtype=float))
     if weights is None:
@@ -486,11 +473,11 @@ def twisted_convolution(f, g, lam, quad):
     """
     pts, wts = quad.grid()
     n = pts.shape[1] // 2
-    w = pts[:, 0::2] + 1j * pts[:, 1::2]
+    w = as_complex_vector(pts, n)
     fw = np.asarray(f(w), dtype=complex) * wts
 
     def convolved(v):
-        v = np.atleast_2d(_as_complex_vector(np.asarray(v), n))
+        v = np.atleast_2d(as_complex_vector(np.asarray(v), n))
         out = np.empty(len(v), dtype=complex)
         chunk = max(1, int(node_budget() // max(1, len(w))))
         for a in range(0, len(v), chunk):

@@ -38,6 +38,21 @@ def as_rng(seed):
     return np.random.default_rng(seed)
 
 
+def as_complex_vector(v, n):
+    """A point of C^n from n complex numbers, 2n interleaved reals
+    (Re z_1, Im z_1, Re z_2, ...) or n reals; leading axes are kept."""
+    v = np.asarray(v)
+    if np.iscomplexobj(v):
+        if v.shape[-1] != n:
+            raise ValueError(f"expected {n} complex coordinates")
+        return v.astype(complex)
+    if v.shape[-1] == 2 * n:
+        return v[..., 0::2] + 1j * v[..., 1::2]
+    if v.shape[-1] == n:
+        return v.astype(complex)
+    raise ValueError(f"cannot interpret shape {v.shape} as C^{n}")
+
+
 # ---------------------------------------------------------------------------
 # Laguerre polynomials
 # ---------------------------------------------------------------------------
@@ -292,13 +307,3 @@ def gaussian_half_width(min_decay, tail=1e-16):
     if min_decay <= 0:
         raise ValueError("decay rate must be positive")
     return float(np.sqrt(-np.log(tail) / min_decay))
-
-
-def grid_quadrature(f, spec):
-    """Integrate a vectorized integrand over the spec's box.
-
-    f maps an (P, dim) array of points to (P,) values.
-    """
-    points, weights = spec.grid()
-    vals = np.asarray(f(points))
-    return np.sum(weights * vals)

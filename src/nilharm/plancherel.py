@@ -439,8 +439,8 @@ def _probe_one_width(alg, avec, b, J, lam_max, lam_nodes, samples, seed):
     y = np.array([1.0, 0.0, 0.0])
     for knode, (r, wk) in enumerate(zip(nodes, wts)):
         rng = as_rng((seed, knode))
-        batch = alg.ops.sample_gprime(rng, samples)
-        u = batch.ad_inv(y)
+        vmats = alg.ops.sample_vmats(rng, samples)
+        u = np.stack([alg.orbit_pairing(vmats, y, e) for e in np.eye(alg.dim_g)], axis=1)
         zint = zfac * np.exp(-(r**2) * np.sum(u**2 / (4.0 * avec), axis=1))
         mean = float(np.mean(zint))
         sem = float(np.std(zint, ddof=1) / np.sqrt(samples))

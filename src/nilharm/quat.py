@@ -49,30 +49,21 @@ def qnorm(a):
     return np.sqrt(np.sum(np.asarray(a, dtype=float) ** 2, axis=-1))
 
 
+# _LEFT_BASIS[c] and _RIGHT_BASIS[c] are the matrices of x -> e_c x and
+# x -> x e_c for the basis quaternions e_c = (1, i, j, k)
+_EYE4 = np.eye(4)
+_LEFT_BASIS = np.swapaxes(qmul(_EYE4[:, None], _EYE4[None, :]), 1, 2)
+_RIGHT_BASIS = np.swapaxes(qmul(_EYE4[None, :], _EYE4[:, None]), 1, 2)
+
+
 def left_mult_matrix(q):
     """4x4 real matrix of x -> q*x (leading axes broadcast)."""
-    q = np.asarray(q, dtype=float)
-    w, x, y, z = q[..., 0], q[..., 1], q[..., 2], q[..., 3]
-    rows = [
-        np.stack([w, -x, -y, -z], axis=-1),
-        np.stack([x, w, -z, y], axis=-1),
-        np.stack([y, z, w, -x], axis=-1),
-        np.stack([z, -y, x, w], axis=-1),
-    ]
-    return np.stack(rows, axis=-2)
+    return np.tensordot(np.asarray(q, dtype=float), _LEFT_BASIS, axes=1)
 
 
 def right_mult_matrix(q):
-    """4x4 real matrix of x -> x*q."""
-    q = np.asarray(q, dtype=float)
-    w, x, y, z = q[..., 0], q[..., 1], q[..., 2], q[..., 3]
-    rows = [
-        np.stack([w, -x, -y, -z], axis=-1),
-        np.stack([x, w, z, -y], axis=-1),
-        np.stack([y, -z, w, x], axis=-1),
-        np.stack([z, y, -x, w], axis=-1),
-    ]
-    return np.stack(rows, axis=-2)
+    """4x4 real matrix of x -> x*q (leading axes broadcast)."""
+    return np.tensordot(np.asarray(q, dtype=float), _RIGHT_BASIS, axes=1)
 
 
 def rotation_matrix(g):
@@ -124,25 +115,6 @@ def rotate_i_to(u):
     return from_axis_angle(axis, np.arccos(np.clip(c, -1.0, 1.0)))
 
 
-def qvec_mul(g, v):
-    """Left-multiply every quaternion coordinate of v by g.
-
-    g has shape (..., 4), v has shape (n, 4); the result broadcasts to
-    (..., n, 4).
-    """
-    g = np.asarray(g, dtype=float)
-    v = np.asarray(v, dtype=float)
-    return qmul(g[..., None, :], v)
-
-
-def qmat_vec(m, v):
-    """Quaternionic matrix times vector: (m @ v)_a = sum_b m[a,b] * v[b]."""
-    m = np.asarray(m, dtype=float)
-    v = np.asarray(v, dtype=float)
-    prod = qmul(m, v[..., None, :, :])
-    return prod.sum(axis=-2)
-
-
 def qmat_mul(a, b):
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -183,14 +155,3 @@ def complex_to_qmat(c):
     out[..., 2] = B.real
     out[..., 3] = B.imag
     return out
-
-
-def real_coords(v):
-    """Flatten quaternion vector (n, 4) -> real coordinates (4n,)."""
-    return np.asarray(v, dtype=float).reshape(*np.asarray(v).shape[:-2], -1)
-
-
-def quat_coords(x):
-    """Real coordinates (4n,) -> quaternion vector (n, 4)."""
-    x = np.asarray(x, dtype=float)
-    return x.reshape(*x.shape[:-1], -1, 4)

@@ -32,7 +32,7 @@ from scipy.special import roots_genlaguerre
 
 from .algebra import LauretAlgebra
 from .forms import Functional
-from .numerics import as_rng, laguerre, sphere_character
+from .numerics import as_complex_vector, as_rng, laguerre, sphere_character
 from .fock import homog_dim
 
 
@@ -82,14 +82,6 @@ class SphericalValue:
         return abs(self.value - o) <= tol
 
 
-def _pairs(v):
-    v = np.asarray(v)
-    if np.iscomplexobj(v):
-        return v.reshape(-1)
-    v = np.asarray(v, dtype=float).reshape(-1)
-    return v[0::2] + 1j * v[1::2]
-
-
 def _lag_at(j, alpha, x):
     return laguerre(j, alpha, np.asarray(x, dtype=float))
 
@@ -107,33 +99,27 @@ def psi_closed(idx: SphericalIndex, t, v):
     phase = np.exp(1j * lam * float(t))
     case = idx.case
     if case == "VII":
-        z = _pairs(v)
-        n = idx.params.get("n", len(z))
-        if len(z) != n:
-            raise ValueError(f"expected {n} complex coordinates")
+        n = int(idx.params["n"])
+        z = as_complex_vector(v, n)
         (j,) = idx.index
         x = float(np.sum(np.abs(z) ** 2))
         return complex(phase * _lag_at(j, n - 1, alam * x / 2.0) * np.exp(-alam * x / 4.0))
     if case == "I":
-        z = _pairs(v)
-        n = idx.params.get("n", len(z) // 2)
+        n = int(idx.params["n"])
+        z = as_complex_vector(v, 2 * n)
         (j,) = idx.index
         x = float(np.sum(np.abs(z) ** 2))
         return complex(phase * _lag_at(j, 2 * n - 1, alam * x / 2.0) * np.exp(-alam * x / 4.0))
     if case in ("V", "IX"):
-        z = _pairs(v)
         m = idx.index
-        if len(m) != len(z):
-            raise ValueError("index length must match the complex dimension")
+        z = as_complex_vector(v, len(m))
         val = np.exp(-alam * float(np.sum(np.abs(z) ** 2)) / 4.0)
         for mi, zi in zip(m, z):
             val *= _lag_at(int(mi), 0, alam * abs(zi) ** 2 / 2.0)
         return complex(phase * val)
     if case == "VI":
-        z = _pairs(v)
         m = idx.index
-        if len(m) != len(z):
-            raise ValueError("index length must match the number of complex pairs")
+        z = as_complex_vector(v, len(m))
         val = np.exp(-alam * float(np.sum(np.abs(z) ** 2)) / 4.0)
         for mi, zi in zip(m, z):
             val *= _lag_at(int(mi), 0, alam * abs(zi) ** 2 / 2.0)
@@ -190,7 +176,7 @@ def phi_caseI_closed(lam, j, z, v):
     if lam == 0:
         raise ValueError("lam must be nonzero")
     z = np.asarray(z, dtype=float).reshape(-1)
-    zc = _pairs(v)
+    zc = as_complex_vector(v, np.shape(v)[-1] // 2)
     n = len(zc) // 2
     x = float(np.sum(np.abs(zc) ** 2))
     j = int(j)
@@ -217,7 +203,7 @@ def _orbit_v_factor(idx: SphericalIndex, alam, w, vfull):
         x = np.sum(w**2, axis=1)
         return _lag_at(j, n - 1, alam * x / 2.0)
     if case in ("V", "IX", "VI"):
-        z = w[:, 0::2] + 1j * w[:, 1::2]
+        z = as_complex_vector(w, len(idx.index))
         out = np.ones(len(w))
         for i, mi in enumerate(idx.index):
             out *= _lag_at(int(mi), 0, alam * np.abs(z[:, i]) ** 2 / 2.0)
@@ -296,14 +282,9 @@ def phi_orbit(idx: SphericalIndex, z, v, samples=20000, seed=0, v_freq=None):
     vfreq = alam if v_freq is None else float(v_freq)
     z = np.asarray(z, dtype=float).reshape(alg.dim_g)
     v = np.asarray(v, dtype=float).reshape(alg.dim_v)
-    rng = as_rng(seed)
-    yp, yc = alg.split_center(fn.y)
-    zp, zc = alg.split_center(z)
-    batch = alg.ops.sample_gprime(rng, samples)
-    # <Ad(g^-1) Y, z> splits as the moving g' pairing plus the fixed
-    # central pairing
-    pair = batch.ad_inv(yp) @ zp + float(yc @ zc) if alg.dim_gp else np.full(samples, float(yc @ zc))
-    w = batch.act_v(v)
+    vmats = alg.ops.sample_vmats(as_rng(seed), samples)
+    pair = alg.orbit_pairing(vmats, fn.y, z)
+    w = np.einsum("sab,b->sa", vmats, v)
     vidx = SphericalIndex(idx.case, vfreq, idx.index, idx.params)
     vals = np.exp(1j * alam * pair) * _orbit_v_factor(vidx, vfreq, w, v)
     envelope = np.exp(-vfreq * float(np.sum(v**2)) / 4.0)

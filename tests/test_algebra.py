@@ -135,18 +135,33 @@ def test_group_noncommutative_defect_is_bracket():
     assert np.allclose(d[0], alg.bracket(x[1], y[1]), atol=1e-12)
 
 
-@pytest.mark.parametrize("case,params", [("I", {"n": 2}), ("V", {"n": 3}), ("IX", {"n": 3}), ("VIII", {"k": 1, "n": 1})])
+@pytest.mark.parametrize("case,params", [
+    ("I", {"n": 2}), ("V", {"n": 3}), ("IX", {"n": 3}), ("VIII", {"k": 1, "n": 1}),
+    ("II", {"n": 1}), ("II", {"n": 0}), ("III", {"k1": 1, "k2": 1}), ("III", {"k1": 0, "k2": 2}),
+    ("IV", {"n": 1}), ("VI", {"n": 2}), ("VI", {"n": 4}), ("VI", {"n": 5}), ("VII", {"n": 2}),
+    ("X", {"m": 3, "k": 1, "n": 1}),
+])
 def test_automorphisms_preserve_bracket(case, params):
+    # Ad is derived from the V-matrices, so the bracket identity checks
+    # the pair (g_mat, v_mat) against each other
     alg = build_case(case, **params)
     rng = as_rng(6)
-    for k in sample_automorphisms(alg, rng=rng, count=6):
+    ks = sample_automorphisms(alg, rng=rng, count=6)
+    for k in ks:
         assert np.allclose(k.v_mat @ k.v_mat.T, np.eye(alg.dim_v), atol=1e-11)
         assert np.allclose(k.g_mat @ k.g_mat.T, np.eye(alg.dim_g), atol=1e-11)
+        assert np.allclose(k.g_mat[alg.dim_gp:], np.eye(alg.dim_g)[alg.dim_gp:], rtol=0, atol=1e-12)
         u = rng.standard_normal(alg.dim_v)
         v = rng.standard_normal(alg.dim_v)
         lhs = k.g_mat @ alg.bracket(u, v)
         rhs = alg.bracket(k.v_mat @ u, k.v_mat @ v)
         assert np.allclose(lhs, rhs, atol=1e-10)
+    # the first count elements are the G' pairs (Ad(g), pi(g))
+    vmats = np.stack([k.v_mat for k in ks[:6]])
+    y = rng.standard_normal(alg.dim_g)
+    z = rng.standard_normal(alg.dim_g)
+    expected = [y @ k.g_mat @ z for k in ks[:6]]
+    assert np.allclose(alg.orbit_pairing(vmats, y, z), expected, rtol=0, atol=1e-12)
 
 
 def test_k_actions_extend_gprime():

@@ -85,25 +85,6 @@ def test_rotate_i_to_sends_i():
     assert np.allclose(r @ np.array([1.0, 0, 0]), u, atol=1e-12)
 
 
-def test_quat_coords_roundtrip():
-    rng = as_rng(7)
-    v = rng.standard_normal(8)
-    q = quat.quat_coords(v)
-    assert q.shape == (2, 4)
-    assert np.allclose(quat.real_coords(q), v)
-
-
-def test_qvec_mul_broadcasts_batch_over_coords():
-    rng = as_rng(8)
-    g = quat.random_unit(rng, size=3)
-    v = rng.standard_normal((2, 4))
-    out = quat.qvec_mul(g, v)
-    assert out.shape == (3, 2, 4)
-    for s in range(3):
-        for j in range(2):
-            assert np.allclose(out[s, j], quat.qmul(g[s], v[j]), atol=1e-13)
-
-
 def test_qmat_complex_bridge():
     # quaternionic matrix multiplication agrees with its complex 2x2 image
     rng = as_rng(9)
