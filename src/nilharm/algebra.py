@@ -17,8 +17,7 @@ V x g with the Baker-Campbell-Hausdorff product
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -234,12 +233,9 @@ def sample_automorphisms(alg: LauretAlgebra, rng=None, count=8, include_u=True):
     rng = as_rng(rng)
     vmats = alg.ops.sample_vmats(rng, count)
     out = [OrthAutomorphism(a, v) for a, v in zip(alg.ad_of(vmats), vmats)]
-    if include_u:
-        for _ in range(max(2, count // 4)):
-            u = alg.ops.u_part_automorphism(rng)
-            if u is None:
-                break
-            out.append(OrthAutomorphism(np.eye(alg.dim_g), np.asarray(u, dtype=float)))
+    us = alg.ops.u_part_automorphisms(rng, max(2, count // 4)) if include_u else None
+    if us is not None:
+        out += [OrthAutomorphism(np.eye(alg.dim_g), u) for u in us]
     return out
 
 
@@ -249,13 +245,11 @@ def sample_k_actions(alg: LauretAlgebra, rng=None, count=8):
     V-intertwiner that fixes g, where the case provides one."""
     rng = as_rng(rng)
     vmats = alg.ops.sample_vmats(rng, count)
-    out = []
-    for a, vm in zip(alg.ad_of(vmats), vmats):
-        u = alg.ops.u_part_automorphism(rng)
-        if u is not None:
-            vm = np.asarray(u, dtype=float) @ vm
-        out.append(OrthAutomorphism(a, vm))
-    return out
+    ads = alg.ad_of(vmats)
+    us = alg.ops.u_part_automorphisms(rng, count)
+    if us is not None:
+        vmats = us @ vmats
+    return [OrthAutomorphism(a, vm) for a, vm in zip(ads, vmats)]
 
 
 @dataclass

@@ -77,11 +77,6 @@ def _block_diag_stack(blocks):
     return out
 
 
-def _haar_su_stack(n, rng, size):
-    """Haar samples of SU(n) acting on C^n = R^(2n), (size, 2n, 2n)."""
-    return realify(np.stack([haar_special_unitary(n, rng) for _ in range(size)]))
-
-
 class CaseOps:
     """Shared plumbing; subclasses fill in the per-case data."""
 
@@ -131,8 +126,9 @@ class CaseOps:
         identities where G' is trivial."""
         return np.tile(np.eye(self.dim_v), (size, 1, 1))
 
-    def u_part_automorphism(self, rng):
-        """One orthogonal intertwiner from U (identity on g), or None."""
+    def u_part_automorphisms(self, rng, size):
+        """Haar sample of the orthogonal intertwiners from U (identity on
+        g), shape (size, dim_v, dim_v), or None."""
         return None
 
     # -- Fock bridge ---------------------------------------------------------
@@ -189,12 +185,11 @@ class CaseI(CaseOps):
         g = quat.random_unit(rng, size)
         return _block_diag_stack([quat.left_mult_matrix(g)] * self.n)
 
-    def u_part_automorphism(self, rng):
-        a = quat.random_unit(rng)
+    def u_part_automorphisms(self, rng, size):
+        a = quat.random_unit(rng, size)
         # right multiplication by the conjugate commutes with all left
         # multiplications and is orthogonal
-        block = quat.right_mult_matrix(quat.qconj(a))
-        return block_diag(*([block] * self.n))
+        return _block_diag_stack([quat.right_mult_matrix(quat.qconj(a))] * self.n)
 
 
 class CaseII(CaseI):
@@ -228,7 +223,7 @@ class CaseII(CaseI):
         g = quat.random_unit(rng, size)
         return _block_diag_stack([quat.rotation_matrix(g)] + [quat.left_mult_matrix(g)] * self.n)
 
-    def u_part_automorphism(self, rng):
+    def u_part_automorphisms(self, rng, size):
         return None
 
 
@@ -305,7 +300,7 @@ class CaseIV(CaseOps):
         return np.einsum("abc,iabc->i", xq, self._qstack)
 
     def sample_vmats(self, rng, size):
-        gs = np.stack([haar_symplectic_quat(2, rng) for _ in range(size)])
+        gs = haar_symplectic_quat(2, rng, size)
         # (S, 2, 2, 4, 4) quaternion entries -> (S, 8, 8) on H^2
         block = quat.left_mult_matrix(gs).swapaxes(2, 3).reshape(size, 8, 8)
         return _block_diag_stack([block] * self.n)
@@ -343,10 +338,10 @@ class CaseV(CaseOps):
         return [(float(t), 1) for t in th] + [(-float(t), 1) for t in th]
 
     def sample_vmats(self, rng, size):
-        return _haar_su_stack(self.n, rng, size)
+        return realify(haar_special_unitary(self.n, rng, size))
 
-    def u_part_automorphism(self, rng):
-        return realify(np.exp(1j * rng.uniform(0, 2 * np.pi)) * np.eye(self.n))
+    def u_part_automorphisms(self, rng, size):
+        return realify(np.exp(1j * rng.uniform(0, 2 * np.pi, size))[:, None, None] * np.eye(self.n))
 
 
 class CaseVI(CaseOps):
@@ -395,7 +390,7 @@ class CaseVI(CaseOps):
     def sample_vmats(self, rng, size):
         if self.n == 2:
             return super().sample_vmats(rng, size)
-        return np.stack([haar_special_orthogonal(self.n, rng) for _ in range(size)])
+        return haar_special_orthogonal(self.n, rng, size)
 
 
 class CaseVII(CaseOps):
@@ -420,8 +415,8 @@ class CaseVII(CaseOps):
         t = float(np.atleast_1d(zc)[0])
         return [(t, self.n), (-t, self.n)]
 
-    def u_part_automorphism(self, rng):
-        return realify(haar_unitary(self.n, rng))
+    def u_part_automorphisms(self, rng, size):
+        return realify(haar_unitary(self.n, rng, size))
 
 
 class CaseVIII(CaseOps):
@@ -467,10 +462,9 @@ class CaseVIII(CaseOps):
         blocks = [realify(quat.to_su2(g))] * self.k + [quat.left_mult_matrix(g)] * self.n
         return _block_diag_stack(blocks)
 
-    def u_part_automorphism(self, rng):
-        u = haar_unitary(self.k, rng)
-        big = np.kron(u, np.eye(2))
-        return block_diag(realify(big), np.eye(4 * self.n))
+    def u_part_automorphisms(self, rng, size):
+        big = np.kron(haar_unitary(self.k, rng, size), np.eye(2))
+        return _block_diag_stack([realify(big), np.tile(np.eye(4 * self.n), (size, 1, 1))])
 
 
 class CaseIX(CaseOps):
@@ -507,10 +501,10 @@ class CaseIX(CaseOps):
         return [(float(a) + t, 1) for a in th] + [(-float(a) - t, 1) for a in th]
 
     def sample_vmats(self, rng, size):
-        return _haar_su_stack(self.n, rng, size)
+        return realify(haar_special_unitary(self.n, rng, size))
 
-    def u_part_automorphism(self, rng):
-        return realify(np.exp(1j * rng.uniform(0, 2 * np.pi)) * np.eye(self.n))
+    def u_part_automorphisms(self, rng, size):
+        return realify(np.exp(1j * rng.uniform(0, 2 * np.pi, size))[:, None, None] * np.eye(self.n))
 
 
 class CaseX(CaseOps):
@@ -560,7 +554,7 @@ class CaseX(CaseOps):
         return np.concatenate([first, _su2_from_factor(mats[1])])
 
     def sample_vmats(self, rng, size):
-        us = _haar_su_stack(self.m, rng, size)
+        us = realify(haar_special_unitary(self.m, rng, size))
         g = quat.random_unit(rng, size)
         blocks = [us] + [realify(quat.to_su2(g))] * self.k + [quat.left_mult_matrix(g)] * self.n
         return _block_diag_stack(blocks)

@@ -1,6 +1,15 @@
 """Shared numerical kernels: Laguerre recurrences, Haar sampling,
 Monte-Carlo averaging and tensor-product quadrature.
 
+The Haar samplers of O(n), SO(n), U(n), SU(n) and Sp(n) take an
+optional size.  With it they return a stack of size samples, drawn as
+one Gaussian array whose C order is the per-sample stream ((size, n, n)
+for O/SO, real and then imaginary parts (size, 2, n, n) for U/SU,
+(size, n, n, 4) for Sp) and orthonormalized in one stacked QR or one
+vectorized Gram-Schmidt.  Without it they return element 0 of a
+one-sample stack, so a sized draw equals as many unsized draws from the
+same generator.
+
 Everything here is deterministic given an explicit seed, and grid sizes
 are guarded by the NILHARM_BUDGET environment variable (total tensor
 nodes; default 3e7).
@@ -13,7 +22,6 @@ import re
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import qr
 
 from . import quat
 
@@ -111,59 +119,64 @@ def sphere_character(a):
 _GROUP_RE = re.compile(r"^\s*(SO|SU|U|Sp|torus)\s*\(\s*(\d+)\s*\)\s*$")
 
 
-def _qr_unitary(z):
-    """QR with the phase correction that makes the factor Haar distributed."""
-    q, r = qr(z)
-    d = np.diagonal(r)
-    ph = d / np.abs(d)
-    return q * ph
+def _sized(stack, size):
+    """The stack, or its only element when the caller gave no size."""
+    return stack if size is not None else stack[0]
 
 
-def haar_orthogonal(n, rng):
-    return _qr_unitary(rng.standard_normal((n, n)))
+def _qr_haar(z):
+    """Stacked QR with the diagonal phase fix (Mezzadri,
+    arXiv:math-ph/0609050) that makes each Q factor Haar distributed."""
+    q, r = np.linalg.qr(z)
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (d / np.abs(d))[..., None, :]
 
 
-def haar_special_orthogonal(n, rng):
-    q = haar_orthogonal(n, rng)
-    if np.linalg.det(q) < 0:
-        q = q.copy()
-        q[:, 0] = -q[:, 0]
-    return q
+def haar_orthogonal(n, rng, size=None):
+    return _sized(_qr_haar(rng.standard_normal((1 if size is None else size, n, n))), size)
 
 
-def haar_unitary(n, rng):
-    z = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2.0)
-    return _qr_unitary(z)
+def haar_special_orthogonal(n, rng, size=None):
+    q = haar_orthogonal(n, rng, 1 if size is None else size)
+    neg = np.linalg.det(q) < 0
+    q[neg, :, 0] = -q[neg, :, 0]
+    return _sized(q, size)
 
 
-def haar_special_unitary(n, rng):
-    u = haar_unitary(n, rng)
+def haar_unitary(n, rng, size=None):
+    g = rng.standard_normal((1 if size is None else size, 2, n, n))
+    return _sized(_qr_haar((g[:, 0] + 1j * g[:, 1]) / np.sqrt(2.0)), size)
+
+
+def haar_special_unitary(n, rng, size=None):
+    u = haar_unitary(n, rng, 1 if size is None else size)
     det = np.linalg.det(u)
-    return u * det ** (-1.0 / n)
+    return _sized(u * (det ** (-1.0 / n))[:, None, None], size)
 
 
 def haar_torus(n, rng):
     return np.diag(np.exp(1j * rng.uniform(0.0, 2 * np.pi, size=n)))
 
 
-def haar_symplectic_quat(n, rng):
+def haar_symplectic_quat(n, rng, size=None):
     """Haar sample of Sp(n) as an (n, n, 4) quaternionic unitary matrix.
 
-    Quaternionic Ginibre followed by quaternionic modified Gram-Schmidt;
-    the diagonal "R" entries are positive reals, which fixes the phase
-    ambiguity exactly as in the complex QR construction.
+    Quaternionic Ginibre followed by quaternionic modified Gram-Schmidt,
+    run on all samples at once; the diagonal "R" entries are positive
+    reals, which fixes the phase ambiguity exactly as in the complex QR
+    construction.
     """
-    m = rng.standard_normal((n, n, 4))
+    m = rng.standard_normal((1 if size is None else size, n, n, 4))
     for col in range(n):
-        v = m[:, col, :]
+        v = m[:, :, col]
         for prev in range(col):
-            u = m[:, prev, :]
+            u = m[:, :, prev]
             # quaternionic inner product <u, v> = sum conj(u_a) v_a
-            coef = quat.qmul(quat.qconj(u), v).sum(axis=0)
-            v = v - quat.qmul(u, coef[None, :])
-        nrm = np.sqrt((v ** 2).sum())
-        m[:, col, :] = v / nrm
-    return m
+            coef = quat.qmul(quat.qconj(u), v).sum(axis=1)
+            v = v - quat.qmul(u, coef[:, None])
+        nrm = np.sqrt((v ** 2).sum(axis=(1, 2)))
+        m[:, :, col] = v / nrm[:, None, None]
+    return _sized(m, size)
 
 
 def haar_symplectic(n, rng):

@@ -24,7 +24,6 @@ dim W at the identity.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import comb
 from typing import Optional
 
 import numpy as np

@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from nilharm import fock
+from nilharm.algebra import build_case
+from nilharm.cases import CASES
 from nilharm.numerics import QuadratureSpec, as_rng
 
 
@@ -110,6 +112,20 @@ def test_component_dimensions():
     comps = fock.metaplectic_components("VII", 2, 3)
     dims = sorted(c.dim for c in comps)
     assert dims == [fock.homog_dim(2, d) for d in range(4)]
+
+
+@pytest.mark.parametrize("case,params", [
+    ("III", (1, 1)), ("III", (2, 1)), ("IV", 1), ("IV", 2), ("VIII", (1, 0)), ("VIII", (2, 1)),
+    ("X", (3, 1, 1)),
+])
+def test_component_dimensions_sum_to_homog_dim(case, params):
+    # the components of degree d split the degree-d polynomials on
+    # C^(dim_v / 2), for the branches that list dimensions only
+    names = CASES[case][1]
+    dim_v = build_case(case, **dict(zip(names, np.atleast_1d(params).tolist()))).dim_v
+    comps = fock.metaplectic_components(case, params, 5)
+    for d in range(6):
+        assert sum(c.dim for c in comps if c.degree == d) == fock.homog_dim(dim_v // 2, d)
 
 
 def test_psi_numeric_is_component_trace():

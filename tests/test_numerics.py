@@ -12,6 +12,7 @@ from nilharm.numerics import (
     gaussian_half_width,
     haar_orthogonal,
     haar_sample,
+    haar_special_orthogonal,
     haar_special_unitary,
     haar_symplectic_quat,
     haar_unitary,
@@ -93,6 +94,13 @@ def test_gaussian_half_width_controls_tail():
     assert np.exp(-0.25 * w * w) < 1e-15
 
 
+def _is_positive_qr(q, z):
+    r = np.conj(np.swapaxes(q, -1, -2)) @ z
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return np.allclose(np.tril(r, -1), 0.0, atol=1e-12) and np.allclose(d.imag, 0.0, atol=1e-12) \
+        and bool(np.all(d.real > 0))
+
+
 def test_haar_orthogonal_and_unitary():
     rng = as_rng(4)
     for n in (2, 3, 5):
@@ -102,6 +110,24 @@ def test_haar_orthogonal_and_unitary():
         assert np.allclose(u @ np.conj(u).T, np.eye(n), atol=1e-12)
         su = haar_special_unitary(n, rng)
         assert abs(np.linalg.det(su) - 1) < 1e-12
+    # a sized call draws the stack of as many consecutive unsized draws
+    for sampler in (haar_orthogonal, haar_special_orthogonal, haar_unitary, haar_special_unitary):
+        for n in (2, 3, 5):
+            rng = as_rng(n)
+            singles = np.stack([sampler(n, rng) for _ in range(6)])
+            stack = sampler(n, as_rng(n), size=6)
+            assert np.array_equal(stack, singles)
+            assert np.allclose(stack @ np.conj(np.swapaxes(stack, 1, 2)), np.eye(n), atol=1e-12)
+            if sampler in (haar_special_orthogonal, haar_special_unitary):
+                assert np.allclose(np.linalg.det(stack), 1.0, atol=1e-12)
+    # the stack is the Q factor, with positive diagonal R, of one Gaussian
+    # array in per-sample stream order: (S, n, n) real, (S, 2, n, n) for
+    # the real and then imaginary parts
+    for n in (2, 3, 5):
+        z = as_rng(n).standard_normal((6, n, n))
+        assert _is_positive_qr(haar_orthogonal(n, as_rng(n), size=6), z)
+        g = as_rng(n).standard_normal((6, 2, n, n))
+        assert _is_positive_qr(haar_unitary(n, as_rng(n), size=6), g[:, 0] + 1j * g[:, 1])
 
 
 def test_haar_unitary_moments():
@@ -122,6 +148,23 @@ def test_haar_symplectic_quaternionic():
     eye = np.zeros_like(prod)
     eye[np.arange(2), np.arange(2), 0] = 1.0
     assert np.allclose(prod, eye, atol=1e-12)
+    # sized stacks; in Sp(3) the third column is orthogonalized against
+    # two earlier ones, which Sp(2) never does
+    for n in (2, 3):
+        rng = as_rng(n)
+        singles = np.stack([haar_symplectic_quat(n, rng) for _ in range(5)])
+        stack = haar_symplectic_quat(n, as_rng(n), size=5)
+        assert np.array_equal(stack, singles)
+        prod = qmat_mul(stack, qmat_dagger(stack))
+        eye = np.zeros_like(prod)
+        eye[:, np.arange(n), np.arange(n), 0] = 1.0
+        assert np.allclose(prod, eye, atol=1e-12)
+        # R = Q^dagger M is upper triangular with positive real diagonal
+        r = qmat_mul(qmat_dagger(stack), as_rng(n).standard_normal((5, n, n, 4)))
+        below = np.tril_indices(n, -1)
+        assert np.allclose(r[:, below[0], below[1]], 0.0, atol=1e-12)
+        diag = r[:, np.arange(n), np.arange(n)]
+        assert np.all(diag[..., 0] > 0) and np.allclose(diag[..., 1:], 0.0, atol=1e-12)
 
 
 def test_haar_sample_dispatch():
