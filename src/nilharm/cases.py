@@ -150,6 +150,15 @@ def _su2_from_factor(m):
     return np.array([m[0, 0].imag, m[0, 1].real, m[0, 1].imag])
 
 
+def _su_to_factor(xp, bstack):
+    """su(n) matrix of the coordinates xp in the basis stack bstack."""
+    return np.tensordot(np.asarray(xp, dtype=float), bstack, axes=1)
+
+
+def _su_from_factor(m, bstack):
+    return np.real(np.einsum("ab,iab->i", np.asarray(m), bstack.conj()))
+
+
 class CaseI(CaseOps):
     """su(2) acting on H^n by left quaternion multiplication."""
 
@@ -316,7 +325,7 @@ class CaseV(CaseOps):
         super().__init__(params)
         n = int(params["n"])
         if n < 3:
-            raise ValueError("case V needs n >= 3")
+            raise ValueError(f"case {self.label} needs n >= 3")
         self.n = n
         self.dim_c = 0
         self.basis = torus.su_basis(n)
@@ -328,10 +337,10 @@ class CaseV(CaseOps):
         self.fock_n = n
 
     def to_factor_mats(self, xp):
-        return [np.tensordot(np.asarray(xp, dtype=float), self._bstack, axes=1)]
+        return [_su_to_factor(xp, self._bstack)]
 
     def from_factor_mats(self, mats):
-        return np.real(np.einsum("ab,iab->i", np.asarray(mats[0]), self._bstack.conj()))
+        return _su_from_factor(mats[0], self._bstack)
 
     def weights(self, angles, zc):
         th = np.atleast_1d(angles[0])
@@ -467,44 +476,22 @@ class CaseVIII(CaseOps):
         return _block_diag_stack([realify(big), np.tile(np.eye(4 * self.n), (size, 1, 1))])
 
 
-class CaseIX(CaseOps):
-    """u(n) = su(n) + R Z0 acting on C^n, n >= 3."""
+class CaseIX(CaseV):
+    """u(n) = su(n) + R Z0 acting on C^n, n >= 3: case V with the centre
+    acting by multiples of 1j."""
 
     label = "IX"
-    has_weights = True
 
     def __init__(self, params):
         super().__init__(params)
-        n = int(params["n"])
-        if n < 3:
-            raise ValueError("case IX needs n >= 3")
-        self.n = n
         self.dim_c = 1
-        self.basis = torus.su_basis(n)
-        self._bstack = np.stack(self.basis)
-        self.names = [f"su{n}_{i}" for i in range(len(self.basis))] + ["z0"]
-        self.v_blocks = [("C^n", 2 * n)]
-        mats = [realify(b) for b in self.basis] + [realify(1j * np.eye(n))]
-        self.pi = np.stack(mats)
-        self.root_spec = f"su({n})"
-        self.fock_n = n
-
-    def to_factor_mats(self, xp):
-        return [np.tensordot(np.asarray(xp, dtype=float), self._bstack, axes=1)]
-
-    def from_factor_mats(self, mats):
-        return np.real(np.einsum("ab,iab->i", np.asarray(mats[0]), self._bstack.conj()))
+        self.names.append("z0")
+        self.pi = np.concatenate([self.pi, realify(1j * np.eye(self.n))[None]])
 
     def weights(self, angles, zc):
         th = np.atleast_1d(angles[0])
         t = float(np.atleast_1d(zc)[0])
         return [(float(a) + t, 1) for a in th] + [(-float(a) - t, 1) for a in th]
-
-    def sample_vmats(self, rng, size):
-        return realify(haar_special_unitary(self.n, rng, size))
-
-    def u_part_automorphisms(self, rng, size):
-        return realify(np.exp(1j * rng.uniform(0, 2 * np.pi, size))[:, None, None] * np.eye(self.n))
 
 
 class CaseX(CaseOps):
@@ -545,13 +532,11 @@ class CaseX(CaseOps):
         self.root_spec = f"su({m})+su(2)"
 
     def to_factor_mats(self, xp):
-        xp = np.asarray(xp, dtype=float)
         d = len(self.su_basis)
-        return [np.tensordot(xp[:d], self._bstack, axes=1), _su2_to_factor(xp[d:])]
+        return [_su_to_factor(xp[:d], self._bstack), _su2_to_factor(xp[d:])]
 
     def from_factor_mats(self, mats):
-        first = np.real(np.einsum("ab,iab->i", np.asarray(mats[0]), self._bstack.conj()))
-        return np.concatenate([first, _su2_from_factor(mats[1])])
+        return np.concatenate([_su_from_factor(mats[0], self._bstack), _su2_from_factor(mats[1])])
 
     def sample_vmats(self, rng, size):
         us = realify(haar_special_unitary(self.m, rng, size))

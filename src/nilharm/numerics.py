@@ -55,7 +55,8 @@ def as_complex_vector(v, n):
             raise ValueError(f"expected {n} complex coordinates")
         return v.astype(complex)
     if v.shape[-1] == 2 * n:
-        return v[..., 0::2] + 1j * v[..., 1::2]
+        # interleaved float64 pairs are the memory layout of complex128
+        return np.ascontiguousarray(v, dtype=float).view(complex).copy()
     if v.shape[-1] == n:
         return v.astype(complex)
     raise ValueError(f"cannot interpret shape {v.shape} as C^{n}")

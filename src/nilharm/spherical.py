@@ -15,6 +15,12 @@ computed by Monte Carlo over the full compact factor G' (the integrand
 is right-torus-invariant, so full-group Haar sampling realizes the
 quotient integral exactly in law).
 
+One kernel, _v_factor, holds the per-case formula of the v-factor and
+its argument checks; it is vectorized over leading axes of v.
+psi_closed evaluates it at one point, phi_caseI_closed at one point
+with the sphere average of the phase, and phi_orbit on the whole stack
+of transformed points pi(g) v.
+
 Conventions: the closed forms are stated in the symplectically
 normalized coordinates in which every frequency equals |lam| (see
 fock.psi_numeric); the spherical traces are UNNORMALIZED, with value
@@ -81,90 +87,101 @@ class SphericalValue:
         return abs(self.value - o) <= tol
 
 
-def _lag_at(j, alpha, x):
-    return laguerre(j, alpha, np.asarray(x, dtype=float))
+def _v_factor(case, params, index, alam, v, scale):
+    """scale times the v-factor of the closed psi at the points v of V,
+    shape (..., dim_v); scale is the caller's factor in the central
+    variable (a phase, or the sphere average for phi in case I).
+
+    Every v-factor is the Gaussian envelope e^{-alam |v|^2 / 4} times
+    a product of Laguerre blocks L_deg^alpha(alam s_B / 2), where s_B
+    sums the squared moduli of a run B of complex coordinates and
+    alpha = |B| - 1:
+
+        I, VII       one block over all coordinates, degree j
+        V, IX, VI    one block per coordinate, degrees the multi-index
+        III          C^(2 k1), C, C, C^(2 k2) with degrees (j, l1, l2, s);
+                     the outer blocks only when k1, k2 > 0
+        VIII, k = 1  the canonical polynomial in the first two squared
+                     moduli, times the block C^(2n) of degree l when n > 0
+
+    Blocks are (degree, start, stop) coordinate ranges; an empty range
+    is no factor.
+    """
+    poly = None
+    if case in ("I", "VII"):
+        count = int(params["n"]) * (2 if case == "I" else 1)
+        blocks = [(index[0], 0, count)]
+    elif case in ("V", "IX", "VI"):
+        count = len(index)
+        blocks = [(m, i, i + 1) for i, m in enumerate(index)]
+    elif case == "III":
+        k1, k2 = int(params["k1"]), int(params["k2"])
+        j, l1, l2, s = index
+        if homog_dim(2 * k1, j) == 0 or homog_dim(2 * k2, s) == 0:
+            raise ValueError("index outside the component enumeration")
+        a, count = 2 * k1, 2 * k1 + 2 + 2 * k2
+        blocks = [(j, 0, a), (l1, a, a + 1), (l2, a + 1, a + 2), (s, a + 2, count)]
+    elif case == "VIII":
+        k, n = int(params["k"]), int(params.get("n", 0))
+        if k != 1:
+            raise NotImplementedError("closed psi for case VIII covers k = 1 only")
+        r, s, j, l = index
+        if j != 0:
+            raise ValueError("k = 1 components require j = 0")
+        if n == 0 and l != 0:
+            raise ValueError("n = 0 admits only l = 0")
+        count = 2 + 2 * n
+        poly = _viii_polynomial(alam, int(r), int(s))
+        blocks = [(l, 2, count)]
+    else:
+        raise NotImplementedError(f"no closed psi for case {case!r}")
+    z = as_complex_vector(v, count)
+    sq = z.real**2 + z.imag**2
+    # a product with ones sums a short last axis several times faster
+    # than .sum on a stack of points
+    total = sq @ np.ones(count)
+    out = 1.0 if poly is None else poly.evaluate(sq[..., :2])
+    for deg, a, b in blocks:
+        if b == a:
+            continue
+        # the total and single coordinates need no further sum
+        if b - a == count:
+            x = total
+        elif b - a == 1:
+            x = sq[..., a]
+        else:
+            x = sq[..., a:b] @ np.ones(b - a)
+        out = out * laguerre(int(deg), b - a - 1, alam * x / 2.0)
+    return scale * out * np.exp(-alam * total / 4.0)
+
+
+_VIII_CACHE = {}
+
+
+def _viii_polynomial(alam, r, s):
+    key = (round(alam, 12), r, s)
+    if key not in _VIII_CACHE:
+        qs = canonical_polynomials("VIII", {"k": 1}, r + s, lam=alam)
+        _VIII_CACHE[key] = {q.leading: q for q in qs}
+    return _VIII_CACHE[key][(r, s)]
 
 
 def psi_closed(idx: SphericalIndex, t, v):
     """Closed-form psi at (t, v); t is the scalar central coordinate of
     the reduced group (the pairing <Y, z>).
 
-    Supported: I, V, VI, VII, III; VIII with k = 1 (the invariant factor
-    comes from canonical_polynomials).  Values at the identity equal
-    dim W.
+    Supported: I, V, VI, VII, IX, III; VIII with k = 1 (the invariant
+    factor comes from canonical_polynomials).  Values at the identity
+    equal dim W.  v must have the case's dimension; see _v_factor for
+    the per-case formula.
     """
     lam = float(idx.lam)
-    alam = abs(lam)
     phase = np.exp(1j * lam * float(t))
-    case = idx.case
-    if case == "VII":
-        n = int(idx.params["n"])
-        z = as_complex_vector(v, n)
-        (j,) = idx.index
-        x = float(np.sum(np.abs(z) ** 2))
-        return complex(phase * _lag_at(j, n - 1, alam * x / 2.0) * np.exp(-alam * x / 4.0))
-    if case == "I":
-        n = int(idx.params["n"])
-        z = as_complex_vector(v, 2 * n)
-        (j,) = idx.index
-        x = float(np.sum(np.abs(z) ** 2))
-        return complex(phase * _lag_at(j, 2 * n - 1, alam * x / 2.0) * np.exp(-alam * x / 4.0))
-    if case in ("V", "IX"):
-        m = idx.index
-        z = as_complex_vector(v, len(m))
-        val = np.exp(-alam * float(np.sum(np.abs(z) ** 2)) / 4.0)
-        for mi, zi in zip(m, z):
-            val *= _lag_at(int(mi), 0, alam * abs(zi) ** 2 / 2.0)
-        return complex(phase * val)
-    if case == "VI":
-        m = idx.index
-        z = as_complex_vector(v, len(m))
-        val = np.exp(-alam * float(np.sum(np.abs(z) ** 2)) / 4.0)
-        for mi, zi in zip(m, z):
-            val *= _lag_at(int(mi), 0, alam * abs(zi) ** 2 / 2.0)
-        return complex(phase * val)
-    if case == "III":
-        k1, k2 = int(idx.params["k1"]), int(idx.params["k2"])
-        j, l1, l2, s = idx.index
-        if homog_dim(2 * k1, j) == 0 or homog_dim(2 * k2, s) == 0:
-            raise ValueError("index outside the component enumeration")
-        v = np.asarray(v, dtype=float).reshape(-1)
-        b1 = float(np.sum(v[: 4 * k1] ** 2))
-        mid = v[4 * k1: 4 * k1 + 4]
-        u1 = mid[0] ** 2 + mid[1] ** 2
-        u2 = mid[2] ** 2 + mid[3] ** 2
-        b2 = float(np.sum(v[4 * k1 + 4:] ** 2))
-        val = np.exp(-alam * (b1 + u1 + u2 + b2) / 4.0)
-        if k1:
-            val *= _lag_at(int(j), 2 * k1 - 1, alam * b1 / 2.0)
-        val *= _lag_at(int(l1), 0, alam * u1 / 2.0)
-        val *= _lag_at(int(l2), 0, alam * u2 / 2.0)
-        if k2:
-            val *= _lag_at(int(s), 2 * k2 - 1, alam * b2 / 2.0)
-        return complex(phase * val)
-    if case == "VIII":
-        k, n = int(idx.params["k"]), int(idx.params.get("n", 0))
-        if k != 1:
-            raise NotImplementedError("closed psi for case VIII covers k = 1 only")
-        r, s, jj, l = idx.index
-        if jj != 0:
-            raise ValueError("k = 1 components require j = 0")
-        v = np.asarray(v, dtype=float).reshape(-1)
-        u = v[0] ** 2 + v[1] ** 2
-        w = v[2] ** 2 + v[3] ** 2
-        b2 = float(np.sum(v[4:] ** 2))
-        q = _viii_polynomial(idx, int(r), int(s))
-        val = np.exp(-alam * (u + w + b2) / 4.0) * q.evaluate([u, w])
-        if n:
-            val *= _lag_at(int(l), 2 * n - 1, alam * b2 / 2.0)
-        elif l:
-            raise ValueError("n = 0 admits only l = 0")
-        return complex(phase * val)
-    raise NotImplementedError(f"no closed psi for case {case!r}")
+    return complex(_v_factor(idx.case, idx.params, idx.index, abs(lam), v, phase))
 
 
 def phi_caseI_closed(lam, j, z, v):
-    """Case I spherical function in closed form.
+    """Case I spherical function in closed form, v in R^(4n).
 
     The angular factor is the normalized sphere average
     sphere_character(|lam| |z|) (value 1 at z = 0); the radial factor is
@@ -175,81 +192,11 @@ def phi_caseI_closed(lam, j, z, v):
     if lam == 0:
         raise ValueError("lam must be nonzero")
     z = np.asarray(z, dtype=float).reshape(-1)
-    zc = as_complex_vector(v, np.shape(v)[-1] // 2)
-    n = len(zc) // 2
-    x = float(np.sum(np.abs(zc) ** 2))
-    j = int(j)
-    return complex(
-        sphere_character(lam * float(np.linalg.norm(z)))
-        * _lag_at(j, 2 * n - 1, lam * x / 2.0)
-        * np.exp(-lam * x / 4.0)
-    )
-
-
-def _orbit_v_factor(idx: SphericalIndex, alam, w, vfull):
-    """Per-sample v-factor of the orbit integrand, evaluated on the
-    batch of transformed points w (S, dim_v).  The Gaussian envelope is
-    handled by the caller (it is K-invariant)."""
-    case = idx.case
-    if case == "I":
-        n = int(idx.params["n"])
-        (j,) = idx.index
-        x = float(np.sum(np.asarray(vfull, dtype=float) ** 2))
-        return np.full(len(w), _lag_at(j, 2 * n - 1, alam * x / 2.0))
-    if case == "VII":
-        n = int(idx.params["n"])
-        (j,) = idx.index
-        x = np.sum(w**2, axis=1)
-        return _lag_at(j, n - 1, alam * x / 2.0)
-    if case in ("V", "IX", "VI"):
-        z = as_complex_vector(w, len(idx.index))
-        out = np.ones(len(w))
-        for i, mi in enumerate(idx.index):
-            out *= _lag_at(int(mi), 0, alam * np.abs(z[:, i]) ** 2 / 2.0)
-        return out
-    if case == "III":
-        k1, k2 = int(idx.params["k1"]), int(idx.params["k2"])
-        j, l1, l2, s = idx.index
-        out = np.ones(len(w))
-        b1 = np.sum(w[:, : 4 * k1] ** 2, axis=1)
-        mid = w[:, 4 * k1: 4 * k1 + 4]
-        u1 = mid[:, 0] ** 2 + mid[:, 1] ** 2
-        u2 = mid[:, 2] ** 2 + mid[:, 3] ** 2
-        b2 = np.sum(w[:, 4 * k1 + 4:] ** 2, axis=1)
-        if k1:
-            out *= _lag_at(int(j), 2 * k1 - 1, alam * b1 / 2.0)
-        out *= _lag_at(int(l1), 0, alam * u1 / 2.0)
-        out *= _lag_at(int(l2), 0, alam * u2 / 2.0)
-        if k2:
-            out *= _lag_at(int(s), 2 * k2 - 1, alam * b2 / 2.0)
-        return out
-    if case == "VIII":
-        k, n = int(idx.params["k"]), int(idx.params.get("n", 0))
-        if k != 1:
-            raise NotImplementedError("orbit v-factor for case VIII covers k = 1 only")
-        r, s, jj, l = idx.index
-        u = w[:, 0] ** 2 + w[:, 1] ** 2
-        ww = w[:, 2] ** 2 + w[:, 3] ** 2
-        q = _viii_polynomial(idx, int(r), int(s))
-        out = q.evaluate(np.stack([u, ww], axis=-1))
-        if n:
-            b2 = np.sum(w[:, 4:] ** 2, axis=1)
-            out = out * _lag_at(int(l), 2 * n - 1, alam * b2 / 2.0)
-        return out
-    raise NotImplementedError(f"no orbit integrand for case {case!r}")
-
-
-_VIII_CACHE = {}
-
-
-def _viii_polynomial(idx, r, s):
-    key = (round(abs(idx.lam), 12), r, s)
-    if key not in _VIII_CACHE:
-        qs = canonical_polynomials(
-            "VIII", {"k": 1, "n": idx.params.get("n", 0)}, r + s, lam=abs(idx.lam))
-        table = {q.leading: q for q in qs}
-        _VIII_CACHE[key] = table
-    return _VIII_CACHE[key][(r, s)]
+    n, rem = divmod(np.shape(v)[-1], 4)
+    if rem or not n:
+        raise ValueError(f"case I needs v in R^(4n) with n >= 1, got length {np.shape(v)[-1]}")
+    angular = sphere_character(lam * float(np.linalg.norm(z)))
+    return complex(_v_factor("I", {"n": n}, (j,), lam, v, angular))
 
 
 def phi_orbit(idx: SphericalIndex, z, v, samples=20000, seed=0, v_freq=None):
@@ -284,10 +231,7 @@ def phi_orbit(idx: SphericalIndex, z, v, samples=20000, seed=0, v_freq=None):
     vmats = alg.ops.sample_vmats(as_rng(seed), samples)
     pair = alg.orbit_pairing(vmats, fn.y, z)
     w = np.einsum("sab,b->sa", vmats, v)
-    vidx = SphericalIndex(idx.case, vfreq, idx.index, idx.params)
-    vals = np.exp(1j * alam * pair) * _orbit_v_factor(vidx, vfreq, w, v)
-    envelope = np.exp(-vfreq * float(np.sum(v**2)) / 4.0)
-    vals = vals * envelope
+    vals = _v_factor(idx.case, idx.params, idx.index, vfreq, w, np.exp(1j * alam * pair))
     mean = complex(np.mean(vals))
     resid = vals - mean
     stderr = float(np.sqrt(np.sum(np.abs(resid) ** 2)) / len(vals))

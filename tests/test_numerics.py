@@ -8,6 +8,7 @@ from nilharm.numerics import (
     BudgetError,
     MCEstimate,
     QuadratureSpec,
+    as_complex_vector,
     as_rng,
     gaussian_half_width,
     haar_orthogonal,
@@ -173,6 +174,24 @@ def test_haar_sample_dispatch():
         assert out is not None
     a, b = haar_sample(("SO(3)", "U(2)"), seed=7)
     assert a.shape == (3, 3) and b.shape == (2, 2)
+
+
+def test_as_complex_vector_forms():
+    rng = as_rng(2)
+    v = rng.standard_normal((5, 6))
+    ref = v[:, 0::2] + 1j * v[:, 1::2]
+    for arr in (v, v[0], np.asfortranarray(v), rng.standard_normal((5, 12))[:, ::2]):
+        got = as_complex_vector(arr, 3)
+        assert np.array_equal(got, arr[..., 0::2] + 1j * arr[..., 1::2])
+    got = as_complex_vector(v, 3)
+    got[0, 0] = 7.0
+    assert v[0, 0] != 7.0  # a copy, never a view of the input
+    assert np.array_equal(as_complex_vector(ref, 3), ref)
+    assert np.array_equal(as_complex_vector(v[:, :3], 3), v[:, :3].astype(complex))
+    assert np.array_equal(as_complex_vector([1, 2, 3, 4], 2), [1 + 2j, 3 + 4j])
+    for bad, n in ((v[:, :5], 3), (ref, 2)):
+        with pytest.raises(ValueError):
+            as_complex_vector(bad, n)
 
 
 def test_as_rng_accepts_tuples():

@@ -89,6 +89,93 @@ def test_psi_closed_viii_origin_and_argument_checks():
         psi_closed(SphericalIndex("VIII", 1.0, (0, 0, 0, 1), {"k": 1, "n": 0}), 0.0, np.zeros(4))
 
 
+def test_closed_forms_reject_wrong_length_v():
+    # a v of the wrong dimension is an error, not a value of some other
+    # case; the VIII k != 1 rejection above comes before this check
+    iii = SphericalIndex("III", 1.0, (1, 1, 0, 2), {"k1": 1, "k2": 1})
+    viii = SphericalIndex("VIII", 1.0, (1, 1, 0, 2), {"k": 1, "n": 1})
+    for idx, bad in [(iii, 10), (iii, 20), (viii, 5)]:
+        with pytest.raises(ValueError):
+            psi_closed(idx, 0.0, np.full(bad, 0.1))
+    for bad in (6, 2, 0):
+        with pytest.raises(ValueError):
+            phi_caseI_closed(1.0, 1, np.zeros(3), np.full(bad, 0.1))
+    # the accepted forms: dim_v reals, or the complex coordinates
+    v = np.linspace(-0.5, 0.6, 12)
+    zc = v[0::2] + 1j * v[1::2]
+    assert abs(psi_closed(iii, 0.2, v) - psi_closed(iii, 0.2, zc)) < 1e-15
+    assert np.isfinite(phi_caseI_closed(1.0, 1, np.zeros(3), v[:8]))
+
+
+def _fock_diagonal(lam, t, v, nc, D):
+    basis = fock.FockBasis(nc, D)
+    return basis, np.diag(fock.pi_matrix(lam, t, v, basis))
+
+
+@pytest.mark.parametrize("k1,k2", [(1, 1), (0, 1), (1, 0), (2, 1)])
+def test_psi_closed_iii_matches_fock_traces(k1, k2):
+    # psi over the component (j, l1, l2, s) is the sum of the diagonal
+    # Fock entries over its monomials: degree j on C^(2 k1), l1 and l2
+    # on the two middle coordinates, s on C^(2 k2)
+    nc, D = 2 * k1 + 2 + 2 * k2, 5
+    rng = as_rng(31 + 10 * k1 + k2)
+    comps = fock.metaplectic_components("III", (k1, k2), D)
+    for lam in (0.8, -1.3):
+        t = float(rng.standard_normal())
+        v = 0.6 * rng.standard_normal(2 * nc)
+        basis, diag = _fock_diagonal(lam, t, v, nc, D)
+        a = 2 * k1
+        for comp in comps:
+            j, l1, l2, s = comp.index
+            sel = [i for i, m in enumerate(basis.indices)
+                   if sum(m[:a]) == j and m[a] == l1 and m[a + 1] == l2 and sum(m[a + 2:]) == s]
+            assert len(sel) == comp.dim
+            got = psi_closed(SphericalIndex("III", lam, comp.index, {"k1": k1, "k2": k2}), t, v)
+            assert abs(got - np.sum(diag[sel])) < 1e-12 * max(1.0, comp.dim)
+
+
+def test_psi_closed_ix_matches_fock_traces():
+    # one monomial per multi-index, as for V
+    nc, D = 3, 5
+    rng = as_rng(41)
+    for lam in (0.8, -1.3):
+        t = float(rng.standard_normal())
+        v = 0.6 * rng.standard_normal(2 * nc)
+        basis, diag = _fock_diagonal(lam, t, v, nc, D)
+        for i, m in enumerate(basis.indices):
+            got = psi_closed(SphericalIndex("IX", lam, tuple(int(a) for a in m), {"n": nc}), t, v)
+            assert abs(got - diag[i]) < 1e-12
+
+
+ORBIT_WIRING = [
+    ("I", {"n": 1}, (2,)),
+    ("VII", {"n": 2}, (1,)),
+    ("V", {"n": 3}, (1, 0, 2)),
+    ("IX", {"n": 3}, (0, 2, 1)),
+    ("VI", {"n": 4}, (1, 2)),
+    ("III", {"k1": 1, "k2": 1}, (1, 1, 0, 2)),
+    ("VIII", {"k": 1, "n": 1}, (1, 1, 0, 2)),
+]
+
+
+@pytest.mark.parametrize("case,params,index", ORBIT_WIRING, ids=[c[0] for c in ORBIT_WIRING])
+def test_phi_orbit_is_mean_of_psi_closed_over_vmats(case, params, index):
+    # at z = 0 the orbit integrand is the closed psi at pi(g) v, so the
+    # Monte Carlo value and its stderr are those of the same draws
+    alg = build_case(case, **params)
+    rng = as_rng(51)
+    idx = spherical_index(alg, rng.standard_normal(alg.dim_g), index)
+    v = 0.7 * rng.standard_normal(alg.dim_v)
+    samples, seed = 64, 9
+    w = alg.ops.sample_vmats(as_rng(seed), samples) @ v
+    for v_freq in (None, 0.6):
+        lam = idx.lam if v_freq is None else v_freq
+        ref = np.array([psi_closed(SphericalIndex(case, lam, index, params), 0.0, wi) for wi in w])
+        got = phi_orbit(idx, np.zeros(alg.dim_g), v, samples=samples, seed=seed, v_freq=v_freq)
+        assert abs(got.value - np.mean(ref)) < 1e-12
+        assert abs(got.stderr - np.sqrt(np.sum(np.abs(ref - np.mean(ref)) ** 2)) / samples) < 1e-12
+
+
 def test_phi_orbit_vii_is_exact():
     # the U(n) orbit fixes |v| and the central pairing, so the orbit
     # average collapses to the closed form with vanishing spread
