@@ -10,13 +10,15 @@ vectorized Gram-Schmidt.  Without it they return element 0 of a
 one-sample stack, so a sized draw equals as many unsized draws from the
 same generator.
 
-Everything here is deterministic given an explicit seed, and grid sizes
-are guarded by the NILHARM_BUDGET environment variable (total tensor
-nodes; default 3e7).
+Gauss-Legendre rules are computed once per node count (leggauss) and
+shared read-only.  Everything here is deterministic given an explicit
+seed, and grid sizes are guarded by the NILHARM_BUDGET environment
+variable (total tensor nodes; default 3e7).
 """
 
 from __future__ import annotations
 
+import functools
 import os
 import re
 from dataclasses import dataclass
@@ -86,14 +88,24 @@ def laguerre(k, alpha, x):
 
 
 def laguerre_all(kmax, alpha, x):
-    """All of L_0^alpha ... L_kmax^alpha at once; shape (kmax+1,) + x.shape."""
+    """All of L_0^alpha ... L_kmax^alpha at once; shape (kmax+1,) + x.shape.
+
+    Runs the recurrence of laguerre in place, with the same operations
+    in the same order, so row k equals laguerre(k, alpha, x) bit for bit.
+    """
     x = np.asarray(x, dtype=float)
     out = np.empty((kmax + 1,) + x.shape)
     out[0] = 1.0
     if kmax >= 1:
-        out[1] = 1.0 + alpha - x
+        np.subtract(1.0 + alpha, x, out=out[1])
+    tmp = np.empty(x.shape)
     for m in range(1, kmax):
-        out[m + 1] = ((2 * m + 1 + alpha - x) * out[m] - (m + alpha) * out[m - 1]) / (m + 1)
+        nxt = out[m + 1]
+        np.subtract(2 * m + 1 + alpha, x, out=nxt)
+        nxt *= out[m]
+        np.multiply(m + alpha, out[m - 1], out=tmp)
+        nxt -= tmp
+        nxt /= m + 1
     return out
 
 
@@ -267,17 +279,35 @@ def mc_integrate(f, group, n, seed=0):
 # Tensor-product quadrature
 # ---------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=64)
+def leggauss(nodes):
+    """Gauss-Legendre nodes and weights on [-1, 1], computed once per
+    node count; the arrays are shared between callers and read-only."""
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
+
+
 @dataclass(frozen=True)
 class QuadratureSpec:
     """Tensor-product grid description.
 
-    nodes is the per-axis node count; box the per-axis half-width
-    (scalar broadcasts); rule "gauss-legendre" or "trapezoid".
+    nodes is the per-axis node count (at least 1 for Gauss-Legendre, 2
+    for the trapezoid rule); box the per-axis half-width (scalar
+    broadcasts); rule "gauss-legendre" or "trapezoid".
     """
 
     nodes: int
     box: tuple
     rule: str = "gauss-legendre"
+
+    def __post_init__(self):
+        least = {"gauss-legendre": 1, "trapezoid": 2}.get(self.rule)
+        if least is None:
+            raise ValueError(f"unknown rule {self.rule!r}")
+        if self.nodes < least:
+            raise ValueError(f"the {self.rule} rule needs at least {least} nodes, got {self.nodes}")
 
     @staticmethod
     def cube(nodes, half_width, dim, rule="gauss-legendre"):
@@ -289,23 +319,27 @@ class QuadratureSpec:
 
     def axis_rule(self, half_width):
         if self.rule == "gauss-legendre":
-            x, w = np.polynomial.legendre.leggauss(self.nodes)
+            x, w = leggauss(self.nodes)
             return x * half_width, w * half_width
-        if self.rule == "trapezoid":
-            x = np.linspace(-half_width, half_width, self.nodes)
-            w = np.full(self.nodes, 2.0 * half_width / (self.nodes - 1))
-            w[0] *= 0.5
-            w[-1] *= 0.5
-            return x, w
-        raise ValueError(f"unknown rule {self.rule!r}")
+        x = np.linspace(-half_width, half_width, self.nodes)
+        w = np.full(self.nodes, 2.0 * half_width / (self.nodes - 1))
+        w[0] *= 0.5
+        w[-1] *= 0.5
+        return x, w
 
-    def grid(self):
-        """Return (points, weights): (P, dim) nodes and (P,) weights."""
+    def check_budget(self):
+        """Total tensor nodes, or BudgetError when they exceed
+        NILHARM_BUDGET."""
         total = self.nodes ** self.dim
         if total > node_budget():
             raise BudgetError(
                 f"{self.nodes}^{self.dim} = {total} nodes exceed NILHARM_BUDGET={node_budget()}"
             )
+        return total
+
+    def grid(self):
+        """Return (points, weights): (P, dim) nodes and (P,) weights."""
+        total = self.check_budget()
         axes, wts = zip(*(self.axis_rule(h) for h in self.box))
         mesh = np.meshgrid(*axes, indexing="ij")
         points = np.stack([m.ravel() for m in mesh], axis=-1)

@@ -151,6 +151,20 @@ def test_bad_arguments_exit_2(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv", [
+    ["--case", "VII", "--n", "1", "--j", "-1"],
+    ["--case", "VII", "--n", "1", "--grid", "0"],
+    ["--case", "I", "--n", "1", "--j", "-1"],
+    ["--case", "I", "--n", "1", "--mc-samples", "0"],
+    ["--case", "I", "--n", "1", "--mc-samples", "1"],
+])
+def test_invert_bad_sizes_exit_2(capsys, argv):
+    assert cli.main(["invert", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
 def test_missing_subcommand_exits_2():
     with pytest.raises(SystemExit) as exc:
         cli.main([])

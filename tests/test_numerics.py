@@ -19,6 +19,7 @@ from nilharm.numerics import (
     haar_unitary,
     laguerre,
     laguerre_all,
+    leggauss,
     mc_integrate,
     sphere_character,
 )
@@ -42,6 +43,14 @@ def test_laguerre_all_stacks_orders():
     assert table.shape == (7, 4, 5)
     for k in range(7):
         assert np.allclose(table[k], laguerre(k, 2.0, x), rtol=1e-12)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 1.5, -0.5])
+def test_laguerre_all_rows_equal_laguerre(alpha):
+    x = as_rng(4).uniform(0, 40, size=(30, 7))
+    table = laguerre_all(25, alpha, x)
+    for k in range(26):
+        assert np.array_equal(table[k], laguerre(k, alpha, x))
 
 
 def test_laguerre_recurrence_identity():
@@ -82,6 +91,41 @@ def test_quadrature_polynomial_exactness():
         val = np.sum(w * pts[:, 0] ** deg)
         ref = 2 * 1.5 ** (deg + 1) / (deg + 1)
         assert abs(val - ref) < 1e-12 * max(1.0, ref)
+
+
+def test_leggauss_is_cached_and_read_only():
+    x, w = leggauss(17)
+    assert leggauss(17)[0] is x
+    for arr in (x, w):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+    ref_x, ref_w = np.polynomial.legendre.leggauss(17)
+    assert np.array_equal(x, ref_x) and np.array_equal(w, ref_w)
+
+
+def test_grid_matches_direct_leggauss_construction():
+    spec = QuadratureSpec(nodes=11, box=(1.5, 0.7, 2.0))
+    pts, w = spec.grid()
+    x, w1 = np.polynomial.legendre.leggauss(11)
+    axes = [h * x for h in spec.box]
+    wts = [h * w1 for h in spec.box]
+    mesh = np.meshgrid(*axes, indexing="ij")
+    assert np.array_equal(pts, np.stack([m.ravel() for m in mesh], axis=-1))
+    wmesh = np.meshgrid(*wts, indexing="ij")
+    assert np.array_equal(w, wmesh[0].ravel() * wmesh[1].ravel() * wmesh[2].ravel())
+
+
+def test_quadrature_rejects_too_few_nodes():
+    for nodes, rule in ((0, "gauss-legendre"), (-3, "gauss-legendre"),
+                        (1, "trapezoid"), (0, "trapezoid")):
+        with pytest.raises(ValueError):
+            QuadratureSpec.cube(nodes, 1.0, 2, rule=rule)
+    with pytest.raises(ValueError):
+        QuadratureSpec.cube(5, 1.0, 2, rule="simpson")
+    pts, w = QuadratureSpec.cube(1, 1.0, 1).grid()
+    assert pts.shape == (1, 1) and w[0] == 2.0
+    pts, w = QuadratureSpec.cube(2, 1.0, 1, rule="trapezoid").grid()
+    assert np.array_equal(pts[:, 0], [-1.0, 1.0]) and np.array_equal(w, [1.0, 1.0])
 
 
 def test_budget_error(monkeypatch):

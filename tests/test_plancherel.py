@@ -15,8 +15,8 @@ from nilharm import (
     heisenberg_inversion_check,
     projection_check,
 )
-from nilharm.numerics import QuadratureSpec, as_rng, laguerre
-from nilharm.plancherel import _laguerre_slices
+from nilharm.numerics import BudgetError, QuadratureSpec, as_rng, laguerre
+from nilharm.plancherel import _laguerre_slices, _wynn_limit
 
 
 # ---------------------------------------------------------------------------
@@ -206,6 +206,33 @@ def test_laguerre_slices_are_twisted_convolutions():
         assert abs(got - S[j, 0]) < 1e-12
 
 
+def _slices_on_full_grid(lam, b, probes, J, vnodes):
+    # the slice integrand evaluated point by point on the full tensor
+    # grid, one Laguerre order at a time
+    vmax = max(np.linalg.norm(v) for _, v in probes)
+    half = vmax + np.sqrt((37.0 + 2.0 * J) / (b + lam / 4.0))
+    wv, wgt = QuadratureSpec.cube(vnodes, half, 2).grid()
+    out = np.empty((J + 1, len(probes)), dtype=complex)
+    for p, (_, v) in enumerate(probes):
+        d = np.asarray(v)[None, :] - wv
+        x = lam * (d[:, 0] ** 2 + d[:, 1] ** 2) / 2.0
+        bracket = wv[:, 0] * v[1] - wv[:, 1] * v[0]
+        common = wgt * np.exp(-b * (wv[:, 0] ** 2 + wv[:, 1] ** 2) - x / 2.0
+                              - 0.5j * lam * bracket)
+        for j in range(J + 1):
+            out[j, p] = np.sum(laguerre(j, 0.0, x) * common)
+    return out
+
+
+@pytest.mark.parametrize("lam", [0.05, 4.0, 7.9])
+def test_laguerre_slices_match_full_grid_reference(lam):
+    probes = ((0.5, (0.3, -0.2)), (-0.3, (0.1, 0.4)), (0.2, (-0.5, 0.1)),
+              (0.8, (0.2, 0.2)), (0.0, (-0.35, -0.3)))
+    got = _laguerre_slices(lam, 1.0, probes, 20, 160)
+    want = _slices_on_full_grid(lam, 1.0, probes, 20, 160)
+    assert np.max(np.abs(got - want)) < 1e-13 * np.max(np.abs(want))
+
+
 # ---------------------------------------------------------------------------
 # inversion checks
 # ---------------------------------------------------------------------------
@@ -230,6 +257,37 @@ def test_heisenberg_inversion_rejects_bad_widths():
         heisenberg_inversion_check(widths=(0.0, 1.0))
 
 
+@pytest.mark.parametrize("bad", [{"J": -1}, {"lam_nodes": 0}, {"vnodes": 0}])
+def test_heisenberg_inversion_rejects_bad_sizes(bad):
+    with pytest.raises(ValueError):
+        heisenberg_inversion_check(**bad)
+
+
+def test_heisenberg_inversion_budget(monkeypatch):
+    monkeypatch.setenv("NILHARM_BUDGET", str(160**2 - 1))
+    with pytest.raises(BudgetError):
+        heisenberg_inversion_check(vnodes=160)
+
+
+def test_wynn_limit_is_exact_on_a_geometric_series():
+    r = 0.7 - 0.2j
+    partial = np.cumsum(r ** np.arange(9))
+    limit, order = _wynn_limit(partial, 1.0)
+    assert abs(limit - 1.0 / (1.0 - r)) < 1e-13
+    assert order == 2
+
+
+def test_heisenberg_inversion_reports_wynn_orders():
+    rep = heisenberg_inversion_check(J=10, lam_nodes=6, vnodes=80)
+    assert len(rep.wynn_orders) == 6
+    for row in rep.wynn_orders:
+        assert len(row) == len(rep.probes)
+        # a 9-term window allows at most 8 epsilon steps
+        assert all(isinstance(k, int) and 2 <= k <= 8 for k in row)
+    raw = heisenberg_inversion_check(J=10, lam_nodes=6, vnodes=80, tail_completion=False)
+    assert raw.wynn_orders == ((0,) * len(raw.probes),) * 6
+
+
 def test_projection_cross_terms_vanish():
     rep = projection_check(1.1, 0, 2)
     assert rep.orthogonal(tol=1e-10)
@@ -252,6 +310,12 @@ def test_general_inversion_probe_consistent():
     rep = general_inversion_probe(J=12, lam_max=10.0, lam_nodes=16, samples=800, seed=3)
     assert rep.consistent(nsigma=3.0)
     assert rep.spread < 0.02 * abs(rep.ratios[0])
+
+
+@pytest.mark.parametrize("bad", [{"J": -1}, {"lam_nodes": 0}, {"samples": 0}, {"samples": 1}])
+def test_general_inversion_probe_rejects_bad_sizes(bad):
+    with pytest.raises(ValueError):
+        general_inversion_probe(**bad)
 
 
 def test_general_inversion_probe_error_shrinks_with_samples():
