@@ -135,11 +135,6 @@ class LauretAlgebra:
             self._constants = (f, resid)
         return self._constants[0]
 
-    def g_bracket(self, x, y):
-        """Bracket of two elements of g in g-coordinates."""
-        f = self.structure_constants
-        return np.einsum("abc,a,b->c", f, np.asarray(x, dtype=float), np.asarray(y, dtype=float))
-
     # -- the adjoint action of G' ---------------------------------------------
     def ad_of(self, vmats):
         """Ad(g) on g-coordinates, shape (S, dim_g, dim_g), for a stack
@@ -275,14 +270,6 @@ class StructureReport:
             and self.max_invariance_residual <= tol
             and self.max_bracket_residual <= tol
             and self.bracket_rank == self.dim_g
-        )
-
-    def summary(self):
-        flag = "ok" if self.passed() else "FAILED"
-        return (
-            f"{self.spec}: skew={self.max_skewness:.2e} closure={self.max_closure_residual:.2e} "
-            f"jacobi={self.max_jacobi_residual:.2e} invariance={self.max_invariance_residual:.2e} "
-            f"bracket={self.max_bracket_residual:.2e} rank={self.bracket_rank}/{self.dim_g} [{flag}]"
         )
 
 

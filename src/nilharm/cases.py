@@ -25,11 +25,9 @@ Conventions fixed here and relied on elsewhere:
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import block_diag
 
 from . import quat, torus
 from .numerics import (
-    as_complex_vector,
     haar_special_orthogonal,
     haar_special_unitary,
     haar_symplectic_quat,
@@ -68,13 +66,19 @@ def _block_diag_stack(blocks):
         return blocks[0]
     size = blocks[0].shape[0]
     dim = sum(b.shape[-1] for b in blocks)
-    out = np.zeros((size, dim, dim))
+    out = np.zeros((size, dim, dim), dtype=np.result_type(*blocks))
     at = 0
     for b in blocks:
         d = b.shape[-1]
         out[:, at:at + d, at:at + d] = b
         at += d
     return out
+
+
+def block_diag(*blocks):
+    """Block-diagonal matrix from square 2-d blocks (0 x 0 blocks add
+    nothing); a single block is returned as it is."""
+    return _block_diag_stack([np.asarray(b)[None] for b in blocks])[0]
 
 
 class CaseOps:
@@ -131,15 +135,6 @@ class CaseOps:
         g), shape (size, dim_v, dim_v), or None."""
         return None
 
-    # -- Fock bridge ---------------------------------------------------------
-    fock_n = None
-
-    def to_complex(self, v):
-        """The point v of V as fock_n complex coordinates."""
-        if self.fock_n is None:
-            raise NotImplementedError(f"case {self.label} has no aligned complex structure")
-        return as_complex_vector(v, self.fock_n)
-
 
 def _su2_to_factor(xp):
     xp = np.asarray(xp, dtype=float)
@@ -178,7 +173,6 @@ class CaseI(CaseOps):
         self.pi = np.stack(
             [block_diag(*([quat.left_mult_matrix(q)] * n)) for q in SU2_QUATS]
         )
-        self.fock_n = 2 * n
 
     def to_factor_mats(self, xp):
         return [_su2_to_factor(xp)]
@@ -223,7 +217,6 @@ class CaseII(CaseI):
             blocks = [rot] + [quat.left_mult_matrix(q)] * n
             mats.append(block_diag(*blocks))
         self.pi = np.stack(mats)
-        self.fock_n = None
 
     def weights(self, angles, zc):
         raise NotImplementedError("case II has no tabulated weight data")
@@ -334,7 +327,6 @@ class CaseV(CaseOps):
         self.v_blocks = [("C^n", 2 * n)]
         self.pi = np.stack([realify(b) for b in self.basis])
         self.root_spec = f"su({n})"
-        self.fock_n = n
 
     def to_factor_mats(self, xp):
         return [_su_to_factor(xp, self._bstack)]
@@ -377,7 +369,6 @@ class CaseVI(CaseOps):
         elif n == 2:
             self.root_spec = None
             self.has_weights = True
-        self.fock_n = n // 2 if n % 2 == 0 else None
 
     def to_factor_mats(self, xp):
         if self.n == 2:
@@ -418,7 +409,6 @@ class CaseVII(CaseOps):
         self.names = ["t"]
         self.v_blocks = [("C^n", 2 * n)]
         self.pi = realify(1j * np.eye(n))[None, :, :]
-        self.fock_n = n
 
     def weights(self, angles, zc):
         t = float(np.atleast_1d(zc)[0])

@@ -33,7 +33,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.special import roots_genlaguerre
 
 from .algebra import LauretAlgebra
 from .forms import Functional
@@ -294,16 +293,24 @@ def _graded_monomials(ngens, dmax):
     return out
 
 
+def _gamma_moments(alpha, lam, pmax):
+    """Raw moments E[s^p], p = 0..pmax, of the Gamma law with shape
+    alpha + 1 and scale 2 / lam: (2 / lam)^p (alpha + 1)_p, formed as a
+    cumulative product."""
+    steps = (2.0 / lam) * (alpha + 1.0 + np.arange(pmax))
+    return np.concatenate([[1.0], np.cumprod(steps)])
+
+
 def canonical_polynomials(case, params, max_total_degree, lam=1.0):
     """Gram-Schmidt orthogonalization of the invariant-generator
     monomials against the Gaussian weight e^{-lam |v|^2 / 2} dv.
 
     Each generator is a block squared norm |v_block|^2 whose law under
     the weight is Gamma with shape alpha + 1 (alpha = real block
-    dimension / 2 - 1) and scale 2 / lam; moments are computed by
-    Gauss-Laguerre quadrature, which is exact at the polynomial degrees
-    involved.  Output is graded-lex ordered, orthogonal, and normalized
-    to value 1 at the origin (q_0 = 1 exactly).
+    dimension / 2 - 1) and scale 2 / lam; its moments are exact rising
+    factorials (_gamma_moments).  Output is graded-lex ordered,
+    orthogonal, and normalized to value 1 at the origin (q_0 = 1
+    exactly).
 
     Supported: VII (generator |v|^2), VIII with k = 1 (|u|^2, |w|^2),
     IV (block norms |u|^2, |w|^2).  Cross invariants beyond block norms
@@ -322,14 +329,7 @@ def canonical_polynomials(case, params, max_total_degree, lam=1.0):
     ngens = len(labels)
     D = int(max_total_degree)
     mons = _graded_monomials(ngens, D)
-    # per-generator raw moments E[s^p] for p <= 2D, by quadrature exact
-    # at these degrees
-    moments = []
-    for a in alphas:
-        x, wq = roots_genlaguerre(2 * D + 2, a)
-        norm = wq.sum()
-        p = np.arange(2 * D + 1)
-        moments.append(((2.0 / lam) ** p) * (wq @ np.power.outer(x, p)) / norm)
+    moments = [_gamma_moments(a, lam, 2 * D) for a in alphas]
 
     def inner(c1, c2):
         # <p, q> = sum over monomial pairs of the product moment

@@ -18,7 +18,6 @@ import re
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import schur
 
 from . import quat
 
@@ -196,19 +195,27 @@ class SOFactor(Factor):
         return (a - a.T) / 2.0
 
     def to_chamber(self, x):
-        t, q = schur(np.asarray(x, dtype=float), output="real")
-        theta = np.array([t[2 * l + 1, 2 * l] for l in range(self.rank)])
-        q = q.copy()
-        # flip blocks to make angles nonnegative
-        for l in range(self.rank):
-            if theta[l] < 0:
-                q[:, [2 * l, 2 * l + 1]] = q[:, [2 * l + 1, 2 * l]]
-                theta[l] = -theta[l]
-        # sort blocks descending (pair swaps keep the determinant)
-        order = np.argsort(-theta)
-        cols = np.concatenate([[2 * l, 2 * l + 1] for l in order])
-        q = q[:, cols]
-        theta = theta[order]
+        """(q, theta) with q in SO(n) and q^T x q = h_matrix(theta),
+        theta in the closed chamber.
+
+        iX is Hermitian with spectrum +-mu.  An eigenvector u with mu > 0
+        is orthogonal to conj(u) (eigenvalue -mu), so sqrt(2) Re u,
+        sqrt(2) Im u are orthonormal, and X maps the first to mu times
+        the second: the pair spans a block of angle mu.  The top half of
+        the spectrum, taken in descending order, gives the blocks sorted;
+        eigenvalues below 1e-12 max|mu| count as zero, and their blocks
+        take a real orthonormal basis of the remaining complement.
+        """
+        mu, u = np.linalg.eigh(1j * np.asarray(x, dtype=float))
+        mu, u = mu[self.rank:][::-1], u[:, self.rank:][:, ::-1]
+        live = mu > 1e-12 * abs(mu[0])
+        theta = np.where(live, mu, 0.0)
+        q = np.sqrt(2.0) * np.stack([u.real, u.imag], axis=-1)[:, live].reshape(self.n, -1)
+        if q.shape[1] < self.n:
+            left = np.linalg.svd(np.eye(self.n) - q @ q.T)[0]
+            q = np.concatenate([q, left[:, : self.n - q.shape[1]]], axis=1)
+        # swapping the last pair of columns flips the determinant and
+        # the sign of the last angle
         if np.linalg.det(q) < 0:
             l = self.rank - 1
             q[:, [2 * l, 2 * l + 1]] = q[:, [2 * l + 1, 2 * l]]

@@ -2,11 +2,13 @@
 
 The chamber-chart Jacobian here is measured by matrix exponentials and
 central finite differences only; it never touches the root-product
-formula it is used to verify.
+formula it is used to verify.  The so(2m) chamber angles here come
+from a real Schur form, a different factorization from the Hermitian
+eigendecomposition the library uses.
 """
 
 import numpy as np
-from scipy.linalg import expm, null_space
+from scipy.linalg import expm, null_space, schur
 
 
 def _coords_fn(basis):
@@ -66,3 +68,18 @@ def chamber_jacobian_fd(factor, angles, g0=None, step=1e-5):
         e[a] = step
         cols[:, a] = (phi(e) - phi(-e)) / (2.0 * step)
     return abs(np.linalg.det(cols))
+
+
+def schur_chamber_angles(x):
+    """Chamber angles of a real skew 2m x 2m matrix from its real Schur
+    form: each 2 x 2 block carries an angle t[2l+1, 2l]; a negative
+    angle is made positive by swapping the block's columns (which
+    flips det q), and if det q is then negative the smallest angle
+    takes the minus sign."""
+    t, q = schur(np.asarray(x, dtype=float), output="real")
+    theta = np.array([t[2 * l + 1, 2 * l] for l in range(x.shape[0] // 2)])
+    sign = np.sign(np.linalg.det(q)) * np.prod(np.where(theta < 0, -1.0, 1.0))
+    theta = np.sort(np.abs(theta))[::-1]
+    if sign < 0:
+        theta[-1] = -theta[-1]
+    return theta

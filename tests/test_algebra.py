@@ -10,6 +10,7 @@ from nilharm.algebra import (
     sample_automorphisms,
     sample_k_actions,
 )
+from nilharm.cases import block_diag
 from nilharm.numerics import as_rng
 
 ALL_CASES = [
@@ -192,3 +193,31 @@ def test_invalid_parameters_raise():
         build_case("I", n=0)
     with pytest.raises((ValueError, KeyError)):
         build_case("Z", n=1)
+
+
+def _blocks(kind):
+    rng = as_rng(9)
+    if kind == "single":
+        return [rng.standard_normal((3, 3))]
+    if kind == "real":
+        return [rng.standard_normal((d, d)) for d in (1, 3, 2)]
+    if kind == "empty":
+        return [np.zeros((0, 0)), rng.standard_normal((2, 2)), np.zeros((0, 0)),
+                rng.standard_normal((3, 3)), np.zeros((0, 0))]
+    if kind == "complex":
+        return [rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)),
+                np.arange(9).reshape(3, 3)]
+    return [-np.zeros((2, 2)), np.eye(1, dtype=int)]
+
+
+@pytest.mark.parametrize("kind", ["single", "real", "empty", "complex", "signed-zero"])
+def test_block_diag_matches_scipy(kind):
+    from scipy.linalg import block_diag as scipy_block_diag
+
+    blocks = _blocks(kind)
+    got = block_diag(*blocks)
+    want = scipy_block_diag(*blocks)
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want)
+    for part in (np.real, np.imag):
+        assert np.array_equal(np.signbit(part(got)), np.signbit(part(want)))

@@ -2,11 +2,18 @@
 documented examples, reproducibility, and exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import nilharm
 from nilharm import cli
+
+DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
 
 
 def _run(capsys, argv):
@@ -184,3 +191,35 @@ def test_selftest_passes(capsys):
     lines = [ln for ln in out.splitlines() if ln.strip()]
     assert lines[-1] == "8/8 checks passed"
     assert all(ln.startswith("PASS") for ln in lines[:-1])
+
+
+def _run_without_scipy(code, *args):
+    """Run code in a fresh interpreter in which every scipy import
+    fails, with this nilharm first on the path."""
+    env = dict(os.environ)
+    src = str(Path(nilharm.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    guard = 'import sys\nsys.modules["scipy"] = None\n'
+    return subprocess.run([sys.executable, "-c", guard + code, *args], env=env,
+                          capture_output=True, text=True, timeout=300)
+
+
+def test_runtime_needs_no_scipy():
+    # selftest, plus a so(4) chamber reduction (the weight Pfaffian of
+    # case VI), which no selftest check and no demo reaches
+    proc = _run_without_scipy(
+        "import nilharm, nilharm.cli\n"
+        "rc = nilharm.cli.main(['selftest'])\n"
+        "rc |= nilharm.cli.main(['pfaffian', '--case', 'VI', '--n', '4', '--lambda', 'random'])\n"
+        "assert not [m for m in sys.modules if m.startswith('scipy.')]\n"
+        "sys.exit(rc)\n")
+    assert proc.returncode == 0, proc.stderr
+    assert "8/8 checks passed" in proc.stdout
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
+def test_demo_runs_without_scipy(demo):
+    proc = _run_without_scipy(
+        "import runpy\nsys.argv = sys.argv[1:]\nrunpy.run_path(sys.argv[0], run_name='__main__')\n",
+        str(demo))
+    assert proc.returncode == 0, proc.stderr

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.special import comb, factorial, roots_genlaguerre
 
-from nilharm import build_case, fock
+from nilharm import build_case, fock, spherical
 from nilharm.algebra import OrthAutomorphism, sample_k_actions
 from nilharm.numerics import as_rng, sphere_character
 from nilharm.spherical import (
@@ -273,6 +273,46 @@ def test_canonical_polynomials_viii_orthogonal():
     assert qs[0].coeffs == (((0, 0), 1.0),)
     for q in qs:
         assert abs(q.evaluate(np.zeros((1, 2))) - 1.0) < 1e-14
+
+
+def _quadrature_moments(alpha, lam, pmax):
+    # the Gamma moments by a Gauss-Laguerre rule exact at degree pmax
+    x, w = roots_genlaguerre(pmax // 2 + 2, alpha)
+    p = np.arange(pmax + 1)
+    return (2.0 / lam) ** p * (w @ np.power.outer(x, p)) / w.sum()
+
+
+@pytest.mark.parametrize("alpha", [0, 1, 3])
+@pytest.mark.parametrize("lam", [0.6, 1.0, 2.5])
+def test_gamma_moments_match_gauss_laguerre(alpha, lam):
+    got = spherical._gamma_moments(alpha, lam, 12)
+    want = _quadrature_moments(alpha, lam, 12)
+    assert got.shape == (13,) and got[0] == 1.0
+    assert np.max(np.abs(got / want - 1.0)) < 1e-13
+
+
+@pytest.mark.parametrize("case,params,degree", [
+    ("VII", {"n": 1}, 4), ("VII", {"n": 3}, 4),
+    ("VIII", {"k": 1, "n": 0}, 4), ("VIII", {"k": 1, "n": 2}, 4),
+    ("IV", {"n": 1}, 3), ("IV", {"n": 2}, 3),
+])
+@pytest.mark.parametrize("lam", [0.7, 1.9])
+def test_canonical_polynomials_match_quadrature_moments(monkeypatch, case, params, degree, lam):
+    # the same Gram-Schmidt on quadrature moments; terms near the 1e-14
+    # cut-off can appear on one route only, so compare dense vectors.
+    # Gram-Schmidt amplifies last-bit moment differences with the degree
+    # (VII at degree 5 and IV at degree 4 reach 5e-13 and 1e-12)
+    exact = canonical_polynomials(case, params, degree, lam=lam)
+    monkeypatch.setattr(spherical, "_gamma_moments", _quadrature_moments)
+    ref = canonical_polynomials(case, params, degree, lam=lam)
+    assert len(exact) == len(ref)
+    for q, r in zip(exact, ref):
+        assert q.leading == r.leading
+        a, b = dict(q.coeffs), dict(r.coeffs)
+        keys = sorted(set(a) | set(b))
+        got = np.array([a.get(k, 0.0) for k in keys])
+        want = np.array([b.get(k, 0.0) for k in keys])
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def test_canonical_polynomials_rejects_unknown():

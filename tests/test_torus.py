@@ -5,7 +5,7 @@ import pytest
 
 from nilharm import torus
 from nilharm.numerics import as_rng
-from _oracles import chamber_jacobian_fd
+from _oracles import chamber_jacobian_fd, schur_chamber_angles
 
 
 @pytest.mark.parametrize("name,maker,dim,scale", [
@@ -75,6 +75,39 @@ def test_to_chamber_so():
         assert abs(np.linalg.det(gs[0]) - 1) < 1e-10
         back = torus.reconstruct(rs, gs, point)[0]
         assert np.allclose(back, x, atol=1e-10)
+
+
+def _so_elements(f, rng):
+    """Random, repeated-angle and singular (one angle 0) elements of
+    so(n), the structured ones conjugated by a random rotation."""
+    m = f.rank
+    q, r = np.linalg.qr(rng.standard_normal((f.n, f.n)))
+    q = q * np.sign(np.diag(r))
+    yield "random", f.random_element(rng)
+    for kind, ang in [
+        ("repeated", np.full(m, 0.8)),
+        ("repeated-signed", np.r_[np.full(m - 1, 1.1), -1.1]),
+        ("singular", np.r_[rng.uniform(0.2, 1.5, m - 1), 0.0]),
+    ]:
+        yield kind, q @ f.h_matrix(ang) @ q.T
+
+
+@pytest.mark.parametrize("n", [2, 4, 6, 8])
+def test_so_to_chamber_matches_schur(n):
+    # q in SO(n) to 1e-12, q^T x q = h_matrix(theta) to 1e-12, theta in
+    # the closed chamber, and theta equal to the Schur-form angles
+    rng = as_rng(100 + n)
+    f = torus.SOFactor(n)
+    for _ in range(5):
+        for kind, x in _so_elements(f, rng):
+            q, theta = f.to_chamber(x)
+            assert np.max(np.abs(q.T @ q - np.eye(n))) < 1e-12, kind
+            assert abs(np.linalg.det(q) - 1.0) < 1e-12, kind
+            assert np.max(np.abs(q @ f.h_matrix(theta) @ q.T - x)) < 1e-12, kind
+            assert np.all(np.diff(theta[:-1]) <= 1e-12), kind
+            if n > 2:
+                assert theta[-2] >= abs(theta[-1]) - 1e-12, kind
+            assert np.max(np.abs(theta - schur_chamber_angles(x))) < 1e-12, kind
 
 
 def test_to_chamber_sp():
