@@ -11,10 +11,17 @@ normalized monomials z^m / ||z^m|| form an orthonormal basis with
 ||z^m||^2 = prod m_i! (2/lam)^{|m|}, where the Gaussian measure is
 normalized so that ||1|| = 1, hence <pi(0, v) 1, 1> = e^{-lam |v|^2/4}.
 
-Matrix entries of pi(t, v) in this basis are finite sums and therefore
-exact; truncation at total degree D only affects operator products
-(composition leaks degree), so operator identities are asserted on
-degrees <= D - 2.
+Matrix entries of pi(t, v) in this basis are closed Laguerre forms,
+per coordinate
+
+    <pi_mu(v) e_m, e_r> = e^{-x/2} sqrt(lo!/hi!) w^{|r-m|} L_lo^{(|r-m|)}(x),
+
+with x = mu |v|^2 / 2, lo, hi = min/max(r, m), w = sqrt(mu/2) v above
+the diagonal and -sqrt(mu/2) conj(v) below it.  They are accurate to
+rounding at every degree (the Laguerre recurrence is stable; the norm
+ratio, power and envelope are combined in log space).  Truncation at
+total degree D only affects operator products (composition leaks
+degree), so operator identities are asserted on degrees <= D - 2.
 
 Coordinates with negative frequency (needed when the conjugated
 direction of the functional acts with mixed signs) use the conjugate
@@ -25,12 +32,12 @@ reproduces the group cocycle of the two-step law.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb, factorial
+from math import comb
 from typing import Optional
 
 import numpy as np
 
-from .numerics import as_complex_vector, node_budget
+from .numerics import as_complex_vector, laguerre, laguerre_all, node_budget, require_budget
 
 
 def monomials_of_degree(nvars, degree):
@@ -45,14 +52,26 @@ def monomials_of_degree(nvars, degree):
     return out
 
 
+def _log_factorials(dmax):
+    """log m! for m = 0 ... dmax."""
+    return np.concatenate([[0.0], np.cumsum(np.log(np.arange(1, dmax + 1)))])
+
+
 class FockBasis:
-    """Monomial multi-indices |m| <= max_degree in graded-lex order."""
+    """Monomial multi-indices |m| <= max_degree in graded-lex order.
+
+    The size C(n + D, D) is checked against NILHARM_BUDGET before the
+    monomials are enumerated."""
 
     def __init__(self, n, max_degree):
         if n < 1 or max_degree < 0:
             raise ValueError("need n >= 1 and max_degree >= 0")
         self.n = int(n)
         self.max_degree = int(max_degree)
+        self.count = comb(self.n + self.max_degree, self.max_degree)
+        require_budget(
+            self.count, f"C({self.n}+{self.max_degree}, {self.max_degree}) = {self.count} monomials"
+        )
         idx = []
         self._degree_start = []
         for d in range(self.max_degree + 1):
@@ -63,10 +82,6 @@ class FockBasis:
         self.degrees = self.indices.sum(axis=1)
         self.index_of = {tuple(m): i for i, m in enumerate(idx)}
 
-    @property
-    def count(self):
-        return len(self.indices)
-
     def degree_slice(self, d):
         """Positions of the degree-d monomials (contiguous)."""
         return slice(self._degree_start[d], self._degree_start[d + 1])
@@ -76,8 +91,7 @@ class FockBasis:
         if lam <= 0:
             raise ValueError("norms need lam > 0")
         logs = np.zeros(self.count)
-        lf = np.cumsum(np.log(np.arange(1, self.max_degree + 1)))
-        lf = np.concatenate([[0.0], lf])  # log m!
+        lf = _log_factorials(self.max_degree)
         for j in range(self.n):
             logs += lf[self.indices[:, j]]
         logs += self.degrees * np.log(2.0 / lam)
@@ -87,35 +101,37 @@ class FockBasis:
         return f"FockBasis(n={self.n}, max_degree={self.max_degree}, count={self.count})"
 
 
-def _entry_series(mu, vj, r, m):
-    """<pi_mu(v) e_m, e_r> for one coordinate, mu > 0, without the
-    normalization ratio or Gaussian factor: the shift-series coefficient
-    sum_q (-mu conj(v)/2)^(r-q)/(r-q)! C(m, q) v^(m-q)."""
-    vj = np.asarray(vj, dtype=complex)
-    out = np.zeros(vj.shape, dtype=complex)
-    for q in range(min(r, m) + 1):
-        term = ((-0.5 * mu * np.conj(vj)) ** (r - q) / factorial(r - q)) * (
-            comb(m, q) * vj ** (m - q)
-        )
-        out += term
-    return out
+def _closed_entries(mu, v, r, m, lag, logfact):
+    """<pi_mu(v) e_m, e_r> for one coordinate, mu > 0, in the closed
+    Laguerre form of the module docstring; r, m and v broadcast.
+
+    lag(lo, gap, x) returns L_lo^{(gap)}(x) at the broadcast shape and
+    logfact holds log k! up to max(r, m).  The norm ratio, |w|^gap =
+    x^(gap/2) and the envelope e^{-x/2} are summed as logarithms before
+    one exponential, so nothing overflows at high degree; at v = 0 the
+    table is the identity exactly."""
+    x = 0.5 * mu * np.abs(v) ** 2
+    lo, hi = np.minimum(r, m), np.maximum(r, m)
+    gap = hi - lo
+    with np.errstate(divide="ignore", invalid="ignore"):
+        power = np.where(gap > 0, 0.5 * gap * np.log(x), 0.0)
+    modulus = np.exp(0.5 * (logfact[lo] - logfact[hi]) + power - 0.5 * x)
+    # arg w^gap: gap arg(v) above the diagonal, gap (pi - arg(v)) below
+    phase = (-1.0) ** np.maximum(r - m, 0) * np.exp(1j * (m - r) * np.angle(v))
+    return modulus * phase * lag(lo, gap, x)
 
 
 def _coord_table(mu, vj, dmax):
-    """Full (dmax+1, dmax+1) entry table for one coordinate at one or
-    more points, including norm ratios and the coordinate's Gaussian
-    factor.  tab[r, m] = <pi_mu(v) e_m, e_r>."""
-    vj = np.asarray(vj, dtype=complex)
-    gauss = np.exp(-0.25 * mu * np.abs(vj) ** 2)
-    lognorm = np.array(
-        [0.5 * (np.log(float(factorial(m))) + m * np.log(2.0 / mu)) for m in range(dmax + 1)]
-    )
-    tab = np.zeros((dmax + 1, dmax + 1) + vj.shape, dtype=complex)
-    for r in range(dmax + 1):
-        for m in range(dmax + 1):
-            ratio = np.exp(lognorm[r] - lognorm[m])
-            tab[r, m] = gauss * ratio * _entry_series(mu, vj, r, m)
-    return tab
+    """Full (dmax+1, dmax+1) entry table for one coordinate at one
+    point, including norm ratios and the coordinate's Gaussian factor.
+    tab[r, m] = <pi_mu(v) e_m, e_r>; the Laguerre values come from one
+    recurrence vectorized over the order alpha = 0 ... dmax."""
+    deg = np.arange(dmax + 1)
+
+    def lag(lo, gap, x):
+        return laguerre_all(dmax, deg.astype(float), np.full(dmax + 1, x))[lo, gap]
+
+    return _closed_entries(mu, complex(vj), deg[:, None], deg[None, :], lag, _log_factorials(dmax))
 
 
 def pi_matrix(lam, t, v, basis: FockBasis, weights=None):
@@ -138,8 +154,9 @@ def pi_matrix(lam, t, v, basis: FockBasis, weights=None):
     Returns
     -------
     (count, count) complex matrix B with B[r, m] = <pi(t, v) e_m, e_r>.
-    Entries are exact (finite sums); only compositions are affected by
-    truncation.
+    Entries are closed Laguerre forms, accurate to rounding; only
+    compositions are affected by truncation.  Raises BudgetError when
+    count^2 exceeds NILHARM_BUDGET.
     """
     lam = float(lam)
     if lam == 0.0:
@@ -151,12 +168,13 @@ def pi_matrix(lam, t, v, basis: FockBasis, weights=None):
     weights = np.asarray(weights, dtype=float)
     if weights.shape != (basis.n,) or np.any(weights == 0):
         raise ValueError("weights must be nonzero, one per coordinate")
+    require_budget(basis.count**2, f"{basis.count}^2 = {basis.count**2} Fock matrix entries")
     dmax = basis.max_degree
     ridx = basis.indices
     out = np.full((basis.count, basis.count), np.exp(1j * alam * float(t)), dtype=complex)
     for j in range(basis.n):
         mu = alam * abs(weights[j])
-        tab = _coord_table(mu, np.array(z[j]), dmax)
+        tab = _coord_table(mu, z[j], dmax)
         if weights[j] < 0:
             tab = np.conj(tab)
         out *= tab[ridx[:, None, j], ridx[None, :, j]]
@@ -176,7 +194,8 @@ def matrix_coefficient(lam, h, hprime, t, v, basis: FockBasis, weights=None):
 
 def coefficient_grid(lam, basis: FockBasis, m, r, t, v, weights=None):
     """e_lam(e_m, e_r)(t, v) = <pi_lam(t, v) e_m, e_r> evaluated on a
-    batch of points: t (P,), v (P, n) complex.  Exact per point."""
+    batch of points: t (P,), v (P, n) complex; the per-point entries
+    are the closed Laguerre forms of pi_matrix."""
     lam = float(lam)
     if lam == 0.0:
         raise ValueError("lam must be nonzero")
@@ -192,13 +211,8 @@ def coefficient_grid(lam, basis: FockBasis, m, r, t, v, weights=None):
     out = np.exp(1j * alam * t).astype(complex)
     for j in range(basis.n):
         mu = alam * abs(weights[j])
-        rj, mj = r[j], m[j]
-        ratio = np.sqrt(factorial(rj) * (2.0 / mu) ** rj / (factorial(mj) * (2.0 / mu) ** mj))
-        ent = (
-            np.exp(-0.25 * mu * np.abs(z[:, j]) ** 2)
-            * ratio
-            * _entry_series(mu, z[:, j], rj, mj)
-        )
+        logfact = _log_factorials(max(r[j], m[j]))
+        ent = _closed_entries(mu, z[:, j], r[j], m[j], laguerre, logfact)
         if weights[j] < 0:
             ent = np.conj(ent)
         out = out * ent
@@ -388,7 +402,8 @@ def metaplectic_components(case, params, max_degree):
 
 def psi_numeric(case, lam, j, t, v, weights=None):
     """Partial trace of pi_lam(t, v) over the indexed metaplectic
-    component, from exact diagonal matrix entries.
+    component, from the diagonal matrix entries L_m^{(0)}(x) e^{-x/2},
+    x = mu |v_i|^2 / 2, per coordinate.
 
     Supported cases: I and VII (index j = scalar degree), V and VI
     (index j = monomial multi-index).  `weights` are per-coordinate
@@ -407,16 +422,15 @@ def psi_numeric(case, lam, j, t, v, weights=None):
         nvars = len(mono)
     else:
         raise ValueError(f"psi_numeric supports cases I, V, VI, VII; got {case!r}")
-    z = np.asarray(v)
+    z = np.asarray(v).reshape(-1)
     if np.iscomplexobj(z):
-        z = z.reshape(-1).astype(complex)
+        z = as_complex_vector(z, len(z))
     else:
         # interleaved real coordinates (for case I the quaternionic
         # (1, i | j, k) pairs are the aligned complex pairs)
-        z = np.asarray(z, dtype=float).reshape(-1)
         if len(z) % 2:
             raise ValueError("real V-coordinates must interleave complex pairs")
-        z = z[0::2] + 1j * z[1::2]
+        z = as_complex_vector(z, len(z) // 2)
     if nvars is None:
         nvars = len(z)
         mons = monomials_of_degree(nvars, deg)
@@ -427,19 +441,12 @@ def psi_numeric(case, lam, j, t, v, weights=None):
     if weights is None:
         weights = np.ones(nvars)
     weights = np.asarray(weights, dtype=float)
-    alam = abs(lam)
-    total = 0.0
-    for m in mons:
-        term = 1.0
-        for i, mi in enumerate(m):
-            mu = alam * abs(weights[i])
-            x = abs(z[i]) ** 2
-            # diagonal entry: exact series, real-valued
-            acc = 0.0
-            for q in range(mi + 1):
-                acc += comb(mi, q) * (-0.5 * mu * x) ** (mi - q) / factorial(mi - q)
-            term *= acc * np.exp(-0.25 * mu * x)
-        total += term
+    if weights.shape != (nvars,):
+        raise ValueError("weights must be one per coordinate")
+    x = 0.5 * abs(lam) * np.abs(weights) * np.abs(z) ** 2
+    mons = np.array(mons, dtype=int).reshape(len(mons), nvars)
+    lag = laguerre_all(int(mons.max(initial=0)), 0.0, x)
+    total = np.sum(np.prod(lag[mons, np.arange(nvars)], axis=1)) * np.exp(-0.5 * np.sum(x))
     phase = np.exp(1j * lam * float(t))
     return complex(phase * total)
 

@@ -12,8 +12,9 @@ same generator.
 
 Gauss-Legendre rules are computed once per node count (leggauss) and
 shared read-only.  Everything here is deterministic given an explicit
-seed, and grid sizes are guarded by the NILHARM_BUDGET environment
-variable (total tensor nodes; default 3e7).
+seed, and grid and Fock-matrix sizes are guarded by the NILHARM_BUDGET
+environment variable (total tensor nodes or matrix entries; default
+3e7) through require_budget.
 """
 
 from __future__ import annotations
@@ -39,6 +40,16 @@ def node_budget():
     if not raw:
         return DEFAULT_BUDGET
     return int(float(raw))
+
+
+def require_budget(total, what):
+    """Return total, or raise BudgetError when it exceeds NILHARM_BUDGET.
+
+    Callers size an allocation first and pass the estimate with a
+    description (what), so oversize requests fail before allocating."""
+    if total > node_budget():
+        raise BudgetError(f"{what} exceed NILHARM_BUDGET={node_budget()}")
+    return total
 
 
 def as_rng(seed):
@@ -331,11 +342,7 @@ class QuadratureSpec:
         """Total tensor nodes, or BudgetError when they exceed
         NILHARM_BUDGET."""
         total = self.nodes ** self.dim
-        if total > node_budget():
-            raise BudgetError(
-                f"{self.nodes}^{self.dim} = {total} nodes exceed NILHARM_BUDGET={node_budget()}"
-            )
-        return total
+        return require_budget(total, f"{self.nodes}^{self.dim} = {total} nodes")
 
     def grid(self):
         """Return (points, weights): (P, dim) nodes and (P,) weights."""

@@ -4,8 +4,14 @@ The chamber-chart Jacobian here is measured by matrix exponentials and
 central finite differences only; it never touches the root-product
 formula it is used to verify.  The so(2m) chamber angles here come
 from a real Schur form, a different factorization from the Hermitian
-eigendecomposition the library uses.
+eigendecomposition the library uses.  The Fock entries here are the
+alternating shift series, summed exactly in rationals; the library uses
+the closed Laguerre form instead.
 """
+
+from decimal import Decimal, localcontext
+from fractions import Fraction
+from math import comb, factorial
 
 import numpy as np
 from scipy.linalg import expm, null_space, schur
@@ -83,3 +89,53 @@ def schur_chamber_angles(x):
     if sign < 0:
         theta[-1] = -theta[-1]
     return theta
+
+
+def _cmul(a, b):
+    return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
+
+
+def _cpowers(z, kmax):
+    out = [(Fraction(1), Fraction(0))]
+    for _ in range(kmax):
+        out.append(_cmul(out[-1], z))
+    return out
+
+
+def fock_shift_series(mu, v, r, m):
+    """Polynomial part of the one-coordinate Fock entry <pi_mu(v) e_m, e_r>,
+    the shift series sum_q (-mu conj(v)/2)^(r-q)/(r-q)! C(m, q) v^(m-q),
+    summed exactly; mu and v = (Re v, Im v) are taken as exact rationals
+    (floats convert exactly).  Returns (Re, Im) as Fractions."""
+    r, m = int(r), int(m)
+    mu = Fraction(mu)
+    vr, vi = Fraction(v[0]), Fraction(v[1])
+    a = _cpowers((-mu * vr / 2, mu * vi / 2), r)
+    b = _cpowers((vr, vi), m)
+    re, im = Fraction(0), Fraction(0)
+    for q in range(min(r, m) + 1):
+        tr, ti = _cmul(a[r - q], b[m - q])
+        c = Fraction(comb(m, q), factorial(r - q))
+        re += c * tr
+        im += c * ti
+    return re, im
+
+
+def fock_entry(mu, v, r, m, digits=60):
+    """The full entry e^{-mu|v|^2/4} sqrt(r!/m! (2/mu)^(r-m)) times the
+    exact shift series, with the two transcendental factors evaluated in
+    decimal arithmetic at the given digits; returned as a Python complex."""
+    r, m = int(r), int(m)
+    mu = Fraction(mu)
+    vr, vi = Fraction(v[0]), Fraction(v[1])
+    re, im = fock_shift_series(mu, (vr, vi), r, m)
+    ratio = Fraction(factorial(r), factorial(m)) * (2 / mu) ** (r - m)
+    expo = -mu * (vr * vr + vi * vi) / 4
+
+    def dec(f):
+        return Decimal(f.numerator) / Decimal(f.denominator)
+
+    with localcontext() as ctx:
+        ctx.prec = digits
+        scale = dec(ratio).sqrt() * dec(expo).exp()
+        return complex(float(scale * dec(re)), float(scale * dec(im)))

@@ -3,11 +3,15 @@ and the twisted convolution."""
 
 import numpy as np
 import pytest
+from _oracles import fock_entry
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nilharm import fock
 from nilharm.algebra import build_case
 from nilharm.cases import CASES
-from nilharm.numerics import QuadratureSpec, as_rng
+from nilharm.numerics import BudgetError, QuadratureSpec, as_rng
+from nilharm.spherical import SphericalIndex, psi_closed
 
 
 def test_basis_counts_and_slices():
@@ -34,9 +38,104 @@ def test_norms_are_gaussian_moments():
 
 
 def test_pi_matrix_identity_at_origin():
-    b = fock.FockBasis(2, 5)
-    m = fock.pi_matrix(1.3, 0.0, np.zeros(2, dtype=complex), b)
-    assert np.allclose(m, np.eye(b.count), atol=1e-14)
+    # exactly, also at degree 200 where x^(gap/2) and the norm ratio
+    # meet 0 * log(0) in log space
+    for n, D in ((2, 5), (1, 200)):
+        b = fock.FockBasis(n, D)
+        m = fock.pi_matrix(1.3, 0.0, np.zeros(n, dtype=complex), b)
+        assert np.array_equal(m, np.eye(b.count))
+
+
+# (lam, weight, D, v) with dyadic v, so the float inputs are the exact
+# rationals the oracle sums; |v| <= 6, x = mu |v|^2 / 2 up to 72
+ORACLE_POINTS = [
+    (1.0, 1.0, 12, (0.25, -0.5)),
+    (2.0, 1.0, 60, (-1.25, 2.5)),
+    (0.5, 1.0, 200, (3.5, -4.75)),
+    (4.0, 1.0, 200, (0.0, -6.0)),
+    (0.5, 1.0, 200, (0.0078125, 0.0)),
+    (1.0, -2.0, 100, (-2.0, -3.25)),
+    (-2.0, 1.0, 150, (1.5, 4.0)),
+    (-0.5, -1.0, 200, (5.5, 2.0)),
+]
+
+
+@pytest.mark.parametrize("lam,weight,D,v", ORACLE_POINTS)
+def test_pi_matrix_matches_exact_shift_series(lam, weight, D, v):
+    # sampled entries of the closed Laguerre table against the shift
+    # series summed in rationals; entries are bounded by 1
+    t = 0.375
+    b = fock.FockBasis(1, D)
+    mat = fock.pi_matrix(lam, t, np.array([complex(*v)]), b, weights=[weight])
+    assert np.all(np.isfinite(mat)) and np.max(np.abs(mat)) <= 1.0 + 1e-12
+    rng = as_rng(D)
+    pairs = {(0, 0), (0, D), (D, 0), (D, D), (D // 2, D // 2), (D - 1, D)}
+    pairs |= {tuple(p) for p in rng.integers(0, D + 1, size=(20, 2))}
+    mu = abs(lam * weight)
+    phase = np.exp(1j * abs(lam) * t)
+    worst = 0.0
+    for r, m in sorted(pairs):
+        want = fock_entry(mu, v, r, m)
+        if weight < 0:
+            want = np.conj(want)
+        want *= phase
+        if lam < 0:
+            want = np.conj(want)
+        worst = max(worst, abs(mat[r, m] - want))
+    assert worst < 1e-11
+
+
+def test_pi_matrix_two_coordinates_match_exact_shift_series():
+    # a two-coordinate entry is the product of the per-coordinate
+    # entries, with the conjugate model on a negative weight
+    lam, t, D = 1.0, -0.25, 30
+    v = ((1.5, -0.75), (-2.0, 0.5))
+    weights = (1.5, -0.5)
+    b = fock.FockBasis(2, D)
+    mat = fock.pi_matrix(lam, t, np.array([complex(*c) for c in v]), b, weights=weights)
+    rng = as_rng(5)
+    for r, m in rng.integers(0, b.count, size=(25, 2)):
+        want = np.exp(1j * lam * t)
+        for j in range(2):
+            ent = fock_entry(lam * abs(weights[j]), v[j], b.indices[r, j], b.indices[m, j])
+            want *= np.conj(ent) if weights[j] < 0 else ent
+        assert abs(mat[r, m] - want) < 1e-11
+
+
+def test_pi_matrix_budget(monkeypatch):
+    # the basis (351 monomials) fits, its 351^2 matrix does not
+    monkeypatch.setenv("NILHARM_BUDGET", "1000")
+    b = fock.FockBasis(2, 25)
+    assert b.count == 351 == len(b.indices)
+    with pytest.raises(BudgetError, match="Fock matrix entries"):
+        fock.pi_matrix(1.0, 0.0, np.zeros(2, dtype=complex), b)
+    with pytest.raises(BudgetError, match="monomials"):
+        fock.FockBasis(2, 50)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 2),
+    D=st.integers(0, 40),
+    lam=st.floats(0.2, 4.0),
+    lam_sign=st.sampled_from([-1.0, 1.0]),
+    t=st.floats(-3.0, 3.0),
+    radius=st.floats(0.0, 6.0),
+    angle=st.floats(0.0, 2 * np.pi),
+    signs=st.lists(st.sampled_from([-1.0, 1.0]), min_size=2, max_size=2),
+    scales=st.lists(st.floats(0.5, 2.0), min_size=2, max_size=2),
+)
+def test_pi_matrix_adjoint_is_inverse_element(n, D, lam, lam_sign, t, radius, angle, signs, scales):
+    # (t, v)^-1 = (-t, -v), and pi is unitary: entrywise
+    # pi(t, v)^dagger = pi(-t, -v), exactly on the truncated table
+    b = fock.FockBasis(n, D)
+    dirs = np.exp(1j * (angle + np.arange(n)))
+    v = radius * dirs / np.sqrt(n)
+    w = np.array(signs[:n]) * np.array(scales[:n])
+    lam = lam_sign * lam
+    lhs = fock.pi_matrix(lam, t, v, b, weights=w).conj().T
+    rhs = fock.pi_matrix(lam, -t, -v, b, weights=w)
+    assert np.max(np.abs(lhs - rhs)) < 1e-12
 
 
 def test_pi_matrix_central_phase():
@@ -97,6 +196,19 @@ def test_matrix_coefficient_and_grid_agree():
     assert abs(a - complex(g[0])) < 1e-13
 
 
+def test_coefficient_grid_equals_pi_matrix_entries():
+    lam, t = -1.3, 0.4
+    weights = np.array([0.8, -1.7])
+    b = fock.FockBasis(2, 12)
+    rng = as_rng(11)
+    pts = rng.standard_normal((5, 4)) * 1.5
+    mats = [fock.pi_matrix(lam, t, p, b, weights=weights) for p in pts]
+    for r, m in rng.integers(0, b.count, size=(20, 2)):
+        g = fock.coefficient_grid(lam, b, b.indices[m], b.indices[r], np.full(5, t), pts,
+                                  weights=weights)
+        assert np.max(np.abs(g - [mat[r, m] for mat in mats])) < 1e-14
+
+
 def test_negative_lambda_is_conjugate_model():
     b = fock.FockBasis(1, 4)
     v = np.array([0.3 + 0.7j])
@@ -150,6 +262,45 @@ def test_psi_numeric_multiindex_cases():
     for case, nc, mono in [("V", 3, (1, 0, 2)), ("VI", 2, (2, 1))]:
         val = fock.psi_numeric(case, 0.8, mono, 0.0, np.zeros(2 * nc))
         assert abs(val - 1.0) < 1e-14
+
+
+@pytest.mark.parametrize("lam", [0.5, 2.0])
+@pytest.mark.parametrize("j", [0, 5, 20, 40, 60])
+def test_psi_numeric_matches_closed_form_over_wide_range(lam, j):
+    # VII(n=1) is one diagonal entry: check it against the exact shift
+    # series too; j >= 40 at |v| = 6 was lost to cancellation in the
+    # direct series sum
+    t = 0.3
+    for vnorm in (0.5, 2.0, 6.0):
+        for v in ((vnorm, 0.0), (0.0, -vnorm), (0.6 * vnorm, 0.8 * vnorm)):
+            got = fock.psi_numeric("VII", lam, j, t, np.array(v))
+            closed = psi_closed(SphericalIndex("VII", lam, (j,), {"n": 1}), t, np.array(v))
+            exact = np.exp(1j * lam * t) * fock_entry(lam, v, j, j)
+            assert abs(got - closed) < 1e-12
+            assert abs(got - exact) < 1e-11
+
+
+@pytest.mark.parametrize("case,n", [("VII", 2), ("I", 1)])
+def test_psi_numeric_matches_closed_form_at_high_degree(case, n):
+    nc = n if case == "VII" else 2 * n
+    rng = as_rng(12)
+    for j in (20, 60):
+        for vnorm in (2.0, 6.0):
+            v = rng.standard_normal(2 * nc)
+            v *= vnorm / np.linalg.norm(v)
+            got = fock.psi_numeric(case, 1.5, j, -0.2, v)
+            closed = psi_closed(SphericalIndex(case, 1.5, (j,), {"n": n}), -0.2, v)
+            assert abs(got - closed) < 1e-12 * max(1.0, abs(closed))
+
+
+def test_psi_numeric_coordinate_input():
+    v = np.array([0.3, -0.4, 1.1, 0.2])
+    z = v[0::2] + 1j * v[1::2]
+    assert fock.psi_numeric("I", 0.9, 2, 0.1, v) == fock.psi_numeric("I", 0.9, 2, 0.1, z)
+    with pytest.raises(ValueError):
+        fock.psi_numeric("I", 0.9, 2, 0.1, v[:3])
+    with pytest.raises(ValueError):
+        fock.psi_numeric("V", 0.9, (1, 0), 0.1, v[:2])
 
 
 def test_symplectic_form_matches_heisenberg_bracket():
