@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cases import CASES
-from .numerics import as_rng
+from .numerics import as_rng, require_budget
 
 
 @dataclass(frozen=True)
@@ -225,6 +225,7 @@ class OrthAutomorphism:
 def sample_automorphisms(alg: LauretAlgebra, rng=None, count=8, include_u=True):
     """Haar-ish sample of orthogonal automorphisms: Ad(g) x pi(g) for g
     in G', plus intertwiners that fix g where the case provides them."""
+    require_budget(count * (alg.dim_v**2 + alg.dim_g**2), f"{count} automorphisms of (Ad, pi) matrices")
     rng = as_rng(rng)
     vmats = alg.ops.sample_vmats(rng, count)
     out = [OrthAutomorphism(a, v) for a, v in zip(alg.ad_of(vmats), vmats)]
@@ -238,6 +239,7 @@ def sample_k_actions(alg: LauretAlgebra, rng=None, count=8):
     """Haar sample of the full compact factor K acting on N: each
     element composes a G' pair (Ad, pi) with an independent
     V-intertwiner that fixes g, where the case provides one."""
+    require_budget(count * (alg.dim_v**2 + alg.dim_g**2), f"{count} automorphisms of (Ad, pi) matrices")
     rng = as_rng(rng)
     vmats = alg.ops.sample_vmats(rng, count)
     ads = alg.ad_of(vmats)

@@ -12,9 +12,9 @@ same generator.
 
 Gauss-Legendre rules are computed once per node count (leggauss) and
 shared read-only.  Everything here is deterministic given an explicit
-seed, and grid and Fock-matrix sizes are guarded by the NILHARM_BUDGET
-environment variable (total tensor nodes or matrix entries; default
-3e7) through require_budget.
+seed, and grid, Fock-matrix and Monte Carlo sample sizes are guarded by
+the NILHARM_BUDGET environment variable (total tensor nodes or matrix
+entries; default 3e7) through require_budget.
 """
 
 from __future__ import annotations

@@ -32,7 +32,7 @@ import numpy as np
 
 from .algebra import LauretAlgebra, build_case
 from .forms import Functional
-from .numerics import QuadratureSpec, as_rng, laguerre, laguerre_all, leggauss
+from .numerics import QuadratureSpec, as_rng, laguerre, laguerre_all, leggauss, require_budget
 from . import fock
 from . import torus
 
@@ -503,6 +503,7 @@ def general_inversion_probe(
     if J < 0 or lam_nodes < 1 or samples < 2:
         raise ValueError("need J >= 0, lam_nodes >= 1 and samples >= 2")
     alg = build_case("I", n=1)
+    require_budget(samples * alg.dim_v**2, f"{samples} orbit samples of {alg.dim_v}^2 V-matrix entries")
     ratios = []
     errs = []
     for widx, (avec, b) in enumerate(width_specs):

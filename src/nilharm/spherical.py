@@ -21,6 +21,10 @@ psi_closed evaluates it at one point, phi_caseI_closed at one point
 with the sphere average of the phase, and phi_orbit on the whole stack
 of transformed points pi(g) v.
 
+canonical_polynomials gives the Gram-Schmidt invariants in closed form:
+the block norms have independent Gamma laws under the Gaussian weight,
+so they are products of normalized one-variable Laguerre polynomials.
+
 Conventions: the closed forms are stated in the symplectically
 normalized coordinates in which every frequency equals |lam| (see
 fock.psi_numeric); the spherical traces are UNNORMALIZED, with value
@@ -29,6 +33,7 @@ dim W at the identity.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -36,8 +41,8 @@ import numpy as np
 
 from .algebra import LauretAlgebra
 from .forms import Functional
-from .numerics import as_complex_vector, as_rng, laguerre, sphere_character
-from .fock import homog_dim
+from .numerics import as_complex_vector, as_rng, laguerre, require_budget, sphere_character
+from .fock import homog_dim, monomials_of_degree
 
 
 @dataclass(frozen=True)
@@ -207,7 +212,7 @@ def phi_orbit(idx: SphericalIndex, z, v, samples=20000, seed=0, v_freq=None):
     idx : SphericalIndex with its functional set
     z : g-coordinates of the central variable
     v : V-coordinates
-    samples : Haar sample count over G'
+    samples : Haar sample count over G' (samples * dim_v^2 <= NILHARM_BUDGET)
     seed : RNG seed (bit-reproducible)
     v_freq : optional frequency override for the Laguerre/Gaussian
         v-factors (the phase always runs at the functional's norm);
@@ -227,6 +232,7 @@ def phi_orbit(idx: SphericalIndex, z, v, samples=20000, seed=0, v_freq=None):
     vfreq = alam if v_freq is None else float(v_freq)
     z = np.asarray(z, dtype=float).reshape(alg.dim_g)
     v = np.asarray(v, dtype=float).reshape(alg.dim_v)
+    require_budget(samples * alg.dim_v**2, f"{samples} orbit samples of {alg.dim_v}^2 V-matrix entries")
     vmats = alg.ops.sample_vmats(as_rng(seed), samples)
     pair = alg.orbit_pairing(vmats, fn.y, z)
     w = np.einsum("sab,b->sa", vmats, v)
@@ -238,7 +244,7 @@ def phi_orbit(idx: SphericalIndex, z, v, samples=20000, seed=0, v_freq=None):
 
 
 # ---------------------------------------------------------------------------
-# canonical invariant polynomials by Gram-Schmidt
+# canonical invariant polynomials
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -258,16 +264,19 @@ class InvariantPolynomial:
         return sum(self.leading)
 
     def evaluate(self, svals):
+        """Value at generator values svals, shape (..., ngens); leading
+        axes are kept, and a single 1-d point gives a float."""
         svals = np.asarray(svals, dtype=float)
-        svals = np.atleast_2d(svals)
-        out = np.zeros(svals.shape[0])
+        if svals.ndim == 0 or svals.shape[-1] != len(self.alphas):
+            raise ValueError(f"expected generator values of shape (..., {len(self.alphas)})")
+        out = np.zeros(svals.shape[:-1])
         for expo, c in self.coeffs:
-            term = np.full(svals.shape[0], c)
+            term = c
             for i, e in enumerate(expo):
                 if e:
-                    term = term * svals[:, i] ** e
-            out += term
-        return out if out.shape[0] > 1 else float(out[0])
+                    term = term * svals[..., i] ** e
+            out = out + term
+        return float(out) if svals.ndim == 1 else out
 
     def coefficient(self, expo):
         for e, c in self.coeffs:
@@ -276,7 +285,7 @@ class InvariantPolynomial:
         return 0.0
 
 
-_GS_GENERATORS = {
+_GENERATORS = {
     # case -> callable(params dict) -> (labels, alphas)
     "VII": lambda p: (("|v|^2",), (int(p["n"]) - 1,)),
     "VIII": lambda p: (("|u|^2", "|w|^2"), (0, 0)) if int(p["k"]) == 1 else None,
@@ -284,33 +293,40 @@ _GS_GENERATORS = {
 }
 
 
-def _graded_monomials(ngens, dmax):
-    out = []
-    for d in range(dmax + 1):
-        from .fock import monomials_of_degree
+def _laguerre_rows(dmax, alpha, lam):
+    """Coefficients of s^0 ... s^a in L_a^alpha(lam s / 2) / L_a^alpha(0)
+    for a = 0 ... dmax, by the ratio of consecutive terms,
 
-        out.extend(monomials_of_degree(ngens, d))
-    return out
-
-
-def _gamma_moments(alpha, lam, pmax):
-    """Raw moments E[s^p], p = 0..pmax, of the Gamma law with shape
-    alpha + 1 and scale 2 / lam: (2 / lam)^p (alpha + 1)_p, formed as a
-    cumulative product."""
-    steps = (2.0 / lam) * (alpha + 1.0 + np.arange(pmax))
-    return np.concatenate([[1.0], np.cumprod(steps)])
+        c_0 = 1,  c_{i+1} = c_i (-lam / 2) (a - i) / ((i + 1) (i + 1 + alpha)).
+    """
+    rows = []
+    for a in range(dmax + 1):
+        i = np.arange(a)
+        steps = (-lam / 2.0) * ((a - i) / ((i + 1.0) * (i + 1.0 + alpha)))
+        rows.append(np.concatenate([[1.0], np.cumprod(steps)]))
+    return rows
 
 
 def canonical_polynomials(case, params, max_total_degree, lam=1.0):
-    """Gram-Schmidt orthogonalization of the invariant-generator
-    monomials against the Gaussian weight e^{-lam |v|^2 / 2} dv.
+    """Orthogonal invariant polynomials of total degree <= max_total_degree
+    against the Gaussian weight e^{-lam |v|^2 / 2} dv, one per generator
+    monomial s^a in graded-lex order, normalized to value 1 at the origin.
 
-    Each generator is a block squared norm |v_block|^2 whose law under
-    the weight is Gamma with shape alpha + 1 (alpha = real block
-    dimension / 2 - 1) and scale 2 / lam; its moments are exact rising
-    factorials (_gamma_moments).  Output is graded-lex ordered,
-    orthogonal, and normalized to value 1 at the origin (q_0 = 1
-    exactly).
+    Each generator is a block squared norm s_g = |v_block|^2; under the
+    weight the blocks are independent and s_g is Gamma distributed with
+    shape alpha_g + 1 (alpha_g = real block dimension / 2 - 1) and scale
+    2 / lam.  For this product measure Gram-Schmidt in graded-lex order
+    returns exactly
+
+        q_a(s) = prod_g L_{a_g}^{alpha_g}(lam s_g / 2) / L_{a_g}^{alpha_g}(0):
+
+    every other monomial s^b with |b| <= |a| has some b_g < a_g, so the
+    expectation of q_a s^b factorizes through E[L_{a_g} s_g^{b_g}] = 0;
+    q_a is s^a plus earlier monomials b <= a; and Gram-Schmidt is unique
+    up to the scale fixed at the origin.  The coefficients are built as
+    outer products of the one-variable rows (_laguerre_rows), accurate to
+    rounding at any degree; those below 1e-14 are dropped, except the
+    leading one.
 
     Supported: VII (generator |v|^2), VIII with k = 1 (|u|^2, |w|^2),
     IV (block norms |u|^2, |w|^2).  Cross invariants beyond block norms
@@ -319,57 +335,28 @@ def canonical_polynomials(case, params, max_total_degree, lam=1.0):
     """
     if lam <= 0:
         raise ValueError("lam must be positive")
-    gens = _GS_GENERATORS.get(case)
+    if max_total_degree < 0 or int(max_total_degree) != max_total_degree:
+        raise ValueError("max_total_degree must be a nonnegative integer")
+    gens = _GENERATORS.get(case)
     if gens is None:
         raise NotImplementedError(f"no invariant generators for case {case!r}")
     made = gens(params)
     if made is None:
-        raise NotImplementedError(f"case {case!r} Gram-Schmidt is limited to block-norm generators (k = 1)")
+        raise NotImplementedError(f"case {case!r} invariant polynomials are limited to block-norm generators (k = 1)")
     labels, alphas = made
-    ngens = len(labels)
     D = int(max_total_degree)
-    mons = _graded_monomials(ngens, D)
-    moments = [_gamma_moments(a, lam, 2 * D) for a in alphas]
-
-    def inner(c1, c2):
-        # <p, q> = sum over monomial pairs of the product moment
-        tot = 0.0
-        for e1, a1 in c1.items():
-            for e2, a2 in c2.items():
-                m = a1 * a2
-                for i in range(ngens):
-                    m *= moments[i][e1[i] + e2[i]]
-                tot += m
-        return tot
-
-    basis = []
-    for mon in mons:
-        cur = {tuple(mon): 1.0}
-        for prev in basis:
-            coef = inner(cur, prev) / inner(prev, prev)
-            if coef != 0.0:
-                for e, a in prev.items():
-                    cur[e] = cur.get(e, 0.0) - coef * a
-        basis.append(cur)
+    rows = [_laguerre_rows(D, a, lam) for a in alphas]
     out = []
-    zero = (0,) * ngens
-    for mon, coeffdict in zip(mons, basis):
-        c0 = coeffdict.get(zero, 0.0)
-        if abs(c0) < 1e-14:
-            raise ArithmeticError("canonical polynomial vanishes at the origin")
-        scaled = tuple(
-            (e, a / c0) for e, a in sorted(coeffdict.items()) if abs(a / c0) > 1e-14 or e == tuple(mon)
-        )
-        out.append(
-            InvariantPolynomial(
-                case=case,
-                generators=tuple(labels),
-                alphas=tuple(alphas),
-                lam=float(lam),
-                coeffs=scaled,
-                leading=tuple(mon),
+    for d in range(D + 1):
+        for mon in monomials_of_degree(len(alphas), d):
+            table = functools.reduce(np.multiply.outer, [rows[g][a] for g, a in enumerate(mon)])
+            # np.ndindex walks the exponents in sorted (lex) order
+            coeffs = tuple(
+                (e, c) for e, c in zip(np.ndindex(table.shape), table.ravel().tolist())
+                if abs(c) > 1e-14 or e == mon
             )
-        )
+            out.append(InvariantPolynomial(case=case, generators=labels, alphas=alphas,
+                                           lam=float(lam), coeffs=coeffs, leading=mon))
     return out
 
 

@@ -6,15 +6,21 @@ formula it is used to verify.  The so(2m) chamber angles here come
 from a real Schur form, a different factorization from the Hermitian
 eigendecomposition the library uses.  The Fock entries here are the
 alternating shift series, summed exactly in rationals; the library uses
-the closed Laguerre form instead.
+the closed Laguerre form instead.  The canonical invariant polynomials
+here come from classical Gram-Schmidt of the generator monomials against
+their moments, exact or by Gauss-Laguerre quadrature, and from the
+Laguerre coefficient formula in exact rationals; the library builds the
+closed-form products from a ratio recurrence instead.
 """
 
+import itertools
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from math import comb, factorial
 
 import numpy as np
 from scipy.linalg import expm, null_space, schur
+from scipy.special import roots_genlaguerre
 
 
 def _coords_fn(basis):
@@ -139,3 +145,64 @@ def fock_entry(mu, v, r, m, digits=60):
         ctx.prec = digits
         scale = dec(ratio).sqrt() * dec(expo).exp()
         return complex(float(scale * dec(re)), float(scale * dec(im)))
+
+
+def gamma_moments(alpha, lam, pmax):
+    """Raw moments E[s^p], p = 0..pmax, of the Gamma law with shape
+    alpha + 1 and scale 2 / lam: the rising factorials (2 / lam)^p (alpha + 1)_p."""
+    steps = (2.0 / lam) * (alpha + 1.0 + np.arange(pmax))
+    return np.concatenate([[1.0], np.cumprod(steps)])
+
+
+def gauss_laguerre_moments(alpha, lam, pmax):
+    """The same moments by a Gauss-Laguerre rule exact at degree pmax."""
+    x, w = roots_genlaguerre(pmax // 2 + 2, alpha)
+    p = np.arange(pmax + 1)
+    return (2.0 / lam) ** p * (w @ np.power.outer(x, p)) / w.sum()
+
+
+def gram_schmidt_invariants(alphas, lam, degree, moments=gamma_moments):
+    """Classical Gram-Schmidt of the monomials s^a, |a| <= degree, in
+    graded-lex order, against the product of the Gamma laws of the
+    generators (shapes alpha_g + 1, scale 2 / lam), from their moments.
+
+    Returns [(a, {exponents: coefficient})], each polynomial scaled to
+    value 1 at the origin; no coefficient is dropped."""
+    ngens = len(alphas)
+    mom = [moments(a, lam, 2 * degree) for a in alphas]
+    mons = [e for d in range(degree + 1)
+            for e in sorted(itertools.product(range(d + 1), repeat=ngens)) if sum(e) == d]
+
+    def inner(c1, c2):
+        tot = 0.0
+        for e1, a1 in c1.items():
+            for e2, a2 in c2.items():
+                m = a1 * a2
+                for i in range(ngens):
+                    m *= mom[i][e1[i] + e2[i]]
+                tot += m
+        return tot
+
+    basis = []
+    for mon in mons:
+        cur = {mon: 1.0}
+        for prev in basis:
+            coef = inner(cur, prev) / inner(prev, prev)
+            for e, a in prev.items():
+                cur[e] = cur.get(e, 0.0) - coef * a
+        basis.append(cur)
+    zero = (0,) * ngens
+    return [(mon, {e: a / c[zero] for e, a in c.items()}) for mon, c in zip(mons, basis)]
+
+
+def laguerre_product_coefficient(leading, expo, alphas, lam):
+    """Exact coefficient of s^expo in prod_g L_{a_g}^{alpha_g}(lam s_g / 2)
+    / L_{a_g}^{alpha_g}(0), a = leading, as a Fraction; lam is taken as
+    an exact rational (a float converts exactly)."""
+    half = Fraction(lam) / 2
+    out = Fraction(1)
+    for a, k, alpha in zip(leading, expo, alphas):
+        if k > a:
+            return Fraction(0)
+        out *= (-half) ** k * Fraction(comb(a + alpha, a - k), factorial(k) * comb(a + alpha, a))
+    return out

@@ -185,6 +185,20 @@ def test_budget_cap_exits_2(monkeypatch, capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["spherical", "--case", "IX", "--n", "3", "--lambda", "1.2", "--index", "1,0,1",
+     "--points", "1", "--mc-samples", "2000"],
+    ["invert", "--case", "I", "--n", "1", "--mc-samples", "800"],
+])
+def test_mc_samples_budget_exits_2(monkeypatch, capsys, argv):
+    # 2000 * 6^2 and 800 * 4^2 orbit-sample entries exceed the cap
+    monkeypatch.setenv("NILHARM_BUDGET", "1000")
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "orbit samples" in captured.err and "NILHARM_BUDGET=1000" in captured.err
+
+
 def test_selftest_passes(capsys):
     rc, out = _run(capsys, ["selftest", "--seed", "0"])
     assert rc == 0

@@ -1,13 +1,22 @@
 """Tests for closed-form spherical functions, orbit averages, canonical
 invariant polynomials, and the functional equation."""
 
+import itertools
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from _oracles import (
+    gamma_moments,
+    gauss_laguerre_moments,
+    gram_schmidt_invariants,
+    laguerre_product_coefficient,
+)
 from scipy.special import comb, factorial, roots_genlaguerre
 
 from nilharm import build_case, fock, spherical
-from nilharm.algebra import OrthAutomorphism, sample_k_actions
-from nilharm.numerics import as_rng, sphere_character
+from nilharm.algebra import OrthAutomorphism, sample_automorphisms, sample_k_actions
+from nilharm.numerics import BudgetError, as_rng, sphere_character
 from nilharm.spherical import (
     SphericalIndex,
     SphericalValue,
@@ -275,44 +284,122 @@ def test_canonical_polynomials_viii_orthogonal():
         assert abs(q.evaluate(np.zeros((1, 2))) - 1.0) < 1e-14
 
 
-def _quadrature_moments(alpha, lam, pmax):
-    # the Gamma moments by a Gauss-Laguerre rule exact at degree pmax
-    x, w = roots_genlaguerre(pmax // 2 + 2, alpha)
-    p = np.arange(pmax + 1)
-    return (2.0 / lam) ** p * (w @ np.power.outer(x, p)) / w.sum()
-
-
 @pytest.mark.parametrize("alpha", [0, 1, 3])
 @pytest.mark.parametrize("lam", [0.6, 1.0, 2.5])
 def test_gamma_moments_match_gauss_laguerre(alpha, lam):
-    got = spherical._gamma_moments(alpha, lam, 12)
-    want = _quadrature_moments(alpha, lam, 12)
+    got = gamma_moments(alpha, lam, 12)
+    want = gauss_laguerre_moments(alpha, lam, 12)
     assert got.shape == (13,) and got[0] == 1.0
     assert np.max(np.abs(got / want - 1.0)) < 1e-13
 
 
-@pytest.mark.parametrize("case,params,degree", [
+# generator radial exponents per case, stated independently of the library
+_ALPHAS = {"VII": lambda p: (p["n"] - 1,), "VIII": lambda p: (0, 0),
+           "IV": lambda p: (2 * p["n"] - 1,) * 2}
+
+
+_GS_CASES = pytest.mark.parametrize("case,params,degree", [
     ("VII", {"n": 1}, 4), ("VII", {"n": 3}, 4),
     ("VIII", {"k": 1, "n": 0}, 4), ("VIII", {"k": 1, "n": 2}, 4),
     ("IV", {"n": 1}, 3), ("IV", {"n": 2}, 3),
 ])
-@pytest.mark.parametrize("lam", [0.7, 1.9])
-def test_canonical_polynomials_match_quadrature_moments(monkeypatch, case, params, degree, lam):
-    # the same Gram-Schmidt on quadrature moments; terms near the 1e-14
-    # cut-off can appear on one route only, so compare dense vectors.
-    # Gram-Schmidt amplifies last-bit moment differences with the degree
-    # (VII at degree 5 and IV at degree 4 reach 5e-13 and 1e-12)
-    exact = canonical_polynomials(case, params, degree, lam=lam)
-    monkeypatch.setattr(spherical, "_gamma_moments", _quadrature_moments)
-    ref = canonical_polynomials(case, params, degree, lam=lam)
-    assert len(exact) == len(ref)
-    for q, r in zip(exact, ref):
-        assert q.leading == r.leading
-        a, b = dict(q.coeffs), dict(r.coeffs)
+
+
+def _assert_matches_gram_schmidt(case, params, degree, lam, moments):
+    # terms near the 1e-14 cut-off can appear on one route only, so
+    # compare dense vectors
+    got_polys = canonical_polynomials(case, params, degree, lam=lam)
+    ref = gram_schmidt_invariants(_ALPHAS[case](params), lam, degree, moments)
+    assert len(got_polys) == len(ref)
+    for q, (lead, b) in zip(got_polys, ref):
+        assert q.leading == lead and q.alphas == _ALPHAS[case](params)
+        a = dict(q.coeffs)
         keys = sorted(set(a) | set(b))
         got = np.array([a.get(k, 0.0) for k in keys])
         want = np.array([b.get(k, 0.0) for k in keys])
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@_GS_CASES
+@pytest.mark.parametrize("lam", [0.7, 1.9])
+def test_canonical_polynomials_match_quadrature_moments(case, params, degree, lam):
+    # the closed-form products against classical Gram-Schmidt on
+    # Gauss-Laguerre moments; Gram-Schmidt amplifies last-bit moment
+    # differences with the degree (VII at degree 5 and IV at degree 4
+    # reach 5e-13 and 1e-12)
+    _assert_matches_gram_schmidt(case, params, degree, lam, gauss_laguerre_moments)
+
+
+@_GS_CASES
+@pytest.mark.parametrize("lam", [0.7, 1.9])
+def test_canonical_polynomials_match_exact_moment_gram_schmidt(case, params, degree, lam):
+    _assert_matches_gram_schmidt(case, params, degree, lam, gamma_moments)
+
+
+@pytest.mark.parametrize("case,params", [("VII", {"n": 3}), ("IV", {"n": 1}), ("VIII", {"k": 1})])
+@pytest.mark.parametrize("lam", [0.7, 1.9])
+def test_canonical_polynomials_exact_to_degree_20(case, params, lam):
+    # every coefficient against the exact Laguerre products in rationals;
+    # only coefficients below the 1e-14 cut-off may be missing
+    alphas = _ALPHAS[case](params)
+    qs = canonical_polynomials(case, params, 20, lam=lam)
+    assert len(qs) == comb(20 + len(alphas), 20, exact=True)
+    for q in qs:
+        got = dict(q.coeffs)
+        assert got[q.leading] != 0.0
+        for expo in itertools.product(*(range(a + 1) for a in q.leading)):
+            want = laguerre_product_coefficient(q.leading, expo, alphas, lam)
+            if expo not in got:
+                assert abs(want) <= 1e-14
+                continue
+            assert abs(Fraction(got.pop(expo)) - want) <= 1e-14 * abs(want)
+        assert not got, f"coefficients outside the leading box: {got}"
+
+
+def test_canonical_polynomials_iv_orthogonal_at_degree_8():
+    # tensor Gauss-Laguerre rule in the two block norms (alpha = 1),
+    # exact for the degree-16 products of the Gram matrix
+    lam = 1.3
+    qs = canonical_polynomials("IV", {"n": 1}, 8, lam=lam)
+    assert len(qs) == 45
+    x, w = roots_genlaguerre(12, 1.0)
+    s = 2.0 * x / lam
+    pts = np.stack(np.meshgrid(s, s, indexing="ij"), axis=-1)
+    wts = np.outer(w, w) / w.sum() ** 2
+    vals = np.array([q.evaluate(pts) for q in qs])
+    gram = np.einsum("aij,bij,ij->ab", vals, vals, wts)
+    norms = np.sqrt(np.diag(gram))
+    off = gram / np.outer(norms, norms) - np.eye(len(qs))
+    assert np.max(np.abs(off)) < 1e-10
+
+
+def test_invariant_polynomial_evaluate_keeps_leading_axes():
+    q = canonical_polynomials("IV", {"n": 1}, 2, lam=1.0)[4]
+    assert q.leading == (1, 1)
+    pts = np.linspace(0.1, 2.0, 12).reshape(2, 3, 2)
+    got = q.evaluate(pts)
+    assert got.shape == (2, 3)
+    want = (1.0 - pts[..., 0] / 4.0) * (1.0 - pts[..., 1] / 4.0)
+    assert np.max(np.abs(got - want)) < 1e-15
+    one = q.evaluate(np.ones((1, 2)))
+    assert isinstance(one, np.ndarray) and one.shape == (1,)
+    assert isinstance(q.evaluate([1.0, 2.0]), float)
+    with pytest.raises(ValueError):
+        q.evaluate(np.ones((4, 3)))
+
+
+def test_viii_v_factor_on_a_stack_matches_pointwise():
+    # the VIII kernel is vectorized over leading axes of v, including
+    # the canonical-polynomial factor
+    params = {"k": 1, "n": 1}
+    lam = 1.1
+    index = (1, 2, 0, 1)
+    v = 0.6 * as_rng(5).standard_normal((2, 3, 8))
+    got = spherical._v_factor("VIII", params, index, lam, v, 1.0)
+    assert got.shape == (2, 3)
+    idx = SphericalIndex("VIII", lam, index, params)
+    want = np.array([[psi_closed(idx, 0.0, p) for p in row] for row in v])
+    assert np.max(np.abs(got - want)) < 1e-14
 
 
 def test_canonical_polynomials_rejects_unknown():
@@ -322,6 +409,27 @@ def test_canonical_polynomials_rejects_unknown():
         canonical_polynomials("VIII", {"k": 2, "n": 0}, 2)
     with pytest.raises(ValueError):
         canonical_polynomials("VII", {"n": 1}, 2, lam=0.0)
+    with pytest.raises(ValueError):
+        canonical_polynomials("VII", {"n": 1}, -1)
+    with pytest.raises(ValueError):
+        canonical_polynomials("VII", {"n": 1}, 2.5)
+
+
+def test_monte_carlo_budget(monkeypatch):
+    # IX(n=3): dim_v = 6, dim_g = 9; the budget admits 20 orbit samples
+    # (720 entries) and 5 automorphisms (585) but not 100 (3600) or 20 (2340)
+    monkeypatch.setenv("NILHARM_BUDGET", "1000")
+    alg = build_case("IX", n=3)
+    idx = spherical_index(alg, np.array([0.3, -0.2, 0.9, 0.1, 0.4, -0.5, 0.2, 0.7, -0.1]), (1, 0, 1))
+    z, v = np.zeros(alg.dim_g), 0.5 * np.ones(alg.dim_v)
+    assert phi_orbit(idx, z, v, samples=20).stderr > 0.0
+    with pytest.raises(BudgetError, match="orbit samples"):
+        phi_orbit(idx, z, v, samples=100)
+    assert len(sample_k_actions(alg, as_rng(0), count=5)) == 5
+    with pytest.raises(BudgetError, match="automorphisms"):
+        sample_k_actions(alg, as_rng(0), count=20)
+    with pytest.raises(BudgetError, match="automorphisms"):
+        sample_automorphisms(alg, as_rng(0), count=20)
 
 
 def _circle_actions(count):
