@@ -31,10 +31,8 @@ from .forms import (
 )
 from .numerics import (
     BudgetError,
-    MCEstimate,
     QuadratureSpec,
     as_rng,
-    haar_sample,
     laguerre,
     laguerre_all,
     node_budget,
@@ -79,10 +77,8 @@ __all__ = [
     "skew_form",
     "weight_table",
     "BudgetError",
-    "MCEstimate",
     "QuadratureSpec",
     "as_rng",
-    "haar_sample",
     "laguerre",
     "laguerre_all",
     "node_budget",

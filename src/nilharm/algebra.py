@@ -208,7 +208,14 @@ def build_case(case, **params) -> LauretAlgebra:
 @dataclass(frozen=True)
 class OrthAutomorphism:
     """An automorphism of n acting orthogonally: v -> v_mat v on V and
-    z -> g_mat z on g."""
+    z -> g_mat z on g.
+
+    Either one pair (g_mat (dim_g, dim_g), v_mat (dim_v, dim_v)) or a
+    stack of S pairs (g_mat (S, dim_g, dim_g), v_mat (S, dim_v, dim_v));
+    on a stack, apply and apply_functional map one point to the S
+    transformed points, and len, indexing and iteration run over the
+    pairs.
+    """
 
     g_mat: np.ndarray
     v_mat: np.ndarray
@@ -221,23 +228,33 @@ class OrthAutomorphism:
         g-action since the matrix is orthogonal)."""
         return self.g_mat @ np.asarray(x, dtype=float)
 
+    def __len__(self):
+        if np.ndim(self.v_mat) != 3:
+            raise TypeError("one OrthAutomorphism pair is not a stack")
+        return len(self.v_mat)
+
+    def __getitem__(self, i):
+        return OrthAutomorphism(self.g_mat[i], self.v_mat[i])
+
 
 def sample_automorphisms(alg: LauretAlgebra, rng=None, count=8, include_u=True):
-    """Haar-ish sample of orthogonal automorphisms: Ad(g) x pi(g) for g
-    in G', plus intertwiners that fix g where the case provides them."""
+    """Haar-ish sample of orthogonal automorphisms as one stack: the
+    count pairs Ad(g) x pi(g) for g in G', followed by intertwiners
+    (g_mat = I) that fix g where the case provides them."""
     require_budget(count * (alg.dim_v**2 + alg.dim_g**2), f"{count} automorphisms of (Ad, pi) matrices")
     rng = as_rng(rng)
     vmats = alg.ops.sample_vmats(rng, count)
-    out = [OrthAutomorphism(a, v) for a, v in zip(alg.ad_of(vmats), vmats)]
+    ads = alg.ad_of(vmats)
     us = alg.ops.u_part_automorphisms(rng, max(2, count // 4)) if include_u else None
     if us is not None:
-        out += [OrthAutomorphism(np.eye(alg.dim_g), u) for u in us]
-    return out
+        ads = np.concatenate([ads, np.tile(np.eye(alg.dim_g), (len(us), 1, 1))])
+        vmats = np.concatenate([vmats, us])
+    return OrthAutomorphism(ads, vmats)
 
 
 def sample_k_actions(alg: LauretAlgebra, rng=None, count=8):
-    """Haar sample of the full compact factor K acting on N: each
-    element composes a G' pair (Ad, pi) with an independent
+    """Haar sample of the full compact factor K acting on N, as one
+    stack: each element composes a G' pair (Ad, pi) with an independent
     V-intertwiner that fixes g, where the case provides one."""
     require_budget(count * (alg.dim_v**2 + alg.dim_g**2), f"{count} automorphisms of (Ad, pi) matrices")
     rng = as_rng(rng)
@@ -246,7 +263,7 @@ def sample_k_actions(alg: LauretAlgebra, rng=None, count=8):
     us = alg.ops.u_part_automorphisms(rng, count)
     if us is not None:
         vmats = us @ vmats
-    return [OrthAutomorphism(a, vm) for a, vm in zip(ads, vmats)]
+    return OrthAutomorphism(ads, vmats)
 
 
 @dataclass

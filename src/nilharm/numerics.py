@@ -1,5 +1,5 @@
-"""Shared numerical kernels: Laguerre recurrences, Haar sampling,
-Monte-Carlo averaging and tensor-product quadrature.
+"""Shared numerical kernels: Laguerre recurrences, Haar sampling and
+tensor-product quadrature.
 
 The Haar samplers of O(n), SO(n), U(n), SU(n) and Sp(n) take an
 optional size.  With it they return a stack of size samples, drawn as
@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import functools
 import os
-import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -140,9 +139,6 @@ def sphere_character(a):
 # Haar sampling
 # ---------------------------------------------------------------------------
 
-_GROUP_RE = re.compile(r"^\s*(SO|SU|U|Sp|torus)\s*\(\s*(\d+)\s*\)\s*$")
-
-
 def _sized(stack, size):
     """The stack, or its only element when the caller gave no size."""
     return stack if size is not None else stack[0]
@@ -178,10 +174,6 @@ def haar_special_unitary(n, rng, size=None):
     return _sized(u * (det ** (-1.0 / n))[:, None, None], size)
 
 
-def haar_torus(n, rng):
-    return np.diag(np.exp(1j * rng.uniform(0.0, 2 * np.pi, size=n)))
-
-
 def haar_symplectic_quat(n, rng, size=None):
     """Haar sample of Sp(n) as an (n, n, 4) quaternionic unitary matrix.
 
@@ -201,89 +193,6 @@ def haar_symplectic_quat(n, rng, size=None):
         nrm = np.sqrt((v ** 2).sum(axis=(1, 2)))
         m[:, :, col] = v / nrm[:, None, None]
     return _sized(m, size)
-
-
-def haar_symplectic(n, rng):
-    """Haar sample of Sp(n) as a 2n x 2n complex unitary commuting with
-    the quaternionic structure."""
-    return quat.qmat_to_complex(haar_symplectic_quat(n, rng))
-
-
-def haar_sample(group, seed=0):
-    """One Haar sample from a named compact group.
-
-    group is a string "SO(n)", "SU(n)", "U(n)", "Sp(n)" or "torus(n)",
-    or a sequence of such strings for a direct product (a list of
-    samples is returned in that case).
-    """
-    rng = as_rng(seed)
-    if not isinstance(group, str):
-        return [haar_sample(g, rng) for g in group]
-    m = _GROUP_RE.match(group)
-    if not m:
-        raise ValueError(f"unrecognized group spec: {group!r}")
-    kind, n = m.group(1), int(m.group(2))
-    if n < 1:
-        raise ValueError("group rank must be positive")
-    if kind == "SO":
-        return haar_special_orthogonal(n, rng)
-    if kind == "SU":
-        return haar_special_unitary(n, rng)
-    if kind == "U":
-        return haar_unitary(n, rng)
-    if kind == "Sp":
-        return haar_symplectic(n, rng)
-    return haar_torus(n, rng)
-
-
-# ---------------------------------------------------------------------------
-# Monte-Carlo averaging
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class MCEstimate:
-    """Monte-Carlo mean with a standard error.
-
-    For complex-valued integrands stderr combines the real and
-    imaginary sample variances: sqrt((var Re + var Im) / samples).
-    """
-
-    mean: complex
-    stderr: float
-    samples: int
-    seed: int
-
-    def consistent_with(self, value, nsigma=3.0):
-        return abs(self.mean - value) <= nsigma * max(self.stderr, 1e-300)
-
-
-def estimate_from_samples(values, seed):
-    values = np.asarray(values)
-    n = values.shape[0]
-    mean = values.mean(axis=0)
-    if n > 1:
-        var = values.real.var(ddof=1) + (values.imag.var(ddof=1) if np.iscomplexobj(values) else 0.0)
-    else:
-        var = 0.0
-    return MCEstimate(mean=complex(mean), stderr=float(np.sqrt(var / n)), samples=n, seed=seed)
-
-
-def mc_integrate(f, group, n, seed=0):
-    """Average f over n Haar samples of the named group.
-
-    f takes one group sample (matrix, or list of matrices for products)
-    and returns a real or complex scalar.  Same seed and n give a
-    bit-identical estimate.
-    """
-    if n < 1:
-        raise ValueError("need at least one sample")
-    rng = as_rng(seed)
-    vals = np.empty(n, dtype=complex)
-    for i in range(n):
-        vals[i] = f(haar_sample(group, rng))
-    if np.allclose(vals.imag, 0.0):
-        vals = vals.real
-    return estimate_from_samples(vals, seed if isinstance(seed, int) else -1)
 
 
 # ---------------------------------------------------------------------------
@@ -356,9 +265,3 @@ class QuadratureSpec:
             weights = weights * w.ravel()
         return points, weights
 
-
-def gaussian_half_width(min_decay, tail=1e-16):
-    """Half-width w with exp(-w^2 * min_decay) < tail."""
-    if min_decay <= 0:
-        raise ValueError("decay rate must be positive")
-    return float(np.sqrt(-np.log(tail) / min_decay))

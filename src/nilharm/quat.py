@@ -96,25 +96,6 @@ def to_su2(g):
     return np.stack(rows, axis=-2)
 
 
-def from_axis_angle(axis, angle):
-    axis = np.asarray(axis, dtype=float)
-    axis = axis / np.linalg.norm(axis)
-    return np.concatenate([[np.cos(angle / 2.0)], np.sin(angle / 2.0) * axis])
-
-
-def rotate_i_to(u):
-    """Unit quaternion g with g i g^-1 = u for a unit imaginary direction u."""
-    u = np.asarray(u, dtype=float)
-    e1 = np.array([1.0, 0.0, 0.0])
-    c = float(np.dot(e1, u))
-    if c > 1.0 - 1e-14:
-        return ONE.copy()
-    if c < -1.0 + 1e-14:
-        return from_axis_angle([0.0, 0.0, 1.0], np.pi)
-    axis = np.cross(e1, u)
-    return from_axis_angle(axis, np.arccos(np.clip(c, -1.0, 1.0)))
-
-
 def qmat_mul(a, b):
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)

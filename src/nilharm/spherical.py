@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
+from math import comb
 from typing import Optional
 
 import numpy as np
@@ -105,13 +106,12 @@ def _v_factor(case, params, index, alam, v, scale):
         V, IX, VI    one block per coordinate, degrees the multi-index
         III          C^(2 k1), C, C, C^(2 k2) with degrees (j, l1, l2, s);
                      the outer blocks only when k1, k2 > 0
-        VIII, k = 1  the canonical polynomial in the first two squared
-                     moduli, times the block C^(2n) of degree l when n > 0
+        VIII, k = 1  C, C, C^(2n) with degrees (r, s, l); the last block
+                     only when n > 0
 
     Blocks are (degree, start, stop) coordinate ranges; an empty range
     is no factor.
     """
-    poly = None
     if case in ("I", "VII"):
         count = int(params["n"]) * (2 if case == "I" else 1)
         blocks = [(index[0], 0, count)]
@@ -135,8 +135,7 @@ def _v_factor(case, params, index, alam, v, scale):
         if n == 0 and l != 0:
             raise ValueError("n = 0 admits only l = 0")
         count = 2 + 2 * n
-        poly = _viii_polynomial(alam, int(r), int(s))
-        blocks = [(l, 2, count)]
+        blocks = [(r, 0, 1), (s, 1, 2), (l, 2, count)]
     else:
         raise NotImplementedError(f"no closed psi for case {case!r}")
     z = as_complex_vector(v, count)
@@ -144,7 +143,7 @@ def _v_factor(case, params, index, alam, v, scale):
     # a product with ones sums a short last axis several times faster
     # than .sum on a stack of points
     total = sq @ np.ones(count)
-    out = 1.0 if poly is None else poly.evaluate(sq[..., :2])
+    out = 1.0
     for deg, a, b in blocks:
         if b == a:
             continue
@@ -159,25 +158,13 @@ def _v_factor(case, params, index, alam, v, scale):
     return scale * out * np.exp(-alam * total / 4.0)
 
 
-_VIII_CACHE = {}
-
-
-def _viii_polynomial(alam, r, s):
-    key = (round(alam, 12), r, s)
-    if key not in _VIII_CACHE:
-        qs = canonical_polynomials("VIII", {"k": 1}, r + s, lam=alam)
-        _VIII_CACHE[key] = {q.leading: q for q in qs}
-    return _VIII_CACHE[key][(r, s)]
-
-
 def psi_closed(idx: SphericalIndex, t, v):
     """Closed-form psi at (t, v); t is the scalar central coordinate of
     the reduced group (the pairing <Y, z>).
 
-    Supported: I, V, VI, VII, IX, III; VIII with k = 1 (the invariant
-    factor comes from canonical_polynomials).  Values at the identity
-    equal dim W.  v must have the case's dimension; see _v_factor for
-    the per-case formula.
+    Supported: I, V, VI, VII, IX, III; VIII with k = 1.  Values at the
+    identity equal dim W.  v must have the case's dimension; see
+    _v_factor for the per-case formula.
     """
     lam = float(idx.lam)
     phase = np.exp(1j * lam * float(t))
@@ -212,7 +199,8 @@ def phi_orbit(idx: SphericalIndex, z, v, samples=20000, seed=0, v_freq=None):
     idx : SphericalIndex with its functional set
     z : g-coordinates of the central variable
     v : V-coordinates
-    samples : Haar sample count over G' (samples * dim_v^2 <= NILHARM_BUDGET)
+    samples : Haar sample count over G', at least 2 so that the
+        standard error is defined (samples * dim_v^2 <= NILHARM_BUDGET)
     seed : RNG seed (bit-reproducible)
     v_freq : optional frequency override for the Laguerre/Gaussian
         v-factors (the phase always runs at the functional's norm);
@@ -224,6 +212,8 @@ def phi_orbit(idx: SphericalIndex, z, v, samples=20000, seed=0, v_freq=None):
     fn = idx.functional
     if fn is None:
         raise ValueError("phi_orbit needs an index built from a functional")
+    if samples < 2:
+        raise ValueError("phi_orbit needs samples >= 2 for a standard error")
     alg = fn.alg
     verdict = fn.classify()
     if not verdict.square_integrable:
@@ -326,7 +316,8 @@ def canonical_polynomials(case, params, max_total_degree, lam=1.0):
     up to the scale fixed at the origin.  The coefficients are built as
     outer products of the one-variable rows (_laguerre_rows), accurate to
     rounding at any degree; those below 1e-14 are dropped, except the
-    leading one.
+    leading one.  The coefficient count is checked against
+    NILHARM_BUDGET before anything is built.
 
     Supported: VII (generator |v|^2), VIII with k = 1 (|u|^2, |w|^2),
     IV (block norms |u|^2, |w|^2).  Cross invariants beyond block norms
@@ -345,6 +336,10 @@ def canonical_polynomials(case, params, max_total_degree, lam=1.0):
         raise NotImplementedError(f"case {case!r} invariant polynomials are limited to block-norm generators (k = 1)")
     labels, alphas = made
     D = int(max_total_degree)
+    # the polynomial of leading exponent a has prod(a_g + 1) coefficients,
+    # C(D + 2g, 2g) in all for g generators
+    ncoef = comb(D + 2 * len(alphas), 2 * len(alphas))
+    require_budget(ncoef, f"{ncoef} canonical-polynomial coefficients up to degree {D}")
     rows = [_laguerre_rows(D, a, lam) for a in alphas]
     out = []
     for d in range(D + 1):
@@ -382,15 +377,19 @@ def functional_equation_residual(phi, alg: LauretAlgebra, x_point, y_point, k_ac
     """|avg_k phi~(x (k y)) - phi~(x) phi~(y)| for the normalized
     spherical function phi~ = phi / phi(e).
 
-    phi is a callable on points (z, v) returning complex values;
-    k_actions is a list of OrthAutomorphisms, either Haar samples of K
+    phi is a callable on one point (z, v) returning a complex value;
+    k_actions is an OrthAutomorphism stack, either Haar samples of K
     (stderr reported) or a deterministic quadrature (treat stderr as
-    informational only).
+    informational only).  The points x (k y) are formed for the whole
+    stack at once, and phi is called once per point.
     """
+    if len(k_actions) == 0:
+        raise ValueError("functional_equation_residual needs at least one K-action")
     xz, xv = x_point
     yz, yv = y_point
     pe = complex(phi((np.zeros(alg.dim_g), np.zeros(alg.dim_v))))
-    vals = np.array([complex(phi(alg.group_mult((xz, xv), k.apply(yz, yv)))) for k in k_actions])
+    zs, vs = alg.group_mult((xz, xv), k_actions.apply(yz, yv))
+    vals = np.array([complex(phi(p)) for p in zip(zs, vs)])
     vals = vals / pe
     avg = complex(np.mean(vals))
     target = (complex(phi((xz, xv))) / pe) * (complex(phi((yz, yv))) / pe)

@@ -277,17 +277,6 @@ class SpFactor(Factor):
         return g, theta
 
 
-class AbelianFactor(Factor):
-    kind = "c"
-
-    def __init__(self):
-        self.n = 1
-        self.rank = 0
-        self.dim = 1
-        self.angle_len = 0
-        self.roots = np.zeros((0, 0), dtype=int)
-
-
 @dataclass(frozen=True)
 class ChamberPoint:
     """Angles per factor, with a regularity flag (no vanishing root)."""

@@ -21,7 +21,7 @@ from nilharm import (
     skew_form,
     torus,
 )
-from nilharm.algebra import sample_automorphisms, sample_k_actions
+from nilharm.algebra import OrthAutomorphism, sample_automorphisms, sample_k_actions
 from nilharm.numerics import QuadratureSpec, as_rng
 from nilharm.spherical import (
     SphericalIndex,
@@ -342,14 +342,10 @@ def test_criterion_11_gram_schmidt_laguerre(capsys):
 
 
 def _circle_actions(count):
-    out = []
-    for m in range(count):
-        th = 2.0 * np.pi * m / count
-        c, s = np.cos(th), np.sin(th)
-        from nilharm.algebra import OrthAutomorphism
-
-        out.append(OrthAutomorphism(np.eye(1), np.array([[c, -s], [s, c]])))
-    return out
+    th = 2.0 * np.pi * np.arange(count) / count
+    c, s = np.cos(th), np.sin(th)
+    rots = np.stack([np.stack([c, -s], axis=-1), np.stack([s, c], axis=-1)], axis=-2)
+    return OrthAutomorphism(np.ones((count, 1, 1)), rots)
 
 
 def test_criterion_12_functional_equation(capsys):

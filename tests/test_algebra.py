@@ -5,6 +5,7 @@ import pytest
 
 from nilharm.algebra import (
     CaseSpec,
+    OrthAutomorphism,
     build_case,
     check_structure,
     sample_automorphisms,
@@ -176,6 +177,44 @@ def test_k_actions_extend_gprime():
         lhs = k.g_mat @ alg.bracket(u, v)
         rhs = alg.bracket(k.v_mat @ u, k.v_mat @ v)
         assert np.allclose(lhs, rhs, atol=1e-10)
+
+
+@pytest.mark.parametrize("case,params", [("I", {"n": 2}), ("VI", {"n": 3}), ("VIII", {"k": 1, "n": 1})])
+def test_automorphism_stack_acts_like_its_elements(case, params):
+    alg = build_case(case, **params)
+    rng = as_rng(10)
+    ks = sample_k_actions(alg, rng=rng, count=5)
+    assert isinstance(ks, OrthAutomorphism)
+    assert len(ks) == 5 and len(ks[1:3]) == 2
+    assert ks.g_mat.shape == (5, alg.dim_g, alg.dim_g) and ks.v_mat.shape == (5, alg.dim_v, alg.dim_v)
+    z, v, x = rng.standard_normal(alg.dim_g), rng.standard_normal(alg.dim_v), rng.standard_normal(alg.dim_g)
+    zs, vs = ks.apply(z, v)
+    xs = ks.apply_functional(x)
+    elements = list(ks)
+    assert len(elements) == 5
+    for i, k in enumerate(elements):
+        assert np.array_equal(k.g_mat, ks[i].g_mat) and np.array_equal(k.v_mat, ks[i].v_mat)
+        assert np.array_equal(k.g_mat, ks.g_mat[i]) and np.array_equal(k.v_mat, ks.v_mat[i])
+        kz, kv = k.apply(z, v)
+        assert np.allclose(zs[i], kz, rtol=0, atol=1e-14)
+        assert np.allclose(vs[i], kv, rtol=0, atol=1e-14)
+        assert np.allclose(xs[i], k.apply_functional(x), rtol=0, atol=1e-14)
+    assert np.array_equal(ks[-1].v_mat, elements[-1].v_mat)
+    with pytest.raises(TypeError):
+        len(ks[0])
+
+
+@pytest.mark.parametrize("case,params,u_rows", [
+    ("I", {"n": 2}, 2), ("VII", {"n": 2}, 2), ("VIII", {"k": 1, "n": 1}, 2), ("V", {"n": 3}, 2),
+    ("VI", {"n": 3}, 0), ("IV", {"n": 1}, 0),
+])
+def test_automorphism_stack_appends_u_part_with_identity_on_g(case, params, u_rows):
+    # G' pairs first, then max(2, count // 4) intertwiners that fix g
+    alg = build_case(case, **params)
+    ks = sample_automorphisms(alg, rng=as_rng(11), count=8)
+    assert len(ks) == 8 + u_rows
+    assert np.array_equal(ks.g_mat[8:], np.broadcast_to(np.eye(alg.dim_g), (u_rows, alg.dim_g, alg.dim_g)))
+    assert len(sample_automorphisms(alg, rng=as_rng(11), count=8, include_u=False)) == 8
 
 
 def test_split_join_center():

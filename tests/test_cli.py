@@ -172,6 +172,15 @@ def test_invert_bad_sizes_exit_2(capsys, argv):
     assert captured.err.startswith("error: ")
 
 
+def test_spherical_single_mc_sample_exits_2(capsys):
+    # one orbit sample carries no standard error
+    argv = ["spherical", "--case", "IX", "--n", "3", "--index", "1,0,1", "--mc-samples", "1"]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "samples >= 2" in captured.err
+
+
 def test_missing_subcommand_exits_2():
     with pytest.raises(SystemExit) as exc:
         cli.main([])

@@ -70,21 +70,6 @@ def test_to_su2_is_homomorphism():
     assert np.allclose(u1 @ np.conj(u1).T, np.eye(2), atol=1e-12)
 
 
-def test_from_axis_angle_rotates():
-    g = quat.from_axis_angle(np.array([0.0, 0.0, 1.0]), np.pi / 2)
-    r = quat.rotation_matrix(g)
-    assert np.allclose(r @ np.array([1.0, 0, 0]), np.array([0, 1.0, 0]), atol=1e-12)
-
-
-def test_rotate_i_to_sends_i():
-    rng = as_rng(6)
-    u = rng.standard_normal(3)
-    u /= np.linalg.norm(u)
-    g = quat.rotate_i_to(u)
-    r = quat.rotation_matrix(g)
-    assert np.allclose(r @ np.array([1.0, 0, 0]), u, atol=1e-12)
-
-
 def test_qmat_complex_bridge():
     # quaternionic matrix multiplication agrees with its complex 2x2 image
     rng = as_rng(9)

@@ -12,10 +12,10 @@ from _oracles import (
     gram_schmidt_invariants,
     laguerre_product_coefficient,
 )
-from scipy.special import comb, factorial, roots_genlaguerre
+from scipy.special import comb, eval_genlaguerre, factorial, roots_genlaguerre
 
 from nilharm import build_case, fock, spherical
-from nilharm.algebra import OrthAutomorphism, sample_automorphisms, sample_k_actions
+from nilharm.algebra import LauretAlgebra, OrthAutomorphism, sample_automorphisms, sample_k_actions
 from nilharm.numerics import BudgetError, as_rng, sphere_character
 from nilharm.spherical import (
     SphericalIndex,
@@ -96,6 +96,30 @@ def test_psi_closed_viii_origin_and_argument_checks():
         psi_closed(SphericalIndex("VIII", 1.0, (0, 0, 1, 0), {"k": 1, "n": 1}), 0.0, np.zeros(8))
     with pytest.raises(ValueError):
         psi_closed(SphericalIndex("VIII", 1.0, (0, 0, 0, 1), {"k": 1, "n": 0}), 0.0, np.zeros(4))
+
+
+def test_psi_closed_viii_is_a_laguerre_product():
+    # VIII (k = 1) is e^{-lam |v|^2 / 4} L_r(lam |u1|^2 / 2) L_s(lam |u2|^2 / 2)
+    # L_l^(2n-1)(lam |w|^2 / 2), also at degrees where a sum over
+    # monomials cancels badly
+    rng = as_rng(21)
+    for lam, index, n in [(1.0, (20, 0, 0, 0), 0), (1.0, (10, 12, 0, 0), 0),
+                          (0.8, (3, 5, 0, 4), 1)]:
+        r, s, _, l = index
+        idx = SphericalIndex("VIII", lam, index, {"k": 1, "n": n})
+        for trial in range(4):
+            v = rng.standard_normal(4 + 4 * n)
+            # the first point puts |u1|^2 = 6 on the coordinate axis
+            if trial == 0:
+                v[:] = 0.0
+                v[0] = np.sqrt(6.0)
+            sq = v[0::2] ** 2 + v[1::2] ** 2
+            # n = 0 has no w block
+            w_factor = eval_genlaguerre(l, 2 * n - 1, lam * sq[2:].sum() / 2) if n else 1.0
+            want = (eval_genlaguerre(r, 0, lam * sq[0] / 2) * eval_genlaguerre(s, 0, lam * sq[1] / 2)
+                    * w_factor * np.exp(-lam * sq.sum() / 4))
+            got = psi_closed(idx, 0.0, v)
+            assert abs(got - want) <= 1e-13 * max(1.0, abs(want)), (index, trial, got, want)
 
 
 def test_closed_forms_reject_wrong_length_v():
@@ -356,6 +380,17 @@ def test_canonical_polynomials_exact_to_degree_20(case, params, lam):
         assert not got, f"coefficients outside the leading box: {got}"
 
 
+def test_canonical_polynomials_budget(monkeypatch):
+    # IV has two generators: C(D + 4, 4) coefficients, 635,376 at degree
+    # 60 and 10,626 at degree 20
+    monkeypatch.setenv("NILHARM_BUDGET", "100000")
+    with pytest.raises(BudgetError, match="canonical-polynomial coefficients"):
+        canonical_polynomials("IV", {"n": 1}, 60)
+    qs = canonical_polynomials("IV", {"n": 1}, 20)
+    assert len(qs) == comb(22, 2, exact=True)
+    assert sum(int(np.prod(np.add(q.leading, 1))) for q in qs) == comb(24, 4, exact=True)
+
+
 def test_canonical_polynomials_iv_orthogonal_at_degree_8():
     # tensor Gauss-Laguerre rule in the two block norms (alpha = 1),
     # exact for the degree-16 products of the Gram matrix
@@ -415,6 +450,53 @@ def test_canonical_polynomials_rejects_unknown():
         canonical_polynomials("VII", {"n": 1}, 2.5)
 
 
+def test_monte_carlo_sizes_without_an_error_bar_are_rejected():
+    alg = build_case("IX", n=3)
+    idx = spherical_index(alg, np.array([0.3, -0.2, 0.9, 0.1, 0.4, -0.5, 0.2, 0.7, -0.1]), (1, 0, 1))
+    z, v = np.zeros(alg.dim_g), 0.5 * np.ones(alg.dim_v)
+    for samples in (1, 0, -3):
+        with pytest.raises(ValueError, match="samples >= 2"):
+            phi_orbit(idx, z, v, samples=samples)
+    assert phi_orbit(idx, z, v, samples=2).stderr > 0.0
+    alg7 = build_case("VII", n=1)
+    point = (np.zeros(1), np.ones(2))
+    empty = OrthAutomorphism(np.zeros((0, 1, 1)), np.zeros((0, 2, 2)))
+    with pytest.raises(ValueError, match="at least one K-action"):
+        functional_equation_residual(lambda p: 1.0, alg7, point, point, empty)
+
+
+def test_functional_equation_maps_the_stack_once(monkeypatch):
+    # one group_mult for the whole stack, and the report equals, bit for
+    # bit, the average over a loop of per-element products
+    alg = build_case("I", n=1)
+    lam, j = 1.2, 1
+
+    def phi(point):
+        return phi_caseI_closed(lam, j, point[0], point[1])
+
+    rng = as_rng(17)
+    xp = (rng.standard_normal(3) * 0.4, rng.standard_normal(4) * 0.6)
+    yp = (rng.standard_normal(3) * 0.4, rng.standard_normal(4) * 0.6)
+    ks = sample_k_actions(alg, as_rng(18), count=500)
+    pe = complex(phi((np.zeros(3), np.zeros(4))))
+    vals = np.array([complex(phi(alg.group_mult(xp, k.apply(*yp)))) for k in ks]) / pe
+    avg = complex(np.mean(vals))
+    target = (complex(phi(xp)) / pe) * (complex(phi(yp)) / pe)
+    calls = []
+    original = LauretAlgebra.group_mult
+
+    def counted(self, p, q):
+        calls.append(1)
+        return original(self, p, q)
+
+    monkeypatch.setattr(LauretAlgebra, "group_mult", counted)
+    rep = functional_equation_residual(phi, alg, xp, yp, ks)
+    assert len(calls) == 1
+    assert rep.samples == 500
+    assert rep.residual == float(abs(avg - target))
+    assert rep.stderr == float(np.sqrt(np.sum(np.abs(vals - avg) ** 2)) / len(vals))
+
+
 def test_monte_carlo_budget(monkeypatch):
     # IX(n=3): dim_v = 6, dim_g = 9; the budget admits 20 orbit samples
     # (720 entries) and 5 automorphisms (585) but not 100 (3600) or 20 (2340)
@@ -434,12 +516,10 @@ def test_monte_carlo_budget(monkeypatch):
 
 def _circle_actions(count):
     # deterministic U(1) quadrature acting on V = R^2, trivial on g
-    out = []
-    for m in range(count):
-        th = 2.0 * np.pi * m / count
-        c, s = np.cos(th), np.sin(th)
-        out.append(OrthAutomorphism(np.eye(1), np.array([[c, -s], [s, c]])))
-    return out
+    th = 2.0 * np.pi * np.arange(count) / count
+    c, s = np.cos(th), np.sin(th)
+    rots = np.stack([np.stack([c, -s], axis=-1), np.stack([s, c], axis=-1)], axis=-2)
+    return OrthAutomorphism(np.ones((count, 1, 1)), rots)
 
 
 def test_functional_equation_vii_u1_quadrature():
