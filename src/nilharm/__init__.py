@@ -51,7 +51,6 @@ from .spherical import (
     spherical_index,
 )
 from .plancherel import (
-    GridFunction,
     PlancherelDensity,
     density,
     density_of,
@@ -97,7 +96,6 @@ __all__ = [
     "phi_orbit",
     "psi_closed",
     "spherical_index",
-    "GridFunction",
     "PlancherelDensity",
     "density",
     "density_of",

@@ -97,6 +97,22 @@ class LauretAlgebra:
         return np.concatenate([np.atleast_1d(np.asarray(xp, dtype=float)),
                                np.atleast_1d(np.asarray(zc, dtype=float))])
 
+    def from_chamber(self, H, Z):
+        """g-coordinates of the functional with chamber data: H the tuple
+        of per-factor dominant angle arrays (None or empty without a
+        compact Cartan), Z the central coordinates (None for zero)."""
+        xp = np.zeros(0)
+        if self.dim_gp:
+            if H is None:
+                raise ValueError("this case needs chamber angles H")
+            xp = self.ops.embed_angles(tuple(np.atleast_1d(np.asarray(a, dtype=float)) for a in H))
+        elif H is not None and len(H):
+            raise ValueError("this case has no compact Cartan angles")
+        zc = np.zeros(self.dim_c) if Z is None else np.atleast_1d(np.asarray(Z, dtype=float))
+        if zc.size != self.dim_c:
+            raise ValueError(f"expected {self.dim_c} central coordinates, got {zc.size}")
+        return self.join_center(xp, zc)
+
     def pi_of(self, x):
         """The skew matrix pi(X) of X with g-coordinates x."""
         return np.tensordot(np.asarray(x, dtype=float), self.pi, axes=1)
@@ -237,7 +253,7 @@ class OrthAutomorphism:
         return OrthAutomorphism(self.g_mat[i], self.v_mat[i])
 
 
-def sample_automorphisms(alg: LauretAlgebra, rng=None, count=8, include_u=True):
+def sample_automorphisms(alg: LauretAlgebra, rng=None, count=8):
     """Haar-ish sample of orthogonal automorphisms as one stack: the
     count pairs Ad(g) x pi(g) for g in G', followed by intertwiners
     (g_mat = I) that fix g where the case provides them."""
@@ -245,7 +261,7 @@ def sample_automorphisms(alg: LauretAlgebra, rng=None, count=8, include_u=True):
     rng = as_rng(rng)
     vmats = alg.ops.sample_vmats(rng, count)
     ads = alg.ad_of(vmats)
-    us = alg.ops.u_part_automorphisms(rng, max(2, count // 4)) if include_u else None
+    us = alg.ops.u_part_automorphisms(rng, max(2, count // 4))
     if us is not None:
         ads = np.concatenate([ads, np.tile(np.eye(alg.dim_g), (len(us), 1, 1))])
         vmats = np.concatenate([vmats, us])

@@ -174,18 +174,9 @@ def functional_from_args(alg: LauretAlgebra, args):
     if getattr(args, "H", None) is not None or getattr(args, "Z", None) is not None:
         if lam == "random":
             raise ValueError("--lambda random conflicts with explicit --H/--Z")
-        if alg.dim_gp:
-            if args.H is None:
-                raise ValueError("this case needs --H chamber angles")
-            xp = alg.ops.embed_angles(_parse_groups(args.H))
-        else:
-            if args.H is not None:
-                raise ValueError("this case has no compact Cartan angles")
-            xp = np.zeros(0)
-        zc = np.array([float(t) for t in args.Z.split(",")]) if args.Z else np.zeros(alg.dim_c)
-        if zc.size != alg.dim_c:
-            raise ValueError(f"expected {alg.dim_c} central coordinates, got {zc.size}")
-        x = alg.join_center(xp, zc)
+        H = _parse_groups(args.H) if args.H is not None else None
+        Z = [float(t) for t in args.Z.split(",")] if args.Z else None
+        x = alg.from_chamber(H, Z)
         return float(lam) * x if lam is not None else x
     if lam == "random":
         rng = as_rng(args.seed)

@@ -31,8 +31,9 @@ reproduces the group cocycle of the two-step law.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from math import comb
+from math import comb, prod
 from typing import Optional
 
 import numpy as np
@@ -134,6 +135,17 @@ def _coord_table(mu, vj, dmax):
     return _closed_entries(mu, complex(vj), deg[:, None], deg[None, :], lag, _log_factorials(dmax))
 
 
+def _weights(weights, n, allow_zero=False):
+    """Per-coordinate frequency multipliers (all ones by default), one
+    per coordinate and nonzero unless allow_zero (frequency 0)."""
+    if weights is None:
+        return np.ones(n)
+    w = np.asarray(weights, dtype=float)
+    if w.shape != (n,) or (not allow_zero and np.any(w == 0)):
+        raise ValueError(f"weights must be {'' if allow_zero else 'nonzero, '}one per coordinate ({n})")
+    return w
+
+
 def pi_matrix(lam, t, v, basis: FockBasis, weights=None):
     """Matrix of pi_lam(t, v) on the normalized monomial basis.
 
@@ -163,11 +175,7 @@ def pi_matrix(lam, t, v, basis: FockBasis, weights=None):
         raise ValueError("lam must be nonzero")
     alam, conj_all = abs(lam), lam < 0
     z = as_complex_vector(v, basis.n)
-    if weights is None:
-        weights = np.ones(basis.n)
-    weights = np.asarray(weights, dtype=float)
-    if weights.shape != (basis.n,) or np.any(weights == 0):
-        raise ValueError("weights must be nonzero, one per coordinate")
+    weights = _weights(weights, basis.n)
     require_budget(basis.count**2, f"{basis.count}^2 = {basis.count**2} Fock matrix entries")
     dmax = basis.max_degree
     ridx = basis.indices
@@ -183,31 +191,19 @@ def pi_matrix(lam, t, v, basis: FockBasis, weights=None):
     return out
 
 
-def matrix_coefficient(lam, h, hprime, t, v, basis: FockBasis, weights=None):
-    """e_lam(h, h')(t, v) = <pi_lam(t, v) h, h'> for coefficient vectors
-    h, h' over the basis."""
-    b = pi_matrix(lam, t, v, basis, weights=weights)
-    h = np.asarray(h, dtype=complex)
-    hprime = np.asarray(hprime, dtype=complex)
-    return complex(hprime.conj() @ (b @ h))
-
-
 def coefficient_grid(lam, basis: FockBasis, m, r, t, v, weights=None):
     """e_lam(e_m, e_r)(t, v) = <pi_lam(t, v) e_m, e_r> evaluated on a
     batch of points: t (P,), v (P, n) complex; the per-point entries
-    are the closed Laguerre forms of pi_matrix."""
+    are the closed Laguerre forms of pi_matrix, with its weights."""
     lam = float(lam)
     if lam == 0.0:
         raise ValueError("lam must be nonzero")
     alam = abs(lam)
     m = tuple(m)
     r = tuple(r)
-    z = as_complex_vector(np.asarray(v), basis.n)
-    z = np.atleast_2d(z)
+    z = np.atleast_2d(as_complex_vector(np.asarray(v), basis.n))
     t = np.atleast_1d(np.asarray(t, dtype=float))
-    if weights is None:
-        weights = np.ones(basis.n)
-    weights = np.asarray(weights, dtype=float)
+    weights = _weights(weights, basis.n)
     out = np.exp(1j * alam * t).astype(complex)
     for j in range(basis.n):
         mu = alam * abs(weights[j])
@@ -239,13 +235,65 @@ def truncation_defect(lam, t, v, basis: FockBasis, margin=2, weights=None):
 class MetaplecticComponent:
     """One irreducible component of the metaplectic action on the
     polynomial model, with its Fock monomial basis where the component
-    is a span of monomials (cases I, V, VI, VII, IX-central)."""
+    is a span of monomials (the cases with coordinate runs, kx_blocks)."""
 
     case: str
     index: tuple
     dim: int
     degree: int
     basis: Optional[tuple] = None
+
+
+def kx_blocks(case, params):
+    """Complex sizes of the coordinate runs of V = C^(dim_v / 2), in
+    coordinate order, or None where the K_x-types are not run products.
+
+    For a generic functional K_x acts irreducibly on the degree-d
+    polynomials of each run, so a K_x-type is one degree per run; its psi
+    is e^{-lam |v|^2 / 4} prod_runs L_deg^(size - 1)(lam |v_run|^2 / 2):
+
+        I          (2n,)                one run, degree j
+        VII        (n,)                 one run, degree j
+        V, IX      (1,) * n             the monomial multi-index
+        VI         (1,) * (n / 2)       the monomial multi-index; even n
+        III        (2 k1, 1, 1, 2 k2)   degrees (j, l1, l2, s)
+        VIII, k=1  (1, 1, 2n)           degrees (r, s, l), see run_degrees
+
+    A run of size 0 (k1, k2 or n = 0) admits only degree 0.  IV, VIII
+    with k >= 2 and X give None.  `params` is the dict of build_case.
+    """
+    if case in ("I", "VII"):
+        return ((2 if case == "I" else 1) * int(params["n"]),)
+    if case in ("V", "IX"):
+        return (1,) * int(params["n"])
+    if case == "VI":
+        if int(params["n"]) % 2:
+            raise ValueError("case VI components need even n")
+        return (1,) * (int(params["n"]) // 2)
+    if case == "III":
+        return (2 * int(params["k1"]), 1, 1, 2 * int(params["k2"]))
+    if case == "VIII":
+        return (1, 1, 2 * int(params.get("n", 0))) if int(params["k"]) == 1 else None
+    if case in ("IV", "X"):
+        return None
+    raise ValueError(f"unsupported case {case!r}")
+
+
+def run_degrees(case, index):
+    """The run degrees of a component index.  VIII (k = 1) indexes its
+    runs (r, s, l) as (r, s, j, l) with the GL(k) label j = 0 (the
+    index of the k >= 2 enumeration); every other case by the degrees."""
+    if case != "VIII":
+        return index
+    r, s, j, l = index
+    if j != 0:
+        raise ValueError("k = 1 components require j = 0")
+    return (r, s, l)
+
+
+def _run_index(case, degrees):
+    """The component index of run degrees; inverse of run_degrees."""
+    return degrees[:2] + (0,) + degrees[2:] if case == "VIII" else degrees
 
 
 def homog_dim(nvars, d):
@@ -293,66 +341,34 @@ def sp_dim(hw, n):
     return num // den
 
 
-def _monomial_components(case, nvars, max_degree):
-    out = []
-    for d in range(max_degree + 1):
-        for m in monomials_of_degree(nvars, d):
-            out.append(MetaplecticComponent(case, m, 1, d, basis=(m,)))
-    return out
-
-
-def _degree_components(case, nvars, max_degree):
-    out = []
-    for j in range(max_degree + 1):
-        mons = tuple(monomials_of_degree(nvars, j))
-        out.append(MetaplecticComponent(case, (j,), len(mons), j, basis=mons))
-    return out
-
-
 def metaplectic_components(case, params, max_degree):
-    """Irreducible components of the metaplectic action up to total
-    degree max_degree, ordered by degree.
+    """Irreducible components of the metaplectic action (the K_x-types
+    of a generic functional) up to total degree max_degree, ordered by
+    degree.
 
-    For cases I, V, VI, VII (and the purely central case IX) the
-    components are spans of monomials and carry their bases; for III,
-    IV, VIII, X only the index enumeration with dimensions is returned.
-
-    Parameters: I/V/VI/VII/IX take the integer case parameter n; III
-    takes (k1, k2); VIII takes (k, n) with the keyword-free convention
-    that n = 0 enumerations include only the indices the Sp(0) factor
-    allows; X takes (m, k, n).
+    Where kx_blocks gives coordinate runs, a component is one degree per
+    run (indexed as in run_degrees) of dimension prod homog_dim(size,
+    degree), with the products of the monomials of each run as its basis
+    (C(n + D, D) monomials in all, checked against NILHARM_BUDGET).  IV,
+    VIII with k >= 2 and X list indices with Weyl dimensions only.
+    `params` is the dict of build_case.
     """
     D = int(max_degree)
-    if case == "I":
-        n = int(params)
-        return _degree_components(case, 2 * n, D)
-    if case == "VII":
-        return _degree_components(case, int(params), D)
-    if case == "V":
-        return _monomial_components(case, int(params), D)
-    if case == "VI":
-        n = int(params)
-        if n % 2:
-            raise ValueError("case VI components need even n")
-        return _monomial_components(case, n // 2, D)
-    if case == "IX":
-        # purely central direction: U(n)-isotypic pieces, one per degree
-        return _degree_components(case, int(params), D)
-    if case == "III":
-        k1, k2 = (int(a) for a in params)
-        out = []
+    runs = kx_blocks(case, params)
+    out = []
+    if runs is not None:
+        total = comb(sum(runs) + D, D)
+        require_budget(total, f"C({sum(runs)}+{D}, {D}) = {total} component basis monomials")
         for d in range(D + 1):
-            for j in range(d + 1):
-                for l1 in range(d - j + 1):
-                    for l2 in range(d - j - l1 + 1):
-                        s = d - j - l1 - l2
-                        dim = homog_dim(2 * k1, j) * homog_dim(2 * k2, s)
-                        if dim:
-                            out.append(MetaplecticComponent(case, (j, l1, l2, s), dim, d))
+            for degrees in monomials_of_degree(len(runs), d):
+                dim = prod(homog_dim(size, deg) for size, deg in zip(runs, degrees))
+                if dim:
+                    parts = [monomials_of_degree(size, deg) for size, deg in zip(runs, degrees)]
+                    basis = tuple(sum(mons, ()) for mons in itertools.product(*parts))
+                    out.append(MetaplecticComponent(case, _run_index(case, degrees), dim, d, basis))
         return out
     if case == "IV":
-        n = int(params)
-        out = []
+        n = int(params["n"])
         for d in range(D + 1):
             for r in range(d + 1):
                 s = d - r
@@ -363,8 +379,7 @@ def metaplectic_components(case, params, max_degree):
                             out.append(MetaplecticComponent(case, (r, s, j, i), dim, d))
         return out
     if case == "VIII":
-        k, n = (int(a) for a in params)
-        out = []
+        k, n = int(params["k"]), int(params.get("n", 0))
         for d in range(D + 1):
             for r in range(d + 1):
                 for s in range(d - r + 1):
@@ -377,27 +392,23 @@ def metaplectic_components(case, params, max_degree):
                         if dim:
                             out.append(MetaplecticComponent(case, (r, s, j, l), dim, d))
         return out
-    if case == "X":
-        m, k, n = (int(a) for a in params)
-        out = []
-        for d in range(D + 1):
-            for dk in range(d + 1):
-                for kvec in monomials_of_degree(m, dk):
-                    rem = d - dk
-                    for r in range(rem + 1):
-                        for s in range(rem - r + 1):
-                            j = rem - r - s
-                            lag = homog_dim(2 * n, j)
-                            if lag == 0:
-                                continue
-                            for i in range(min(r, s) + 1):
-                                dim = gl_dim((r + s - i, i), k) * lag
-                                if dim:
-                                    out.append(
-                                        MetaplecticComponent(case, (kvec, r, s, i, j), dim, d)
-                                    )
-        return out
-    raise ValueError(f"unsupported case {case!r}")
+    # X
+    m, k, n = (int(params[key]) for key in ("m", "k", "n"))
+    for d in range(D + 1):
+        for dk in range(d + 1):
+            for kvec in monomials_of_degree(m, dk):
+                rem = d - dk
+                for r in range(rem + 1):
+                    for s in range(rem - r + 1):
+                        j = rem - r - s
+                        lag = homog_dim(2 * n, j)
+                        if lag == 0:
+                            continue
+                        for i in range(min(r, s) + 1):
+                            dim = gl_dim((r + s - i, i), k) * lag
+                            if dim:
+                                out.append(MetaplecticComponent(case, (kvec, r, s, i, j), dim, d))
+    return out
 
 
 def psi_numeric(case, lam, j, t, v, weights=None):
@@ -407,9 +418,9 @@ def psi_numeric(case, lam, j, t, v, weights=None):
 
     Supported cases: I and VII (index j = scalar degree), V and VI
     (index j = monomial multi-index).  `weights` are per-coordinate
-    frequency multipliers as in `pi_matrix`; the default (all ones)
-    corresponds to the symplectically normalized coordinates in which
-    the closed Laguerre forms are stated.
+    frequency multipliers as in `pi_matrix`, zero allowed; the default
+    (all ones) corresponds to the symplectically normalized coordinates
+    in which the closed Laguerre forms are stated.
     """
     lam = float(lam)
     if lam == 0.0:
@@ -438,11 +449,7 @@ def psi_numeric(case, lam, j, t, v, weights=None):
         if len(z) != nvars:
             raise ValueError(f"expected {nvars} complex coordinates")
         mons = [mono]
-    if weights is None:
-        weights = np.ones(nvars)
-    weights = np.asarray(weights, dtype=float)
-    if weights.shape != (nvars,):
-        raise ValueError("weights must be one per coordinate")
+    weights = _weights(weights, nvars, allow_zero=True)
     x = 0.5 * abs(lam) * np.abs(weights) * np.abs(z) ** 2
     mons = np.array(mons, dtype=int).reshape(len(mons), nvars)
     lag = laguerre_all(int(mons.max(initial=0)), 0.0, x)

@@ -27,6 +27,7 @@ report per-probe relative errors against the known input function.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 
 import numpy as np
 
@@ -79,46 +80,13 @@ def density_of(alg: LauretAlgebra, x) -> PlancherelDensity:
 
 
 def density(alg: LauretAlgebra, H, Z) -> PlancherelDensity:
-    """Density at chamber data: H is the tuple of per-factor dominant
-    angle arrays (empty for cases without a compact Cartan), Z the
-    central coordinates."""
-    if alg.dim_gp:
-        angles = tuple(np.atleast_1d(np.asarray(a, dtype=float)) for a in H)
-        xp = alg.ops.embed_angles(angles)
-    else:
-        if H is not None and len(np.atleast_1d(H)):
-            raise ValueError("this case has no compact Cartan angles")
-        xp = np.zeros(0)
-    zc = np.atleast_1d(np.asarray(Z, dtype=float))
-    if zc.size != alg.dim_c:
-        raise ValueError(
-            f"expected {alg.dim_c} central coordinates, got {zc.size}")
-    x = alg.join_center(xp, zc)
-    return density_of(alg, x)
+    """Density at chamber data (H, Z), as in LauretAlgebra.from_chamber."""
+    return density_of(alg, alg.from_chamber(H, Z))
 
 
 # ---------------------------------------------------------------------------
-# grid functions and group convolution
+# group convolution
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class GridFunction:
-    """Samples of a function on a tensor-product grid over the group
-    coordinates (z, v) packed as one row per point."""
-
-    spec: QuadratureSpec
-    points: np.ndarray
-    weights: np.ndarray
-    values: np.ndarray
-
-    @staticmethod
-    def from_callable(f, spec: QuadratureSpec):
-        pts, w = spec.grid()
-        return GridFunction(spec=spec, points=pts, weights=w, values=np.asarray(f(pts)))
-
-    def integral(self):
-        return np.sum(self.weights * self.values)
-
 
 def group_convolution(alg: LauretAlgebra, f, g, spec: QuadratureSpec):
     """(f * g)(x) = int f(y) g(y^{-1} x) dy over the spec's box.
@@ -455,7 +423,9 @@ def _probe_one_width(alg, avec, b, J, lam_max, lam_nodes, samples, seed):
 
         Zint(g, r) = prod_i sqrt(pi / a_i) e^{-r^2 u_{g,i}^2 / (4 a_i)},
         u_g = Ad(g^{-1}) Y on the unit sphere,
-        Vint_j(r) = pi^2 (j + 1) (b - r/4)^j / (b + r/4)^{j+2}.
+        Vint_j(r) = pi^d C(j + d - 1, j) (b - r/4)^j / (b + r/4)^{j+d}
+
+    over the one coordinate run C^d of case I (fock.kx_blocks).
 
     These are summed over j <= J against the Plancherel weight
     4 r^4 dr (pfaffian r^2 times theta 4 r^2) with fresh Haar samples
@@ -469,6 +439,9 @@ def _probe_one_width(alg, avec, b, J, lam_max, lam_nodes, samples, seed):
     total = 0.0
     var = 0.0
     y = np.array([1.0, 0.0, 0.0])
+    (d,) = fock.kx_blocks("I", alg.spec.params)
+    js = np.arange(J + 1)
+    dims = np.array([comb(j + d - 1, j) for j in js], dtype=float)
     for knode, (r, wk) in enumerate(zip(nodes, wts)):
         rng = as_rng((seed, knode))
         vmats = alg.ops.sample_vmats(rng, samples)
@@ -477,8 +450,7 @@ def _probe_one_width(alg, avec, b, J, lam_max, lam_nodes, samples, seed):
         mean = float(np.mean(zint))
         sem = float(np.std(zint, ddof=1) / np.sqrt(samples))
         p, q = b + r / 4.0, b - r / 4.0
-        js = np.arange(J + 1)
-        vsum = float(np.pi**2 * np.sum((js + 1.0) * q**js / p ** (js + 2.0)))
+        vsum = float(np.pi**d * np.sum(dims * q**js / p ** (js + d)))
         weight = wk * 4.0 * r**4 * vsum
         total += weight * mean
         var += (weight * sem) ** 2

@@ -15,8 +15,9 @@ computed by Monte Carlo over the full compact factor G' (the integrand
 is right-torus-invariant, so full-group Haar sampling realizes the
 quotient integral exactly in law).
 
-One kernel, _v_factor, holds the per-case formula of the v-factor and
-its argument checks; it is vectorized over leading axes of v.
+One kernel, _v_factor, builds the v-factor over the coordinate runs of
+fock.kx_blocks and checks its arguments; it is vectorized over leading
+axes of v.
 psi_closed evaluates it at one point, phi_caseI_closed at one point
 with the sphere average of the phase, and phi_orbit on the whole stack
 of transformed points pi(g) v.
@@ -43,7 +44,7 @@ import numpy as np
 from .algebra import LauretAlgebra
 from .forms import Functional
 from .numerics import as_complex_vector, as_rng, laguerre, require_budget, sphere_character
-from .fock import homog_dim, monomials_of_degree
+from .fock import kx_blocks, monomials_of_degree, run_degrees
 
 
 @dataclass(frozen=True)
@@ -97,64 +98,40 @@ def _v_factor(case, params, index, alam, v, scale):
     shape (..., dim_v); scale is the caller's factor in the central
     variable (a phase, or the sphere average for phi in case I).
 
-    Every v-factor is the Gaussian envelope e^{-alam |v|^2 / 4} times
-    a product of Laguerre blocks L_deg^alpha(alam s_B / 2), where s_B
-    sums the squared moduli of a run B of complex coordinates and
-    alpha = |B| - 1:
-
-        I, VII       one block over all coordinates, degree j
-        V, IX, VI    one block per coordinate, degrees the multi-index
-        III          C^(2 k1), C, C, C^(2 k2) with degrees (j, l1, l2, s);
-                     the outer blocks only when k1, k2 > 0
-        VIII, k = 1  C, C, C^(2n) with degrees (r, s, l); the last block
-                     only when n > 0
-
-    Blocks are (degree, start, stop) coordinate ranges; an empty range
-    is no factor.
+    The v-factor is the Gaussian envelope e^{-alam |v|^2 / 4} times one
+    Laguerre block per coordinate run of fock.kx_blocks, at the run
+    degrees of the index (fock.run_degrees).
     """
-    if case in ("I", "VII"):
-        count = int(params["n"]) * (2 if case == "I" else 1)
-        blocks = [(index[0], 0, count)]
-    elif case in ("V", "IX", "VI"):
-        count = len(index)
-        blocks = [(m, i, i + 1) for i, m in enumerate(index)]
-    elif case == "III":
-        k1, k2 = int(params["k1"]), int(params["k2"])
-        j, l1, l2, s = index
-        if homog_dim(2 * k1, j) == 0 or homog_dim(2 * k2, s) == 0:
-            raise ValueError("index outside the component enumeration")
-        a, count = 2 * k1, 2 * k1 + 2 + 2 * k2
-        blocks = [(j, 0, a), (l1, a, a + 1), (l2, a + 1, a + 2), (s, a + 2, count)]
-    elif case == "VIII":
-        k, n = int(params["k"]), int(params.get("n", 0))
-        if k != 1:
-            raise NotImplementedError("closed psi for case VIII covers k = 1 only")
-        r, s, j, l = index
-        if j != 0:
-            raise ValueError("k = 1 components require j = 0")
-        if n == 0 and l != 0:
-            raise ValueError("n = 0 admits only l = 0")
-        count = 2 + 2 * n
-        blocks = [(r, 0, 1), (s, 1, 2), (l, 2, count)]
-    else:
-        raise NotImplementedError(f"no closed psi for case {case!r}")
+    runs = kx_blocks(case, params)
+    if runs is None:
+        raise NotImplementedError(f"no closed psi for case {case!r} with parameters {params}")
+    degrees = run_degrees(case, index)
+    # the empty-run scan only where a run is empty keeps the check
+    # cheap on the per-point path of the functional equation
+    if len(degrees) != len(runs) or (
+            0 in runs and any(deg for size, deg in zip(runs, degrees) if not size)):
+        raise ValueError(f"index {tuple(map(int, index))} needs one degree per run of {runs}, "
+                         "and degree 0 on an empty run")
+    count = sum(runs)
     z = as_complex_vector(v, count)
     sq = z.real**2 + z.imag**2
     # a product with ones sums a short last axis several times faster
     # than .sum on a stack of points
     total = sq @ np.ones(count)
     out = 1.0
-    for deg, a, b in blocks:
-        if b == a:
+    a = 0
+    for size, deg in zip(runs, degrees):
+        if not size:
             continue
         # the total and single coordinates need no further sum
-        if b - a == count:
+        if size == count:
             x = total
-        elif b - a == 1:
+        elif size == 1:
             x = sq[..., a]
         else:
-            x = sq[..., a:b] @ np.ones(b - a)
-        out = out * laguerre(int(deg), b - a - 1, alam * x / 2.0)
+            x = sq[..., a:a + size] @ np.ones(size)
+        out = out * laguerre(int(deg), size - 1, alam * x / 2.0)
+        a += size
     return scale * out * np.exp(-alam * total / 4.0)
 
 
@@ -162,9 +139,10 @@ def psi_closed(idx: SphericalIndex, t, v):
     """Closed-form psi at (t, v); t is the scalar central coordinate of
     the reduced group (the pairing <Y, z>).
 
-    Supported: I, V, VI, VII, IX, III; VIII with k = 1.  Values at the
-    identity equal dim W.  v must have the case's dimension; see
-    _v_factor for the per-case formula.
+    Supported: the cases with coordinate runs (fock.kx_blocks): I, V,
+    VI, VII, IX, III; VIII with k = 1.  Values at the identity equal
+    dim W.  v must have the case's dimension, and the index one degree
+    per run.
     """
     lam = float(idx.lam)
     phase = np.exp(1j * lam * float(t))

@@ -214,7 +214,6 @@ def test_automorphism_stack_appends_u_part_with_identity_on_g(case, params, u_ro
     ks = sample_automorphisms(alg, rng=as_rng(11), count=8)
     assert len(ks) == 8 + u_rows
     assert np.array_equal(ks.g_mat[8:], np.broadcast_to(np.eye(alg.dim_g), (u_rows, alg.dim_g, alg.dim_g)))
-    assert len(sample_automorphisms(alg, rng=as_rng(11), count=8, include_u=False)) == 8
 
 
 def test_split_join_center():

@@ -111,6 +111,10 @@ def test_pi_matrix_budget(monkeypatch):
         fock.pi_matrix(1.0, 0.0, np.zeros(2, dtype=complex), b)
     with pytest.raises(BudgetError, match="monomials"):
         fock.FockBasis(2, 50)
+    # the component bases list the same monomials
+    assert sum(c.dim for c in fock.metaplectic_components("VII", {"n": 2}, 25)) == 351
+    with pytest.raises(BudgetError, match="component basis monomials"):
+        fock.metaplectic_components("III", {"k1": 1, "k2": 1}, 8)
 
 
 @settings(max_examples=60, deadline=None)
@@ -180,22 +184,6 @@ def test_pi_matrix_homomorphism_with_truncation_margin():
     assert np.max(np.abs(prod - m12[np.ix_(sel, sel)])) < 1e-9
 
 
-def test_matrix_coefficient_and_grid_agree():
-    lam = 0.9
-    b = fock.FockBasis(2, 3)
-    rng = as_rng(1)
-    v = rng.standard_normal(4) * 0.6
-    t = 0.25
-    m = tuple(b.indices[4])
-    r = tuple(b.indices[7])
-    hm = np.zeros(b.count)
-    hr = np.zeros(b.count)
-    hm[4], hr[7] = 1.0, 1.0
-    a = fock.matrix_coefficient(lam, hm, hr, t, v, b)
-    g = fock.coefficient_grid(lam, b, m, r, np.array([t]), v.reshape(1, 4))
-    assert abs(a - complex(g[0])) < 1e-13
-
-
 def test_coefficient_grid_equals_pi_matrix_entries():
     lam, t = -1.3, 0.4
     weights = np.array([0.8, -1.7])
@@ -207,6 +195,25 @@ def test_coefficient_grid_equals_pi_matrix_entries():
         g = fock.coefficient_grid(lam, b, b.indices[m], b.indices[r], np.full(5, t), pts,
                                   weights=weights)
         assert np.max(np.abs(g - [mat[r, m] for mat in mats])) < 1e-14
+
+
+@pytest.mark.parametrize("weights", [[1.0, 0.0], [1.0, 1.0, 5.0], [1.0]])
+def test_entry_routes_share_the_weights_check(weights):
+    # one zero, one surplus or one missing weight on 2 coordinates is an
+    # error for every entry route, not a silent -0 or a dropped weight
+    b = fock.FockBasis(2, 2)
+    v = np.array([0.3 + 0.1j, -0.2 + 0.4j])
+    with pytest.raises(ValueError):
+        fock.pi_matrix(1.1, 0.2, v, b, weights=weights)
+    with pytest.raises(ValueError):
+        fock.coefficient_grid(1.1, b, (1, 0), (0, 1), 0.2, v, weights=weights)
+    if 0.0 in weights:
+        # the diagonal traces take a zero weight as frequency 0
+        assert fock.psi_numeric("V", 1.1, (1, 0), 0.2, v, weights=weights) == \
+            fock.psi_numeric("V", 1.1, (1, 0), 0.2, v * [1, 0])
+    else:
+        with pytest.raises(ValueError):
+            fock.psi_numeric("V", 1.1, (1, 0), 0.2, v, weights=weights)
 
 
 def test_negative_lambda_is_conjugate_model():
@@ -221,7 +228,7 @@ def test_component_dimensions():
     assert fock.homog_dim(2, 3) == 4
     assert fock.homog_dim(3, 2) == 6
     # U(n) acting on degree-d polynomials is irreducible: one component
-    comps = fock.metaplectic_components("VII", 2, 3)
+    comps = fock.metaplectic_components("VII", {"n": 2}, 3)
     dims = sorted(c.dim for c in comps)
     assert dims == [fock.homog_dim(2, d) for d in range(4)]
 
@@ -232,9 +239,9 @@ def test_component_dimensions():
 ])
 def test_component_dimensions_sum_to_homog_dim(case, params):
     # the components of degree d split the degree-d polynomials on
-    # C^(dim_v / 2), for the branches that list dimensions only
-    names = CASES[case][1]
-    dim_v = build_case(case, **dict(zip(names, np.atleast_1d(params).tolist()))).dim_v
+    # C^(dim_v / 2), also where they list Weyl dimensions only
+    params = dict(zip(CASES[case][1], np.atleast_1d(params).tolist()))
+    dim_v = build_case(case, **params).dim_v
     comps = fock.metaplectic_components(case, params, 5)
     for d in range(6):
         assert sum(c.dim for c in comps if c.degree == d) == fock.homog_dim(dim_v // 2, d)

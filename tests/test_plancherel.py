@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from nilharm import (
-    GridFunction,
     build_case,
     density,
     density_of,
@@ -94,6 +93,12 @@ def test_density_argument_validation():
         density(algVII, [1.0], [1.0])
 
 
+def test_density_without_chamber_angles_is_a_value_error():
+    # the check the CLI makes for a missing --H (exit 2), not a TypeError
+    with pytest.raises(ValueError, match="needs chamber angles"):
+        density(build_case("V", n=3), None, [])
+
+
 # ---------------------------------------------------------------------------
 # group convolution
 # ---------------------------------------------------------------------------
@@ -163,11 +168,6 @@ def test_group_convolution_dimension_check():
     alg = build_case("VII", n=1)
     with pytest.raises(ValueError):
         group_convolution(alg, _gauss(1.0), _gauss(1.0), QuadratureSpec.cube(8, 3.0, 2))
-
-
-def test_grid_function_integral():
-    gf = GridFunction.from_callable(_gauss(0.7), QuadratureSpec.cube(40, 6.0, 3))
-    assert abs(gf.integral() - (np.pi / 0.7) ** 1.5) < 1e-9
 
 
 # ---------------------------------------------------------------------------

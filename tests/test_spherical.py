@@ -12,6 +12,7 @@ from _oracles import (
     gram_schmidt_invariants,
     laguerre_product_coefficient,
 )
+from test_acceptance import CASES as ACCEPTANCE_CASES, DEGENERATE_CASES
 from scipy.special import comb, eval_genlaguerre, factorial, roots_genlaguerre
 
 from nilharm import build_case, fock, spherical
@@ -58,10 +59,11 @@ def test_psi_closed_matches_numeric_trace():
 
 def test_psi_closed_multiindex_matches_numeric():
     rng = as_rng(12)
-    for case, nc, mono in [("V", 3, (1, 0, 2)), ("VI", 2, (2, 1))]:
+    # VI(n) acts on R^n, so a 2-entry index needs n = 4
+    for case, nc, params, mono in [("V", 3, {"n": 3}, (1, 0, 2)), ("VI", 2, {"n": 4}, (2, 1))]:
         t = 0.3
         v = rng.standard_normal(2 * nc) * 0.6
-        idx = SphericalIndex(case, 0.9, mono, {"n": nc})
+        idx = SphericalIndex(case, 0.9, mono, params)
         got = psi_closed(idx, t, v)
         ref = fock.psi_numeric(case, 0.9, mono, t, v)
         assert abs(got - ref) < 1e-12
@@ -140,44 +142,65 @@ def test_closed_forms_reject_wrong_length_v():
     assert np.isfinite(phi_caseI_closed(1.0, 1, np.zeros(3), v[:8]))
 
 
-def _fock_diagonal(lam, t, v, nc, D):
+def _assert_closed_psi_is_fock_trace(case, params, nc, seed, D=5):
+    # psi over a component is its dimension at the identity and, at a
+    # random point, the sum of the diagonal Fock entries over its basis
+    comps = fock.metaplectic_components(case, params, D)
     basis = fock.FockBasis(nc, D)
-    return basis, np.diag(fock.pi_matrix(lam, t, v, basis))
+    rng = as_rng(seed)
+    for lam in (0.8, -1.3):
+        t = float(rng.standard_normal())
+        v = 0.6 * rng.standard_normal(2 * nc)
+        diag = np.diag(fock.pi_matrix(lam, t, v, basis))
+        for comp in comps:
+            assert len(comp.basis) == comp.dim
+            assert all(sum(m) == comp.degree for m in comp.basis)
+            idx = SphericalIndex(case, lam, comp.index, params)
+            assert abs(psi_closed(idx, 0.0, np.zeros(2 * nc)) - comp.dim) < 1e-12 * comp.dim
+            trace = sum(diag[basis.index_of[m]] for m in comp.basis)
+            assert abs(psi_closed(idx, t, v) - trace) < 1e-12 * comp.dim
+
+
+# the square-integrable tested instances whose K_x-types are run products
+RUN_CASES = [(c, p) for c, p in ACCEPTANCE_CASES
+             if (c, p) not in DEGENERATE_CASES and fock.kx_blocks(c, p) is not None]
+
+
+@pytest.mark.parametrize("case,params", RUN_CASES,
+                         ids=[f"{c}-{'-'.join(map(str, p.values()))}" for c, p in RUN_CASES])
+def test_kx_blocks_serve_components_and_closed_psi(case, params):
+    # one table: the runs tile V, the components of each degree split the
+    # polynomials of that degree, and each component's closed psi is the
+    # trace of pi over its basis
+    dim_v = build_case(case, **params).dim_v
+    assert 2 * sum(fock.kx_blocks(case, params)) == dim_v
+    comps = fock.metaplectic_components(case, params, 4)
+    for d in range(5):
+        assert sum(c.dim for c in comps if c.degree == d) == fock.homog_dim(dim_v // 2, d)
+    _assert_closed_psi_is_fock_trace(case, params, dim_v // 2, 61, D=4)
+
+
+@pytest.mark.parametrize("case,params,index", [
+    ("V", {"n": 3}, (1, 0)), ("VI", {"n": 2}, (2, 1)), ("IX", {"n": 3}, (1,)),
+])
+def test_closed_psi_rejects_an_index_off_the_runs(case, params, index):
+    # V(3) and IX(3) have three runs, VI(2) one: the runs come from the
+    # parameters, so a v sized to the index is not read as a point of
+    # some smaller instance
+    with pytest.raises(ValueError, match="one degree per run"):
+        psi_closed(SphericalIndex(case, 1.0, index, params), 0.0, np.zeros(2 * len(index)))
 
 
 @pytest.mark.parametrize("k1,k2", [(1, 1), (0, 1), (1, 0), (2, 1)])
 def test_psi_closed_iii_matches_fock_traces(k1, k2):
-    # psi over the component (j, l1, l2, s) is the sum of the diagonal
-    # Fock entries over its monomials: degree j on C^(2 k1), l1 and l2
-    # on the two middle coordinates, s on C^(2 k2)
-    nc, D = 2 * k1 + 2 + 2 * k2, 5
-    rng = as_rng(31 + 10 * k1 + k2)
-    comps = fock.metaplectic_components("III", (k1, k2), D)
-    for lam in (0.8, -1.3):
-        t = float(rng.standard_normal())
-        v = 0.6 * rng.standard_normal(2 * nc)
-        basis, diag = _fock_diagonal(lam, t, v, nc, D)
-        a = 2 * k1
-        for comp in comps:
-            j, l1, l2, s = comp.index
-            sel = [i for i, m in enumerate(basis.indices)
-                   if sum(m[:a]) == j and m[a] == l1 and m[a + 1] == l2 and sum(m[a + 2:]) == s]
-            assert len(sel) == comp.dim
-            got = psi_closed(SphericalIndex("III", lam, comp.index, {"k1": k1, "k2": k2}), t, v)
-            assert abs(got - np.sum(diag[sel])) < 1e-12 * max(1.0, comp.dim)
+    # runs C^(2 k1), C, C, C^(2 k2); an empty outer run admits degree 0 only
+    _assert_closed_psi_is_fock_trace("III", {"k1": k1, "k2": k2}, 2 * k1 + 2 + 2 * k2,
+                                     31 + 10 * k1 + k2)
 
 
 def test_psi_closed_ix_matches_fock_traces():
-    # one monomial per multi-index, as for V
-    nc, D = 3, 5
-    rng = as_rng(41)
-    for lam in (0.8, -1.3):
-        t = float(rng.standard_normal())
-        v = 0.6 * rng.standard_normal(2 * nc)
-        basis, diag = _fock_diagonal(lam, t, v, nc, D)
-        for i, m in enumerate(basis.indices):
-            got = psi_closed(SphericalIndex("IX", lam, tuple(int(a) for a in m), {"n": nc}), t, v)
-            assert abs(got - diag[i]) < 1e-12
+    # generic IX functionals: one monomial per multi-index, as for V
+    _assert_closed_psi_is_fock_trace("IX", {"n": 3}, 3, 41)
 
 
 ORBIT_WIRING = [
