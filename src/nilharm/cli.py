@@ -22,6 +22,7 @@ from . import __version__
 from .algebra import LauretAlgebra, build_case, check_structure
 from .forms import Functional, classify, pfaffian_via_weights
 from .numerics import BudgetError, as_rng, node_budget
+from . import fock
 from . import plancherel
 from . import spherical as sph
 from . import torus
@@ -142,19 +143,29 @@ def _parse_groups(text):
 
 
 def default_direction(alg: LauretAlgebra):
-    """Unit-norm regular chamber direction: descending integer-spaced
-    angles per factor.  Central coordinates sit at the irrational
-    sqrt(1/2) so weights combining angles with the central frequency
-    (cases VIII, IX, X) cannot vanish."""
+    """Unit-norm regular chamber direction on which no tabulated weight
+    vanishes.  Each factor of g' takes descending integer-spaced angles,
+    scaled by its position (1, 2, ...) so that two factors cannot cancel
+    on a block they share (III).  The su(n) angles sum to zero; for odd
+    n that leaves a zero middle angle, itself a weight of V, so they
+    shift by -1/(2n) and the first angle takes up the trace.  Central
+    coordinates sit at the irrational sqrt(1/2) so weights combining
+    angles with the central frequency (cases VIII, IX, X) cannot vanish."""
     rs = alg.root_system()
+    if alg.dim_gp and not rs.factors:
+        raise NotImplementedError(f"case {alg.spec.case} {alg.spec.params} has no chamber "
+                                  "for a default direction; pass --lambda random")
     if alg.dim_gp:
         flats = []
-        for f in rs.factors:
+        for scale, f in enumerate(rs.factors, start=1):
             if f.kind == "su":
                 a = (f.n + 1) / 2.0 - np.arange(1, f.n + 1)
+                if f.n % 2:
+                    a -= 0.5 / f.n
+                    a[0] += 0.5
             else:
                 a = np.arange(f.angle_len, 0, -1, dtype=float)
-            flats.append(a)
+            flats.append(scale * a)
         xp = alg.ops.embed_angles(tuple(flats))
     else:
         xp = np.zeros(0)
@@ -311,8 +322,14 @@ def _cmd_spherical(args):
     x = functional_from_args(alg, args)
     if args.index is not None:
         index = tuple(int(t) for t in args.index.split(","))
-    else:
+    elif args.j is not None:
         index = (args.j,)
+    else:
+        runs = fock.kx_blocks(alg.spec.case, alg.spec.params)
+        if runs is None:
+            raise ValueError(f"case {alg.spec.case} {alg.spec.params} has no coordinate runs "
+                             "for a default index; pass --index")
+        index = fock.run_index(alg.spec.case, (0,) * len(runs))
     idx = sph.spherical_index(alg, x, index)
     vmax = args.v_norm
     vnorms = np.linspace(0.0, vmax, args.points)
@@ -449,7 +466,6 @@ def _selftest_checks(seed):
         return worst < 1e-10, f"max round-trip residual {worst:.2e}"
 
     def fock_oracle():
-        from . import fock
         worst = 0.0
         lam = 1.3
         for case in ("VII", "I"):
@@ -568,7 +584,8 @@ def build_parser():
     p = sub.add_parser("spherical", help="tabulate spherical function values")
     _add_case_flags(p)
     _add_functional_flags(p)
-    p.add_argument("--j", type=int, default=0, help="component index")
+    p.add_argument("--j", type=int, default=None,
+                   help="one-run component index (default: degree 0 on every run)")
     p.add_argument("--index", default=None, help="multi-index, ','-separated")
     p.add_argument("--z-norm", dest="z_norm", type=float, default=0.0)
     p.add_argument("--v-norm", dest="v_norm", type=float, default=2.0,

@@ -291,7 +291,7 @@ def run_degrees(case, index):
     return (r, s, l)
 
 
-def _run_index(case, degrees):
+def run_index(case, degrees):
     """The component index of run degrees; inverse of run_degrees."""
     return degrees[:2] + (0,) + degrees[2:] if case == "VIII" else degrees
 
@@ -365,7 +365,7 @@ def metaplectic_components(case, params, max_degree):
                 if dim:
                     parts = [monomials_of_degree(size, deg) for size, deg in zip(runs, degrees)]
                     basis = tuple(sum(mons, ()) for mons in itertools.product(*parts))
-                    out.append(MetaplecticComponent(case, _run_index(case, degrees), dim, d, basis))
+                    out.append(MetaplecticComponent(case, run_index(case, degrees), dim, d, basis))
         return out
     if case == "IV":
         n = int(params["n"])

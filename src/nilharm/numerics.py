@@ -102,7 +102,13 @@ def laguerre_all(kmax, alpha, x):
 
     Runs the recurrence of laguerre in place, with the same operations
     in the same order, so row k equals laguerre(k, alpha, x) bit for bit.
+    alpha may be an array that broadcasts against x (one order per entry).
     """
+    if kmax < 0 or int(kmax) != kmax:
+        raise ValueError("kmax must be a nonnegative integer")
+    if np.any(np.asarray(alpha) <= -1):
+        raise ValueError("alpha must exceed -1")
+    kmax = int(kmax)
     x = np.asarray(x, dtype=float)
     out = np.empty((kmax + 1,) + x.shape)
     out[0] = 1.0

@@ -8,10 +8,11 @@ matrix-coefficient (spherical-trace) convolutions:
 
   * heisenberg_inversion_check works on the 3-dimensional Heisenberg
     group, integrating the frequency line by Gauss-Legendre nodes and
-    evaluating the v-side twisted convolutions on a 2-d tensor grid.
-    Every factor of that integrand but the Laguerre polynomial splits
-    over the two axes, so only the Laguerre table is built on the full
-    grid and the rest comes from one cached 1-d rule.  The raw truncated
+    evaluating the v-side twisted convolutions by a 2-d tensor rule.  The
+    Laguerre addition theorem L_j^(0)(x + y) = sum_{i <= j} L_i^(-1/2)(x)
+    L_{j-i}^(-1/2)(y) splits the whole integrand over the two axes, so
+    each slice is a Cauchy product of two 1-d sums on one cached rule
+    and nothing is built on the 2-d grid.  The raw truncated
     values reproduce to about 1e-15 relative across rounding changes;
     the tail-completed ones only to about 1e-7, because the Wynn epsilon
     step divides by differences of partial sums;
@@ -167,33 +168,32 @@ def _laguerre_slices(lam, b, probes, J, vnodes):
 
     with [w, v] the Heisenberg bracket Im<w, v>.  Returns (J+1, P).
 
-    The integral runs over a vnodes x vnodes Gauss-Legendre tensor grid.
-    Every factor but the Laguerre polynomial splits over its two axes:
-    e^{-b|w|^2} dw, e^{-lam |v-w|^2 / 4} and the phase
-    e^{-i lam (w_0 v_1 - w_1 v_0) / 2}.  So each probe's complex weight
-    is an outer product f0 (x) f1 of two length-vnodes factors, and only
-    the argument x (an outer sum) and its Laguerre table live on the
-    full grid.  The slice is f0^T L_j f1: the table is contracted first
-    against the float view of f1, so it is never upcast to complex, and
-    then against f0.  The slices agree with a full-grid evaluation to
-    rounding (about 1e-15 of their size).
+    The integral runs over a vnodes x vnodes Gauss-Legendre tensor rule,
+    but nothing is built on the 2-d grid.  The argument is x0 + x1 with
+    xk = lam (v_k - w_k)^2 / 2, and the Laguerre addition theorem
+
+        L_j^(0)(x0 + x1) = sum_{i <= j} L_i^(-1/2)(x0) L_{j-i}^(-1/2)(x1)
+
+    holds because the generating functions sum_j L_j^(a)(x) t^j =
+    (1-t)^{-a-1} e^{-xt/(1-t)} at a = -1/2 multiply to the one at a = 0.
+    The other factors, e^{-b|w|^2} dw, e^{-lam |v-w|^2 / 4} and the phase
+    e^{-i lam (w_0 v_1 - w_1 v_0) / 2}, split over the axes as f0 (x) f1.
+    So I_j = sum_i a_i c_{j-i} with a_i = sum_n L_i^(-1/2)(x0_n) f0_n and
+    c_k the same on axis 1, all from one laguerre_all table over both
+    axes and every probe; this agrees with a full-grid evaluation to
+    rounding (about 1e-15 of the slices' size).
     """
-    vmax = max(float(np.linalg.norm(v)) for _, v in probes)
-    half = vmax + np.sqrt((37.0 + 2.0 * J) / (b + lam / 4.0))
+    vs = np.array([v for _, v in probes], dtype=float)
+    half = np.max(np.linalg.norm(vs, axis=1)) + np.sqrt((37.0 + 2.0 * J) / (b + lam / 4.0))
     spec = QuadratureSpec.cube(vnodes, half, 2)
     spec.check_budget()
     w, wgt = spec.axis_rule(half)
-    base = np.exp(-b * w**2) * wgt
-    out = np.empty((J + 1, len(probes)), dtype=complex)
-    for p, (_, v) in enumerate(probes):
-        v0, v1 = (float(c) for c in v)
-        d0, d1 = (v0 - w) ** 2, (v1 - w) ** 2
-        x = lam * (d0[:, None] + d1[None, :]) / 2.0
-        f0 = base * np.exp(-lam * d0 / 4.0 - 0.5j * lam * v1 * w)
-        f1 = base * np.exp(-lam * d1 / 4.0 + 0.5j * lam * v0 * w)
-        lag_f1 = laguerre_all(J, 0.0, x) @ f1.view(float).reshape(-1, 2)
-        out[:, p] = lag_f1.view(complex)[..., 0] @ f0
-    return out
+    # (P, 2, vnodes): per probe and axis k, fk on the 1-d rule
+    d = (vs[:, :, None] - w) ** 2
+    turn = np.stack([-vs[:, 1], vs[:, 0]], axis=1)[:, :, None]
+    f = np.exp(-b * w**2 - lam * d / 4.0 + 0.5j * lam * turn * w) * wgt
+    sums = np.einsum("jpkn,pkn->jpk", laguerre_all(J, -0.5, lam * d / 2.0), f)
+    return np.stack([np.convolve(a, c)[: J + 1] for a, c in sums.transpose(1, 2, 0)], axis=1)
 
 
 def _wynn_limit(partial, scale):

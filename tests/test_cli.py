@@ -181,6 +181,69 @@ def test_spherical_single_mc_sample_exits_2(capsys):
     assert captured.err.startswith("error: ") and "samples >= 2" in captured.err
 
 
+# every case off the exception list (II, and VI with odd n)
+REGULAR_CASES = [
+    ("I", "--n", "1"), ("I", "--n", "2"),
+    ("III", "--k1", "1", "--k2", "1"), ("III", "--k1", "1", "--k2", "2"),
+    ("III", "--k1", "0", "--k2", "1"), ("III", "--k1", "2", "--k2", "0"),
+    ("IV", "--n", "1"), ("IV", "--n", "2"),
+    ("V", "--n", "3"), ("V", "--n", "4"), ("V", "--n", "5"),
+    ("VI", "--n", "2"), ("VI", "--n", "4"), ("VI", "--n", "6"),
+    ("VII", "--n", "1"), ("VII", "--n", "3"),
+    ("VIII", "--k", "1", "--n", "0"), ("VIII", "--k", "1", "--n", "1"),
+    ("VIII", "--k", "2", "--n", "1"),
+    ("IX", "--n", "3"), ("IX", "--n", "4"), ("IX", "--n", "5"),
+    ("X", "--m", "3", "--k", "1", "--n", "1"), ("X", "--m", "4", "--k", "2", "--n", "0"),
+]
+
+
+@pytest.mark.parametrize("case", REGULAR_CASES, ids=lambda c: c[0] + "".join(c[2::2]))
+def test_default_direction_is_square_integrable(capsys, case):
+    rc, out = _run(capsys, ["classify", "--case", *case])
+    assert rc == 0
+    doc = json.loads(out)
+    assert doc["verdict"] == "SquareIntegrable"
+    assert abs(np.linalg.norm(doc["functional"]) - 1.0) < 1e-12
+
+
+def test_default_direction_on_the_exception_list(capsys):
+    rc, out = _run(capsys, ["classify", "--case", "II", "--n", "1"])
+    assert rc == 0 and json.loads(out)["verdict"] == "Degenerate"
+    # so(odd n) has no root system here, so there is no chamber to use
+    assert cli.main(["classify", "--case", "VI", "--n", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--lambda random" in captured.err
+
+
+@pytest.mark.parametrize("case, index", [
+    (("IX", "--n", "3"), "0;0;0"),
+    (("V", "--n", "4"), "0;0;0;0"),
+    (("III", "--k1", "1", "--k2", "1"), "0;0;0;0"),
+    (("VIII", "--k", "1", "--n", "1"), "0;0;0;0"),
+    (("VII", "--n", "2"), "0"),
+], ids=["IX3", "V4", "III11", "VIII11", "VII2"])
+def test_spherical_default_index_is_degree_zero_per_run(capsys, case, index):
+    rc, out = _run(capsys, ["spherical", "--case", *case, "--points", "2", "--mc-samples", "200"])
+    assert rc == 0
+    rows = [ln.split(",") for ln in out.splitlines() if ln and not ln.startswith("#")][1:]
+    assert len(rows) == 2 and all(row[2] == index for row in rows)
+    # the degree-0 function is 1 at the identity
+    assert float(rows[0][4]) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_spherical_default_index_on_a_case_with_no_runs_exits_2(capsys):
+    assert cli.main(["spherical", "--case", "IV", "--n", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "pass --index" in captured.err
+
+
+def test_spherical_v3_with_default_direction(capsys):
+    # the default V(3) direction has no zero angle, so phi_orbit accepts it
+    rc, _ = _run(capsys, ["spherical", "--case", "V", "--n", "3", "--index", "1,0,2",
+                          "--points", "2", "--mc-samples", "200"])
+    assert rc == 0
+
+
 def test_missing_subcommand_exits_2():
     with pytest.raises(SystemExit) as exc:
         cli.main([])

@@ -49,6 +49,33 @@ def test_laguerre_all_rows_equal_laguerre(alpha):
         assert np.array_equal(table[k], laguerre(k, alpha, x))
 
 
+def test_laguerre_addition_theorem():
+    # L_j^(0)(x + y) = sum_{i <= j} L_i^(-1/2)(x) L_{j-i}^(-1/2)(y), the
+    # identity that splits the Heisenberg inversion slices over two axes
+    J = 60
+    x, y = np.meshgrid(np.linspace(0.0, 30.0, 13), np.linspace(0.0, 30.0, 11), indexing="ij")
+    lx, ly = laguerre_all(J, -0.5, x), laguerre_all(J, -0.5, y)
+    for j in range(J + 1):
+        got = np.einsum("i...,i...->...", lx[: j + 1], ly[j::-1])
+        want = eval_genlaguerre(j, 0.0, x + y)
+        assert np.allclose(got, want, rtol=1e-11, atol=1e-11)
+        # the factors themselves agree with the oracle too
+        assert np.allclose(lx[j], eval_genlaguerre(j, -0.5, x), rtol=1e-11, atol=1e-11)
+
+
+@pytest.mark.parametrize("kmax, alpha", [(-1, 0.0), (2.5, 0.0), (3, -1.0), (3, -2.5),
+                                         (3, np.array([0.0, -1.0]))])
+def test_laguerre_all_rejects_bad_input(kmax, alpha):
+    with pytest.raises(ValueError):
+        laguerre_all(kmax, alpha, np.ones(2))
+
+
+def test_laguerre_all_accepts_edge_input():
+    # alpha = -1/2 is inside the range; an integral float kmax is an int
+    assert np.array_equal(laguerre_all(3.0, -0.5, np.ones(2)), laguerre_all(3, -0.5, np.ones(2)))
+    assert laguerre_all(0, -0.999, np.ones(2)).shape == (1, 2)
+
+
 def test_laguerre_recurrence_identity():
     # (k+1) L_{k+1} = (2k + alpha + 1 - x) L_k - (k + alpha) L_{k-1}
     rng = as_rng(2)

@@ -14,7 +14,7 @@ from nilharm import (
     heisenberg_inversion_check,
     projection_check,
 )
-from nilharm.numerics import BudgetError, QuadratureSpec, as_rng, laguerre
+from nilharm.numerics import BudgetError, QuadratureSpec, as_rng, laguerre, laguerre_all
 from nilharm.plancherel import _laguerre_slices, _wynn_limit
 
 
@@ -208,7 +208,7 @@ def test_laguerre_slices_are_twisted_convolutions():
 
 def _slices_on_full_grid(lam, b, probes, J, vnodes):
     # the slice integrand evaluated point by point on the full tensor
-    # grid, one Laguerre order at a time
+    # grid, with the order-0 Laguerre table of the 2-d argument
     vmax = max(np.linalg.norm(v) for _, v in probes)
     half = vmax + np.sqrt((37.0 + 2.0 * J) / (b + lam / 4.0))
     wv, wgt = QuadratureSpec.cube(vnodes, half, 2).grid()
@@ -219,8 +219,7 @@ def _slices_on_full_grid(lam, b, probes, J, vnodes):
         bracket = wv[:, 0] * v[1] - wv[:, 1] * v[0]
         common = wgt * np.exp(-b * (wv[:, 0] ** 2 + wv[:, 1] ** 2) - x / 2.0
                               - 0.5j * lam * bracket)
-        for j in range(J + 1):
-            out[j, p] = np.sum(laguerre(j, 0.0, x) * common)
+        out[:, p] = laguerre_all(J, 0.0, x) @ common
     return out
 
 
@@ -228,9 +227,11 @@ def _slices_on_full_grid(lam, b, probes, J, vnodes):
 def test_laguerre_slices_match_full_grid_reference(lam):
     probes = ((0.5, (0.3, -0.2)), (-0.3, (0.1, 0.4)), (0.2, (-0.5, 0.1)),
               (0.8, (0.2, 0.2)), (0.0, (-0.35, -0.3)))
-    got = _laguerre_slices(lam, 1.0, probes, 20, 160)
-    want = _slices_on_full_grid(lam, 1.0, probes, 20, 160)
-    assert np.max(np.abs(got - want)) < 1e-13 * np.max(np.abs(want))
+    for J in (0, 1, 20, 40):
+        for b in (0.3, 1.0, 2.5):
+            got = _laguerre_slices(lam, b, probes, J, 160)
+            want = _slices_on_full_grid(lam, b, probes, J, 160)
+            assert np.max(np.abs(got - want)) < 1e-13 * np.max(np.abs(want)), (J, b)
 
 
 # ---------------------------------------------------------------------------
