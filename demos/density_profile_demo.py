@@ -19,10 +19,8 @@ def ray_table(alg, base, points):
         s = k / points
         d = density_of(alg, s * base)
         print(f"{s:>6.3f} {d.pfaffian:>12.5g} {d.theta:>12.5g} {d.value:>12.5g}")
-    fn = Functional(alg, base)
-    angles, zc, _ = fn.chamber
-    flat = np.concatenate([np.atleast_1d(a) for a in angles]) if angles else np.zeros(0)
-    print(f"chamber angles at s = 1: {np.round(flat * fn.norm, 4)}, central part {np.round(zc * fn.norm, 4)}")
+    angles, zc, _ = Functional(alg, base).chamber
+    print(f"chamber angles at s = 1: {np.round(np.concatenate(angles), 4)}, central part {np.round(zc, 4)}")
     print()
 
 

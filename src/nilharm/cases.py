@@ -105,11 +105,15 @@ class CaseOps:
 
     # -- torus bridges -----------------------------------------------------
     root_spec = None
+    _root_system = None
 
     def root_system(self):
-        if self.root_spec is None:
-            return torus.RootSystem(factors=(), n_abelian=self.dim_c)
-        return torus.root_system(self.root_spec)
+        """The RootSystem of g', built from root_spec on first use and
+        kept for the life of the model."""
+        if self._root_system is None:
+            self._root_system = (torus.RootSystem(factors=(), n_abelian=self.dim_c)
+                                 if self.root_spec is None else torus.root_system(self.root_spec))
+        return self._root_system
 
     def to_factor_mats(self, xp):
         raise NotImplementedError(f"case {self.label} has no Cartan bridge")

@@ -229,18 +229,15 @@ def _cmd_build(args):
     return 0
 
 
-def _classify_report(args):
+def _cmd_classify(args):
+    """The classify and pfaffian verbs: one report, which pfaffian
+    extends by the relative deviation of the two Pfaffians."""
+    if args.format == "csv":
+        raise ValueError(f"{args.verb} emits JSON only")
     alg = _build_alg(args)
     x = functional_from_args(alg, args)
     verdict = classify(alg, x)
     weights = pfaffian_via_weights(alg, x) if alg.ops.has_weights else None
-    return alg, x, verdict, weights
-
-
-def _cmd_classify(args):
-    if args.format == "csv":
-        raise ValueError("classify emits JSON only")
-    alg, x, verdict, weights = _classify_report(args)
     out = {
         "config": _run_config(args),
         "functional": _plain(x),
@@ -249,32 +246,23 @@ def _cmd_classify(args):
         "pfaffian_numeric": verdict.pfaffian,
         "pfaffian_weights": weights,
     }
+    if args.verb == "pfaffian":
+        rel = None
+        if weights is not None:
+            scale = max(abs(verdict.pfaffian), abs(weights), 1e-300)
+            rel = abs(verdict.pfaffian - weights) / scale
+        out["rel_deviation"] = rel
     _emit(_json_text(out), args.out)
     return 0
 
 
-def _cmd_pfaffian(args):
-    if args.format == "csv":
-        raise ValueError("pfaffian emits JSON only")
-    alg, x, verdict, weights = _classify_report(args)
-    rel = None
-    if weights is not None:
-        scale = max(abs(verdict.pfaffian), abs(weights), 1e-300)
-        rel = abs(verdict.pfaffian - weights) / scale
-    out = {
-        "config": _run_config(args),
-        "functional": _plain(x),
-        "verdict": verdict.verdict,
-        "kernel_dim": verdict.kernel_dim,
-        "pfaffian_numeric": verdict.pfaffian,
-        "pfaffian_weights": weights,
-        "rel_deviation": rel,
-    }
-    _emit(_json_text(out), args.out)
-    return 0
+def _check_points(args):
+    if args.points < 1:
+        raise ValueError(f"--points must be at least 1, got {args.points}")
 
 
 def _cmd_density(args):
+    _check_points(args)
     alg = _build_alg(args)
     base = functional_from_args(alg, args)
     npts = args.points
@@ -282,18 +270,12 @@ def _cmd_density(args):
     for kk in range(1, npts + 1):
         s = kk / npts
         fn = Functional(alg, s * base)
-        dens = plancherel.density_of(alg, s * base)
+        dens = plancherel.density_of(alg, fn)
         angles, zc, _ = fn.chamber
-        flat = np.concatenate([np.atleast_1d(a) for a in angles]) if angles else np.zeros(0)
-        rows.append(
-            [s]
-            + list(flat * fn.norm)
-            + list(np.atleast_1d(zc) * fn.norm)
-            + [dens.theta, dens.pfaffian, dens.value]
-        )
+        rows.append([s, *np.concatenate([*angles, zc]), dens.theta, dens.pfaffian, dens.value])
     header = (
         ["s"]
-        + [f"h{i + 1}" for i in range(len(rows[0]) - 3 - alg.dim_c - 1)]
+        + [f"h{i + 1}" for i in range(sum(f.angle_len for f in alg.root_system().factors))]
         + [f"z{i + 1}" for i in range(alg.dim_c)]
         + ["theta", "pfaffian", "density"]
     )
@@ -318,6 +300,7 @@ def _spherical_value(alg, idx, z, v, args):
 
 
 def _cmd_spherical(args):
+    _check_points(args)
     alg = _build_alg(args)
     x = functional_from_args(alg, args)
     if args.index is not None:
@@ -564,15 +547,15 @@ def build_parser():
     _add_output_flags(p, "json")
     p.set_defaults(func=_cmd_build)
 
-    for verb, func, hlp in (
-        ("classify", _cmd_classify, "square-integrability verdict for a functional"),
-        ("pfaffian", _cmd_pfaffian, "numeric vs weight-formula Pfaffian"),
+    for verb, hlp in (
+        ("classify", "square-integrability verdict for a functional"),
+        ("pfaffian", "numeric vs weight-formula Pfaffian"),
     ):
         p = sub.add_parser(verb, help=hlp)
         _add_case_flags(p)
         _add_functional_flags(p)
         _add_output_flags(p, "json")
-        p.set_defaults(func=func)
+        p.set_defaults(func=_cmd_classify)
 
     p = sub.add_parser("density", help="Plancherel density along a chamber ray")
     _add_case_flags(p)

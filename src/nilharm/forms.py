@@ -31,23 +31,23 @@ def skew_form(alg: LauretAlgebra, x):
     return alg.pi_of(x)
 
 
+def _pfaffian_of(ev):
+    """|Pf(M)| from the ascending spectrum of 1j M (pairs +-mu, zeros on
+    the kernel): the product of its upper half, 0 when the dimension is
+    odd or fewer than half the eigenvalues are positive."""
+    half = len(ev) // 2
+    if len(ev) % 2 or np.count_nonzero(ev > 0) < half:
+        return 0.0
+    return float(np.prod(ev[half:]))
+
+
 def pfaffian_abs(mat):
     """|Pf(M)| of a real skew-symmetric matrix, 0 when dim is odd.
 
     Computed as the product of the positive eigenvalues of 1j M, which
     is stable for the moderate dimensions used here.
     """
-    mat = np.asarray(mat, dtype=float)
-    n = mat.shape[0]
-    if n % 2 == 1:
-        return 0.0
-    if n == 0:
-        return 1.0
-    ev = np.linalg.eigvalsh(1j * mat)
-    pos = ev[ev > 0]
-    if len(pos) < n // 2:
-        return 0.0
-    return float(np.prod(np.sort(ev)[n // 2:]))
+    return _pfaffian_of(np.linalg.eigvalsh(1j * np.asarray(mat, dtype=float)))
 
 
 @dataclass(frozen=True)
@@ -66,30 +66,27 @@ class SquareIntegrability:
 def classify(alg: LauretAlgebra, x, tol=_RANK_TOL) -> SquareIntegrability:
     """Decide square integrability of the functional dual to x.
 
-    The kernel dimension is the numerical nullity of B_x (singular
-    values below tol times the largest one).
+    One spectrum of 1j B_x gives both answers.  B_x is skew, so its
+    singular values are the moduli |mu| of that spectrum: the kernel
+    dimension is the numerical nullity (|mu| at most tol times the
+    largest one, all of V when B_x = 0), and |Pf| is the product of the
+    upper half.
     """
-    m = skew_form(alg, x)
-    s = np.linalg.svd(m, compute_uv=False)
-    smax = s[0] if len(s) else 0.0
-    if smax == 0.0:
-        rank = 0
-    else:
-        rank = int(np.sum(s > tol * smax))
-    kernel = alg.dim_v - rank
+    ev = np.linalg.eigvalsh(1j * skew_form(alg, x))
+    mod = np.abs(ev)
+    kernel = int(np.count_nonzero(mod <= tol * np.max(mod, initial=0.0)))
     return SquareIntegrability(
         square_integrable=(kernel == 0 and alg.dim_v > 0),
         kernel_dim=kernel,
-        pfaffian=pfaffian_abs(m),
+        pfaffian=_pfaffian_of(ev),
     )
 
 
 class Functional:
     """A functional on g, dual to the g-coordinates x.
 
-    Carries the polar data used downstream: the norm lam = |x|, the unit
-    direction y, and the dominant chamber representative of the g' part
-    of y together with the conjugating torus data.
+    Carries the polar data used downstream (the norm lam = |x| and the
+    unit direction y) and the one chamber chart of x.
     """
 
     def __init__(self, alg: LauretAlgebra, x):
@@ -103,10 +100,10 @@ class Functional:
 
     @cached_property
     def chamber(self):
-        """(angles, zc, regular): dominant angles of the g' part of the
-        unit direction y, its central coordinates, and chamber
-        regularity."""
-        yp, zc = self.alg.split_center(self.y)
+        """(angles, zc, regular): the per-factor dominant angles of the g'
+        part of x, its central coordinates, and chamber regularity.  The
+        weight tables, theta and the CLI all read this chart."""
+        xp, zc = self.alg.split_center(self.x)
         if self.alg.dim_gp == 0:
             return (), zc, True
         rs = self.alg.root_system()
@@ -116,13 +113,8 @@ class Functional:
             raise NotImplementedError(
                 f"case {self.alg.spec.case} has no Cartan chamber for its "
                 "g' part")
-        mats = self.alg.ops.to_factor_mats(yp)
-        _, point = torus.to_chamber(rs, mats)
+        _, point = torus.to_chamber(rs, self.alg.ops.to_factor_mats(xp))
         return point.angles, zc, point.regular
-
-    @property
-    def regular(self):
-        return self.chamber[2]
 
     def classify(self, tol=_RANK_TOL) -> SquareIntegrability:
         return classify(self.alg, self.x, tol=tol)
@@ -141,14 +133,7 @@ def weight_table(alg: LauretAlgebra, x):
         raise NotImplementedError(
             f"no tabulated weights for case {alg.spec.case}; use pfaffian_abs"
         )
-    xp, zc = alg.split_center(np.asarray(x, dtype=float))
-    if alg.dim_gp:
-        rs = alg.root_system()
-        mats = alg.ops.to_factor_mats(xp)
-        _, point = torus.to_chamber(rs, mats)
-        angles = point.angles
-    else:
-        angles = ()
+    angles, zc, _ = Functional(alg, x).chamber
     return alg.ops.weights(angles, zc)
 
 

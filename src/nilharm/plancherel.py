@@ -58,19 +58,13 @@ class PlancherelDensity:
 
 
 def density_of(alg: LauretAlgebra, x) -> PlancherelDensity:
-    """Plancherel density of the functional with g-coordinates x."""
-    fn = Functional(alg, x)
+    """Plancherel density of the functional with g-coordinates x, or of
+    the Functional x, whose chamber chart is then reused."""
+    fn = x if isinstance(x, Functional) else Functional(alg, x)
     verdict = fn.classify()
     rs = alg.root_system()
-    if alg.dim_gp and rs.factors:
-        angles, _, _ = fn.chamber
-        flat = np.concatenate([np.atleast_1d(a) for a in angles]) if angles else np.zeros(0)
-        # chamber angles are stated for the unit direction; the root
-        # values scale linearly with the functional's norm
-        th = torus.theta(rs, flat * fn.norm)
-    else:
-        # no compact factors: the root product is empty
-        th = 1.0
+    # with no compact factors the root product is empty
+    th = torus.theta(rs, fn.chamber[0]) if rs.factors else 1.0
     return PlancherelDensity(
         case=alg.spec.case,
         pfaffian=verdict.pfaffian,

@@ -52,8 +52,9 @@ class SphericalIndex:
     """Case label, frequency, per-case component index, and the case
     parameters needed by the closed forms.
 
-    lam is the signed scalar frequency used by psi; functional (when
-    set) carries the full direction data used by phi_orbit.
+    lam is the signed scalar frequency used by psi and must be nonzero
+    (the zero functional has no Fock model); functional (when set)
+    carries the full direction data used by phi_orbit.
     """
 
     case: str
@@ -63,7 +64,7 @@ class SphericalIndex:
     functional: Optional[Functional] = None
 
     def __post_init__(self):
-        if self.lam == 0 and self.functional is None:
+        if self.lam == 0:
             raise ValueError("need a nonzero frequency")
 
 

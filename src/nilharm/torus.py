@@ -104,11 +104,12 @@ class Factor:
         return float(np.abs(np.prod(vals))) if len(vals) else 1.0
 
     def is_regular(self, angles):
+        """No root vanishes, relative to the largest angle, so the
+        answer does not change when the angles are scaled."""
         if not len(self.roots):
             return True
         vals = self.roots @ np.asarray(angles, dtype=float)
-        scale = max(1.0, float(np.max(np.abs(angles))))
-        return bool(np.min(np.abs(vals)) > _REG_TOL * scale)
+        return bool(np.min(np.abs(vals)) > _REG_TOL * float(np.max(np.abs(angles))))
 
 
 class SUFactor(Factor):

@@ -5,6 +5,7 @@ Each test prints one PASS/FAIL line with the measured figure so the
 scoreboard survives pytest output capture."""
 
 import time
+import zlib
 
 import numpy as np
 from scipy.special import comb, factorial
@@ -155,7 +156,7 @@ def test_criterion_05_theta_vs_fd_jacobian(capsys):
     t0 = time.monotonic()
     worst = 0.0
     for spec in ("su(2)", "su(3)", "so(4)"):
-        rng = as_rng(hash(spec) % 2**31)
+        rng = as_rng(zlib.crc32(spec.encode()))
         f = torus.root_system(spec).factors[0]
         checked = 0
         while checked < 50:

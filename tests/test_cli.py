@@ -181,6 +181,27 @@ def test_spherical_single_mc_sample_exits_2(capsys):
     assert captured.err.startswith("error: ") and "samples >= 2" in captured.err
 
 
+@pytest.mark.parametrize("argv", [
+    ["density", "--case", "V", "--n", "3", "--points", "0"],
+    ["density", "--case", "V", "--n", "3", "--points", "-2"],
+    ["spherical", "--case", "VII", "--n", "1", "--points", "0"],
+    ["spherical", "--case", "VII", "--n", "1", "--lambda", "0", "--j", "2"],
+    ["spherical", "--case", "IX", "--n", "3", "--index", "1,0,1", "--mc-samples", "1"],
+    ["spherical", "--case", "IX", "--n", "3", "--index", "1,0"],
+    ["spherical", "--case", "VII", "--n", "1", "--j", "-1"],
+    ["invert", "--case", "VII", "--n", "1", "--grid", "0"],
+    ["invert", "--case", "VII", "--n", "1", "--j", "-1"],
+], ids=["density-points-0", "density-points-negative", "spherical-points-0",
+        "spherical-zero-lambda", "mc-samples-1", "short-index", "spherical-j-negative",
+        "grid-0", "invert-j-negative"])
+def test_bad_input_is_an_error_line_and_exit_2(capsys, argv):
+    # main returns 2 instead of raising, so no traceback reaches the user
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
 # every case off the exception list (II, and VI with odd n)
 REGULAR_CASES = [
     ("I", "--n", "1"), ("I", "--n", "2"),

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from nilharm import cli, torus
 from nilharm.algebra import build_case, sample_k_actions
 from nilharm.forms import (
     Functional,
@@ -13,6 +14,7 @@ from nilharm.forms import (
     weight_table,
 )
 from nilharm.numerics import as_rng
+from nilharm.plancherel import density_of
 
 
 def test_pfaffian_2x2_and_4x4():
@@ -150,3 +152,121 @@ def test_pfaffian_ad_invariant_spot():
         for k in sample_k_actions(alg, rng=rng, count=10):
             moved = classify(alg, k.apply_functional(x)).pfaffian
             assert abs(moved - base) < 1e-9 * base
+
+
+# every family the tests build, the exception list (II, odd VI) included
+FAMILIES = [
+    ("I", {"n": 1}), ("I", {"n": 2}), ("II", {"n": 1}), ("II", {"n": 2}),
+    ("III", {"k1": 1, "k2": 1}), ("IV", {"n": 1}), ("V", {"n": 3}), ("V", {"n": 4}),
+    ("VI", {"n": 2}), ("VI", {"n": 3}), ("VI", {"n": 4}), ("VI", {"n": 5}),
+    ("VII", {"n": 1}), ("VII", {"n": 3}), ("VIII", {"k": 1, "n": 0}),
+    ("VIII", {"k": 1, "n": 1}), ("IX", {"n": 3}), ("X", {"m": 3, "k": 1, "n": 0}),
+]
+FAMILY_IDS = [c + "".join(str(v) for v in p.values()) for c, p in FAMILIES]
+
+
+def _sweep_points(alg, rng):
+    """Random functionals, the basis vectors and zero, and boundary
+    chamber points (a repeated angle, a zero angle, all angles zero),
+    each with zero and random central part."""
+    xs = list(rng.standard_normal((10, alg.dim_g))) + list(np.eye(alg.dim_g)) + [np.zeros(alg.dim_g)]
+    rs = alg.root_system()
+    if alg.dim_gp and not rs.factors:
+        return xs
+    for kind in ("repeat", "zero", "origin"):
+        H = []
+        for f in rs.factors:
+            a = rng.uniform(-1.0, 1.0, f.angle_len)
+            if kind == "repeat" and len(a) > 1:
+                a[-2] = a[-1]
+            elif kind == "zero":
+                a[-1] = 0.0
+            elif kind == "origin":
+                a[:] = 0.0
+            if f.kind == "su":
+                a[0] -= a.sum()
+            H.append(a)
+        for z in (np.zeros(alg.dim_c), rng.uniform(-1.0, 1.0, alg.dim_c)):
+            xs.append(alg.from_chamber(tuple(H) if H else None, z))
+    return xs
+
+
+def _svd_nullity(m, tol=1e-10):
+    s = np.linalg.svd(m, compute_uv=False)
+    return int(np.sum(s <= tol * s[0]))
+
+
+@pytest.mark.parametrize("case,params", FAMILIES, ids=FAMILY_IDS)
+def test_kernel_dim_matches_svd_nullity(case, params):
+    alg = build_case(case, **params)
+    for x in _sweep_points(alg, as_rng(10)):
+        v = classify(alg, x)
+        assert v.kernel_dim == _svd_nullity(skew_form(alg, x)), x
+        assert v.square_integrable == (v.kernel_dim == 0)
+
+
+@pytest.mark.parametrize("case,params", FAMILIES, ids=FAMILY_IDS)
+def test_verdict_and_regularity_are_scale_invariant(case, params):
+    alg = build_case(case, **params)
+    charted = not (alg.dim_gp and not alg.root_system().factors)
+    for x in _sweep_points(alg, as_rng(11)):
+        base = classify(alg, x)
+        regular = Functional(alg, x).chamber[2] if charted else None
+        for scale in (1e-12, 1e6):
+            moved = classify(alg, scale * x)
+            assert (moved.square_integrable, moved.kernel_dim) == (base.square_integrable, base.kernel_dim)
+            if charted:
+                assert Functional(alg, scale * x).chamber[2] == regular
+
+
+@pytest.mark.parametrize("case,params", FAMILIES, ids=FAMILY_IDS)
+def test_pfaffian_is_homogeneous_of_degree_half_dim_v(case, params):
+    alg = build_case(case, **params)
+    rng = as_rng(12)
+    for x in rng.standard_normal((5, alg.dim_g)):
+        base = pfaffian_abs(skew_form(alg, x))
+        for t in (1e-3, 2.5, 1e4):
+            ref = t ** (alg.dim_v / 2) * base
+            assert abs(pfaffian_abs(skew_form(alg, t * x)) - ref) <= 1e-12 * ref
+
+
+@pytest.mark.parametrize("case,params", [
+    ("I", {"n": 2}), ("III", {"k1": 1, "k2": 1}), ("IV", {"n": 1}), ("V", {"n": 3}),
+    ("VI", {"n": 4}), ("VII", {"n": 2}), ("VIII", {"k": 1, "n": 1}), ("IX", {"n": 3}),
+    ("X", {"m": 3, "k": 1, "n": 0}),
+], ids=["I2", "III11", "IV1", "V3", "VI4", "VII2", "VIII11", "IX3", "X310"])
+def test_density_and_weight_pfaffian_are_k_invariant(case, params):
+    alg = build_case(case, **params)
+    rng = as_rng(13)
+    x = rng.standard_normal(alg.dim_g)
+    dens = density_of(alg, x).value
+    weights = pfaffian_via_weights(alg, x) if alg.ops.has_weights else None
+    for k in sample_k_actions(alg, rng=rng, count=8):
+        kx = k.apply_functional(x)
+        assert abs(density_of(alg, kx).value - dens) <= 1e-9 * dens
+        if weights is not None:
+            assert abs(pfaffian_via_weights(alg, kx) - weights) <= 1e-9 * weights
+
+
+def test_one_chart_per_call_and_one_root_system_per_algebra(monkeypatch, capsys):
+    charts, builds = [], []
+    to_chamber, root_system = torus.to_chamber, torus.root_system
+    monkeypatch.setattr(torus, "to_chamber", lambda *a: charts.append(1) or to_chamber(*a))
+    monkeypatch.setattr(torus, "root_system", lambda *a: builds.append(1) or root_system(*a))
+    rng = as_rng(14)
+    for case, params in [("V", {"n": 3}), ("IX", {"n": 3}), ("VIII", {"k": 1, "n": 1})]:
+        alg = build_case(case, **params)
+        for x in rng.standard_normal((3, alg.dim_g)):
+            charts.clear()
+            density_of(alg, x)
+            assert len(charts) == 1
+            pfaffian_via_weights(alg, x)
+            assert len(charts) == 2
+        angles, zc, _ = Functional(alg, x).chamber
+        alg.from_chamber(angles, zc)
+        assert len(builds) == 1, case
+        builds.clear()
+    # nilharm density charts each row once, for its columns and theta
+    charts.clear()
+    assert cli.main(["density", "--case", "V", "--n", "3", "--points", "4"]) == 0
+    assert len(charts) == 4
