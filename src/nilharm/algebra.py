@@ -56,12 +56,8 @@ class LauretAlgebra:
     dim_g, dim_v, dim_c, dim_gp : int
         Dimensions of g, V, the center c of g and of g' = [g, g].
         Coordinates on g list g' first and c last.
-    basis_names : list of str
-        Labels of the orthonormal basis of g.
     pi : ndarray, shape (dim_g, dim_v, dim_v)
         Skew matrices of the generators acting on V.
-    v_blocks : list of (str, int)
-        Irreducible block structure of V with real dimensions.
     """
 
     def __init__(self, spec: CaseSpec):
@@ -81,8 +77,6 @@ class LauretAlgebra:
         self.dim_v = self.ops.dim_v
         self.dim_c = self.ops.dim_c
         self.dim_gp = self.ops.dim_gp
-        self.basis_names = list(self.ops.names)
-        self.v_blocks = list(self.ops.v_blocks)
         self._constants = None
         flat = self.pi.reshape(self.dim_g, -1)
         self._gram_inv = np.linalg.inv(flat @ flat.T)
@@ -99,13 +93,14 @@ class LauretAlgebra:
 
     def from_chamber(self, H, Z):
         """g-coordinates of the functional with chamber data: H the tuple
-        of per-factor dominant angle arrays (None or empty without a
-        compact Cartan), Z the central coordinates (None for zero)."""
+        of per-factor angle arrays in the format that torus.theta checks
+        (None or empty without a compact Cartan), Z the central
+        coordinates (None for zero)."""
         xp = np.zeros(0)
         if self.dim_gp:
             if H is None:
                 raise ValueError("this case needs chamber angles H")
-            xp = self.ops.embed_angles(tuple(np.atleast_1d(np.asarray(a, dtype=float)) for a in H))
+            xp = self.ops.embed_angles(H)
         elif H is not None and len(H):
             raise ValueError("this case has no compact Cartan angles")
         zc = np.zeros(self.dim_c) if Z is None else np.atleast_1d(np.asarray(Z, dtype=float))

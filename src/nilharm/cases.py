@@ -1,13 +1,12 @@
 """Concrete models for the classified pairs (g, V).
 
 Each case bundles an orthonormal basis of g = g' + c (center last), the
-stack of skew matrices pi(X_i) on V, the block structure of V, bridges
-between g'-coordinates and the matrix models used by the torus module,
-weight tables for the Pfaffian where available, and a Haar sampler
-for G' that returns the stack of V-matrices pi(g), shape
-(size, dim_v, dim_v).  That stack is the only representation of G': the
-adjoint action follows from it (LauretAlgebra.ad_of), as do the orbit
-integrals and the K-samples.
+stack of skew matrices pi(X_i) on V, the block structure of V, the
+factor bases of its Cartan bridge, weight tables for the Pfaffian where
+available, and a Haar sampler for G' that returns the stack of
+V-matrices pi(g), shape (size, dim_v, dim_v).  That stack is the only
+representation of G': the adjoint action follows from it
+(LauretAlgebra.ad_of), as do the orbit integrals and the K-samples.
 
 Conventions fixed here and relied on elsewhere:
 
@@ -16,6 +15,11 @@ Conventions fixed here and relied on elsewhere:
 * Complex blocks C^m sit inside R^(2m) with interleaved coordinates
   (Re z_1, Im z_1, Re z_2, ...); quaternionic blocks use (1, i, j, k)
   components per coordinate.
+* factor_bases holds one stack per factor of the root system, in the
+  order of root_spec: the torus-module matrices of the g' basis vectors
+  that the factor spans, in coordinate order, so the stacks together
+  cover g' once.  CaseOps.to_factor_mats and from_factor_mats read only
+  these stacks.
 * The inner product on the center is normalized so that the generator
   acting as multiplication by 1j on its block has norm one.  This makes
   central characters integral (zeta(t Z0) = 1j t) and removes stray
@@ -37,7 +41,7 @@ from .numerics import (
 E1 = np.array([[1j, 0], [0, -1j]])
 E2 = np.array([[0, 1], [-1, 0]], dtype=complex)
 E3 = np.array([[0, 1j], [1j, 0]])
-SU2_MATS = (E1, E2, E3)
+SU2_MATS = np.stack([E1, E2, E3])
 SU2_QUATS = (quat.I, quat.J, quat.K)
 
 
@@ -105,25 +109,42 @@ class CaseOps:
 
     # -- torus bridges -----------------------------------------------------
     root_spec = None
+    factor_bases = ()
     _root_system = None
 
     def root_system(self):
         """The RootSystem of g', built from root_spec on first use and
         kept for the life of the model."""
         if self._root_system is None:
-            self._root_system = (torus.RootSystem(factors=(), n_abelian=self.dim_c)
-                                 if self.root_spec is None else torus.root_system(self.root_spec))
+            self._root_system = (torus.RootSystem(factors=()) if self.root_spec is None
+                                 else torus.root_system(self.root_spec))
         return self._root_system
 
     def to_factor_mats(self, xp):
-        raise NotImplementedError(f"case {self.label} has no Cartan bridge")
+        """One factor matrix per stack of factor_bases, from the
+        g'-coordinates xp."""
+        xp = np.asarray(xp, dtype=float)
+        mats, at = [], 0
+        for b in self.factor_bases:
+            # the contraction np.tensordot(xp_b, b, axes=1) makes, without
+            # its per-call overhead
+            mats.append(np.dot(xp[at:at + len(b)], b.reshape(len(b), -1)).reshape(b.shape[1:]))
+            at += len(b)
+        return mats
 
     def from_factor_mats(self, mats):
-        raise NotImplementedError(f"case {self.label} has no Cartan bridge")
+        """g'-coordinates of factor matrices: the orthogonal projection
+        Re<m, B_i> / <B_i, B_i> onto each stack, <A, B> = Re tr(A B^H)."""
+        return np.concatenate([
+            np.einsum("ab,iab->i", m, b.conj()).real / np.einsum("iab,iab->i", b, b.conj()).real
+            for m, b in zip(mats, self.factor_bases)])
 
     def embed_angles(self, angles):
-        rs = self.root_system()
-        return self.from_factor_mats(torus.chamber_matrices(rs, tuple(np.atleast_1d(a) for a in angles)))
+        """g'-coordinates of the Cartan element with the per-factor
+        angles (see torus.chamber_matrices)."""
+        if not self.factor_bases:
+            raise NotImplementedError(f"case {self.label} has no Cartan bridge")
+        return self.from_factor_mats(torus.chamber_matrices(self.root_system(), angles))
 
     def weights(self, angles, zc):
         raise NotImplementedError(f"case {self.label} has no tabulated weight data")
@@ -140,30 +161,13 @@ class CaseOps:
         return None
 
 
-def _su2_to_factor(xp):
-    xp = np.asarray(xp, dtype=float)
-    return xp[0] * E1 + xp[1] * E2 + xp[2] * E3
-
-
-def _su2_from_factor(m):
-    return np.array([m[0, 0].imag, m[0, 1].real, m[0, 1].imag])
-
-
-def _su_to_factor(xp, bstack):
-    """su(n) matrix of the coordinates xp in the basis stack bstack."""
-    return np.tensordot(np.asarray(xp, dtype=float), bstack, axes=1)
-
-
-def _su_from_factor(m, bstack):
-    return np.real(np.einsum("ab,iab->i", np.asarray(m), bstack.conj()))
-
-
 class CaseI(CaseOps):
     """su(2) acting on H^n by left quaternion multiplication."""
 
     label = "I"
     has_weights = True
     root_spec = "su(2)"
+    factor_bases = (SU2_MATS,)
 
     def __init__(self, params):
         super().__init__(params)
@@ -172,20 +176,13 @@ class CaseI(CaseOps):
             raise ValueError("case I needs n >= 1")
         self.n = n
         self.dim_c = 0
-        self.names = ["i", "j", "k"]
         self.v_blocks = [("(C^2)^n", 4 * n)]
         self.pi = np.stack(
             [block_diag(*([quat.left_mult_matrix(q)] * n)) for q in SU2_QUATS]
         )
 
-    def to_factor_mats(self, xp):
-        return [_su2_to_factor(xp)]
-
-    def from_factor_mats(self, mats):
-        return _su2_from_factor(mats[0])
-
     def weights(self, angles, zc):
-        th = float(np.atleast_1d(angles[0])[0])
+        th = float(angles[0][0])
         return [(th, 2 * self.n), (-th, 2 * self.n)]
 
     def sample_vmats(self, rng, size):
@@ -204,7 +201,6 @@ class CaseII(CaseI):
 
     label = "II"
     has_weights = False
-    root_spec = "su(2)"
 
     def __init__(self, params):
         n = int(params["n"])
@@ -213,7 +209,6 @@ class CaseII(CaseI):
         CaseOps.__init__(self, params)
         self.n = n
         self.dim_c = 0
-        self.names = ["i", "j", "k"]
         self.v_blocks = [("R^3", 3), ("(C^2)^n", 4 * n)]
         mats = []
         for u, q in zip(np.eye(3), SU2_QUATS):
@@ -238,6 +233,7 @@ class CaseIII(CaseOps):
 
     label = "III"
     root_spec = "su(2)+su(2)"
+    factor_bases = (SU2_MATS, SU2_MATS)
 
     def __init__(self, params):
         super().__init__(params)
@@ -246,7 +242,6 @@ class CaseIII(CaseOps):
             raise ValueError("case III needs k1, k2 >= 0 with k1 + k2 >= 1")
         self.k1, self.k2 = k1, k2
         self.dim_c = 0
-        self.names = ["i1", "j1", "k1", "i2", "j2", "k2"]
         self.v_blocks = [("(C^2)^k1", 4 * k1), ("R^4", 4), ("(C^2)^k2", 4 * k2)]
         mats = []
         for q in SU2_QUATS:
@@ -256,12 +251,6 @@ class CaseIII(CaseOps):
             blocks = [np.zeros((4, 4))] * k1 + [-quat.right_mult_matrix(q)] + [quat.left_mult_matrix(q)] * k2
             mats.append(block_diag(*blocks))
         self.pi = np.stack(mats)
-
-    def to_factor_mats(self, xp):
-        return [_su2_to_factor(xp[:3]), _su2_to_factor(xp[3:])]
-
-    def from_factor_mats(self, mats):
-        return np.concatenate([_su2_from_factor(mats[0]), _su2_from_factor(mats[1])])
 
     def sample_vmats(self, rng, size):
         g1 = quat.random_unit(rng, size)
@@ -285,25 +274,16 @@ class CaseIV(CaseOps):
             raise ValueError("case IV needs n >= 1")
         self.n = n
         self.dim_c = 0
-        self.qbasis = torus.sp_basis_quat(2)
-        self.names = [f"sp2_{i}" for i in range(len(self.qbasis))]
         self.v_blocks = [("(C^4)^n", 8 * n)]
+        qbasis = torus.sp_basis_quat(2)
+        self.factor_bases = (quat.qmat_to_complex(np.stack(qbasis)),)
         mats = []
-        for b in self.qbasis:
+        for b in qbasis:
             blk = np.block(
                 [[quat.left_mult_matrix(b[a, c]) for c in range(2)] for a in range(2)]
             )
             mats.append(block_diag(*([blk] * n)))
         self.pi = np.stack(mats)
-        self._qstack = np.stack(self.qbasis)
-
-    def to_factor_mats(self, xp):
-        xq = np.tensordot(np.asarray(xp, dtype=float), self._qstack, axes=1)
-        return [quat.qmat_to_complex(xq)]
-
-    def from_factor_mats(self, mats):
-        xq = quat.complex_to_qmat(np.asarray(mats[0]))
-        return np.einsum("abc,iabc->i", xq, self._qstack)
 
     def sample_vmats(self, rng, size):
         gs = haar_symplectic_quat(2, rng, size)
@@ -325,21 +305,13 @@ class CaseV(CaseOps):
             raise ValueError(f"case {self.label} needs n >= 3")
         self.n = n
         self.dim_c = 0
-        self.basis = torus.su_basis(n)
-        self._bstack = np.stack(self.basis)
-        self.names = [f"su{n}_{i}" for i in range(len(self.basis))]
         self.v_blocks = [("C^n", 2 * n)]
-        self.pi = np.stack([realify(b) for b in self.basis])
+        self.factor_bases = (np.stack(torus.su_basis(n)),)
+        self.pi = realify(self.factor_bases[0])
         self.root_spec = f"su({n})"
 
-    def to_factor_mats(self, xp):
-        return [_su_to_factor(xp, self._bstack)]
-
-    def from_factor_mats(self, mats):
-        return _su_from_factor(mats[0], self._bstack)
-
     def weights(self, angles, zc):
-        th = np.atleast_1d(angles[0])
+        th = angles[0]
         return [(float(t), 1) for t in th] + [(-float(t), 1) for t in th]
 
     def sample_vmats(self, rng, size):
@@ -360,27 +332,17 @@ class CaseVI(CaseOps):
         if n < 2:
             raise ValueError("case VI needs n >= 2")
         self.n = n
-        self.basis = torus.so_basis(n)
-        self._bstack = np.stack(self.basis) if self.basis else np.zeros((0, n, n))
-        self.names = [f"so{n}_{i}" for i in range(len(self.basis))]
         self.v_blocks = [("R^n", n)]
-        self.pi = np.stack([b for b in self.basis])
+        self.pi = np.stack(torus.so_basis(n))
         # so(2) is abelian: the whole of g is then center
         self.dim_c = 1 if n == 2 else 0
         if n % 2 == 0 and n >= 4:
             self.root_spec = f"so({n})"
+            self.factor_bases = (self.pi,)
             self.has_weights = True
         elif n == 2:
             self.root_spec = None
             self.has_weights = True
-
-    def to_factor_mats(self, xp):
-        if self.n == 2:
-            raise NotImplementedError("so(2) is central; no Cartan bridge")
-        return [np.tensordot(np.asarray(xp, dtype=float), self._bstack, axes=1)]
-
-    def from_factor_mats(self, mats):
-        return np.einsum("ab,iab->i", np.asarray(mats[0], dtype=float), self._bstack)
 
     def weights(self, angles, zc):
         if self.n % 2:
@@ -388,7 +350,7 @@ class CaseVI(CaseOps):
         if self.n == 2:
             t = float(np.atleast_1d(zc)[0]) / np.sqrt(2.0)
             return [(t, 1), (-t, 1)]
-        th = np.atleast_1d(angles[0])
+        th = angles[0]
         return [(float(t), 1) for t in th] + [(-float(t), 1) for t in th]
 
     def sample_vmats(self, rng, size):
@@ -410,7 +372,6 @@ class CaseVII(CaseOps):
             raise ValueError("case VII needs n >= 1")
         self.n = n
         self.dim_c = 1
-        self.names = ["t"]
         self.v_blocks = [("C^n", 2 * n)]
         self.pi = realify(1j * np.eye(n))[None, :, :]
 
@@ -428,6 +389,7 @@ class CaseVIII(CaseOps):
     label = "VIII"
     has_weights = True
     root_spec = "su(2)"
+    factor_bases = (SU2_MATS,)
 
     def __init__(self, params):
         super().__init__(params)
@@ -436,7 +398,6 @@ class CaseVIII(CaseOps):
             raise ValueError("case VIII needs k >= 1 and n >= 0")
         self.k, self.n = k, n
         self.dim_c = 1
-        self.names = ["i", "j", "k", "z0"]
         self.v_blocks = [("(C^2)^k", 4 * k), ("(C^2)^n", 4 * n)]
         mats = []
         for m2, q in zip(SU2_MATS, SU2_QUATS):
@@ -446,14 +407,8 @@ class CaseVIII(CaseOps):
         mats.append(central)
         self.pi = np.stack(mats)
 
-    def to_factor_mats(self, xp):
-        return [_su2_to_factor(xp)]
-
-    def from_factor_mats(self, mats):
-        return _su2_from_factor(mats[0])
-
     def weights(self, angles, zc):
-        th = float(np.atleast_1d(angles[0])[0])
+        th = float(angles[0][0])
         t = float(np.atleast_1d(zc)[0])
         out = [(th + t, self.k), (-th + t, self.k), (th - t, self.k), (-th - t, self.k)]
         if self.n:
@@ -479,11 +434,10 @@ class CaseIX(CaseV):
     def __init__(self, params):
         super().__init__(params)
         self.dim_c = 1
-        self.names.append("z0")
         self.pi = np.concatenate([self.pi, realify(1j * np.eye(self.n))[None]])
 
     def weights(self, angles, zc):
-        th = np.atleast_1d(angles[0])
+        th = angles[0]
         t = float(np.atleast_1d(zc)[0])
         return [(float(a) + t, 1) for a in th] + [(-float(a) - t, 1) for a in th]
 
@@ -505,15 +459,11 @@ class CaseX(CaseOps):
             raise ValueError("case X instance needs m >= 3, k >= 1, n >= 0")
         self.m, self.k, self.n = m, k, n
         self.dim_c = 1
-        self.su_basis = torus.su_basis(m)
-        self._bstack = np.stack(self.su_basis)
-        self.names = (
-            [f"su{m}_{i}" for i in range(len(self.su_basis))] + ["i", "j", "k", "z0"]
-        )
+        self.factor_bases = (np.stack(torus.su_basis(m)), SU2_MATS)
         self.v_blocks = [("C^m", 2 * m), ("(C^2)^k", 4 * k), ("(C^2)^n", 4 * n)]
         zero_m = np.zeros((2 * m, 2 * m))
         mats = []
-        for b in self.su_basis:
+        for b in self.factor_bases[0]:
             mats.append(block_diag(realify(b), np.zeros((4 * k + 4 * n, 4 * k + 4 * n))))
         for m2, q in zip(SU2_MATS, SU2_QUATS):
             blocks = [zero_m] + [realify(m2)] * k + [quat.left_mult_matrix(q)] * n
@@ -524,13 +474,6 @@ class CaseX(CaseOps):
         mats.append(central)
         self.pi = np.stack(mats)
         self.root_spec = f"su({m})+su(2)"
-
-    def to_factor_mats(self, xp):
-        d = len(self.su_basis)
-        return [_su_to_factor(xp[:d], self._bstack), _su2_to_factor(xp[d:])]
-
-    def from_factor_mats(self, mats):
-        return np.concatenate([_su_from_factor(mats[0], self._bstack), _su2_from_factor(mats[1])])
 
     def sample_vmats(self, rng, size):
         us = realify(haar_special_unitary(self.m, rng, size))

@@ -291,6 +291,10 @@ def _cmd_density(args):
 
 def _spherical_value(alg, idx, z, v, args):
     if alg.spec.case == "I":
+        # phi_caseI_closed takes the one degree of case I's one run
+        runs = fock.kx_blocks("I", alg.spec.params)
+        if len(idx.index) != len(runs):
+            raise ValueError(f"index {tuple(map(int, idx.index))} needs one degree per run of {runs}")
         val = sph.phi_caseI_closed(idx.lam, idx.index[0], z, v)
         return sph.SphericalValue(value=val, method="closed-form", stderr=0.0)
     if alg.spec.case == "VII":

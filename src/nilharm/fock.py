@@ -465,7 +465,7 @@ def psi_numeric(case, lam, j, t, v, weights=None):
 def symplectic_form(w, v):
     """B(w, v) = -Im <w, v> on C^n, the bracket of the Heisenberg pair
     in aligned coordinates."""
-    return -np.imag(np.sum(w * np.conj(v), axis=-1))
+    return -np.sum(np.imag(w * np.conj(v)), axis=-1)
 
 
 def twisted_convolution(f, g, lam, quad):
@@ -498,7 +498,7 @@ def twisted_convolution(f, g, lam, quad):
             vb = v[a : a + chunk]
             diff = vb[:, None, :] - w[None, :, :]
             gv = np.asarray(g(diff.reshape(-1, n)), dtype=complex).reshape(len(vb), len(w))
-            phase = np.exp(0.5j * lam * (-np.imag(w[None, :, :] * np.conj(vb[:, None, :])).sum(axis=-1)))
+            phase = np.exp(0.5j * lam * symplectic_form(w[None, :, :], vb[:, None, :]))
             out[a : a + chunk] = (fw[None, :] * gv * phase).sum(axis=1)
         return out
 

@@ -60,12 +60,13 @@ def as_rng(seed):
 
 def as_complex_vector(v, n):
     """A point of C^n from n complex numbers, 2n interleaved reals
-    (Re z_1, Im z_1, Re z_2, ...) or n reals; leading axes are kept."""
+    (Re z_1, Im z_1, Re z_2, ...) or n reals; leading axes are kept.
+    complex128 input comes back as it is, without a copy."""
     v = np.asarray(v)
     if np.iscomplexobj(v):
         if v.shape[-1] != n:
             raise ValueError(f"expected {n} complex coordinates")
-        return v.astype(complex)
+        return v.astype(complex, copy=False)
     if v.shape[-1] == 2 * n:
         # interleaved float64 pairs are the memory layout of complex128
         return np.ascontiguousarray(v, dtype=float).view(complex).copy()

@@ -34,7 +34,8 @@ import numpy as np
 
 from .algebra import LauretAlgebra, build_case
 from .forms import Functional
-from .numerics import QuadratureSpec, as_rng, laguerre, laguerre_all, leggauss, require_budget
+from .numerics import QuadratureSpec, as_rng, laguerre_all, leggauss, require_budget
+from .spherical import _v_factor
 from . import fock
 from . import torus
 
@@ -315,18 +316,6 @@ class ProjectionReport:
         return self.i == self.j and self.proportionality_residual <= tol
 
 
-def _laguerre_fn(lam, j, n):
-    alam = abs(float(lam))
-
-    def phi(w):
-        # fock.twisted_convolution hands complex (P, n) points
-        w = np.atleast_2d(w)
-        x = alam * np.sum(np.abs(w) ** 2, axis=1) / 2.0
-        return laguerre(j, n - 1.0, x) * np.exp(-x / 2.0)
-
-    return phi
-
-
 def projection_check(lam, i, j, n=1, nodes=120, points=None, seed=0):
     """Twisted-convolution behavior of the Laguerre functions
     phi_k(v) = L_k^{n-1}(lam |v|^2 / 2) e^{-lam |v|^2 / 4} on C^n.
@@ -343,7 +332,12 @@ def projection_check(lam, i, j, n=1, nodes=120, points=None, seed=0):
     jmax = max(i, j)
     half = np.sqrt((37.0 + 4.0 * jmax) / (lam / 4.0))
     spec = QuadratureSpec.cube(nodes, half, 2 * n)
-    conv = fock.twisted_convolution(_laguerre_fn(lam, i, n), _laguerre_fn(lam, j, n), lam, spec)
+
+    def phi(k):
+        # the closed VII kernel on the complex points of the convolution
+        return lambda w: _v_factor("VII", {"n": n}, (k,), lam, w, 1.0)
+
+    conv = fock.twisted_convolution(phi(i), phi(j), lam, spec)
     if points is None:
         rng = as_rng(seed)
         pts = rng.normal(scale=1.0 / np.sqrt(lam), size=(20, 2 * n))
@@ -351,7 +345,7 @@ def projection_check(lam, i, j, n=1, nodes=120, points=None, seed=0):
     else:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
     vals = np.asarray(conv(pts))
-    phij = _laguerre_fn(lam, j, n)(pts)
+    phij = phi(j)(pts)
     if i != j:
         return ProjectionReport(
             lam=lam, i=i, j=j,

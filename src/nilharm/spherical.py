@@ -117,8 +117,8 @@ def _v_factor(case, params, index, alam, v, scale):
     z = as_complex_vector(v, count)
     sq = z.real**2 + z.imag**2
     # a product with ones sums a short last axis several times faster
-    # than .sum on a stack of points
-    total = sq @ np.ones(count)
+    # than .sum on a stack of points; one coordinate needs no sum
+    total = sq[..., 0] if count == 1 else sq @ np.ones(count)
     out = 1.0
     a = 0
     for size, deg in zip(runs, degrees):

@@ -10,6 +10,11 @@ angle vector theta, and the chart g'_r ~ G'/T x C has Jacobian modulus
 over the full root set Delta (both signs).  Chamber conventions:
 su(n): theta_1 >= ... >= theta_n (sum zero); so(2m): theta_1 >= ... >=
 theta_{m-1} >= |theta_m|; sp(n): theta_1 >= ... >= theta_n >= 0.
+
+Angles have one format: a tuple with one 1-d array per factor of the
+root system, in factor order, each of the factor's angle_len (n for
+su(n) and sp(n), m for so(2m)).  theta and chamber_matrices reject any
+other shape with a ValueError.
 """
 
 from __future__ import annotations
@@ -285,19 +290,12 @@ class ChamberPoint:
     angles: tuple
     regular: bool
 
-    @property
-    def flat(self):
-        if not self.angles:
-            return np.zeros(0)
-        return np.concatenate([np.asarray(a, dtype=float) for a in self.angles])
-
 
 @dataclass(frozen=True)
 class RootSystem:
-    """Product of simple factors plus an abelian center of dim n_abelian."""
+    """Product of simple factors."""
 
     factors: tuple
-    n_abelian: int = 0
 
     @property
     def rank(self):
@@ -307,65 +305,43 @@ class RootSystem:
     def num_roots(self):
         return sum(len(f.roots) for f in self.factors)
 
-    @property
-    def dim(self):
-        return sum(f.dim for f in self.factors) + self.n_abelian
-
-    def split_angles(self, h):
-        """Accept a flat angle vector or a per-factor tuple; return tuple."""
-        if isinstance(h, (tuple, list)) and len(h) == len(self.factors) and not np.isscalar(h[0]):
-            return tuple(np.atleast_1d(np.asarray(a, dtype=float)) for a in h)
-        h = np.atleast_1d(np.asarray(h, dtype=float))
-        out = []
-        pos = 0
-        for f in self.factors:
-            out.append(h[pos: pos + f.angle_len])
-            pos += f.angle_len
-        if pos != h.size:
-            raise ValueError(f"angle vector has length {h.size}, expected {pos}")
-        return tuple(out)
 
 
-_TERM_RE = re.compile(r"^(su|so|sp|u|c)(?:\((\d+)\))?$")
+_TERM_RE = re.compile(r"^(su|so|sp)\((\d+)\)$")
+_FACTORS = {"su": SUFactor, "so": SOFactor, "sp": SpFactor}
 
 
 def root_system(spec):
-    """Build a RootSystem from a spec like "su(3)", "so(4)",
-    "su(2)+su(2)", "sp(2)" or "su(3)+su(2)+c"."""
+    """Build a RootSystem from a spec like "su(3)", "so(4)", "sp(2)" or
+    "su(3)+su(2)"."""
     factors = []
-    n_abelian = 0
     for term in str(spec).replace(" ", "").split("+"):
         m = _TERM_RE.match(term)
         if not m:
             raise ValueError(f"unrecognized factor {term!r} in {spec!r}")
-        kind, arg = m.group(1), m.group(2)
-        if kind == "c":
-            n_abelian += 1
-            continue
-        if kind == "u":
-            if arg != "1":
-                raise ValueError("only u(1) abelian factors are supported")
-            n_abelian += 1
-            continue
-        n = int(arg)
-        if kind == "su":
-            factors.append(SUFactor(n))
-        elif kind == "so":
-            factors.append(SOFactor(n))
-        else:
-            factors.append(SpFactor(n))
-    return RootSystem(factors=tuple(factors), n_abelian=n_abelian)
+        factors.append(_FACTORS[m.group(1)](int(m.group(2))))
+    return RootSystem(factors=tuple(factors))
 
 
-def theta(rs, h):
-    """|prod of all roots at the Cartan element with the given angles|.
+def _angle_groups(rs, angles):
+    """The per-factor angle arrays of rs, checked: a tuple or list with
+    one group per factor, each of the factor's angle_len."""
+    if not isinstance(angles, (tuple, list)) or len(angles) != len(rs.factors):
+        names = "+".join(f"{f.kind}({f.n})" for f in rs.factors) or "an empty root system"
+        got = len(angles) if isinstance(angles, (tuple, list)) else type(angles).__name__
+        raise ValueError(f"expected {len(rs.factors)} angle group(s), one per factor of {names}, got {got}")
+    groups = tuple(np.asarray(a, dtype=float) for a in angles)
+    for f, a in zip(rs.factors, groups):
+        if a.shape != (f.angle_len,):
+            raise ValueError(f"{f.kind}({f.n}) takes {f.angle_len} angles, got {a.size}")
+    return groups
 
-    h is a flat angle vector (factor blocks concatenated) or a tuple of
-    per-factor angle arrays.  Abelian directions contribute nothing.
-    """
-    parts = rs.split_angles(h)
+
+def theta(rs, angles):
+    """|prod of all roots at the Cartan element with the given
+    per-factor angles|; 1 when rs has no factors."""
     out = 1.0
-    for f, a in zip(rs.factors, parts):
+    for f, a in zip(rs.factors, _angle_groups(rs, angles)):
         out *= f.theta(a)
     return out
 
@@ -388,14 +364,12 @@ def to_chamber(rs, x):
     return gs, ChamberPoint(angles=tuple(angs), regular=regular)
 
 
-def chamber_matrices(rs, point_or_angles):
-    """Cartan matrices for a ChamberPoint or raw angles."""
-    angles = point_or_angles.angles if isinstance(point_or_angles, ChamberPoint) else None
-    parts = angles if angles is not None else rs.split_angles(point_or_angles)
-    return [f.h_matrix(a) for f, a in zip(rs.factors, parts)]
+def chamber_matrices(rs, angles):
+    """Cartan matrices of the per-factor angles."""
+    return [f.h_matrix(a) for f, a in zip(rs.factors, _angle_groups(rs, angles))]
 
 
 def reconstruct(rs, gs, point):
     """Ad(gs) applied to the chamber point, factor by factor."""
-    hs = chamber_matrices(rs, point)
+    hs = chamber_matrices(rs, point.angles)
     return [f.conjugate(g, h) for f, g, h in zip(rs.factors, gs, hs)]

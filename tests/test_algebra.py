@@ -28,6 +28,14 @@ ALL_CASES = [
     ("X", {"m": 3, "k": 1, "n": 0}),
 ]
 
+# every case whose g' has a Cartan chamber, VI at even n >= 4
+CHAMBERED = [
+    ("I", {"n": 2}), ("II", {"n": 1}), ("III", {"k1": 1, "k2": 1}), ("IV", {"n": 1}),
+    ("V", {"n": 3}), ("VI", {"n": 4}), ("VIII", {"k": 1, "n": 1}), ("IX", {"n": 3}),
+    ("X", {"m": 3, "k": 1, "n": 0}),
+]
+CHAMBERED_IDS = [c + "".join(str(v) for v in p.values()) for c, p in CHAMBERED]
+
 EXPECTED_DIMS = {
     # case -> (dim_g, dim_v) for the parameters above
     ("I", 2): (3, 8),
@@ -259,3 +267,28 @@ def test_block_diag_matches_scipy(kind):
     assert np.array_equal(got, want)
     for part in (np.real, np.imag):
         assert np.array_equal(np.signbit(part(got)), np.signbit(part(want)))
+
+
+@pytest.mark.parametrize("case,params", CHAMBERED, ids=CHAMBERED_IDS)
+def test_factor_bases_carry_the_bracket_of_g_prime(case, params):
+    # [B(e_a), B(e_b)] = B(sum_c f_abc e_c) in every factor: the stacks
+    # cover g' once, in coordinate order, as a Lie homomorphism
+    alg = build_case(case, **params)
+    d = alg.dim_gp
+    assert sum(len(stack) for stack in alg.ops.factor_bases) == d
+    f = alg.structure_constants[:d, :d, :d]
+    mats = [alg.ops.to_factor_mats(e) for e in np.eye(d)]
+    worst = 0.0
+    for a in range(d):
+        for b in range(d):
+            for ma, mb, mc in zip(mats[a], mats[b], alg.ops.to_factor_mats(f[a, b])):
+                worst = max(worst, float(np.max(np.abs(ma @ mb - mb @ ma - mc))))
+    assert worst < 1e-13
+
+
+@pytest.mark.parametrize("case,params", CHAMBERED, ids=CHAMBERED_IDS)
+def test_from_factor_mats_inverts_to_factor_mats(case, params):
+    alg = build_case(case, **params)
+    for xp in as_rng(20).standard_normal((10, alg.dim_gp)):
+        back = alg.ops.from_factor_mats(alg.ops.to_factor_mats(xp))
+        assert np.max(np.abs(back - xp)) <= 1e-14 * np.max(np.abs(xp))

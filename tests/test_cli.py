@@ -191,9 +191,15 @@ def test_spherical_single_mc_sample_exits_2(capsys):
     ["spherical", "--case", "VII", "--n", "1", "--j", "-1"],
     ["invert", "--case", "VII", "--n", "1", "--grid", "0"],
     ["invert", "--case", "VII", "--n", "1", "--j", "-1"],
+    ["spherical", "--case", "I", "--n", "1", "--index", "1,2", "--points", "3"],
+    ["density", "--case", "IV", "--n", "1", "--H", "1"],
+    ["density", "--case", "I", "--n", "1", "--H", "1,-1,0"],
+    ["density", "--case", "VI", "--n", "4", "--H", "1,0.5,0.2"],
+    ["density", "--case", "V", "--n", "3", "--H", "1,0,-1;2"],
 ], ids=["density-points-0", "density-points-negative", "spherical-points-0",
         "spherical-zero-lambda", "mc-samples-1", "short-index", "spherical-j-negative",
-        "grid-0", "invert-j-negative"])
+        "grid-0", "invert-j-negative", "caseI-long-index", "H-missing-angle",
+        "H-surplus-angle", "H-surplus-so-angle", "H-surplus-group"])
 def test_bad_input_is_an_error_line_and_exit_2(capsys, argv):
     # main returns 2 instead of raising, so no traceback reaches the user
     assert cli.main(argv) == 2

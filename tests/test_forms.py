@@ -191,6 +191,39 @@ def _sweep_points(alg, rng):
     return xs
 
 
+# the families whose g' has a Cartan chamber: all but VII, VI(2) and odd VI
+CHAMBERED = [(f, i) for f, i in zip(FAMILIES, FAMILY_IDS) if i not in ("VI2", "VI3", "VI5", "VII1", "VII3")]
+
+
+@pytest.mark.parametrize("case,params", [f for f, _ in CHAMBERED], ids=[i for _, i in CHAMBERED])
+def test_from_chamber_inverts_the_chart(case, params):
+    # the functional y rebuilt from the chart of x has the chart, the
+    # verdict, |Pf| and density of x: random, basis, zero and boundary
+    # (non-regular) chamber points, each at scales 1, 1e-6 and 1e6
+    alg = build_case(case, **params)
+    num_roots = alg.root_system().num_roots
+    for x0 in _sweep_points(alg, as_rng(15)):
+        for x in (x0, 1e-6 * x0, 1e6 * x0):
+            fx = Functional(alg, x)
+            ax, zx, rx = fx.chamber
+            fy = Functional(alg, alg.from_chamber(ax, zx))
+            ay, zy, ry = fy.chamber
+            assert ry == rx and np.array_equal(zy, zx)
+            for a, b in zip(ax, ay):
+                assert np.max(np.abs(b - a)) <= 1e-13 * fx.norm
+            vx, vy = classify(alg, fx.x), classify(alg, fy.x)
+            assert (vy.square_integrable, vy.kernel_dim) == (vx.square_integrable, vx.kernel_dim)
+            # a degenerate |Pf| and theta off the regular set are a
+            # vanishing factor times rounding, so they are compared with
+            # the size of their other factors, (2 |x|)^(dim_v / 2) and
+            # (2 |x|)^#roots
+            pf_size = vx.pfaffian if vx.square_integrable else (2.0 * fx.norm) ** (alg.dim_v / 2)
+            assert abs(vy.pfaffian - vx.pfaffian) <= 1e-12 * pf_size
+            dx, dy = density_of(alg, fx).value, density_of(alg, fy).value
+            size = dx if rx and vx.square_integrable else pf_size * (2.0 * fx.norm) ** num_roots
+            assert abs(dy - dx) <= 1e-12 * size
+
+
 def _svd_nullity(m, tol=1e-10):
     s = np.linalg.svd(m, compute_uv=False)
     return int(np.sum(s <= tol * s[0]))

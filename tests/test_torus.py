@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from nilharm import torus
-from nilharm.numerics import as_rng
+from nilharm.numerics import as_rng, haar_special_unitary
 from _oracles import chamber_jacobian_fd, schur_chamber_angles
 
 
@@ -27,11 +27,14 @@ def test_bases_orthogonal_antihermitian(name, maker, dim, scale):
 
 
 def test_root_system_parsing():
-    rs = torus.root_system("su(3)+so(4)+c")
+    rs = torus.root_system("su(3)+so(4)")
     assert len(rs.factors) == 2
-    assert rs.n_abelian == 1
     assert rs.rank == 2 + 2
     assert rs.num_roots == 6 + 4
+    # no model carries an abelian term, so the spec has none
+    for spec in ("su(3)+c", "u(1)", "su3"):
+        with pytest.raises(ValueError):
+            torus.root_system(spec)
 
 
 def test_su_angle_roundtrip():
@@ -126,13 +129,13 @@ def test_to_chamber_sp():
 def test_theta_values():
     rs = torus.root_system("su(2)")
     # roots +-(a1 - a2): theta(a, -a) = (2a)^2
-    assert abs(torus.theta(rs, np.array([0.7, -0.7])) - 1.96) < 1e-12
+    assert abs(torus.theta(rs, (np.array([0.7, -0.7]),)) - 1.96) < 1e-12
     rs4 = torus.root_system("so(4)")
     a = np.array([1.5, 0.5])
-    assert abs(torus.theta(rs4, a) - (1.5**2 - 0.5**2) ** 2) < 1e-12
-    # abelian-only systems have no roots
-    rs0 = torus.RootSystem(factors=(), n_abelian=2)
-    assert torus.theta(rs0, np.zeros(0)) == 1.0
+    assert abs(torus.theta(rs4, (a,)) - (1.5**2 - 0.5**2) ** 2) < 1e-12
+    # a system without factors has no roots
+    rs0 = torus.RootSystem(factors=())
+    assert torus.theta(rs0, ()) == 1.0
 
 
 def test_theta_conjugation_invariant():
@@ -142,13 +145,9 @@ def test_theta_conjugation_invariant():
     f = rs.factors[0]
     x = f.random_element(rng)
     _, point = torus.to_chamber(rs, (x,))
-    g = torus.haar_for_factor(f, rng) if hasattr(torus, "haar_for_factor") else None
-    if g is None:
-        from nilharm.numerics import haar_special_unitary
-
-        g = haar_special_unitary(3, rng)
+    g = haar_special_unitary(3, rng)
     _, point2 = torus.to_chamber(rs, (f.conjugate(g, x),))
-    assert np.allclose(point.flat, point2.flat, atol=1e-10)
+    assert np.allclose(point.angles[0], point2.angles[0], atol=1e-10)
 
 
 @pytest.mark.parametrize("spec", ["su(2)", "su(3)", "so(4)"])
@@ -176,6 +175,18 @@ def test_regularity_detection():
     assert not f.is_regular(np.array([0.5, 0.5, -1.0]))
 
 
-def test_chamber_point_flat():
-    p = torus.ChamberPoint(angles=(np.array([1.0, -1.0]), np.array([0.5])), regular=True)
-    assert np.allclose(p.flat, [1.0, -1.0, 0.5])
+def test_angle_groups_are_checked():
+    # one array per factor, each of the factor's angle_len; theta and
+    # chamber_matrices share the check
+    rs = torus.root_system("su(3)+su(2)")
+    good = (np.array([1.0, 0.5, -1.5]), np.array([0.3, -0.3]))
+    assert torus.theta(rs, good) == torus.theta(rs, [list(a) for a in good]) > 0
+    assert len(torus.chamber_matrices(rs, good)) == 2
+    for bad in (np.concatenate(good), good[:1], good + (np.zeros(1),),
+                (good[0], np.array([0.3, -0.3, 0.0])), (good[0][:2], good[1]),
+                (good[0], 0.3), (good[0], good[1][None])):
+        for fn in (torus.theta, torus.chamber_matrices):
+            with pytest.raises(ValueError):
+                fn(rs, bad)
+    with pytest.raises(ValueError):
+        torus.theta(torus.RootSystem(factors=()), (np.zeros(1),))
