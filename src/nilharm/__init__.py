@@ -39,7 +39,7 @@ from .numerics import (
     sphere_character,
 )
 from .torus import RootSystem, root_system, theta, to_chamber
-from .fock import psi_numeric, twisted_convolution
+from .fock import psi_numeric
 from .spherical import (
     SphericalIndex,
     SphericalValue,
@@ -87,7 +87,6 @@ __all__ = [
     "theta",
     "to_chamber",
     "psi_numeric",
-    "twisted_convolution",
     "SphericalIndex",
     "SphericalValue",
     "canonical_polynomials",

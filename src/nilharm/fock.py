@@ -38,7 +38,7 @@ from typing import Optional
 
 import numpy as np
 
-from .numerics import as_complex_vector, laguerre, laguerre_all, node_budget, require_budget
+from .numerics import as_complex_vector, laguerre, laguerre_all, require_budget
 
 
 def monomials_of_degree(nvars, degree):
@@ -456,50 +456,3 @@ def psi_numeric(case, lam, j, t, v, weights=None):
     total = np.sum(np.prod(lag[mons, np.arange(nvars)], axis=1)) * np.exp(-0.5 * np.sum(x))
     phase = np.exp(1j * lam * float(t))
     return complex(phase * total)
-
-
-# ---------------------------------------------------------------------------
-# twisted convolution
-# ---------------------------------------------------------------------------
-
-def symplectic_form(w, v):
-    """B(w, v) = -Im <w, v> on C^n, the bracket of the Heisenberg pair
-    in aligned coordinates."""
-    return -np.sum(np.imag(w * np.conj(v)), axis=-1)
-
-
-def twisted_convolution(f, g, lam, quad):
-    """lam-twisted convolution on C^n.
-
-    Parameters
-    ----------
-    f, g : callables
-        Vectorized on complex points of shape (P, n).
-    lam : float
-    quad : QuadratureSpec
-        Rule over R^(2n) (interleaved real coordinates) for the w
-        integral.
-
-    Returns
-    -------
-    callable evaluating (f x_lam g)(v) = int f(w) g(v - w)
-    e^{(i lam / 2) B(w, v)} dw on complex points (P, n).
-    """
-    pts, wts = quad.grid()
-    n = pts.shape[1] // 2
-    w = as_complex_vector(pts, n)
-    fw = np.asarray(f(w), dtype=complex) * wts
-
-    def convolved(v):
-        v = np.atleast_2d(as_complex_vector(np.asarray(v), n))
-        out = np.empty(len(v), dtype=complex)
-        chunk = max(1, int(node_budget() // max(1, len(w))))
-        for a in range(0, len(v), chunk):
-            vb = v[a : a + chunk]
-            diff = vb[:, None, :] - w[None, :, :]
-            gv = np.asarray(g(diff.reshape(-1, n)), dtype=complex).reshape(len(vb), len(w))
-            phase = np.exp(0.5j * lam * symplectic_form(w[None, :, :], vb[:, None, :]))
-            out[a : a + chunk] = (fw[None, :] * gv * phase).sum(axis=1)
-        return out
-
-    return convolved

@@ -70,7 +70,8 @@ def classify(alg: LauretAlgebra, x, tol=_RANK_TOL) -> SquareIntegrability:
     singular values are the moduli |mu| of that spectrum: the kernel
     dimension is the numerical nullity (|mu| at most tol times the
     largest one, all of V when B_x = 0), and |Pf| is the product of the
-    upper half.
+    upper half, exactly 0 when the kernel is nonzero (rounding would
+    otherwise leave a product of tiny eigenvalues).
     """
     ev = np.linalg.eigvalsh(1j * skew_form(alg, x))
     mod = np.abs(ev)
@@ -78,7 +79,7 @@ def classify(alg: LauretAlgebra, x, tol=_RANK_TOL) -> SquareIntegrability:
     return SquareIntegrability(
         square_integrable=(kernel == 0 and alg.dim_v > 0),
         kernel_dim=kernel,
-        pfaffian=_pfaffian_of(ev),
+        pfaffian=_pfaffian_of(ev) if kernel == 0 else 0.0,
     )
 
 
@@ -140,8 +141,12 @@ def weight_table(alg: LauretAlgebra, x):
 def pfaffian_via_weights(alg: LauretAlgebra, x):
     """|Pf(B_x)| as the product of |value|^(mult/2) over the weight
     table; agrees with pfaffian_abs(skew_form(alg, x)) on the tabulated
-    cases."""
+    cases.  Exactly 0 when a weight vanishes to rounding (|value| at
+    most the classify tolerance times the largest), as in classify."""
     table = weight_table(alg, x)
+    mods = [abs(value) for value, _ in table]
+    if any(m <= _RANK_TOL * max(mods) for m in mods):
+        return 0.0
     out = 1.0
     for value, mult in table:
         out *= abs(value) ** (mult / 2.0)

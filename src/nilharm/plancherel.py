@@ -9,13 +9,10 @@ matrix-coefficient (spherical-trace) convolutions:
   * heisenberg_inversion_check works on the 3-dimensional Heisenberg
     group, integrating the frequency line by Gauss-Legendre nodes and
     evaluating the v-side twisted convolutions by a 2-d tensor rule.  The
-    Laguerre addition theorem L_j^(0)(x + y) = sum_{i <= j} L_i^(-1/2)(x)
-    L_{j-i}^(-1/2)(y) splits the whole integrand over the two axes, so
-    each slice is a Cauchy product of two 1-d sums on one cached rule
-    and nothing is built on the 2-d grid.  The raw truncated
-    values reproduce to about 1e-15 relative across rounding changes;
-    the tail-completed ones only to about 1e-7, because the Wynn epsilon
-    step divides by differences of partial sums;
+    raw truncated values reproduce to about 1e-15 relative across
+    rounding changes; the tail-completed ones only to about 1e-7,
+    because the Wynn epsilon step divides by differences of partial
+    sums;
   * general_inversion_probe works on the case I group at the identity,
     with the Gaussian z- and v-integrals carried out exactly per Haar
     sample of the orbit average (Fubini), so the only stochastic error
@@ -23,6 +20,15 @@ matrix-coefficient (spherical-trace) convolutions:
 
 Both fit the single unknown normalization constant once, globally, and
 report per-probe relative errors against the known input function.
+
+The Heisenberg slices and projection_check, the twisted-convolution
+projection identities of the Laguerre functions on C^1, share one
+integral: a Laguerre-Gaussian twisted against the Laguerre functions of
+frequency lam (_twisted_laguerre).  The Laguerre addition theorem
+L_j^(0)(x + y) = sum_{i <= j} L_i^(-1/2)(x) L_{j-i}^(-1/2)(y), applied
+to both Laguerre factors, splits the whole integrand over the two real
+axes, so each integral is a Cauchy product of two per-axis tables of
+1-d sums on one cached rule and nothing is built on the 2-d grid.
 """
 
 from __future__ import annotations
@@ -154,41 +160,60 @@ _DEFAULT_PROBES = (
 )
 
 
-def _laguerre_slices(lam, b, probes, J, vnodes):
-    """Measured twisted-convolution slices I_j(v_p) for the Gaussian
-    e^{-b |w|^2} against the Laguerre functions of frequency lam,
+def _twisted_laguerre(lam, i, beta, vs, J, nodes, half):
+    """The integrals
 
-        I_j(v) = int e^{-b|w|^2} L_j(lam |v-w|^2 / 2)
-                 e^{-lam |v-w|^2 / 4} e^{-i lam [w, v] / 2} dw,
+        I_j(v) = int L_i(lam |w|^2 / 2) e^{-beta |w|^2}
+                 L_j(lam |v-w|^2 / 2) e^{-lam |v-w|^2 / 4}
+                 e^{-i lam (w_0 v_1 - w_1 v_0) / 2} dw,   j <= J,
 
-    with [w, v] the Heisenberg bracket Im<w, v>.  Returns (J+1, P).
+    on C^1 = R^2 at the real points vs (P, 2), with L_k = L_k^(0);
+    returns (J+1, P).  The phase is e^{-i lam [w, v] / 2}, with [w, v]
+    the Heisenberg bracket Im<w, v>.
 
-    The integral runs over a vnodes x vnodes Gauss-Legendre tensor rule,
-    but nothing is built on the 2-d grid.  The argument is x0 + x1 with
-    xk = lam (v_k - w_k)^2 / 2, and the Laguerre addition theorem
+    The integral runs over a nodes x nodes Gauss-Legendre tensor rule
+    on [-half, half]^2, but nothing is built on the 2-d grid.  Each
+    Laguerre argument is a sum x0 + x1 of one term per axis, and the
+    addition theorem
 
-        L_j^(0)(x0 + x1) = sum_{i <= j} L_i^(-1/2)(x0) L_{j-i}^(-1/2)(x1)
+        L_n^(0)(x0 + x1) = sum_{a <= n} L_a^(-1/2)(x0) L_{n-a}^(-1/2)(x1)
 
-    holds because the generating functions sum_j L_j^(a)(x) t^j =
+    holds because the generating functions sum_n L_n^(a)(x) t^n =
     (1-t)^{-a-1} e^{-xt/(1-t)} at a = -1/2 multiply to the one at a = 0.
-    The other factors, e^{-b|w|^2} dw, e^{-lam |v-w|^2 / 4} and the phase
-    e^{-i lam (w_0 v_1 - w_1 v_0) / 2}, split over the axes as f0 (x) f1.
-    So I_j = sum_i a_i c_{j-i} with a_i = sum_n L_i^(-1/2)(x0_n) f0_n and
-    c_k the same on axis 1, all from one laguerre_all table over both
-    axes and every probe; this agrees with a full-grid evaluation to
-    rounding (about 1e-15 of the slices' size).
+    The Gaussians, the phase and dw split over the axes as f0 (x) f1, so
+    with the per-axis tables
+
+        A_k[a, c] = sum_n L_a^(-1/2)(lam w_n^2 / 2)
+                    L_c^(-1/2)(lam (v_k - w_n)^2 / 2) fk_n
+
+    the integral is the Cauchy product I_j = sum_{a <= i} sum_{c <= j}
+    A_0[a, c] A_1[i-a, j-c].  It agrees with a full-grid evaluation to
+    rounding (about 1e-15 of the integrals' size).
     """
-    vs = np.array([v for _, v in probes], dtype=float)
-    half = np.max(np.linalg.norm(vs, axis=1)) + np.sqrt((37.0 + 2.0 * J) / (b + lam / 4.0))
-    spec = QuadratureSpec.cube(vnodes, half, 2)
+    spec = QuadratureSpec.cube(nodes, half, 2)
     spec.check_budget()
     w, wgt = spec.axis_rule(half)
-    # (P, 2, vnodes): per probe and axis k, fk on the 1-d rule
+    # (P, 2, nodes): per point and axis k, fk on the 1-d rule
     d = (vs[:, :, None] - w) ** 2
     turn = np.stack([-vs[:, 1], vs[:, 0]], axis=1)[:, :, None]
-    f = np.exp(-b * w**2 - lam * d / 4.0 + 0.5j * lam * turn * w) * wgt
-    sums = np.einsum("jpkn,pkn->jpk", laguerre_all(J, -0.5, lam * d / 2.0), f)
-    return np.stack([np.convolve(a, c)[: J + 1] for a, c in sums.transpose(1, 2, 0)], axis=1)
+    f = np.exp(-beta * w**2 - lam * d / 4.0 + 0.5j * lam * turn * w) * wgt
+    lv = laguerre_all(J, -0.5, lam * d / 2.0)
+    # (i+1, J+1, P, 2): the tables A_k[a, c] per point
+    sums = np.stack([np.einsum("cpkn,pkn->cpk", lv, la * f)
+                     for la in laguerre_all(i, -0.5, lam * w**2 / 2.0)])
+    return sum(np.stack([np.convolve(a0, a1)[: J + 1]
+                         for a0, a1 in zip(sums[a, :, :, 0].T, sums[i - a, :, :, 1].T)], axis=1)
+               for a in range(i + 1))
+
+
+def _laguerre_slices(lam, b, probes, J, vnodes):
+    """Measured twisted-convolution slices I_j(v_p) for the Gaussian
+    e^{-b |w|^2} against the Laguerre functions of frequency lam: the
+    integrals of _twisted_laguerre at i = 0 on the probes' v-points.
+    Returns (J+1, P)."""
+    vs = np.array([v for _, v in probes], dtype=float)
+    half = np.max(np.linalg.norm(vs, axis=1)) + np.sqrt((37.0 + 2.0 * J) / (b + lam / 4.0))
+    return _twisted_laguerre(lam, 0, b, vs, J, vnodes, half)
 
 
 def _wynn_limit(partial, scale):
@@ -316,12 +341,22 @@ class ProjectionReport:
         return self.i == self.j and self.proportionality_residual <= tol
 
 
-def projection_check(lam, i, j, n=1, nodes=120, points=None, seed=0):
+def projection_check(lam, i, j, nodes=120, points=None, seed=0):
     """Twisted-convolution behavior of the Laguerre functions
-    phi_k(v) = L_k^{n-1}(lam |v|^2 / 2) e^{-lam |v|^2 / 4} on C^n.
+    phi_k(v) = L_k^(0)(lam |v|^2 / 2) e^{-lam |v|^2 / 4} on C^1.
+
+    The convolution
+
+        (phi_i x_lam phi_j)(v) = int phi_i(w) phi_j(v - w)
+                                 e^{i lam (w_0 v_1 - w_1 v_0) / 2} dw
+
+    is the integral of _twisted_laguerre at beta = lam / 4 and the
+    reflected point (v_0, -v_1), which flips the sign of its phase (the
+    phi_k are radial); the addition theorem splits both Laguerre
+    factors over the two real axes, so it runs on one 1-d rule per axis.
 
     For i != j the convolution vanishes; for i = j it reproduces phi_j
-    times a constant c' independent of j that scales like lam^{-n}.
+    times a constant c' independent of j that scales like lam^{-1}.
     The constant is measured at v = 0 and the proportionality residual
     is the worst deviation at the sample points, relative to phi_j's
     peak value.
@@ -331,21 +366,17 @@ def projection_check(lam, i, j, n=1, nodes=120, points=None, seed=0):
         raise ValueError("lam must be positive")
     jmax = max(i, j)
     half = np.sqrt((37.0 + 4.0 * jmax) / (lam / 4.0))
-    spec = QuadratureSpec.cube(nodes, half, 2 * n)
-
-    def phi(k):
-        # the closed VII kernel on the complex points of the convolution
-        return lambda w: _v_factor("VII", {"n": n}, (k,), lam, w, 1.0)
-
-    conv = fock.twisted_convolution(phi(i), phi(j), lam, spec)
     if points is None:
         rng = as_rng(seed)
-        pts = rng.normal(scale=1.0 / np.sqrt(lam), size=(20, 2 * n))
+        pts = rng.normal(scale=1.0 / np.sqrt(lam), size=(20, 2))
         pts[0] = 0.0
     else:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-    vals = np.asarray(conv(pts))
-    phij = phi(j)(pts)
+        if pts.ndim != 2 or pts.shape[1] != 2:
+            raise ValueError("points must be real (P, 2) coordinates of C^1")
+    vals = _twisted_laguerre(lam, i, lam / 4.0, pts * [1.0, -1.0], j, nodes, half)[j]
+    # the closed VII kernel at the points
+    phij = _v_factor("VII", {"n": 1}, (j,), lam, pts, 1.0)
     if i != j:
         return ProjectionReport(
             lam=lam, i=i, j=j,

@@ -96,18 +96,6 @@ def to_su2(g):
     return np.stack(rows, axis=-2)
 
 
-def qmat_mul(a, b):
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    prod = qmul(a[..., :, :, None, :], b[..., None, :, :, :])
-    return prod.sum(axis=-3)
-
-
-def qmat_dagger(m):
-    """Conjugate transpose of a quaternionic matrix."""
-    return np.swapaxes(qconj(m), -2, -3)
-
-
 def qmat_to_complex(m):
     """Quaternionic (p, n, 4) matrix -> complex (2p, 2n) matrix.
 
@@ -121,18 +109,3 @@ def qmat_to_complex(m):
     top = np.concatenate([A, -B], axis=-1)
     bottom = np.concatenate([np.conj(B), np.conj(A)], axis=-1)
     return np.concatenate([top, bottom], axis=-2)
-
-
-def complex_to_qmat(c):
-    """Inverse of qmat_to_complex (c must have the symplectic block form)."""
-    c = np.asarray(c)
-    p2, n2 = c.shape
-    p, n = p2 // 2, n2 // 2
-    A = c[:p, :n]
-    B = -c[:p, n:]
-    out = np.empty((p, n, 4))
-    out[..., 0] = A.real
-    out[..., 1] = A.imag
-    out[..., 2] = B.real
-    out[..., 3] = B.imag
-    return out

@@ -10,7 +10,12 @@ the closed Laguerre form instead.  The canonical invariant polynomials
 here come from classical Gram-Schmidt of the generator monomials against
 their moments, exact or by Gauss-Laguerre quadrature, and from the
 Laguerre coefficient formula in exact rationals; the library builds the
-closed-form products from a ratio recurrence instead.
+closed-form products from a ratio recurrence instead.  The twisted
+convolution here is the generic sum over a full 2n-dimensional tensor
+grid; the library splits its Laguerre integrals over the real axes by
+the addition theorem instead.  The quaternionic matrix product, adjoint
+and complex-to-quaternionic map here check the library's quaternionic
+Haar samples and its quaternionic-to-complex map.
 """
 
 import itertools
@@ -21,6 +26,9 @@ from math import comb, factorial
 import numpy as np
 from scipy.linalg import expm, null_space, schur
 from scipy.special import roots_genlaguerre
+
+from nilharm.numerics import as_complex_vector, node_budget
+from nilharm.quat import qconj, qmul
 
 
 def _coords_fn(basis):
@@ -206,3 +214,62 @@ def laguerre_product_coefficient(leading, expo, alphas, lam):
             return Fraction(0)
         out *= (-half) ** k * Fraction(comb(a + alpha, a - k), factorial(k) * comb(a + alpha, a))
     return out
+
+
+def symplectic_form(w, v):
+    """B(w, v) = -Im <w, v> on C^n, the bracket of the Heisenberg pair
+    in aligned coordinates."""
+    return -np.sum(np.imag(w * np.conj(v)), axis=-1)
+
+
+def twisted_convolution(f, g, lam, quad):
+    """lam-twisted convolution on C^n.
+
+    f and g are vectorized on complex points of shape (P, n); quad is a
+    QuadratureSpec over R^(2n) (interleaved real coordinates) for the w
+    integral.  Returns a callable evaluating
+
+        (f x_lam g)(v) = int f(w) g(v - w) e^{(i lam / 2) B(w, v)} dw
+
+    on complex points (P, n), in chunks under NILHARM_BUDGET.
+    """
+    pts, wts = quad.grid()
+    n = pts.shape[1] // 2
+    w = as_complex_vector(pts, n)
+    fw = np.asarray(f(w), dtype=complex) * wts
+
+    def convolved(v):
+        v = np.atleast_2d(as_complex_vector(np.asarray(v), n))
+        out = np.empty(len(v), dtype=complex)
+        chunk = max(1, int(node_budget() // max(1, len(w))))
+        for a in range(0, len(v), chunk):
+            vb = v[a : a + chunk]
+            diff = vb[:, None, :] - w[None, :, :]
+            gv = np.asarray(g(diff.reshape(-1, n)), dtype=complex).reshape(len(vb), len(w))
+            phase = np.exp(0.5j * lam * symplectic_form(w[None, :, :], vb[:, None, :]))
+            out[a : a + chunk] = (fw[None, :] * gv * phase).sum(axis=1)
+        return out
+
+    return convolved
+
+
+def qmat_mul(a, b):
+    """Product of quaternionic matrices (..., p, m, 4) and (..., m, n, 4)."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    return qmul(a[..., :, :, None, :], b[..., None, :, :, :]).sum(axis=-3)
+
+
+def qmat_dagger(m):
+    """Conjugate transpose of a quaternionic matrix."""
+    return np.swapaxes(qconj(m), -2, -3)
+
+
+def complex_to_qmat(c):
+    """Inverse of quat.qmat_to_complex (c must have the symplectic block
+    form)."""
+    c = np.asarray(c)
+    p, n = c.shape[0] // 2, c.shape[1] // 2
+    A = c[:p, :n]
+    B = -c[:p, n:]
+    return np.stack([A.real, A.imag, B.real, B.imag], axis=-1)

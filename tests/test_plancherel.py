@@ -3,19 +3,20 @@ and twisted-convolution projections."""
 
 import numpy as np
 import pytest
+from _oracles import twisted_convolution
+from scipy.special import eval_laguerre
 
 from nilharm import (
     build_case,
     density,
     density_of,
-    fock,
     general_inversion_probe,
     group_convolution,
     heisenberg_inversion_check,
     projection_check,
 )
 from nilharm.numerics import BudgetError, QuadratureSpec, as_rng, laguerre, laguerre_all
-from nilharm.plancherel import _laguerre_slices, _wynn_limit
+from nilharm.plancherel import _laguerre_slices, _twisted_laguerre, _wynn_limit
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +202,7 @@ def test_laguerre_slices_are_twisted_convolutions():
             x = lam * np.sum(np.abs(w) ** 2, axis=1) / 2.0
             return laguerre(j, 0.0, x) * np.exp(-x / 2.0)
 
-        conv = fock.twisted_convolution(fg, phij, -lam, spec)
+        conv = twisted_convolution(fg, phij, -lam, spec)
         got = conv(np.array([[v[0] + 1j * v[1]]]))[0]
         assert abs(got - S[j, 0]) < 1e-12
 
@@ -305,6 +306,67 @@ def test_projection_diagonal_reproduces():
     assert abs(r00.cprime / r2.cprime - 2.0) < 1e-10
     with pytest.raises(ValueError):
         projection_check(-1.0, 0, 0)
+
+
+def test_projection_rejects_points_off_c1():
+    with pytest.raises(ValueError):
+        projection_check(1.1, 0, 0, points=np.zeros((3, 4)))
+
+
+def _phi(lam, k):
+    # the Laguerre function of frequency lam on complex points (P, 1)
+    def phi(w):
+        x = lam * np.abs(w[:, 0]) ** 2 / 2.0
+        return eval_laguerre(k, x) * np.exp(-x / 2.0)
+    return phi
+
+
+@pytest.mark.parametrize("lam", [0.3, 1.1, 2.2, 5.0])
+def test_projection_matches_twisted_convolution_oracle(lam):
+    # the separable projection_check against the generic 2-d twisted
+    # convolution on the same 120^2 rule, on its 20 seeded points and
+    # on explicit ones
+    seeded = as_rng(0).normal(scale=1.0 / np.sqrt(lam), size=(20, 2))
+    seeded[0] = 0.0
+    explicit = np.array([[0.0, 0.0], [0.4, -0.3], [1.2, 0.5], [-0.7, 0.9], [2.0, -1.5]])
+    for i in range(4):
+        for j in range(4):
+            half = np.sqrt((37.0 + 4.0 * max(i, j)) / (lam / 4.0))
+            conv = twisted_convolution(_phi(lam, i), _phi(lam, j), lam,
+                                       QuadratureSpec.cube(120, half, 2))
+            for pts, kw in ((seeded, {}), (explicit, {"points": explicit})):
+                rep = projection_check(lam, i, j, **kw)
+                z = pts[:, :1] + 1j * pts[:, 1:]
+                ref = conv(z)
+                tol = 1e-13 * max(1.0, np.max(np.abs(ref)))
+                if i != j:
+                    assert abs(rep.cross_max - np.max(np.abs(ref))) <= tol, (i, j)
+                    continue
+                phij = _phi(lam, j)(z)
+                cref = np.real(ref[0]) / phij[0]
+                assert abs(rep.cprime - cref) * phij[0] <= tol, j
+                resid = np.max(np.abs(ref - cref * phij)) / np.max(np.abs(phij))
+                assert abs(rep.proportionality_residual - resid) * np.max(np.abs(phij)) <= tol, j
+
+
+def test_twisted_laguerre_matches_twisted_convolution_oracle():
+    # a Laguerre-Gaussian whose width is not the one of phi_i, so the
+    # integral is no projection, against the 2-d oracle at frequency
+    # -lam (the phase of _twisted_laguerre)
+    lam, beta, J, nodes, half = 1.7, 0.9, 4, 100, 9.0
+    vs = np.array([[0.0, 0.0], [0.5, -0.2], [-1.1, 0.7], [1.6, 1.3]])
+    spec = QuadratureSpec.cube(nodes, half, 2)
+    for i in (0, 1, 3):
+        got = _twisted_laguerre(lam, i, beta, vs, J, nodes, half)
+        assert got.shape == (J + 1, len(vs))
+
+        def f(w, i=i):
+            x = np.abs(w[:, 0]) ** 2
+            return eval_laguerre(i, lam * x / 2.0) * np.exp(-beta * x)
+
+        for j in range(J + 1):
+            ref = twisted_convolution(f, _phi(lam, j), -lam, spec)(vs[:, :1] + 1j * vs[:, 1:])
+            assert np.max(np.abs(got[j] - ref)) <= 1e-13 * max(1.0, np.max(np.abs(ref))), (i, j)
 
 
 def test_general_inversion_probe_consistent():
