@@ -33,15 +33,6 @@ class CaseSpec:
     case: str
     params: dict
 
-    @classmethod
-    def from_json(cls, obj):
-        obj = dict(obj)
-        case = str(obj.pop("case"))
-        return cls(case=case, params=obj)
-
-    def to_json(self):
-        return {"case": self.case, **self.params}
-
     def __str__(self):
         inner = ",".join(f"{k}={v}" for k, v in sorted(self.params.items()))
         return f"{self.case}({inner})"
@@ -184,13 +175,6 @@ class LauretAlgebra:
         v2 = np.asarray(v2, dtype=float)
         return (z1 + z2 + 0.5 * self.bracket(v1, v2), v1 + v2)
 
-    def group_inverse(self, p):
-        z, v = p
-        return (-np.asarray(z, dtype=float), -np.asarray(v, dtype=float))
-
-    def identity_point(self):
-        return (np.zeros(self.dim_g), np.zeros(self.dim_v))
-
     def root_system(self):
         return self.ops.root_system()
 
@@ -199,21 +183,9 @@ class LauretAlgebra:
 
 
 def build_case(case, **params) -> LauretAlgebra:
-    """Construct a classified model.
-
-    Parameters
-    ----------
-    case : str or CaseSpec or dict
-        Label "I".."X" with keyword parameters, a CaseSpec, or a JSON
-        dict {"case": ..., <params>}.
-    """
-    if isinstance(case, CaseSpec):
-        spec = case
-    elif isinstance(case, dict):
-        spec = CaseSpec.from_json(case)
-    else:
-        spec = CaseSpec(str(case), dict(params))
-    return LauretAlgebra(spec)
+    """Construct the classified model with label case ("I".."X") and
+    the keyword parameters of cases.CASES, e.g. build_case("V", n=3)."""
+    return LauretAlgebra(CaseSpec(str(case), dict(params)))
 
 
 @dataclass(frozen=True)

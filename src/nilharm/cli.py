@@ -298,7 +298,7 @@ def _spherical_value(alg, idx, z, v, args):
         val = sph.phi_caseI_closed(idx.lam, idx.index[0], z, v)
         return sph.SphericalValue(value=val, method="closed-form", stderr=0.0)
     if alg.spec.case == "VII":
-        val = sph.psi_closed(idx, float(z[0]), v)
+        val = sph.psi_closed(idx, float(idx.functional.y @ z), v)
         return sph.SphericalValue(value=val, method="closed-form", stderr=0.0)
     return sph.phi_orbit(idx, z, v, samples=args.mc_samples, seed=args.seed)
 

@@ -12,7 +12,8 @@ normalized monomials z^m / ||z^m|| form an orthonormal basis with
 normalized so that ||1|| = 1, hence <pi(0, v) 1, 1> = e^{-lam |v|^2/4}.
 
 Matrix entries of pi(t, v) in this basis are closed Laguerre forms,
-per coordinate
+per coordinate at the one frequency mu = |lam| of the symplectically
+normalized coordinates
 
     <pi_mu(v) e_m, e_r> = e^{-x/2} sqrt(lo!/hi!) w^{|r-m|} L_lo^{(|r-m|)}(x),
 
@@ -22,11 +23,6 @@ rounding at every degree (the Laguerre recurrence is stable; the norm
 ratio, power and envelope are combined in log space).  Truncation at
 total degree D only affects operator products (composition leaks
 degree), so operator identities are asserted on degrees <= D - 2.
-
-Coordinates with negative frequency (needed when the conjugated
-direction of the functional acts with mixed signs) use the conjugate
-model per coordinate; the product of per-coordinate cocycles then
-reproduces the group cocycle of the two-step law.
 """
 
 from __future__ import annotations
@@ -135,18 +131,7 @@ def _coord_table(mu, vj, dmax):
     return _closed_entries(mu, complex(vj), deg[:, None], deg[None, :], lag, _log_factorials(dmax))
 
 
-def _weights(weights, n, allow_zero=False):
-    """Per-coordinate frequency multipliers (all ones by default), one
-    per coordinate and nonzero unless allow_zero (frequency 0)."""
-    if weights is None:
-        return np.ones(n)
-    w = np.asarray(weights, dtype=float)
-    if w.shape != (n,) or (not allow_zero and np.any(w == 0)):
-        raise ValueError(f"weights must be {'' if allow_zero else 'nonzero, '}one per coordinate ({n})")
-    return w
-
-
-def pi_matrix(lam, t, v, basis: FockBasis, weights=None):
+def pi_matrix(lam, t, v, basis: FockBasis):
     """Matrix of pi_lam(t, v) on the normalized monomial basis.
 
     Parameters
@@ -158,10 +143,6 @@ def pi_matrix(lam, t, v, basis: FockBasis, weights=None):
     v : array
         Point of V as n complex numbers (or 2n interleaved reals).
     basis : FockBasis
-    weights : array, optional
-        Per-coordinate frequency multipliers w_j (default all 1): the
-        coordinate j evolves at frequency lam * w_j.  Signs select the
-        conjugate model per coordinate.
 
     Returns
     -------
@@ -175,26 +156,22 @@ def pi_matrix(lam, t, v, basis: FockBasis, weights=None):
         raise ValueError("lam must be nonzero")
     alam, conj_all = abs(lam), lam < 0
     z = as_complex_vector(v, basis.n)
-    weights = _weights(weights, basis.n)
     require_budget(basis.count**2, f"{basis.count}^2 = {basis.count**2} Fock matrix entries")
     dmax = basis.max_degree
     ridx = basis.indices
     out = np.full((basis.count, basis.count), np.exp(1j * alam * float(t)), dtype=complex)
     for j in range(basis.n):
-        mu = alam * abs(weights[j])
-        tab = _coord_table(mu, z[j], dmax)
-        if weights[j] < 0:
-            tab = np.conj(tab)
+        tab = _coord_table(alam, z[j], dmax)
         out *= tab[ridx[:, None, j], ridx[None, :, j]]
     if conj_all:
         out = np.conj(out)
     return out
 
 
-def coefficient_grid(lam, basis: FockBasis, m, r, t, v, weights=None):
+def coefficient_grid(lam, basis: FockBasis, m, r, t, v):
     """e_lam(e_m, e_r)(t, v) = <pi_lam(t, v) e_m, e_r> evaluated on a
     batch of points: t (P,), v (P, n) complex; the per-point entries
-    are the closed Laguerre forms of pi_matrix, with its weights."""
+    are the closed Laguerre forms of pi_matrix."""
     lam = float(lam)
     if lam == 0.0:
         raise ValueError("lam must be nonzero")
@@ -203,24 +180,19 @@ def coefficient_grid(lam, basis: FockBasis, m, r, t, v, weights=None):
     r = tuple(r)
     z = np.atleast_2d(as_complex_vector(np.asarray(v), basis.n))
     t = np.atleast_1d(np.asarray(t, dtype=float))
-    weights = _weights(weights, basis.n)
     out = np.exp(1j * alam * t).astype(complex)
     for j in range(basis.n):
-        mu = alam * abs(weights[j])
         logfact = _log_factorials(max(r[j], m[j]))
-        ent = _closed_entries(mu, z[:, j], r[j], m[j], laguerre, logfact)
-        if weights[j] < 0:
-            ent = np.conj(ent)
-        out = out * ent
+        out = out * _closed_entries(alam, z[:, j], r[j], m[j], laguerre, logfact)
     if lam < 0:
         out = np.conj(out)
     return out
 
 
-def truncation_defect(lam, t, v, basis: FockBasis, margin=2, weights=None):
+def truncation_defect(lam, t, v, basis: FockBasis, margin=2):
     """Operator-norm defect of unitarity of pi(t, v) restricted to
     degrees <= max_degree - margin; bounds truncation leakage."""
-    b = pi_matrix(lam, t, v, basis, weights=weights)
+    b = pi_matrix(lam, t, v, basis)
     g = b.conj().T @ b
     sel = basis.degrees <= basis.max_degree - margin
     d = g[np.ix_(sel, sel)] - np.eye(int(sel.sum()))
@@ -411,16 +383,15 @@ def metaplectic_components(case, params, max_degree):
     return out
 
 
-def psi_numeric(case, lam, j, t, v, weights=None):
+def psi_numeric(case, lam, j, t, v):
     """Partial trace of pi_lam(t, v) over the indexed metaplectic
     component, from the diagonal matrix entries L_m^{(0)}(x) e^{-x/2},
-    x = mu |v_i|^2 / 2, per coordinate.
+    x = |lam| |v_i|^2 / 2, per coordinate.
 
     Supported cases: I and VII (index j = scalar degree), V and VI
-    (index j = monomial multi-index).  `weights` are per-coordinate
-    frequency multipliers as in `pi_matrix`, zero allowed; the default
-    (all ones) corresponds to the symplectically normalized coordinates
-    in which the closed Laguerre forms are stated.
+    (index j = monomial multi-index).  Every coordinate runs at |lam|,
+    as in the symplectically normalized coordinates in which the closed
+    Laguerre forms are stated.
     """
     lam = float(lam)
     if lam == 0.0:
@@ -449,8 +420,7 @@ def psi_numeric(case, lam, j, t, v, weights=None):
         if len(z) != nvars:
             raise ValueError(f"expected {nvars} complex coordinates")
         mons = [mono]
-    weights = _weights(weights, nvars, allow_zero=True)
-    x = 0.5 * abs(lam) * np.abs(weights) * np.abs(z) ** 2
+    x = 0.5 * abs(lam) * np.abs(z) ** 2
     mons = np.array(mons, dtype=int).reshape(len(mons), nvars)
     lag = laguerre_all(int(mons.max(initial=0)), 0.0, x)
     total = np.sum(np.prod(lag[mons, np.arange(nvars)], axis=1)) * np.exp(-0.5 * np.sum(x))

@@ -63,19 +63,19 @@ class SquareIntegrability:
         return "SquareIntegrable" if self.square_integrable else "Degenerate"
 
 
-def classify(alg: LauretAlgebra, x, tol=_RANK_TOL) -> SquareIntegrability:
+def classify(alg: LauretAlgebra, x) -> SquareIntegrability:
     """Decide square integrability of the functional dual to x.
 
     One spectrum of 1j B_x gives both answers.  B_x is skew, so its
     singular values are the moduli |mu| of that spectrum: the kernel
-    dimension is the numerical nullity (|mu| at most tol times the
-    largest one, all of V when B_x = 0), and |Pf| is the product of the
-    upper half, exactly 0 when the kernel is nonzero (rounding would
-    otherwise leave a product of tiny eigenvalues).
+    dimension is the numerical nullity (|mu| at most _RANK_TOL times
+    the largest one, all of V when B_x = 0), and |Pf| is the product of
+    the upper half, exactly 0 when the kernel is nonzero (rounding
+    would otherwise leave a product of tiny eigenvalues).
     """
     ev = np.linalg.eigvalsh(1j * skew_form(alg, x))
     mod = np.abs(ev)
-    kernel = int(np.count_nonzero(mod <= tol * np.max(mod, initial=0.0)))
+    kernel = int(np.count_nonzero(mod <= _RANK_TOL * np.max(mod, initial=0.0)))
     return SquareIntegrability(
         square_integrable=(kernel == 0 and alg.dim_v > 0),
         kernel_dim=kernel,
@@ -117,8 +117,8 @@ class Functional:
         _, point = torus.to_chamber(rs, self.alg.ops.to_factor_mats(xp))
         return point.angles, zc, point.regular
 
-    def classify(self, tol=_RANK_TOL) -> SquareIntegrability:
-        return classify(self.alg, self.x, tol=tol)
+    def classify(self) -> SquareIntegrability:
+        return classify(self.alg, self.x)
 
 
 def weight_table(alg: LauretAlgebra, x):

@@ -113,11 +113,13 @@ def laguerre_all(kmax, alpha, x):
     x = np.asarray(x, dtype=float)
     out = np.empty((kmax + 1,) + x.shape)
     out[0] = 1.0
+    # out[k, ...] is a writable view also for a scalar x, where out[k]
+    # is a numpy scalar that cannot take an out= result
     if kmax >= 1:
-        np.subtract(1.0 + alpha, x, out=out[1])
+        np.subtract(1.0 + alpha, x, out=out[1, ...])
     tmp = np.empty(x.shape)
     for m in range(1, kmax):
-        nxt = out[m + 1]
+        nxt = out[m + 1, ...]
         np.subtract(2 * m + 1 + alpha, x, out=nxt)
         nxt *= out[m]
         np.multiply(m + alpha, out[m - 1], out=tmp)

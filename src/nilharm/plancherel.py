@@ -128,7 +128,8 @@ class InversionReport:
 
     wynn_orders holds, per frequency node, one epsilon-table order per
     probe: the order the tail completion reached (its estimate is the
-    last even column at or below it), 0 where there was no completion.
+    last even column at or below it), 0 where there was no completion
+    (J < 2).
     """
 
     fitted_c: float
@@ -248,7 +249,6 @@ def heisenberg_inversion_check(
     lam_max=8.0,
     lam_nodes=64,
     vnodes=160,
-    tail_completion=True,
 ):
     """Reconstruct f(t, v) = e^{-a t^2 - b |v|^2} on the 3-dimensional
     Heisenberg group from the truncated inversion series
@@ -260,16 +260,15 @@ def heisenberg_inversion_check(
     2-d Gauss-Legendre quadrature.  The single constant c is fitted by
     least squares over all probes; classically c = (2 pi)^{-2}.
 
-    tail_completion estimates the truncation remainder per frequency
-    node and probe by Wynn epsilon extrapolation of the trailing
-    measured partial sums; the raw truncated errors are reported
-    alongside.
+    For J >= 2 the truncation remainder per frequency node and probe
+    is estimated by Wynn epsilon extrapolation of the trailing measured
+    partial sums; the raw truncated errors are reported alongside.
     """
     a, b = (float(widths[0]), float(widths[1]))
-    if a <= 0 or b <= 0:
+    if not (a > 0 and b > 0):
         raise ValueError("widths must be positive")
-    if J < 0 or lam_nodes < 1 or vnodes < 1:
-        raise ValueError("need J >= 0, lam_nodes >= 1 and vnodes >= 1")
+    if J < 0 or not lam_max > 0 or lam_nodes < 1 or vnodes < 1:
+        raise ValueError("need J >= 0, lam_max > 0, lam_nodes >= 1 and vnodes >= 1")
     probes = tuple(probes) if probes is not None else _DEFAULT_PROBES
     nodes, wts = leggauss(lam_nodes)
     nodes = (nodes + 1.0) * (lam_max / 2.0)
@@ -285,7 +284,7 @@ def heisenberg_inversion_check(
         inner_raw = partial[J]
         inner = inner_raw.copy()
         node_orders = [0] * P
-        if tail_completion and J >= 2:
+        if J >= 2:
             window = min(9, J + 1)
             for p in range(P):
                 inner[p], node_orders[p] = _wynn_limit(partial[J - window + 1: J + 1, p],
@@ -491,8 +490,10 @@ def general_inversion_probe(
     to both, so equality of the two ratios within the combined 3 sigma
     is the desk-scale form of the inversion theorem.
     """
-    if J < 0 or lam_nodes < 1 or samples < 2:
-        raise ValueError("need J >= 0, lam_nodes >= 1 and samples >= 2")
+    if J < 0 or not lam_max > 0 or lam_nodes < 1 or samples < 2:
+        raise ValueError("need J >= 0, lam_max > 0, lam_nodes >= 1 and samples >= 2")
+    if not all(np.all(np.asarray(avec, dtype=float) > 0) and b > 0 for avec, b in width_specs):
+        raise ValueError("widths must be positive")
     alg = build_case("I", n=1)
     require_budget(samples * alg.dim_v**2, f"{samples} orbit samples of {alg.dim_v}^2 V-matrix entries")
     ratios = []

@@ -88,11 +88,6 @@ class SphericalValue:
     method: str  # "closed-form" | "orbit-MC"
     stderr: float = 0.0
 
-    def consistent_with(self, other, nsigma=3.0, atol=0.0):
-        tol = nsigma * (self.stderr + getattr(other, "stderr", 0.0)) + atol
-        o = other.value if isinstance(other, SphericalValue) else other
-        return abs(self.value - o) <= tol
-
 
 def _v_factor(case, params, index, alam, v, scale):
     """scale times the v-factor of the closed psi at the points v of V,
@@ -151,7 +146,8 @@ def psi_closed(idx: SphericalIndex, t, v):
 
 
 def phi_caseI_closed(lam, j, z, v):
-    """Case I spherical function in closed form, v in R^(4n).
+    """Case I spherical function in closed form, z in g = R^3 and v in
+    R^(4n).
 
     The angular factor is the normalized sphere average
     sphere_character(|lam| |z|) (value 1 at z = 0); the radial factor is
@@ -162,6 +158,8 @@ def phi_caseI_closed(lam, j, z, v):
     if lam == 0:
         raise ValueError("lam must be nonzero")
     z = np.asarray(z, dtype=float).reshape(-1)
+    if len(z) != 3:
+        raise ValueError(f"case I needs z in R^3, got length {len(z)}")
     n, rem = divmod(np.shape(v)[-1], 4)
     if rem or not n:
         raise ValueError(f"case I needs v in R^(4n) with n >= 1, got length {np.shape(v)[-1]}")
@@ -169,7 +167,7 @@ def phi_caseI_closed(lam, j, z, v):
     return complex(_v_factor("I", {"n": n}, (j,), lam, v, angular))
 
 
-def phi_orbit(idx: SphericalIndex, z, v, samples=20000, seed=0, v_freq=None):
+def phi_orbit(idx: SphericalIndex, z, v, samples=20000, seed=0):
     """Monte-Carlo orbit average realizing the generic spherical
     function at the point (z, v) of N.
 
@@ -181,10 +179,6 @@ def phi_orbit(idx: SphericalIndex, z, v, samples=20000, seed=0, v_freq=None):
     samples : Haar sample count over G', at least 2 so that the
         standard error is defined (samples * dim_v^2 <= NILHARM_BUDGET)
     seed : RNG seed (bit-reproducible)
-    v_freq : optional frequency override for the Laguerre/Gaussian
-        v-factors (the phase always runs at the functional's norm);
-        used when relating functionals of different norms that share
-        the same direction data.
 
     Returns SphericalValue with the Monte-Carlo standard error.
     """
@@ -198,14 +192,13 @@ def phi_orbit(idx: SphericalIndex, z, v, samples=20000, seed=0, v_freq=None):
     if not verdict.square_integrable:
         raise ValueError("phi_orbit needs a square-integrable functional")
     alam = fn.norm
-    vfreq = alam if v_freq is None else float(v_freq)
     z = np.asarray(z, dtype=float).reshape(alg.dim_g)
     v = np.asarray(v, dtype=float).reshape(alg.dim_v)
     require_budget(samples * alg.dim_v**2, f"{samples} orbit samples of {alg.dim_v}^2 V-matrix entries")
     vmats = alg.ops.sample_vmats(as_rng(seed), samples)
     pair = alg.orbit_pairing(vmats, fn.y, z)
     w = np.einsum("sab,b->sa", vmats, v)
-    vals = _v_factor(idx.case, idx.params, idx.index, vfreq, w, np.exp(1j * alam * pair))
+    vals = _v_factor(idx.case, idx.params, idx.index, alam, w, np.exp(1j * alam * pair))
     mean = complex(np.mean(vals))
     resid = vals - mean
     stderr = float(np.sqrt(np.sum(np.abs(resid) ** 2)) / len(vals))

@@ -142,9 +142,6 @@ class SUFactor(Factor):
             raise ValueError("su(n) angles must sum to zero")
         return 1j * np.diag(angles).astype(complex)
 
-    def angles_of(self, h):
-        return np.diagonal(h).imag.copy()
-
     def basis(self):
         return su_basis(self.n)
 
@@ -189,9 +186,6 @@ class SOFactor(Factor):
             h[2 * l, 2 * l + 1] = -t
             h[2 * l + 1, 2 * l] = t
         return h
-
-    def angles_of(self, h):
-        return np.array([h[2 * l + 1, 2 * l] for l in range(self.rank)])
 
     def basis(self):
         return so_basis(self.n)
@@ -261,9 +255,6 @@ class SpFactor(Factor):
         angles = np.asarray(angles, dtype=float)
         return np.diag(np.concatenate([1j * angles, -1j * angles])).astype(complex)
 
-    def angles_of(self, h):
-        return np.diagonal(h).imag[: self.n].copy()
-
     def basis(self):
         return sp_basis(self.n)
 
@@ -300,11 +291,6 @@ class RootSystem:
     @property
     def rank(self):
         return sum(f.rank for f in self.factors)
-
-    @property
-    def num_roots(self):
-        return sum(len(f.roots) for f in self.factors)
-
 
 
 _TERM_RE = re.compile(r"^(su|so|sp)\((\d+)\)$")

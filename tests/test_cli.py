@@ -63,6 +63,29 @@ def test_spherical_zero_of_angular_factor(capsys):
     assert len(lines) == 4
 
 
+@pytest.mark.parametrize("n,lam", [(1, "-1.5"), (2, "-0.8"), (1, "random"), (2, "random")])
+def test_spherical_vii_rows_match_the_library(capsys, n, lam):
+    # the central coordinate of psi is the pairing <y, z> of z with the
+    # unit direction y of the functional, not the coordinate z_0
+    argv = ["spherical", "--case", "VII", "--n", str(n), "--lambda", lam, "--z-norm", "0.7",
+            "--v-norm", "0.5", "--points", "4", "--format", "json"]
+    signs = set()
+    for seed in (range(6) if lam == "random" else (0,)):
+        rc, out = _run(capsys, argv + ["--seed", str(seed)])
+        assert rc == 0
+        alg = nilharm.build_case("VII", n=n)
+        x = cli.functional_from_args(alg, cli.build_parser().parse_args(argv + ["--seed", str(seed)]))
+        idx = nilharm.spherical.spherical_index(alg, x, 0)
+        signs.add(np.sign(idx.functional.y[0]))
+        for row in json.loads(out)["rows"]:
+            point = np.array([float(c) for c in row[3].split(";")])
+            z, v = point[: alg.dim_g], point[alg.dim_g:]
+            want = nilharm.spherical.psi_closed(idx, float(idx.functional.y @ z), v)
+            assert (row[4], row[5]) == (want.real, want.imag)
+    # the sweep reaches a negative pairing, where the sign matters
+    assert -1.0 in signs
+
+
 def test_build_reports_dimensions(capsys):
     rc, out = _run(capsys, ["build", "--case", "IX", "--n", "3"])
     assert rc == 0

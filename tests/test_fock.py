@@ -46,8 +46,9 @@ def test_pi_matrix_identity_at_origin():
         assert np.array_equal(m, np.eye(b.count))
 
 
-# (lam, weight, D, v) with dyadic v, so the float inputs are the exact
-# rationals the oracle sums; |v| <= 6, x = mu |v|^2 / 2 up to 72
+# (a, b, D, v): the table at frequency lam = a * b (the pairs keep the
+# test ids of the points), with dyadic v, so the float inputs are the
+# exact rationals the oracle sums; |v| <= 6, x = |lam| |v|^2 / 2 up to 72
 ORACLE_POINTS = [
     (1.0, 1.0, 12, (0.25, -0.5)),
     (2.0, 1.0, 60, (-1.25, 2.5)),
@@ -60,25 +61,20 @@ ORACLE_POINTS = [
 ]
 
 
-@pytest.mark.parametrize("lam,weight,D,v", ORACLE_POINTS)
-def test_pi_matrix_matches_exact_shift_series(lam, weight, D, v):
+@pytest.mark.parametrize("a,b,D,v", ORACLE_POINTS)
+def test_pi_matrix_matches_exact_shift_series(a, b, D, v):
     # sampled entries of the closed Laguerre table against the shift
     # series summed in rationals; entries are bounded by 1
-    t = 0.375
-    b = fock.FockBasis(1, D)
-    mat = fock.pi_matrix(lam, t, np.array([complex(*v)]), b, weights=[weight])
+    lam, t = a * b, 0.375
+    mat = fock.pi_matrix(lam, t, np.array([complex(*v)]), fock.FockBasis(1, D))
     assert np.all(np.isfinite(mat)) and np.max(np.abs(mat)) <= 1.0 + 1e-12
     rng = as_rng(D)
     pairs = {(0, 0), (0, D), (D, 0), (D, D), (D // 2, D // 2), (D - 1, D)}
     pairs |= {tuple(p) for p in rng.integers(0, D + 1, size=(20, 2))}
-    mu = abs(lam * weight)
     phase = np.exp(1j * abs(lam) * t)
     worst = 0.0
     for r, m in sorted(pairs):
-        want = fock_entry(mu, v, r, m)
-        if weight < 0:
-            want = np.conj(want)
-        want *= phase
+        want = phase * fock_entry(abs(lam), v, r, m)
         if lam < 0:
             want = np.conj(want)
         worst = max(worst, abs(mat[r, m] - want))
@@ -87,19 +83,17 @@ def test_pi_matrix_matches_exact_shift_series(lam, weight, D, v):
 
 def test_pi_matrix_two_coordinates_match_exact_shift_series():
     # a two-coordinate entry is the product of the per-coordinate
-    # entries, with the conjugate model on a negative weight
-    lam, t, D = 1.0, -0.25, 30
+    # entries, conjugated at a negative frequency
+    lam, t, D = -1.5, -0.25, 30
     v = ((1.5, -0.75), (-2.0, 0.5))
-    weights = (1.5, -0.5)
     b = fock.FockBasis(2, D)
-    mat = fock.pi_matrix(lam, t, np.array([complex(*c) for c in v]), b, weights=weights)
+    mat = fock.pi_matrix(lam, t, np.array([complex(*c) for c in v]), b)
     rng = as_rng(5)
     for r, m in rng.integers(0, b.count, size=(25, 2)):
-        want = np.exp(1j * lam * t)
+        want = np.exp(1j * abs(lam) * t)
         for j in range(2):
-            ent = fock_entry(lam * abs(weights[j]), v[j], b.indices[r, j], b.indices[m, j])
-            want *= np.conj(ent) if weights[j] < 0 else ent
-        assert abs(mat[r, m] - want) < 1e-11
+            want *= fock_entry(abs(lam), v[j], b.indices[r, j], b.indices[m, j])
+        assert abs(mat[r, m] - np.conj(want)) < 1e-11
 
 
 def test_pi_matrix_budget(monkeypatch):
@@ -126,19 +120,16 @@ def test_pi_matrix_budget(monkeypatch):
     t=st.floats(-3.0, 3.0),
     radius=st.floats(0.0, 6.0),
     angle=st.floats(0.0, 2 * np.pi),
-    signs=st.lists(st.sampled_from([-1.0, 1.0]), min_size=2, max_size=2),
-    scales=st.lists(st.floats(0.5, 2.0), min_size=2, max_size=2),
 )
-def test_pi_matrix_adjoint_is_inverse_element(n, D, lam, lam_sign, t, radius, angle, signs, scales):
+def test_pi_matrix_adjoint_is_inverse_element(n, D, lam, lam_sign, t, radius, angle):
     # (t, v)^-1 = (-t, -v), and pi is unitary: entrywise
     # pi(t, v)^dagger = pi(-t, -v), exactly on the truncated table
     b = fock.FockBasis(n, D)
     dirs = np.exp(1j * (angle + np.arange(n)))
     v = radius * dirs / np.sqrt(n)
-    w = np.array(signs[:n]) * np.array(scales[:n])
     lam = lam_sign * lam
-    lhs = fock.pi_matrix(lam, t, v, b, weights=w).conj().T
-    rhs = fock.pi_matrix(lam, -t, -v, b, weights=w)
+    lhs = fock.pi_matrix(lam, t, v, b).conj().T
+    rhs = fock.pi_matrix(lam, -t, -v, b)
     assert np.max(np.abs(lhs - rhs)) < 1e-12
 
 
@@ -186,34 +177,13 @@ def test_pi_matrix_homomorphism_with_truncation_margin():
 
 def test_coefficient_grid_equals_pi_matrix_entries():
     lam, t = -1.3, 0.4
-    weights = np.array([0.8, -1.7])
     b = fock.FockBasis(2, 12)
     rng = as_rng(11)
     pts = rng.standard_normal((5, 4)) * 1.5
-    mats = [fock.pi_matrix(lam, t, p, b, weights=weights) for p in pts]
+    mats = [fock.pi_matrix(lam, t, p, b) for p in pts]
     for r, m in rng.integers(0, b.count, size=(20, 2)):
-        g = fock.coefficient_grid(lam, b, b.indices[m], b.indices[r], np.full(5, t), pts,
-                                  weights=weights)
+        g = fock.coefficient_grid(lam, b, b.indices[m], b.indices[r], np.full(5, t), pts)
         assert np.max(np.abs(g - [mat[r, m] for mat in mats])) < 1e-14
-
-
-@pytest.mark.parametrize("weights", [[1.0, 0.0], [1.0, 1.0, 5.0], [1.0]])
-def test_entry_routes_share_the_weights_check(weights):
-    # one zero, one surplus or one missing weight on 2 coordinates is an
-    # error for every entry route, not a silent -0 or a dropped weight
-    b = fock.FockBasis(2, 2)
-    v = np.array([0.3 + 0.1j, -0.2 + 0.4j])
-    with pytest.raises(ValueError):
-        fock.pi_matrix(1.1, 0.2, v, b, weights=weights)
-    with pytest.raises(ValueError):
-        fock.coefficient_grid(1.1, b, (1, 0), (0, 1), 0.2, v, weights=weights)
-    if 0.0 in weights:
-        # the diagonal traces take a zero weight as frequency 0
-        assert fock.psi_numeric("V", 1.1, (1, 0), 0.2, v, weights=weights) == \
-            fock.psi_numeric("V", 1.1, (1, 0), 0.2, v * [1, 0])
-    else:
-        with pytest.raises(ValueError):
-            fock.psi_numeric("V", 1.1, (1, 0), 0.2, v, weights=weights)
 
 
 def test_negative_lambda_is_conjugate_model():

@@ -50,6 +50,17 @@ def test_laguerre_all_rows_equal_laguerre(alpha):
         assert np.array_equal(table[k], laguerre(k, alpha, x))
 
 
+@pytest.mark.parametrize("alpha", [0.0, 1.5, -0.5])
+def test_laguerre_all_scalar_rows_equal_laguerre(alpha):
+    # a scalar x gives shape (kmax+1,), one row per order
+    for x in (0.0, 2.7, np.float64(13.0)):
+        for kmax in (0, 1, 2, 9):
+            table = laguerre_all(kmax, alpha, x)
+            assert table.shape == (kmax + 1,)
+            for k in range(kmax + 1):
+                assert np.array_equal(table[k], laguerre(k, alpha, x))
+
+
 def test_laguerre_addition_theorem():
     # L_j^(0)(x + y) = sum_{i <= j} L_i^(-1/2)(x) L_{j-i}^(-1/2)(y), the
     # identity that splits the Heisenberg inversion slices over two axes

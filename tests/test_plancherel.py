@@ -126,8 +126,8 @@ def test_group_convolution_matches_group_law_sum():
         x = (row[:1], row[1:])
         acc = 0.0
         for s in range(len(ys)):
-            yinv = alg.group_inverse((ys[s, :1], ys[s, 1:]))
-            zz, vv = alg.group_mult(yinv, x)
+            # (z, v)^{-1} = (-z, -v) in exponential coordinates
+            zz, vv = alg.group_mult((-ys[s, :1], -ys[s, 1:]), x)
             acc += fy[s] * g(np.concatenate([zz, vv])[None, :])[0]
         direct.append(acc)
     assert np.max(np.abs(conv(probes) - np.array(direct))) < 1e-12
@@ -255,11 +255,17 @@ def test_heisenberg_inversion_raw_error_decreases_with_J():
 
 
 def test_heisenberg_inversion_rejects_bad_widths():
-    with pytest.raises(ValueError):
-        heisenberg_inversion_check(widths=(0.0, 1.0))
+    for widths in [(0.0, 1.0), (1.0, -2.0), (float("nan"), 1.0)]:
+        with pytest.raises(ValueError, match="widths must be positive"):
+            heisenberg_inversion_check(widths=widths)
 
 
-@pytest.mark.parametrize("bad", [{"J": -1}, {"lam_nodes": 0}, {"vnodes": 0}])
+# a lam_max that is not positive puts the frequency nodes outside
+# (0, inf), where the inversion sums give NaN or meaningless values
+BAD_LAM_MAX = [{"lam_max": 0.0}, {"lam_max": -8.0}, {"lam_max": -12.0}, {"lam_max": float("nan")}]
+
+
+@pytest.mark.parametrize("bad", [{"J": -1}, {"lam_nodes": 0}, {"vnodes": 0}] + BAD_LAM_MAX)
 def test_heisenberg_inversion_rejects_bad_sizes(bad):
     with pytest.raises(ValueError):
         heisenberg_inversion_check(**bad)
@@ -286,8 +292,10 @@ def test_heisenberg_inversion_reports_wynn_orders():
         assert len(row) == len(rep.probes)
         # a 9-term window allows at most 8 epsilon steps
         assert all(isinstance(k, int) and 2 <= k <= 8 for k in row)
-    raw = heisenberg_inversion_check(J=10, lam_nodes=6, vnodes=80, tail_completion=False)
+    # below J = 2 there is no completion: order 0 and the raw errors
+    raw = heisenberg_inversion_check(J=1, lam_nodes=6, vnodes=80)
     assert raw.wynn_orders == ((0,) * len(raw.probes),) * 6
+    assert raw.rel_errors == raw.raw_rel_errors
 
 
 def test_projection_cross_terms_vanish():
@@ -375,10 +383,23 @@ def test_general_inversion_probe_consistent():
     assert rep.spread < 0.02 * abs(rep.ratios[0])
 
 
-@pytest.mark.parametrize("bad", [{"J": -1}, {"lam_nodes": 0}, {"samples": 0}, {"samples": 1}])
+@pytest.mark.parametrize("bad", [{"J": -1}, {"lam_nodes": 0}, {"samples": 0}, {"samples": 1}]
+                         + BAD_LAM_MAX)
 def test_general_inversion_probe_rejects_bad_sizes(bad):
     with pytest.raises(ValueError):
         general_inversion_probe(**bad)
+
+
+@pytest.mark.parametrize("widths", [
+    (((0.8, 1.0, 1.3), 1.0), ((1.2, 0.0, 0.7), 0.6)),
+    (((0.8, 1.0, 1.3), -1.0), ((1.2, 0.9, 0.7), 0.6)),
+    (((0.8, 1.0, float("nan")), 1.0), ((1.2, 0.9, 0.7), 0.6)),
+])
+def test_general_inversion_probe_rejects_bad_widths(widths):
+    # as heisenberg_inversion_check does: the Gaussian integrals need
+    # positive widths
+    with pytest.raises(ValueError, match="widths must be positive"):
+        general_inversion_probe(width_specs=widths)
 
 
 def test_general_inversion_probe_error_shrinks_with_samples():
