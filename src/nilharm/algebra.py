@@ -264,16 +264,6 @@ class StructureReport:
     dim_g: int
     trials: int
 
-    def passed(self, tol=1e-10):
-        return (
-            self.max_skewness <= tol
-            and self.max_closure_residual <= tol
-            and self.max_jacobi_residual <= tol
-            and self.max_invariance_residual <= tol
-            and self.max_bracket_residual <= tol
-            and self.bracket_rank == self.dim_g
-        )
-
 
 def check_structure(alg: LauretAlgebra, rng=None, trials=100) -> StructureReport:
     """Verify the defining identities of the model.

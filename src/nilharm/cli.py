@@ -480,7 +480,8 @@ def _selftest_checks(seed):
         for j, q in enumerate(polys):
             lead = laguerre(j, 1, np.zeros(1))[0]
             ref = laguerre(j, 1, s / 2.0) / lead
-            got = q.evaluate(s.reshape(-1, 1))
+            # the coefficient table, summed as monomials
+            got = sum(c * s**e for (e,), c in q.coeffs)
             worst = max(worst, float(np.max(np.abs(got - ref))))
         return worst < 1e-8, f"max Laguerre dev {worst:.2e}"
 
@@ -519,8 +520,8 @@ def _cmd_selftest(args):
 # parser
 # ---------------------------------------------------------------------------
 
-def _add_case_flags(p, required=True):
-    p.add_argument("--case", required=required, help="case label I..X")
+def _add_case_flags(p):
+    p.add_argument("--case", required=True, help="case label I..X")
     for flag in _PARAM_FLAGS:
         p.add_argument(f"--{flag}", type=int, default=None)
 

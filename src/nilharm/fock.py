@@ -388,10 +388,11 @@ def psi_numeric(case, lam, j, t, v):
     component, from the diagonal matrix entries L_m^{(0)}(x) e^{-x/2},
     x = |lam| |v_i|^2 / 2, per coordinate.
 
-    Supported cases: I and VII (index j = scalar degree), V and VI
-    (index j = monomial multi-index).  Every coordinate runs at |lam|,
-    as in the symplectically normalized coordinates in which the closed
-    Laguerre forms are stated.
+    Supported cases: I and VII (index j = scalar degree; the
+    C(nvars - 1 + j, j) monomials are checked against NILHARM_BUDGET),
+    V and VI (index j = monomial multi-index).  Every coordinate runs at
+    |lam|, as in the symplectically normalized coordinates in which the
+    closed Laguerre forms are stated.
     """
     lam = float(lam)
     if lam == 0.0:
@@ -405,16 +406,13 @@ def psi_numeric(case, lam, j, t, v):
     else:
         raise ValueError(f"psi_numeric supports cases I, V, VI, VII; got {case!r}")
     z = np.asarray(v).reshape(-1)
-    if np.iscomplexobj(z):
-        z = as_complex_vector(z, len(z))
-    else:
-        # interleaved real coordinates (for case I the quaternionic
-        # (1, i | j, k) pairs are the aligned complex pairs)
-        if len(z) % 2:
-            raise ValueError("real V-coordinates must interleave complex pairs")
-        z = as_complex_vector(z, len(z) // 2)
+    # real coordinates interleave complex pairs (for case I the
+    # quaternionic (1, i | j, k) pairs are the aligned complex pairs)
+    z = as_complex_vector(z, len(z) if np.iscomplexobj(z) else len(z) // 2)
     if nvars is None:
         nvars = len(z)
+        count = homog_dim(nvars, deg)
+        require_budget(count, f"{count} degree-{deg} monomials in {nvars} variables")
         mons = monomials_of_degree(nvars, deg)
     else:
         if len(z) != nvars:

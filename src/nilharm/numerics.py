@@ -1,20 +1,20 @@
 """Shared numerical kernels: Laguerre recurrences, Haar sampling and
 tensor-product quadrature.
 
-The Haar samplers of O(n), SO(n), U(n), SU(n) and Sp(n) take an
-optional size.  With it they return a stack of size samples, drawn as
-one Gaussian array whose C order is the per-sample stream ((size, n, n)
-for O/SO, real and then imaginary parts (size, 2, n, n) for U/SU,
-(size, n, n, 4) for Sp) and orthonormalized in one stacked QR or one
-vectorized Gram-Schmidt.  Without it they return element 0 of a
-one-sample stack, so a sized draw equals as many unsized draws from the
-same generator.
+The Haar samplers of O(n), SO(n), U(n), SU(n) and Sp(n) take a size
+and return a stack of size samples, drawn as one Gaussian array whose C
+order is the per-sample stream ((size, n, n) for O/SO, real and then
+imaginary parts (size, 2, n, n) for U/SU, (size, n, n, 4) for Sp) and
+orthonormalized in one stacked QR or one vectorized Gram-Schmidt, so one
+stack of size s equals s stacks of size 1 from the same generator.
 
-Gauss-Legendre rules are computed once per node count (leggauss) and
-shared read-only.  Everything here is deterministic given an explicit
-seed, and grid, Fock-matrix and Monte Carlo sample sizes are guarded by
-the NILHARM_BUDGET environment variable (total tensor nodes or matrix
-entries; default 3e7) through require_budget.
+Points of C^n are n complex numbers or 2n interleaved reals
+(as_complex_vector).  Quadrature is the Gauss-Legendre tensor rule on a
+cube (QuadratureSpec); its 1-d rules are computed once per node count
+(leggauss) and shared read-only.  Everything here is deterministic
+given an explicit seed, and grid, Fock-matrix and Monte Carlo sample
+sizes are guarded by the NILHARM_BUDGET environment variable (total
+tensor nodes or matrix entries; default 3e7) through require_budget.
 """
 
 from __future__ import annotations
@@ -59,9 +59,9 @@ def as_rng(seed):
 
 
 def as_complex_vector(v, n):
-    """A point of C^n from n complex numbers, 2n interleaved reals
-    (Re z_1, Im z_1, Re z_2, ...) or n reals; leading axes are kept.
-    complex128 input comes back as it is, without a copy."""
+    """A point of C^n from n complex numbers or 2n interleaved reals
+    (Re z_1, Im z_1, Re z_2, ...); leading axes are kept.  complex128
+    input comes back as it is, without a copy."""
     v = np.asarray(v)
     if np.iscomplexobj(v):
         if v.shape[-1] != n:
@@ -70,8 +70,6 @@ def as_complex_vector(v, n):
     if v.shape[-1] == 2 * n:
         # interleaved float64 pairs are the memory layout of complex128
         return np.ascontiguousarray(v, dtype=float).view(complex).copy()
-    if v.shape[-1] == n:
-        return v.astype(complex)
     raise ValueError(f"cannot interpret shape {v.shape} as C^{n}")
 
 
@@ -148,11 +146,6 @@ def sphere_character(a):
 # Haar sampling
 # ---------------------------------------------------------------------------
 
-def _sized(stack, size):
-    """The stack, or its only element when the caller gave no size."""
-    return stack if size is not None else stack[0]
-
-
 def _qr_haar(z):
     """Stacked QR with the diagonal phase fix (Mezzadri,
     arXiv:math-ph/0609050) that makes each Q factor Haar distributed."""
@@ -161,37 +154,38 @@ def _qr_haar(z):
     return q * (d / np.abs(d))[..., None, :]
 
 
-def haar_orthogonal(n, rng, size=None):
-    return _sized(_qr_haar(rng.standard_normal((1 if size is None else size, n, n))), size)
+def haar_orthogonal(n, rng, size):
+    return _qr_haar(rng.standard_normal((size, n, n)))
 
 
-def haar_special_orthogonal(n, rng, size=None):
-    q = haar_orthogonal(n, rng, 1 if size is None else size)
+def haar_special_orthogonal(n, rng, size):
+    q = haar_orthogonal(n, rng, size)
     neg = np.linalg.det(q) < 0
     q[neg, :, 0] = -q[neg, :, 0]
-    return _sized(q, size)
+    return q
 
 
-def haar_unitary(n, rng, size=None):
-    g = rng.standard_normal((1 if size is None else size, 2, n, n))
-    return _sized(_qr_haar((g[:, 0] + 1j * g[:, 1]) / np.sqrt(2.0)), size)
+def haar_unitary(n, rng, size):
+    g = rng.standard_normal((size, 2, n, n))
+    return _qr_haar((g[:, 0] + 1j * g[:, 1]) / np.sqrt(2.0))
 
 
-def haar_special_unitary(n, rng, size=None):
-    u = haar_unitary(n, rng, 1 if size is None else size)
+def haar_special_unitary(n, rng, size):
+    u = haar_unitary(n, rng, size)
     det = np.linalg.det(u)
-    return _sized(u * (det ** (-1.0 / n))[:, None, None], size)
+    return u * (det ** (-1.0 / n))[:, None, None]
 
 
-def haar_symplectic_quat(n, rng, size=None):
-    """Haar sample of Sp(n) as an (n, n, 4) quaternionic unitary matrix.
+def haar_symplectic_quat(n, rng, size):
+    """Haar samples of Sp(n), a (size, n, n, 4) stack of quaternionic
+    unitary matrices.
 
     Quaternionic Ginibre followed by quaternionic modified Gram-Schmidt,
     run on all samples at once; the diagonal "R" entries are positive
     reals, which fixes the phase ambiguity exactly as in the complex QR
     construction.
     """
-    m = rng.standard_normal((1 if size is None else size, n, n, 4))
+    m = rng.standard_normal((size, n, n, 4))
     for col in range(n):
         v = m[:, :, col]
         for prev in range(col):
@@ -201,7 +195,7 @@ def haar_symplectic_quat(n, rng, size=None):
             v = v - quat.qmul(u, coef[:, None])
         nrm = np.sqrt((v ** 2).sum(axis=(1, 2)))
         m[:, :, col] = v / nrm[:, None, None]
-    return _sized(m, size)
+    return m
 
 
 # ---------------------------------------------------------------------------
@@ -220,41 +214,22 @@ def leggauss(nodes):
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Tensor-product grid description.
-
-    nodes is the per-axis node count (at least 1 for Gauss-Legendre, 2
-    for the trapezoid rule); box the per-axis half-width (scalar
-    broadcasts); rule "gauss-legendre" or "trapezoid".
-    """
+    """Gauss-Legendre tensor rule on the cube [-half_width, half_width]^dim
+    with nodes (at least 1) per axis."""
 
     nodes: int
-    box: tuple
-    rule: str = "gauss-legendre"
+    half_width: float
+    dim: int
+
+    rule = "gauss-legendre"
 
     def __post_init__(self):
-        least = {"gauss-legendre": 1, "trapezoid": 2}.get(self.rule)
-        if least is None:
-            raise ValueError(f"unknown rule {self.rule!r}")
-        if self.nodes < least:
-            raise ValueError(f"the {self.rule} rule needs at least {least} nodes, got {self.nodes}")
+        if self.nodes < 1:
+            raise ValueError(f"the {self.rule} rule needs at least 1 node, got {self.nodes}")
 
     @staticmethod
-    def cube(nodes, half_width, dim, rule="gauss-legendre"):
-        return QuadratureSpec(nodes=nodes, box=(float(half_width),) * dim, rule=rule)
-
-    @property
-    def dim(self):
-        return len(self.box)
-
-    def axis_rule(self, half_width):
-        if self.rule == "gauss-legendre":
-            x, w = leggauss(self.nodes)
-            return x * half_width, w * half_width
-        x = np.linspace(-half_width, half_width, self.nodes)
-        w = np.full(self.nodes, 2.0 * half_width / (self.nodes - 1))
-        w[0] *= 0.5
-        w[-1] *= 0.5
-        return x, w
+    def cube(nodes, half_width, dim):
+        return QuadratureSpec(nodes=nodes, half_width=float(half_width), dim=dim)
 
     def check_budget(self):
         """Total tensor nodes, or BudgetError when they exceed
@@ -265,12 +240,11 @@ class QuadratureSpec:
     def grid(self):
         """Return (points, weights): (P, dim) nodes and (P,) weights."""
         total = self.check_budget()
-        axes, wts = zip(*(self.axis_rule(h) for h in self.box))
-        mesh = np.meshgrid(*axes, indexing="ij")
+        x, w1 = leggauss(self.nodes)
+        mesh = np.meshgrid(*(x * self.half_width,) * self.dim, indexing="ij")
         points = np.stack([m.ravel() for m in mesh], axis=-1)
-        wmesh = np.meshgrid(*wts, indexing="ij")
+        wmesh = np.meshgrid(*(w1 * self.half_width,) * self.dim, indexing="ij")
         weights = np.ones(total)
         for w in wmesh:
             weights = weights * w.ravel()
         return points, weights
-

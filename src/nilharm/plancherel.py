@@ -91,7 +91,7 @@ def density(alg: LauretAlgebra, H, Z) -> PlancherelDensity:
 # ---------------------------------------------------------------------------
 
 def group_convolution(alg: LauretAlgebra, f, g, spec: QuadratureSpec):
-    """(f * g)(x) = int f(y) g(y^{-1} x) dy over the spec's box.
+    """(f * g)(x) = int f(y) g(y^{-1} x) dy over the spec's cube.
 
     f and g map (P, dim_g + dim_v) point arrays to values; the returned
     callable does the same.  Lebesgue measure on the coordinates is the
@@ -129,7 +129,7 @@ class InversionReport:
     wynn_orders holds, per frequency node, one epsilon-table order per
     probe: the order the tail completion reached (its estimate is the
     last even column at or below it), 0 where there was no completion
-    (J < 2).
+    (J < 2).  passed() holds when every relative error is at most 1e-3.
     """
 
     fitted_c: float
@@ -148,8 +148,8 @@ class InversionReport:
     def max_rel_error(self):
         return max(self.rel_errors)
 
-    def passed(self, tol=1e-3):
-        return self.max_rel_error <= tol
+    def passed(self):
+        return self.max_rel_error <= 1e-3
 
 
 _DEFAULT_PROBES = (
@@ -189,11 +189,14 @@ def _twisted_laguerre(lam, i, beta, vs, J, nodes, half):
 
     the integral is the Cauchy product I_j = sum_{a <= i} sum_{c <= j}
     A_0[a, c] A_1[i-a, j-c].  It agrees with a full-grid evaluation to
-    rounding (about 1e-15 of the integrals' size).
+    rounding (about 1e-15 of the integrals' size).  The largest array,
+    the (J+1, P, 2, nodes) table of the v-w Laguerre values, is checked
+    against NILHARM_BUDGET first.
     """
-    spec = QuadratureSpec.cube(nodes, half, 2)
-    spec.check_budget()
-    w, wgt = spec.axis_rule(half)
+    total = (J + 1) * len(vs) * 2 * nodes
+    require_budget(total, f"{J + 1} x {len(vs)} x 2 x {nodes} = {total} Laguerre-table entries")
+    x, w1 = leggauss(nodes)
+    w, wgt = x * half, w1 * half
     # (P, 2, nodes): per point and axis k, fk on the 1-d rule
     d = (vs[:, :, None] - w) ** 2
     turn = np.stack([-vs[:, 1], vs[:, 0]], axis=1)[:, :, None]
@@ -270,6 +273,8 @@ def heisenberg_inversion_check(
     if J < 0 or not lam_max > 0 or lam_nodes < 1 or vnodes < 1:
         raise ValueError("need J >= 0, lam_max > 0, lam_nodes >= 1 and vnodes >= 1")
     probes = tuple(probes) if probes is not None else _DEFAULT_PROBES
+    if not probes:
+        raise ValueError("probes is empty: need at least one (t, v) point")
     nodes, wts = leggauss(lam_nodes)
     nodes = (nodes + 1.0) * (lam_max / 2.0)
     wts = wts * (lam_max / 2.0)
@@ -333,12 +338,6 @@ class ProjectionReport:
     proportionality_residual: float
     points: int
 
-    def orthogonal(self, tol=1e-6):
-        return self.i != self.j and self.cross_max <= tol
-
-    def projector(self, tol=1e-5):
-        return self.i == self.j and self.proportionality_residual <= tol
-
 
 def projection_check(lam, i, j, nodes=120, points=None, seed=0):
     """Twisted-convolution behavior of the Laguerre functions
@@ -373,6 +372,8 @@ def projection_check(lam, i, j, nodes=120, points=None, seed=0):
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         if pts.ndim != 2 or pts.shape[1] != 2:
             raise ValueError("points must be real (P, 2) coordinates of C^1")
+        if not len(pts):
+            raise ValueError("points is empty: need at least one point of C^1")
     vals = _twisted_laguerre(lam, i, lam / 4.0, pts * [1.0, -1.0], j, nodes, half)[j]
     # the closed VII kernel at the points
     phij = _v_factor("VII", {"n": 1}, (j,), lam, pts, 1.0)
@@ -404,8 +405,9 @@ class GeneralInversionReport:
     """Identity-probe reconstructions for two width choices.
 
     ratios are reconstructed-over-true values up to the common
-    normalization constant, so the check is their mutual consistency
-    within the combined Monte-Carlo error."""
+    normalization constant, so the check is their mutual consistency:
+    consistent() holds when they agree within 3 combined Monte-Carlo
+    standard errors."""
 
     ratios: tuple
     stderrs: tuple
@@ -421,8 +423,8 @@ class GeneralInversionReport:
     def combined_sigma(self):
         return float(np.sqrt(self.stderrs[0] ** 2 + self.stderrs[1] ** 2))
 
-    def consistent(self, nsigma=3.0):
-        return self.spread <= nsigma * self.combined_sigma
+    def consistent(self):
+        return self.spread <= 3.0 * self.combined_sigma
 
 
 _DEFAULT_WIDTHS = (((0.8, 1.0, 1.3), 1.0), ((1.2, 0.9, 0.7), 0.6))
@@ -485,16 +487,19 @@ def general_inversion_probe(
 ):
     """Case I (n = 1) inversion at the identity, two widths.
 
-    For each width pair (a, b) the report's ratio is the reconstructed
-    value divided by f(e) = 1; the unknown overall constant is common
-    to both, so equality of the two ratios within the combined 3 sigma
-    is the desk-scale form of the inversion theorem.
+    For each width pair (a, b), with one width a_i per z-coordinate
+    (dim g = 3), the report's ratio is the reconstructed value divided
+    by f(e) = 1; the unknown overall constant is common to both, so
+    equality of the two ratios within the combined 3 sigma is the
+    desk-scale form of the inversion theorem.
     """
     if J < 0 or not lam_max > 0 or lam_nodes < 1 or samples < 2:
         raise ValueError("need J >= 0, lam_max > 0, lam_nodes >= 1 and samples >= 2")
     if not all(np.all(np.asarray(avec, dtype=float) > 0) and b > 0 for avec, b in width_specs):
         raise ValueError("widths must be positive")
     alg = build_case("I", n=1)
+    if len(width_specs) != 2 or any(np.shape(avec) != (alg.dim_g,) for avec, _ in width_specs):
+        raise ValueError(f"need two width pairs (a, b), each a with dim g = {alg.dim_g} entries")
     require_budget(samples * alg.dim_v**2, f"{samples} orbit samples of {alg.dim_v}^2 V-matrix entries")
     ratios = []
     errs = []

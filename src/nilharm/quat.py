@@ -78,10 +78,10 @@ def rotation_matrix(g):
     return np.stack(rows, axis=-2)
 
 
-def random_unit(rng, size=None):
-    """Haar-uniform unit quaternions (uniform on S^3)."""
-    shape = (4,) if size is None else (size, 4)
-    g = rng.standard_normal(shape)
+def random_unit(rng, size):
+    """A (size, 4) stack of Haar-uniform unit quaternions (uniform on
+    S^3)."""
+    g = rng.standard_normal((size, 4))
     return g / qnorm(g)[..., None]
 
 

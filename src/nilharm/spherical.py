@@ -226,18 +226,18 @@ class InvariantPolynomial:
         return sum(self.leading)
 
     def evaluate(self, svals):
-        """Value at generator values svals, shape (..., ngens); leading
-        axes are kept, and a single 1-d point gives a float."""
+        """Value at generator values svals, shape (..., ngens): the
+        product over generators of L_a^alpha(lam s / 2) / L_a^alpha(0)
+        at the leading exponents a, by the Laguerre recurrence; coeffs
+        drops the terms below 1e-14, which s^k multiplies back up from
+        degree about 16 on.  Leading axes are kept, and a single 1-d
+        point gives a float."""
         svals = np.asarray(svals, dtype=float)
         if svals.ndim == 0 or svals.shape[-1] != len(self.alphas):
             raise ValueError(f"expected generator values of shape (..., {len(self.alphas)})")
-        out = np.zeros(svals.shape[:-1])
-        for expo, c in self.coeffs:
-            term = c
-            for i, e in enumerate(expo):
-                if e:
-                    term = term * svals[..., i] ** e
-            out = out + term
+        out = np.ones(svals.shape[:-1])
+        for g, (a, alpha) in enumerate(zip(self.leading, self.alphas)):
+            out = out * (laguerre(a, alpha, self.lam * svals[..., g] / 2.0) / laguerre(a, alpha, 0.0))
         return float(out) if svals.ndim == 1 else out
 
     def coefficient(self, expo):
@@ -340,9 +340,6 @@ class FunctionalEquationReport:
     residual: float
     stderr: float
     samples: int
-
-    def passed(self, tol=1e-6, nsigma=3.0):
-        return self.residual <= tol + nsigma * self.stderr
 
 
 def functional_equation_residual(phi, alg: LauretAlgebra, x_point, y_point, k_actions):

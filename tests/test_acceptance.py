@@ -398,7 +398,7 @@ def test_criterion_13_caseI_inversion_probe(capsys):
     rep = general_inversion_probe()
     dt = time.monotonic() - t0
     nsig = rep.spread / rep.combined_sigma
-    ok = rep.consistent(nsigma=3.0) and dt < 900.0
+    ok = rep.consistent() and dt < 900.0
     _report(capsys, ok, "criterion 13 case I inversion probe",
             f"ratios {rep.ratios[0]:.2f} vs {rep.ratios[1]:.2f}, spread {nsig:.2f} sigma "
             f"(J={rep.J}, {rep.samples} samples/node), {dt:.1f} s")

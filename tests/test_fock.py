@@ -111,6 +111,21 @@ def test_pi_matrix_budget(monkeypatch):
         fock.metaplectic_components("III", {"k1": 1, "k2": 1}, 8)
 
 
+def test_pi_matrix_rejects_one_real_per_coordinate():
+    # a real point of C^2 has 4 interleaved coordinates
+    with pytest.raises(ValueError):
+        fock.pi_matrix(1.0, 0.0, np.array([0.3, 0.4]), fock.FockBasis(2, 3))
+
+
+def test_psi_numeric_budget(monkeypatch):
+    # case I at n = 2 sums C(15, 3) = 455 degree-12 monomials in 4 variables
+    monkeypatch.setenv("NILHARM_BUDGET", "100")
+    with pytest.raises(BudgetError, match="455 degree-12 monomials"):
+        fock.psi_numeric("I", 1.0, 12, 0.0, np.zeros(8))
+    monkeypatch.setenv("NILHARM_BUDGET", "455")
+    assert fock.psi_numeric("I", 1.0, 12, 0.0, np.zeros(8)) == 455.0
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     n=st.integers(1, 2),

@@ -35,7 +35,7 @@ def test_left_right_mult_commute():
 
 def test_unit_left_mult_is_orthogonal():
     rng = as_rng(2)
-    g = quat.random_unit(rng)
+    g = quat.random_unit(rng, 1)[0]
     m = quat.left_mult_matrix(g)
     assert np.allclose(m @ m.T, np.eye(4), atol=1e-13)
 
@@ -49,7 +49,7 @@ def test_conjugation_norm_and_inverse():
 
 def test_rotation_matrix_is_so3():
     rng = as_rng(4)
-    g = quat.random_unit(rng)
+    g = quat.random_unit(rng, 1)[0]
     r = quat.rotation_matrix(g)
     assert np.allclose(r @ r.T, np.eye(3), atol=1e-12)
     assert abs(np.linalg.det(r) - 1) < 1e-12
@@ -63,8 +63,8 @@ def test_rotation_matrix_is_so3():
 
 def test_to_su2_is_homomorphism():
     rng = as_rng(5)
-    g1 = quat.random_unit(rng)
-    g2 = quat.random_unit(rng)
+    g1 = quat.random_unit(rng, 1)[0]
+    g2 = quat.random_unit(rng, 1)[0]
     u1, u2 = quat.to_su2(g1), quat.to_su2(g2)
     u12 = quat.to_su2(quat.qmul(g1, g2))
     assert np.allclose(u1 @ u2, u12, atol=1e-12)

@@ -145,7 +145,7 @@ def test_theta_conjugation_invariant():
     f = rs.factors[0]
     x = f.random_element(rng)
     _, point = torus.to_chamber(rs, (x,))
-    g = haar_special_unitary(3, rng)
+    g = haar_special_unitary(3, rng, 1)[0]
     _, point2 = torus.to_chamber(rs, (f.conjugate(g, x),))
     assert np.allclose(point.angles[0], point2.angles[0], atol=1e-10)
 
