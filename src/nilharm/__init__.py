@@ -17,7 +17,6 @@ from .algebra import (
     OrthAutomorphism,
     build_case,
     check_structure,
-    sample_automorphisms,
     sample_k_actions,
 )
 from .forms import (
@@ -66,7 +65,6 @@ __all__ = [
     "OrthAutomorphism",
     "build_case",
     "check_structure",
-    "sample_automorphisms",
     "sample_k_actions",
     "Functional",
     "SquareIntegrability",

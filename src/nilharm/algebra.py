@@ -220,33 +220,20 @@ class OrthAutomorphism:
         return OrthAutomorphism(self.g_mat[i], self.v_mat[i])
 
 
-def sample_automorphisms(alg: LauretAlgebra, rng=None, count=8):
-    """Haar-ish sample of orthogonal automorphisms as one stack: the
-    count pairs Ad(g) x pi(g) for g in G', followed by intertwiners
-    (g_mat = I) that fix g where the case provides them."""
-    require_budget(count * (alg.dim_v**2 + alg.dim_g**2), f"{count} automorphisms of (Ad, pi) matrices")
-    rng = as_rng(rng)
-    vmats = alg.ops.sample_vmats(rng, count)
-    ads = alg.ad_of(vmats)
-    us = alg.ops.u_part_automorphisms(rng, max(2, count // 4))
-    if us is not None:
-        ads = np.concatenate([ads, np.tile(np.eye(alg.dim_g), (len(us), 1, 1))])
-        vmats = np.concatenate([vmats, us])
-    return OrthAutomorphism(ads, vmats)
-
-
 def sample_k_actions(alg: LauretAlgebra, rng=None, count=8):
     """Haar sample of the full compact factor K acting on N, as one
     stack: each element composes a G' pair (Ad, pi) with an independent
-    V-intertwiner that fixes g, where the case provides one."""
-    require_budget(count * (alg.dim_v**2 + alg.dim_g**2), f"{count} automorphisms of (Ad, pi) matrices")
+    V-intertwiner from U that fixes g (the identity where the case
+    draws none)."""
+    # entries of the G' stack, Ad, U and U pi(g)
+    require_budget(count * (3 * alg.dim_v**2 + alg.dim_g**2), f"{count} automorphisms of (Ad, pi) matrices")
     rng = as_rng(rng)
     vmats = alg.ops.sample_vmats(rng, count)
-    ads = alg.ad_of(vmats)
-    us = alg.ops.u_part_automorphisms(rng, count)
-    if us is not None:
-        vmats = us @ vmats
-    return OrthAutomorphism(ads, vmats)
+    return OrthAutomorphism(alg.ad_of(vmats), alg.ops.u_part_automorphisms(rng, count) @ vmats)
+
+
+# the old name, which benchmarks/workloads.py calls and tests/test_surface.py pins
+sample_automorphisms = sample_k_actions
 
 
 @dataclass

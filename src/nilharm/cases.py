@@ -156,9 +156,9 @@ class CaseOps:
         return np.tile(np.eye(self.dim_v), (size, 1, 1))
 
     def u_part_automorphisms(self, rng, size):
-        """Haar sample of the orthogonal intertwiners from U (identity on
-        g), shape (size, dim_v, dim_v), or None."""
-        return None
+        """Haar sample of U, the orthogonal commutant of pi (identity on
+        g), shape (size, dim_v, dim_v); identities where the case draws none."""
+        return np.tile(np.eye(self.dim_v), (size, 1, 1))
 
 
 class CaseI(CaseOps):
@@ -196,17 +196,18 @@ class CaseI(CaseOps):
         return _block_diag_stack([quat.right_mult_matrix(quat.qconj(a))] * self.n)
 
 
-class CaseII(CaseI):
+class CaseII(CaseOps):
     """su(2) on R^3 + H^n; never square integrable."""
 
     label = "II"
-    has_weights = False
+    root_spec = "su(2)"
+    factor_bases = (SU2_MATS,)
 
     def __init__(self, params):
+        super().__init__(params)
         n = int(params["n"])
         if n < 0:
             raise ValueError("case II needs n >= 0")
-        CaseOps.__init__(self, params)
         self.n = n
         self.dim_c = 0
         self.v_blocks = [("R^3", 3), ("(C^2)^n", 4 * n)]
@@ -217,15 +218,9 @@ class CaseII(CaseI):
             mats.append(block_diag(*blocks))
         self.pi = np.stack(mats)
 
-    def weights(self, angles, zc):
-        raise NotImplementedError("case II has no tabulated weight data")
-
     def sample_vmats(self, rng, size):
         g = quat.random_unit(rng, size)
         return _block_diag_stack([quat.rotation_matrix(g)] + [quat.left_mult_matrix(g)] * self.n)
-
-    def u_part_automorphisms(self, rng, size):
-        return None
 
 
 class CaseIII(CaseOps):

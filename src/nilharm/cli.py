@@ -1,10 +1,11 @@
 """Command-line surface tying the library together.
 
-Verbs: build, classify, pfaffian, density, spherical, invert, selftest.
-Every JSON/CSV artifact embeds the full run configuration (including
-the seed) so identical invocations produce byte-identical output;
-floats are emitted with 17 significant digits for exact round-trips.
-Exit codes: 2 on bad arguments, 1 on a failed selftest, 0 otherwise.
+Verbs: build, classify, pfaffian, density, spherical, invert, selftest;
+density and spherical write CSV or JSON (--format), the others JSON.
+Every artifact embeds the full run configuration (including the seed)
+so identical invocations produce byte-identical output; floats are
+emitted with 17 significant digits for exact round-trips.  Exit codes:
+2 on bad arguments (nan or inf among them), 1 on a failed selftest.
 """
 
 from __future__ import annotations
@@ -134,10 +135,17 @@ def _build_alg(args) -> LauretAlgebra:
     return build_case(args.case, **params)
 
 
+def _finite(token):
+    """float(token), with ValueError for nan and inf as for a non-number."""
+    if not np.isfinite(val := float(token)):
+        raise ValueError(f"expected a finite number, got {token!r}")
+    return val
+
+
 def _parse_groups(text):
-    """';'-separated factor groups of ','-separated floats."""
+    """';'-separated factor groups of ','-separated finite floats."""
     return tuple(
-        np.array([float(tok) for tok in group.split(",") if tok.strip()])
+        np.array([_finite(tok) for tok in group.split(",") if tok.strip()])
         for group in text.split(";")
     )
 
@@ -182,18 +190,17 @@ def functional_from_args(alg: LauretAlgebra, args):
     regular direction.
     """
     lam = getattr(args, "lam", None)
+    scale = 1.0 if lam in (None, "random") else _finite(lam)
     if getattr(args, "H", None) is not None or getattr(args, "Z", None) is not None:
         if lam == "random":
             raise ValueError("--lambda random conflicts with explicit --H/--Z")
         H = _parse_groups(args.H) if args.H is not None else None
-        Z = [float(t) for t in args.Z.split(",")] if args.Z else None
-        x = alg.from_chamber(H, Z)
-        return float(lam) * x if lam is not None else x
+        Z = [_finite(t) for t in args.Z.split(",")] if args.Z else None
+        return scale * alg.from_chamber(H, Z)
     if lam == "random":
         rng = as_rng(args.seed)
         d = rng.standard_normal(alg.dim_g)
         return d / np.linalg.norm(d)
-    scale = 1.0 if lam is None else float(lam)
     return scale * default_direction(alg)
 
 
@@ -203,8 +210,6 @@ def functional_from_args(alg: LauretAlgebra, args):
 
 def _cmd_build(args):
     alg = _build_alg(args)
-    if args.format == "csv":
-        raise ValueError("build emits JSON only")
     report = check_structure(alg, rng=as_rng(args.seed), trials=20)
     out = {
         "config": _run_config(args),
@@ -232,8 +237,6 @@ def _cmd_build(args):
 def _cmd_classify(args):
     """The classify and pfaffian verbs: one report, which pfaffian
     extends by the relative deviation of the two Pfaffians."""
-    if args.format == "csv":
-        raise ValueError(f"{args.verb} emits JSON only")
     alg = _build_alg(args)
     x = functional_from_args(alg, args)
     verdict = classify(alg, x)
@@ -305,6 +308,7 @@ def _spherical_value(alg, idx, z, v, args):
 
 def _cmd_spherical(args):
     _check_points(args)
+    args.z_norm, args.v_norm = _finite(args.z_norm), _finite(args.v_norm)
     alg = _build_alg(args)
     x = functional_from_args(alg, args)
     if args.index is not None:
@@ -344,8 +348,6 @@ def _cmd_spherical(args):
 
 
 def _cmd_invert(args):
-    if args.format == "csv":
-        raise ValueError("invert emits JSON only")
     t0 = time.monotonic()
     cfg = _run_config(args)
     if args.case == "VII":
@@ -534,10 +536,11 @@ def _add_functional_flags(p):
     p.add_argument("--Z", default=None, help="central coordinates, ','-separated")
 
 
-def _add_output_flags(p, default_format):
+def _add_output_flags(p, tabular):
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
-    p.add_argument("--format", choices=("json", "csv"), default=default_format)
+    if tabular:
+        p.add_argument("--format", choices=("json", "csv"), default="csv")
 
 
 def build_parser():
@@ -549,7 +552,7 @@ def build_parser():
 
     p = sub.add_parser("build", help="dump the assembled algebra as JSON")
     _add_case_flags(p)
-    _add_output_flags(p, "json")
+    _add_output_flags(p, False)
     p.set_defaults(func=_cmd_build)
 
     for verb, hlp in (
@@ -559,14 +562,14 @@ def build_parser():
         p = sub.add_parser(verb, help=hlp)
         _add_case_flags(p)
         _add_functional_flags(p)
-        _add_output_flags(p, "json")
+        _add_output_flags(p, False)
         p.set_defaults(func=_cmd_classify)
 
     p = sub.add_parser("density", help="Plancherel density along a chamber ray")
     _add_case_flags(p)
     _add_functional_flags(p)
     p.add_argument("--points", type=int, default=16, help="ray sample count")
-    _add_output_flags(p, "csv")
+    _add_output_flags(p, True)
     p.set_defaults(func=_cmd_density)
 
     p = sub.add_parser("spherical", help="tabulate spherical function values")
@@ -575,12 +578,12 @@ def build_parser():
     p.add_argument("--j", type=int, default=None,
                    help="one-run component index (default: degree 0 on every run)")
     p.add_argument("--index", default=None, help="multi-index, ','-separated")
-    p.add_argument("--z-norm", dest="z_norm", type=float, default=0.0)
-    p.add_argument("--v-norm", dest="v_norm", type=float, default=2.0,
+    p.add_argument("--z-norm", dest="z_norm", default=0.0)
+    p.add_argument("--v-norm", dest="v_norm", default=2.0,
                    help="largest |v| on the sweep")
     p.add_argument("--points", type=int, default=9)
     p.add_argument("--mc-samples", dest="mc_samples", type=int, default=20000)
-    _add_output_flags(p, "csv")
+    _add_output_flags(p, True)
     p.set_defaults(func=_cmd_spherical)
 
     p = sub.add_parser("invert", help="run an inversion check (case VII or I)")
@@ -588,7 +591,7 @@ def build_parser():
     p.add_argument("--j", type=int, default=None, help="series truncation J")
     p.add_argument("--grid", type=int, default=None, help="frequency node count")
     p.add_argument("--mc-samples", dest="mc_samples", type=int, default=4000)
-    _add_output_flags(p, "json")
+    _add_output_flags(p, False)
     p.set_defaults(func=_cmd_invert)
 
     p = sub.add_parser("selftest", help="run the invariant scoreboard")

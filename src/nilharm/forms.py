@@ -73,6 +73,9 @@ def classify(alg: LauretAlgebra, x) -> SquareIntegrability:
     the upper half, exactly 0 when the kernel is nonzero (rounding
     would otherwise leave a product of tiny eigenvalues).
     """
+    x = np.asarray(x, dtype=float)
+    if not np.isfinite(x).all():
+        raise ValueError("g-coordinates must be finite")
     ev = np.linalg.eigvalsh(1j * skew_form(alg, x))
     mod = np.abs(ev)
     kernel = int(np.count_nonzero(mod <= _RANK_TOL * np.max(mod, initial=0.0)))
@@ -92,8 +95,8 @@ class Functional:
 
     def __init__(self, alg: LauretAlgebra, x):
         x = np.asarray(x, dtype=float).copy()
-        if x.shape != (alg.dim_g,):
-            raise ValueError(f"expected g-coordinates of length {alg.dim_g}")
+        if x.shape != (alg.dim_g,) or not np.isfinite(x).all():
+            raise ValueError(f"expected {alg.dim_g} finite g-coordinates")
         self.alg = alg
         self.x = x
         self.norm = float(np.linalg.norm(x))

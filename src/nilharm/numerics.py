@@ -1,5 +1,6 @@
-"""Shared numerical kernels: Laguerre recurrences, Haar sampling and
-tensor-product quadrature.
+"""Shared numerical kernels: the Laguerre recurrence (laguerre_all;
+laguerre is its row k), the Monte Carlo estimator (mc_mean), Haar
+sampling and tensor-product quadrature.
 
 The Haar samplers of O(n), SO(n), U(n), SU(n) and Sp(n) take a size
 and return a stack of size samples, drawn as one Gaussian array whose C
@@ -78,34 +79,21 @@ def as_complex_vector(v, n):
 # ---------------------------------------------------------------------------
 
 def laguerre(k, alpha, x):
-    """Generalized Laguerre polynomial L_k^alpha(x), vectorized in x.
-
-    Uses the stable upward three-term recurrence
-
-        (m+1) L_{m+1} = (2m+1+alpha-x) L_m - (m+alpha) L_{m-1}.
-    """
-    if k < 0 or int(k) != k:
-        raise ValueError("k must be a nonnegative integer")
-    if alpha <= -1:
-        raise ValueError("alpha must exceed -1")
-    x = np.asarray(x, dtype=float)
-    prev = np.zeros_like(x)
-    cur = np.ones_like(x)
-    for m in range(int(k)):
-        prev, cur = cur, ((2 * m + 1 + alpha - x) * cur - (m + alpha) * prev) / (m + 1)
-    return cur
+    """Generalized Laguerre polynomial L_k^alpha(x), vectorized in x:
+    row k of laguerre_all."""
+    return laguerre_all(k, alpha, x)[int(k)]
 
 
 def laguerre_all(kmax, alpha, x):
     """All of L_0^alpha ... L_kmax^alpha at once; shape (kmax+1,) + x.shape.
 
-    Runs the recurrence of laguerre in place, with the same operations
-    in the same order, so row k equals laguerre(k, alpha, x) bit for bit.
-    alpha may be an array that broadcasts against x (one order per entry).
+    Runs the stable upward recurrence (m+1) L_{m+1} = (2m+1+alpha-x) L_m
+    - (m+alpha) L_{m-1} in place.  alpha may be an array that
+    broadcasts against x (one order per entry).
     """
     if kmax < 0 or int(kmax) != kmax:
         raise ValueError("kmax must be a nonnegative integer")
-    if np.any(np.asarray(alpha) <= -1):
+    if (np.asarray(alpha) <= -1).any():
         raise ValueError("alpha must exceed -1")
     kmax = int(kmax)
     x = np.asarray(x, dtype=float)
@@ -140,6 +128,14 @@ def sphere_character(a):
     with np.errstate(invalid="ignore", divide="ignore"):
         full = np.where(small, series, np.sin(np.where(small, 1.0, a)) / np.where(small, 1.0, a))
     return full if full.shape else float(full)
+
+
+def mc_mean(vals):
+    """(mean, stderr) of the S Monte Carlo samples vals, with
+    stderr = sqrt(sum |v - mean|^2) / S; the mean keeps the dtype of
+    vals (complex samples give a complex mean)."""
+    mean = np.mean(vals)
+    return mean, float(np.sqrt(np.sum(np.abs(vals - mean) ** 2)) / len(vals))
 
 
 # ---------------------------------------------------------------------------

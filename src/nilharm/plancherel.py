@@ -40,7 +40,7 @@ import numpy as np
 
 from .algebra import LauretAlgebra, build_case
 from .forms import Functional
-from .numerics import QuadratureSpec, as_rng, laguerre_all, leggauss, require_budget
+from .numerics import QuadratureSpec, as_rng, laguerre_all, leggauss, mc_mean, require_budget
 from .spherical import _v_factor
 from . import fock
 from . import torus
@@ -467,14 +467,13 @@ def _probe_one_width(alg, avec, b, J, lam_max, lam_nodes, samples, seed):
         vmats = alg.ops.sample_vmats(rng, samples)
         u = np.stack([alg.orbit_pairing(vmats, y, e) for e in np.eye(alg.dim_g)], axis=1)
         zint = zfac * np.exp(-(r**2) * np.sum(u**2 / (4.0 * avec), axis=1))
-        mean = float(np.mean(zint))
-        sem = float(np.std(zint, ddof=1) / np.sqrt(samples))
+        mean, sem = mc_mean(zint)
         p, q = b + r / 4.0, b - r / 4.0
         vsum = float(np.pi**d * np.sum(dims * q**js / p ** (js + d)))
         weight = wk * 4.0 * r**4 * vsum
         total += weight * mean
         var += (weight * sem) ** 2
-    return total, float(np.sqrt(var))
+    return float(total), float(np.sqrt(var))
 
 
 def general_inversion_probe(

@@ -43,7 +43,7 @@ import numpy as np
 
 from .algebra import LauretAlgebra
 from .forms import Functional
-from .numerics import as_complex_vector, as_rng, laguerre, require_budget, sphere_character
+from .numerics import as_complex_vector, as_rng, laguerre, mc_mean, require_budget, sphere_character
 from .fock import kx_blocks, monomials_of_degree, run_degrees
 
 
@@ -199,10 +199,8 @@ def phi_orbit(idx: SphericalIndex, z, v, samples=20000, seed=0):
     pair = alg.orbit_pairing(vmats, fn.y, z)
     w = np.einsum("sab,b->sa", vmats, v)
     vals = _v_factor(idx.case, idx.params, idx.index, alam, w, np.exp(1j * alam * pair))
-    mean = complex(np.mean(vals))
-    resid = vals - mean
-    stderr = float(np.sqrt(np.sum(np.abs(resid) ** 2)) / len(vals))
-    return SphericalValue(value=mean, method="orbit-MC", stderr=stderr)
+    mean, stderr = mc_mean(vals)
+    return SphericalValue(value=complex(mean), method="orbit-MC", stderr=stderr)
 
 
 # ---------------------------------------------------------------------------
@@ -359,10 +357,8 @@ def functional_equation_residual(phi, alg: LauretAlgebra, x_point, y_point, k_ac
     pe = complex(phi((np.zeros(alg.dim_g), np.zeros(alg.dim_v))))
     zs, vs = alg.group_mult((xz, xv), k_actions.apply(yz, yv))
     vals = np.array([complex(phi(p)) for p in zip(zs, vs)])
-    vals = vals / pe
-    avg = complex(np.mean(vals))
+    avg, stderr = mc_mean(vals / pe)
     target = (complex(phi((xz, xv))) / pe) * (complex(phi((yz, yv))) / pe)
-    stderr = float(np.sqrt(np.sum(np.abs(vals - avg) ** 2)) / len(vals))
     return FunctionalEquationReport(
         residual=float(abs(avg - target)), stderr=stderr, samples=len(vals)
     )

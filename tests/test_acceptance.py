@@ -22,7 +22,7 @@ from nilharm import (
     skew_form,
     torus,
 )
-from nilharm.algebra import OrthAutomorphism, sample_automorphisms, sample_k_actions
+from nilharm.algebra import OrthAutomorphism, sample_k_actions
 from nilharm.numerics import QuadratureSpec, as_rng
 from nilharm.spherical import (
     SphericalIndex,
@@ -116,7 +116,7 @@ def test_criterion_03_pfaffian_ad_invariance(capsys):
         x = rng.standard_normal(alg.dim_g)
         x /= np.linalg.norm(x)
         base = pfaffian_abs(skew_form(alg, x))
-        for k in sample_automorphisms(alg, rng, count=100):
+        for k in sample_k_actions(alg, rng, count=100):
             pf = pfaffian_abs(skew_form(alg, k.apply_functional(x)))
             dev = abs(pf - base) / base if base > 1e-12 else abs(pf)
             worst = max(worst, dev)

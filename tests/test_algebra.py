@@ -145,7 +145,7 @@ def test_automorphisms_preserve_bracket(case, params):
     # the pair (g_mat, v_mat) against each other
     alg = build_case(case, **params)
     rng = as_rng(6)
-    ks = sample_automorphisms(alg, rng=rng, count=6)
+    ks = sample_k_actions(alg, rng=rng, count=6)
     for k in ks:
         assert np.allclose(k.v_mat @ k.v_mat.T, np.eye(alg.dim_v), atol=1e-11)
         assert np.allclose(k.g_mat @ k.g_mat.T, np.eye(alg.dim_g), atol=1e-11)
@@ -155,7 +155,7 @@ def test_automorphisms_preserve_bracket(case, params):
         lhs = k.g_mat @ alg.bracket(u, v)
         rhs = alg.bracket(k.v_mat @ u, k.v_mat @ v)
         assert np.allclose(lhs, rhs, atol=1e-10)
-    # the first count elements are the G' pairs (Ad(g), pi(g))
+    # U commutes with pi, so the pairs (Ad(g), U pi(g)) pair like G'
     vmats = np.stack([k.v_mat for k in ks[:6]])
     y = rng.standard_normal(alg.dim_g)
     z = rng.standard_normal(alg.dim_g)
@@ -201,16 +201,22 @@ def test_automorphism_stack_acts_like_its_elements(case, params):
         len(ks[0])
 
 
-@pytest.mark.parametrize("case,params,u_rows", [
-    ("I", {"n": 2}, 2), ("VII", {"n": 2}, 2), ("VIII", {"k": 1, "n": 1}, 2), ("V", {"n": 3}, 2),
-    ("VI", {"n": 3}, 0), ("IV", {"n": 1}, 0),
-])
-def test_automorphism_stack_appends_u_part_with_identity_on_g(case, params, u_rows):
-    # G' pairs first, then max(2, count // 4) intertwiners that fix g
+@pytest.mark.parametrize("case,params", ALL_CASES)
+def test_u_part_is_the_orthogonal_commutant(case, params):
+    # U, the part of K that fixes g, is a stack of orthogonal maps of V
+    # that commute with every pi(X); identities where the case draws none
     alg = build_case(case, **params)
-    ks = sample_automorphisms(alg, rng=as_rng(11), count=8)
-    assert len(ks) == 8 + u_rows
-    assert np.array_equal(ks.g_mat[8:], np.broadcast_to(np.eye(alg.dim_g), (u_rows, alg.dim_g, alg.dim_g)))
+    us = alg.ops.u_part_automorphisms(as_rng(11), 4)
+    assert us.shape == (4, alg.dim_v, alg.dim_v)
+    assert np.allclose(us @ np.swapaxes(us, 1, 2), np.eye(alg.dim_v), rtol=0, atol=1e-12)
+    for p in alg.pi:
+        assert np.allclose(us @ p, p @ us, rtol=0, atol=1e-12)
+
+
+def test_one_k_sampler():
+    # the old name draws K as the functional equation does: count pairs
+    # (Ad(g), U pi(g)), no appended U rows
+    assert sample_automorphisms is sample_k_actions
 
 
 def test_split_join_center():

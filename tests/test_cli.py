@@ -168,6 +168,18 @@ def test_out_flag_writes_file(tmp_path, capsys):
     assert doc["verdict"] == "SquareIntegrable"
 
 
+@pytest.mark.parametrize("verb", ["build", "classify", "pfaffian", "invert"])
+def test_json_verbs_take_no_format(capsys, verb):
+    # only density and spherical have a second encoding
+    argv = [verb, "--case", "VII", "--n", "1"]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv + ["--format", "json"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    rc, out = _run(capsys, argv)
+    assert rc == 0 and "format" not in json.loads(out)["config"]
+
+
 def test_bad_arguments_exit_2(capsys):
     assert cli.main(["classify", "--case", "Q", "--lambda", "1"]) == 2
     capsys.readouterr()
@@ -229,6 +241,23 @@ def test_bad_input_is_an_error_line_and_exit_2(capsys, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["density", "--case", "VII", "--n", "1", "--lambda", "nan"],
+    ["density", "--case", "VII", "--n", "1", "--Z", "inf"],
+    ["classify", "--case", "V", "--n", "3", "--lambda", "inf"],
+    ["pfaffian", "--case", "V", "--n", "3", "--H", "1,nan,-1"],
+    ["spherical", "--case", "I", "--n", "1", "--z-norm", "nan"],
+    ["spherical", "--case", "I", "--n", "1", "--v-norm=-inf"],
+], ids=["lambda-nan", "Z-inf", "lambda-inf", "H-nan", "z-norm-nan", "v-norm-minus-inf"])
+def test_non_finite_number_exits_2(capsys, argv):
+    # each is rejected as it is parsed; before, the run printed density 0
+    # or NaN rows with exit 0, met inf * 0, or failed in an eigensolver
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: expected a finite number") and captured.err.count("\n") == 1
 
 
 # every case off the exception list (II, and VI with odd n)

@@ -107,6 +107,18 @@ def test_zero_functional_degenerate():
     assert not classify(alg, np.zeros(alg.dim_g)).square_integrable
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_functional_raises(bad):
+    # a nan functional used to classify as square integrable with |Pf| 0
+    alg = build_case("VII", n=1)
+    with pytest.raises(ValueError, match="finite"):
+        classify(alg, [bad])
+    with pytest.raises(ValueError, match="finite"):
+        Functional(alg, [bad])
+    with pytest.raises(ValueError, match="finite"):
+        density_of(alg, [bad])
+
+
 @pytest.mark.parametrize("case,params", [
     ("I", {"n": 2}), ("V", {"n": 3}), ("VII", {"n": 3}), ("IX", {"n": 3}),
 ])

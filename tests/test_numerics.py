@@ -18,6 +18,7 @@ from nilharm.numerics import (
     laguerre,
     laguerre_all,
     leggauss,
+    mc_mean,
     sphere_character,
 )
 
@@ -98,6 +99,16 @@ def test_laguerre_recurrence_identity():
         lhs = (k + 1) * t[k + 1]
         rhs = (2 * k + alpha + 1 - x) * t[k] - (k + alpha) * t[k - 1]
         assert np.allclose(lhs, rhs, rtol=1e-11, atol=1e-11)
+
+
+def test_mc_mean_keeps_dtype():
+    # stderr = sqrt(sum |v - mean|^2) / S for real and complex samples;
+    # real samples give a real mean
+    vals = as_rng(3).standard_normal(40)
+    for v in (vals, vals[:20] + 1j * vals[20:]):
+        mean, stderr = mc_mean(v)
+        assert mean.dtype == v.dtype and mean == np.mean(v)
+        assert stderr == float(np.sqrt(np.sum(np.abs(v - np.mean(v)) ** 2)) / len(v))
 
 
 def test_sphere_character_is_sphere_average():

@@ -16,7 +16,7 @@ from test_acceptance import CASES as ACCEPTANCE_CASES, DEGENERATE_CASES
 from scipy.special import comb, eval_genlaguerre, factorial, roots_genlaguerre
 
 from nilharm import build_case, fock, spherical
-from nilharm.algebra import LauretAlgebra, OrthAutomorphism, sample_automorphisms, sample_k_actions
+from nilharm.algebra import LauretAlgebra, OrthAutomorphism, sample_k_actions
 from nilharm.numerics import BudgetError, as_rng, sphere_character
 from nilharm.spherical import (
     SphericalIndex,
@@ -522,7 +522,8 @@ def test_functional_equation_maps_the_stack_once(monkeypatch):
 
 def test_monte_carlo_budget(monkeypatch):
     # IX(n=3): dim_v = 6, dim_g = 9; the budget admits 20 orbit samples
-    # (720 entries) and 5 automorphisms (585) but not 100 (3600) or 20 (2340)
+    # (720 entries) but not 100 (3600), and 5 K-actions but not 6: the G'
+    # stack, Ad, U and U pi(g) are 5 * (3 * 36 + 81) = 945 entries, 1134 at 6
     monkeypatch.setenv("NILHARM_BUDGET", "1000")
     alg = build_case("IX", n=3)
     idx = spherical_index(alg, np.array([0.3, -0.2, 0.9, 0.1, 0.4, -0.5, 0.2, 0.7, -0.1]), (1, 0, 1))
@@ -534,7 +535,7 @@ def test_monte_carlo_budget(monkeypatch):
     with pytest.raises(BudgetError, match="automorphisms"):
         sample_k_actions(alg, as_rng(0), count=20)
     with pytest.raises(BudgetError, match="automorphisms"):
-        sample_automorphisms(alg, as_rng(0), count=20)
+        sample_k_actions(alg, as_rng(0), count=6)
 
 
 def _circle_actions(count):
