@@ -36,6 +36,7 @@ from .numerics import (
     haar_special_unitary,
     haar_symplectic_quat,
     haar_unitary,
+    require_budget,
 )
 
 E1 = np.array([[1j, 0], [0, -1j]])
@@ -93,6 +94,11 @@ class CaseOps:
 
     def __init__(self, params):
         self.params = dict(params)
+
+    def _require_pi(self, dim_g):
+        """Check the dim_g x dim_v^2 entries of pi against NILHARM_BUDGET."""
+        dim_v = sum(dim for _, dim in self.v_blocks)
+        require_budget(dim_g * dim_v**2, f"{dim_g} x {dim_v}^2 entries of pi")
 
     # -- structure ---------------------------------------------------------
     @property
@@ -177,6 +183,7 @@ class CaseI(CaseOps):
         self.n = n
         self.dim_c = 0
         self.v_blocks = [("(C^2)^n", 4 * n)]
+        self._require_pi(3)
         self.pi = np.stack(
             [block_diag(*([quat.left_mult_matrix(q)] * n)) for q in SU2_QUATS]
         )
@@ -211,6 +218,7 @@ class CaseII(CaseOps):
         self.n = n
         self.dim_c = 0
         self.v_blocks = [("R^3", 3), ("(C^2)^n", 4 * n)]
+        self._require_pi(3)
         mats = []
         for u, q in zip(np.eye(3), SU2_QUATS):
             rot = 2.0 * cross_matrix(u)
@@ -238,6 +246,7 @@ class CaseIII(CaseOps):
         self.k1, self.k2 = k1, k2
         self.dim_c = 0
         self.v_blocks = [("(C^2)^k1", 4 * k1), ("R^4", 4), ("(C^2)^k2", 4 * k2)]
+        self._require_pi(6)
         mats = []
         for q in SU2_QUATS:
             blocks = [quat.left_mult_matrix(q)] * k1 + [quat.left_mult_matrix(q)] + [np.zeros((4, 4))] * k2
@@ -270,6 +279,7 @@ class CaseIV(CaseOps):
         self.n = n
         self.dim_c = 0
         self.v_blocks = [("(C^4)^n", 8 * n)]
+        self._require_pi(10)
         qbasis = torus.sp_basis_quat(2)
         self.factor_bases = (quat.qmat_to_complex(np.stack(qbasis)),)
         mats = []
@@ -292,6 +302,7 @@ class CaseV(CaseOps):
 
     label = "V"
     has_weights = True
+    dim_c = 0
 
     def __init__(self, params):
         super().__init__(params)
@@ -299,8 +310,8 @@ class CaseV(CaseOps):
         if n < 3:
             raise ValueError(f"case {self.label} needs n >= 3")
         self.n = n
-        self.dim_c = 0
         self.v_blocks = [("C^n", 2 * n)]
+        self._require_pi(n * n - 1 + self.dim_c)
         self.factor_bases = (np.stack(torus.su_basis(n)),)
         self.pi = realify(self.factor_bases[0])
         self.root_spec = f"su({n})"
@@ -328,6 +339,7 @@ class CaseVI(CaseOps):
             raise ValueError("case VI needs n >= 2")
         self.n = n
         self.v_blocks = [("R^n", n)]
+        self._require_pi(n * (n - 1) // 2)
         self.pi = np.stack(torus.so_basis(n))
         # so(2) is abelian: the whole of g is then center
         self.dim_c = 1 if n == 2 else 0
@@ -368,6 +380,7 @@ class CaseVII(CaseOps):
         self.n = n
         self.dim_c = 1
         self.v_blocks = [("C^n", 2 * n)]
+        self._require_pi(1)
         self.pi = realify(1j * np.eye(n))[None, :, :]
 
     def weights(self, angles, zc):
@@ -394,6 +407,7 @@ class CaseVIII(CaseOps):
         self.k, self.n = k, n
         self.dim_c = 1
         self.v_blocks = [("(C^2)^k", 4 * k), ("(C^2)^n", 4 * n)]
+        self._require_pi(4)
         mats = []
         for m2, q in zip(SU2_MATS, SU2_QUATS):
             blocks = [realify(m2)] * k + [quat.left_mult_matrix(q)] * n
@@ -425,10 +439,10 @@ class CaseIX(CaseV):
     acting by multiples of 1j."""
 
     label = "IX"
+    dim_c = 1
 
     def __init__(self, params):
         super().__init__(params)
-        self.dim_c = 1
         self.pi = np.concatenate([self.pi, realify(1j * np.eye(self.n))[None]])
 
     def weights(self, angles, zc):
@@ -454,8 +468,9 @@ class CaseX(CaseOps):
             raise ValueError("case X instance needs m >= 3, k >= 1, n >= 0")
         self.m, self.k, self.n = m, k, n
         self.dim_c = 1
-        self.factor_bases = (np.stack(torus.su_basis(m)), SU2_MATS)
         self.v_blocks = [("C^m", 2 * m), ("(C^2)^k", 4 * k), ("(C^2)^n", 4 * n)]
+        self._require_pi(m * m + 3)
+        self.factor_bases = (np.stack(torus.su_basis(m)), SU2_MATS)
         zero_m = np.zeros((2 * m, 2 * m))
         mats = []
         for b in self.factor_bases[0]:

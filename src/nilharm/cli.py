@@ -34,8 +34,11 @@ from . import torus
 # ---------------------------------------------------------------------------
 
 def _fmt(x):
-    """17-significant-digit float token (round-trips exactly)."""
-    return format(float(x), ".17g")
+    """17-significant-digit float token (round-trips exactly); JSON has
+    no token for nan or inf, so they are a ValueError."""
+    if not np.isfinite(x := float(x)):
+        raise ValueError(f"the result has a non-finite value ({x}); the inputs are out of range")
+    return format(x, ".17g")
 
 
 def _plain(obj):
@@ -95,6 +98,16 @@ def _csv_text(comments, header, rows):
     for row in rows:
         writer.writerow([_fmt(v) if isinstance(v, (float, np.floating)) else v for v in row])
     return buf.getvalue()
+
+
+def _emit_table(args, header, rows):
+    """A density or spherical table as JSON, or as CSV with the config."""
+    cfg = _run_config(args)
+    if args.format == "json":
+        _emit(_json_text({"config": cfg, "columns": header, "rows": rows}), args.out)
+    else:
+        comments = [f"nilharm {__version__} {args.verb}", "config: " + json.dumps(_plain(cfg), separators=(",", ":"))]
+        _emit(_csv_text(comments, header, rows), args.out)
 
 
 def _emit(text, out):
@@ -282,26 +295,15 @@ def _cmd_density(args):
         + [f"z{i + 1}" for i in range(alg.dim_c)]
         + ["theta", "pfaffian", "density"]
     )
-    cfg = _run_config(args)
-    if args.format == "json":
-        out = {"config": cfg, "columns": header, "rows": rows}
-        _emit(_json_text(out), args.out)
-    else:
-        comments = [f"nilharm {__version__} density", "config: " + json.dumps(_plain(cfg), separators=(",", ":"))]
-        _emit(_csv_text(comments, header, rows), args.out)
+    _emit_table(args, header, rows)
     return 0
 
 
 def _spherical_value(alg, idx, z, v, args):
-    if alg.spec.case == "I":
-        # phi_caseI_closed takes the one degree of case I's one run
-        runs = fock.kx_blocks("I", alg.spec.params)
-        if len(idx.index) != len(runs):
-            raise ValueError(f"index {tuple(map(int, idx.index))} needs one degree per run of {runs}")
-        val = sph.phi_caseI_closed(idx.lam, idx.index[0], z, v)
-        return sph.SphericalValue(value=val, method="closed-form", stderr=0.0)
-    if alg.spec.case == "VII":
-        val = sph.psi_closed(idx, float(idx.functional.y @ z), v)
+    if alg.spec.case in ("I", "VII"):
+        # phi_caseI_closed takes the degree of case I's one run
+        val = (sph.phi_caseI_closed(idx.lam, idx.degrees[0], z, v) if alg.spec.case == "I"
+               else sph.psi_closed(idx, float(idx.functional.y @ z), v))
         return sph.SphericalValue(value=val, method="closed-form", stderr=0.0)
     return sph.phi_orbit(idx, z, v, samples=args.mc_samples, seed=args.seed)
 
@@ -322,8 +324,7 @@ def _cmd_spherical(args):
                              "for a default index; pass --index")
         index = fock.run_index(alg.spec.case, (0,) * len(runs))
     idx = sph.spherical_index(alg, x, index)
-    vmax = args.v_norm
-    vnorms = np.linspace(0.0, vmax, args.points)
+    vnorms = np.linspace(0.0, args.v_norm, args.points)
     zvec = np.zeros(alg.dim_g)
     zvec[0] = args.z_norm
     rows = []
@@ -336,27 +337,21 @@ def _cmd_spherical(args):
             [alg.spec.case, idx.lam, ";".join(str(i) for i in index), point,
              float(np.real(val.value)), float(np.imag(val.value)), val.stderr]
         )
-    header = ["case", "lambda", "index", "point", "re", "im", "stderr"]
-    cfg = _run_config(args)
-    if args.format == "json":
-        out = {"config": cfg, "columns": header, "rows": rows}
-        _emit(_json_text(out), args.out)
-    else:
-        comments = [f"nilharm {__version__} spherical", "config: " + json.dumps(_plain(cfg), separators=(",", ":"))]
-        _emit(_csv_text(comments, header, rows), args.out)
+    _emit_table(args, ["case", "lambda", "index", "point", "re", "im", "stderr"], rows)
     return 0
 
 
 def _cmd_invert(args):
     t0 = time.monotonic()
     cfg = _run_config(args)
+    # the flags the user set; the library holds the defaults
+    opts = {key: val for key, val in (("J", args.j), ("lam_nodes", args.grid)) if val is not None}
+    if args.case not in ("VII", "I"):
+        raise ValueError("invert supports --case VII (Heisenberg) and --case I")
+    if (args.n or 1) != 1:
+        raise ValueError(f"the case {args.case} inversion check runs at n = 1")
     if args.case == "VII":
-        if (args.n or 1) != 1:
-            raise ValueError("the Heisenberg inversion check runs at n = 1")
-        rep = plancherel.heisenberg_inversion_check(
-            J=args.j if args.j is not None else 20,
-            lam_nodes=args.grid if args.grid is not None else 64,
-        )
+        rep = plancherel.heisenberg_inversion_check(**opts)
         out = {
             "config": cfg,
             "target": "heisenberg",
@@ -374,15 +369,8 @@ def _cmd_invert(args):
             },
             "passed": rep.passed(),
         }
-    elif args.case == "I":
-        if (args.n or 1) != 1:
-            raise ValueError("the case I inversion probe runs at n = 1")
-        rep = plancherel.general_inversion_probe(
-            J=args.j if args.j is not None else 25,
-            lam_nodes=args.grid if args.grid is not None else 40,
-            samples=args.mc_samples,
-            seed=args.seed,
-        )
+    else:
+        rep = plancherel.general_inversion_probe(**opts, samples=args.mc_samples, seed=args.seed)
         out = {
             "config": cfg,
             "target": "case-I-identity",
@@ -394,8 +382,6 @@ def _cmd_invert(args):
             "truncation": {"J": rep.J, "samples": rep.samples},
             "consistent": rep.consistent(),
         }
-    else:
-        raise ValueError("invert supports --case VII (Heisenberg) and --case I")
     print(f"# runtime: {time.monotonic() - t0:.2f} s", file=sys.stderr)
     _emit(_json_text(out), args.out)
     return 0
@@ -504,6 +490,7 @@ def _selftest_checks(seed):
 
 
 def _cmd_selftest(args):
+    as_rng(args.seed)  # a bad seed is bad input, not a failed check
     checks = _selftest_checks(args.seed)
     failures = 0
     for name, runner in checks:
@@ -605,9 +592,11 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
-    except (ValueError, NotImplementedError, BudgetError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            return args.func(args)
+    except (ValueError, NotImplementedError, BudgetError, FloatingPointError) as exc:
+        hint = " (an input is out of floating-point range)" if isinstance(exc, FloatingPointError) else ""
+        print(f"error: {exc}{hint}", file=sys.stderr)
         return 2
 
 

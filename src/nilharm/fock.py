@@ -18,11 +18,12 @@ normalized coordinates
     <pi_mu(v) e_m, e_r> = e^{-x/2} sqrt(lo!/hi!) w^{|r-m|} L_lo^{(|r-m|)}(x),
 
 with x = mu |v|^2 / 2, lo, hi = min/max(r, m), w = sqrt(mu/2) v above
-the diagonal and -sqrt(mu/2) conj(v) below it.  They are accurate to
-rounding at every degree (the Laguerre recurrence is stable; the norm
-ratio, power and envelope are combined in log space).  Truncation at
-total degree D only affects operator products (composition leaks
-degree), so operator identities are asserted on degrees <= D - 2.
+the diagonal and -sqrt(mu/2) conj(v) below it.  One builder tabulates
+them per coordinate (_entry_tables), accurate to rounding at every
+degree, for pi_matrix and coefficient_grid; psi_numeric keeps its own
+diagonal as the independent oracle.  Truncation at total degree D only
+affects operator products (composition leaks degree), so operator
+identities are asserted on degrees <= D - 2.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from typing import Optional
 
 import numpy as np
 
-from .numerics import as_complex_vector, laguerre, laguerre_all, require_budget
+from .numerics import as_complex_vector, laguerre_all, require_budget
 
 
 def monomials_of_degree(nvars, degree):
@@ -98,37 +99,28 @@ class FockBasis:
         return f"FockBasis(n={self.n}, max_degree={self.max_degree}, count={self.count})"
 
 
-def _closed_entries(mu, v, r, m, lag, logfact):
-    """<pi_mu(v) e_m, e_r> for one coordinate, mu > 0, in the closed
-    Laguerre form of the module docstring; r, m and v broadcast.
-
-    lag(lo, gap, x) returns L_lo^{(gap)}(x) at the broadcast shape and
-    logfact holds log k! up to max(r, m).  The norm ratio, |w|^gap =
-    x^(gap/2) and the envelope e^{-x/2} are summed as logarithms before
-    one exponential, so nothing overflows at high degree; at v = 0 the
-    table is the identity exactly."""
-    x = 0.5 * mu * np.abs(v) ** 2
+def _entry_tables(mu, z, dmax):
+    """tab[..., r, m] = <pi_mu(v) e_m, e_r> for r, m <= dmax, mu > 0, per
+    complex coordinate z (...): one Laguerre recurrence over the orders,
+    and the norm ratio, |w|^gap and envelope summed as logarithms, so
+    nothing overflows; at v = 0 the table is exactly the identity."""
+    deg = np.arange(dmax + 1)
+    r, m = deg[:, None], deg[None, :]
     lo, hi = np.minimum(r, m), np.maximum(r, m)
     gap = hi - lo
+    x = 0.5 * mu * np.abs(z)[..., None] ** 2
+    logfact = _log_factorials(dmax)
+    # the power and the phase are formed per gap and per m - r
     with np.errstate(divide="ignore", invalid="ignore"):
-        power = np.where(gap > 0, 0.5 * gap * np.log(x), 0.0)
-    modulus = np.exp(0.5 * (logfact[lo] - logfact[hi]) + power - 0.5 * x)
+        power = np.where(gap > 0, (0.5 * deg * np.log(x))[..., gap], 0.0)
+    modulus = np.exp(0.5 * (logfact[lo] - logfact[hi]) + power - 0.5 * x[..., None])
     # arg w^gap: gap arg(v) above the diagonal, gap (pi - arg(v)) below
-    phase = (-1.0) ** np.maximum(r - m, 0) * np.exp(1j * (m - r) * np.angle(v))
-    return modulus * phase * lag(lo, gap, x)
-
-
-def _coord_table(mu, vj, dmax):
-    """Full (dmax+1, dmax+1) entry table for one coordinate at one
-    point, including norm ratios and the coordinate's Gaussian factor.
-    tab[r, m] = <pi_mu(v) e_m, e_r>; the Laguerre values come from one
-    recurrence vectorized over the order alpha = 0 ... dmax."""
-    deg = np.arange(dmax + 1)
-
-    def lag(lo, gap, x):
-        return laguerre_all(dmax, deg.astype(float), np.full(dmax + 1, x))[lo, gap]
-
-    return _closed_entries(mu, complex(vj), deg[:, None], deg[None, :], lag, _log_factorials(dmax))
+    k = np.arange(-dmax, dmax + 1)
+    turn = (-1.0) ** np.maximum(-k, 0) * np.exp(1j * k * np.angle(z)[..., None])
+    # lag[..., k, alpha] = L_k^(alpha)(x)
+    xs = np.broadcast_to(x, x.shape[:-1] + (dmax + 1,))
+    lag = np.moveaxis(laguerre_all(dmax, deg.astype(float), xs), 0, -2)
+    return modulus * turn[..., m - r + dmax] * lag[..., lo, gap]
 
 
 def pi_matrix(lam, t, v, basis: FockBasis):
@@ -160,8 +152,7 @@ def pi_matrix(lam, t, v, basis: FockBasis):
     dmax = basis.max_degree
     ridx = basis.indices
     out = np.full((basis.count, basis.count), np.exp(1j * alam * float(t)), dtype=complex)
-    for j in range(basis.n):
-        tab = _coord_table(alam, z[j], dmax)
+    for j, tab in enumerate(_entry_tables(alam, z, dmax)):
         out *= tab[ridx[:, None, j], ridx[None, :, j]]
     if conj_all:
         out = np.conj(out)
@@ -169,21 +160,21 @@ def pi_matrix(lam, t, v, basis: FockBasis):
 
 
 def coefficient_grid(lam, basis: FockBasis, m, r, t, v):
-    """e_lam(e_m, e_r)(t, v) = <pi_lam(t, v) e_m, e_r> evaluated on a
-    batch of points: t (P,), v (P, n) complex; the per-point entries
-    are the closed Laguerre forms of pi_matrix."""
+    """e_lam(e_m, e_r)(t, v) = <pi_lam(t, v) e_m, e_r> at points t (P,),
+    v (P, n) complex, read from the entry tables of pi_matrix (P n (D+1)^2
+    entries, D the top degree of m and r, checked against NILHARM_BUDGET)."""
     lam = float(lam)
     if lam == 0.0:
         raise ValueError("lam must be nonzero")
     alam = abs(lam)
-    m = tuple(m)
-    r = tuple(r)
     z = np.atleast_2d(as_complex_vector(np.asarray(v), basis.n))
     t = np.atleast_1d(np.asarray(t, dtype=float))
+    dmax = max(*m, *r)
+    require_budget(z.size * (dmax + 1) ** 2, f"{z.size} x {dmax + 1}^2 Fock entry-table entries")
+    tabs = _entry_tables(alam, z, dmax)
     out = np.exp(1j * alam * t).astype(complex)
     for j in range(basis.n):
-        logfact = _log_factorials(max(r[j], m[j]))
-        out = out * _closed_entries(alam, z[:, j], r[j], m[j], laguerre, logfact)
+        out = out * tabs[:, j, r[j], m[j]]
     if lam < 0:
         out = np.conj(out)
     return out
@@ -256,11 +247,10 @@ def run_degrees(case, index):
     runs (r, s, l) as (r, s, j, l) with the GL(k) label j = 0 (the
     index of the k >= 2 enumeration); every other case by the degrees."""
     if case != "VIII":
-        return index
-    r, s, j, l = index
-    if j != 0:
-        raise ValueError("k = 1 components require j = 0")
-    return (r, s, l)
+        return tuple(index)
+    if len(index) != 4 or index[2] != 0:
+        raise ValueError(f"k = 1 components are indexed (r, s, 0, l), got {tuple(index)}")
+    return (index[0], index[1], index[3])
 
 
 def run_index(case, degrees):

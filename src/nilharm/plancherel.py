@@ -268,10 +268,10 @@ def heisenberg_inversion_check(
     partial sums; the raw truncated errors are reported alongside.
     """
     a, b = (float(widths[0]), float(widths[1]))
-    if not (a > 0 and b > 0):
-        raise ValueError("widths must be positive")
-    if J < 0 or not lam_max > 0 or lam_nodes < 1 or vnodes < 1:
-        raise ValueError("need J >= 0, lam_max > 0, lam_nodes >= 1 and vnodes >= 1")
+    if not (0 < a < np.inf and 0 < b < np.inf):
+        raise ValueError("widths must be positive and finite")
+    if J < 0 or not 0 < lam_max < np.inf or lam_nodes < 1 or vnodes < 1:
+        raise ValueError("need J >= 0, finite lam_max > 0, lam_nodes >= 1 and vnodes >= 1")
     probes = tuple(probes) if probes is not None else _DEFAULT_PROBES
     if not probes:
         raise ValueError("probes is empty: need at least one (t, v) point")
@@ -360,8 +360,8 @@ def projection_check(lam, i, j, nodes=120, points=None, seed=0):
     peak value.
     """
     lam = float(lam)
-    if lam <= 0:
-        raise ValueError("lam must be positive")
+    if not 0 < lam < np.inf:
+        raise ValueError("lam must be positive and finite")
     jmax = max(i, j)
     half = np.sqrt((37.0 + 4.0 * jmax) / (lam / 4.0))
     if points is None:
@@ -376,7 +376,7 @@ def projection_check(lam, i, j, nodes=120, points=None, seed=0):
             raise ValueError("points is empty: need at least one point of C^1")
     vals = _twisted_laguerre(lam, i, lam / 4.0, pts * [1.0, -1.0], j, nodes, half)[j]
     # the closed VII kernel at the points
-    phij = _v_factor("VII", {"n": 1}, (j,), lam, pts, 1.0)
+    phij = _v_factor((1,), (j,), lam, pts, 1.0)
     if i != j:
         return ProjectionReport(
             lam=lam, i=i, j=j,
@@ -492,10 +492,11 @@ def general_inversion_probe(
     equality of the two ratios within the combined 3 sigma is the
     desk-scale form of the inversion theorem.
     """
-    if J < 0 or not lam_max > 0 or lam_nodes < 1 or samples < 2:
-        raise ValueError("need J >= 0, lam_max > 0, lam_nodes >= 1 and samples >= 2")
-    if not all(np.all(np.asarray(avec, dtype=float) > 0) and b > 0 for avec, b in width_specs):
-        raise ValueError("widths must be positive")
+    if J < 0 or not 0 < lam_max < np.inf or lam_nodes < 1 or samples < 2:
+        raise ValueError("need J >= 0, finite lam_max > 0, lam_nodes >= 1 and samples >= 2")
+    flat = [np.append(np.asarray(avec, dtype=float), b) for avec, b in width_specs]
+    if not all(np.all((w > 0) & (w < np.inf)) for w in flat):
+        raise ValueError("widths must be positive and finite")
     alg = build_case("I", n=1)
     if len(width_specs) != 2 or any(np.shape(avec) != (alg.dim_g,) for avec, _ in width_specs):
         raise ValueError(f"need two width pairs (a, b), each a with dim g = {alg.dim_g} entries")

@@ -15,9 +15,10 @@ computed by Monte Carlo over the full compact factor G' (the integrand
 is right-torus-invariant, so full-group Haar sampling realizes the
 quotient integral exactly in law).
 
-One kernel, _v_factor, builds the v-factor over the coordinate runs of
-fock.kx_blocks and checks its arguments; it is vectorized over leading
-axes of v.
+A SphericalIndex resolves and checks its K_x-type once, when it is
+built, into the coordinate runs of fock.kx_blocks and one degree per
+run.  The one kernel, _v_factor, reads those without further checks
+and is vectorized over leading axes of v.
 psi_closed evaluates it at one point, phi_caseI_closed at one point
 with the sphere average of the phase, and phi_orbit on the whole stack
 of transformed points pi(g) v.
@@ -47,25 +48,43 @@ from .numerics import as_complex_vector, as_rng, laguerre, mc_mean, require_budg
 from .fock import kx_blocks, monomials_of_degree, run_degrees
 
 
+def _check(lam, runs, degrees):
+    """ValueError unless lam is finite and nonzero (the zero functional
+    has no Fock model) and degrees holds one nonnegative integer per run,
+    0 on an empty run."""
+    if lam == 0 or not np.isfinite(lam):
+        raise ValueError(f"need a finite nonzero frequency, got {lam}")
+    if (len(degrees) != len(runs) or not all(isinstance(d, (int, np.integer)) and d >= 0 for d in degrees)
+            or any(deg for size, deg in zip(runs, degrees) if not size)):
+        raise ValueError(f"degrees {tuple(degrees)} need one degree per run of {runs}: "
+                         "nonnegative integers, and degree 0 on an empty run")
+
+
 @dataclass(frozen=True)
 class SphericalIndex:
-    """Case label, frequency, per-case component index, and the case
-    parameters needed by the closed forms.
-
-    lam is the signed scalar frequency used by psi and must be nonzero
-    (the zero functional has no Fock model); functional (when set)
-    carries the full direction data used by phi_orbit.
-    """
+    """Case label, signed frequency lam, component index, the case
+    parameters (the dict of build_case) and, for phi_orbit, the
+    functional.  Construction resolves and checks the index once
+    (_check) into runs, the coordinate runs of fock.kx_blocks, and
+    degrees, the run degrees (fock.run_degrees); NotImplementedError
+    where the K_x-types are not run products."""
 
     case: str
     lam: float
     index: tuple
-    params: dict = field(default_factory=dict)
+    params: dict
     functional: Optional[Functional] = None
+    runs: tuple = field(init=False)
+    degrees: tuple = field(init=False)
 
     def __post_init__(self):
-        if self.lam == 0:
-            raise ValueError("need a nonzero frequency")
+        runs = kx_blocks(self.case, self.params)
+        if runs is None:
+            raise NotImplementedError(f"no closed psi for case {self.case!r} with parameters {self.params}")
+        degrees = run_degrees(self.case, self.index)
+        _check(self.lam, runs, degrees)
+        object.__setattr__(self, "runs", runs)
+        object.__setattr__(self, "degrees", degrees)
 
 
 def spherical_index(alg: LauretAlgebra, x, index) -> SphericalIndex:
@@ -74,7 +93,7 @@ def spherical_index(alg: LauretAlgebra, x, index) -> SphericalIndex:
     return SphericalIndex(
         case=alg.spec.case,
         lam=fn.norm,
-        index=tuple(np.atleast_1d(index).astype(int)) if np.ndim(index) else (int(index),),
+        index=tuple(np.atleast_1d(index).tolist()),
         params=dict(alg.spec.params),
         functional=fn,
     )
@@ -89,25 +108,15 @@ class SphericalValue:
     stderr: float = 0.0
 
 
-def _v_factor(case, params, index, alam, v, scale):
+def _v_factor(runs, degrees, alam, v, scale):
     """scale times the v-factor of the closed psi at the points v of V,
     shape (..., dim_v); scale is the caller's factor in the central
     variable (a phase, or the sphere average for phi in case I).
 
     The v-factor is the Gaussian envelope e^{-alam |v|^2 / 4} times one
-    Laguerre block per coordinate run of fock.kx_blocks, at the run
-    degrees of the index (fock.run_degrees).
+    Laguerre block L_deg^(size - 1) per coordinate run, at the run
+    degrees of an index (SphericalIndex.runs and degrees).
     """
-    runs = kx_blocks(case, params)
-    if runs is None:
-        raise NotImplementedError(f"no closed psi for case {case!r} with parameters {params}")
-    degrees = run_degrees(case, index)
-    # the empty-run scan only where a run is empty keeps the check
-    # cheap on the per-point path of the functional equation
-    if len(degrees) != len(runs) or (
-            0 in runs and any(deg for size, deg in zip(runs, degrees) if not size)):
-        raise ValueError(f"index {tuple(map(int, index))} needs one degree per run of {runs}, "
-                         "and degree 0 on an empty run")
     count = sum(runs)
     z = as_complex_vector(v, count)
     sq = z.real**2 + z.imag**2
@@ -126,7 +135,7 @@ def _v_factor(case, params, index, alam, v, scale):
             x = sq[..., a]
         else:
             x = sq[..., a:a + size] @ np.ones(size)
-        out = out * laguerre(int(deg), size - 1, alam * x / 2.0)
+        out = out * laguerre(deg, size - 1, alam * x / 2.0)
         a += size
     return scale * out * np.exp(-alam * total / 4.0)
 
@@ -135,14 +144,11 @@ def psi_closed(idx: SphericalIndex, t, v):
     """Closed-form psi at (t, v); t is the scalar central coordinate of
     the reduced group (the pairing <Y, z>).
 
-    Supported: the cases with coordinate runs (fock.kx_blocks): I, V,
-    VI, VII, IX, III; VIII with k = 1.  Values at the identity equal
-    dim W.  v must have the case's dimension, and the index one degree
-    per run.
-    """
+    Supported: the cases with coordinate runs (fock.kx_blocks).  Values
+    at the identity equal dim W.  v must have the case's dimension."""
     lam = float(idx.lam)
     phase = np.exp(1j * lam * float(t))
-    return complex(_v_factor(idx.case, idx.params, idx.index, abs(lam), v, phase))
+    return complex(_v_factor(idx.runs, idx.degrees, abs(lam), v, phase))
 
 
 def phi_caseI_closed(lam, j, z, v):
@@ -154,17 +160,16 @@ def phi_caseI_closed(lam, j, z, v):
     the Laguerre envelope of psi.  Unnormalized: value C(2n-1+j, j) at
     the identity.
     """
-    lam = abs(float(lam))
-    if lam == 0:
-        raise ValueError("lam must be nonzero")
     z = np.asarray(z, dtype=float).reshape(-1)
     if len(z) != 3:
         raise ValueError(f"case I needs z in R^3, got length {len(z)}")
     n, rem = divmod(np.shape(v)[-1], 4)
     if rem or not n:
         raise ValueError(f"case I needs v in R^(4n) with n >= 1, got length {np.shape(v)[-1]}")
+    _check(lam, (2 * n,), (j,))
+    lam = abs(float(lam))
     angular = sphere_character(lam * float(np.linalg.norm(z)))
-    return complex(_v_factor("I", {"n": n}, (j,), lam, v, angular))
+    return complex(_v_factor((2 * n,), (j,), lam, v, angular))
 
 
 def phi_orbit(idx: SphericalIndex, z, v, samples=20000, seed=0):
@@ -188,8 +193,7 @@ def phi_orbit(idx: SphericalIndex, z, v, samples=20000, seed=0):
     if samples < 2:
         raise ValueError("phi_orbit needs samples >= 2 for a standard error")
     alg = fn.alg
-    verdict = fn.classify()
-    if not verdict.square_integrable:
+    if not fn.classify().square_integrable:
         raise ValueError("phi_orbit needs a square-integrable functional")
     alam = fn.norm
     z = np.asarray(z, dtype=float).reshape(alg.dim_g)
@@ -198,7 +202,7 @@ def phi_orbit(idx: SphericalIndex, z, v, samples=20000, seed=0):
     vmats = alg.ops.sample_vmats(as_rng(seed), samples)
     pair = alg.orbit_pairing(vmats, fn.y, z)
     w = np.einsum("sab,b->sa", vmats, v)
-    vals = _v_factor(idx.case, idx.params, idx.index, alam, w, np.exp(1j * alam * pair))
+    vals = _v_factor(idx.runs, idx.degrees, alam, w, np.exp(1j * alam * pair))
     mean, stderr = mc_mean(vals)
     return SphericalValue(value=complex(mean), method="orbit-MC", stderr=stderr)
 
@@ -294,8 +298,8 @@ def canonical_polynomials(case, params, max_total_degree, lam=1.0):
     are out of scope.  `params` is the case-parameter dict, as in
     build_case.
     """
-    if lam <= 0:
-        raise ValueError("lam must be positive")
+    if not 0 < lam < np.inf:
+        raise ValueError("lam must be positive and finite")
     if max_total_degree < 0 or int(max_total_degree) != max_total_degree:
         raise ValueError("max_total_degree must be a nonnegative integer")
     gens = _GENERATORS.get(case)

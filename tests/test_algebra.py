@@ -11,7 +11,7 @@ from nilharm.algebra import (
     sample_k_actions,
 )
 from nilharm.cases import block_diag
-from nilharm.numerics import as_rng
+from nilharm.numerics import BudgetError, as_rng
 
 ALL_CASES = [
     ("I", {"n": 2}),
@@ -287,3 +287,20 @@ def test_from_factor_mats_inverts_to_factor_mats(case, params):
     for xp in as_rng(20).standard_normal((10, alg.dim_gp)):
         back = alg.ops.from_factor_mats(alg.ops.to_factor_mats(xp))
         assert np.max(np.abs(back - xp)) <= 1e-14 * np.max(np.abs(xp))
+
+
+BUDGET_CASES = ALL_CASES + [("III", {"k1": 0, "k2": 2}), ("V", {"n": 4}), ("VI", {"n": 5}),
+                            ("VIII", {"k": 2, "n": 1}), ("IX", {"n": 4}), ("X", {"m": 4, "k": 2, "n": 1})]
+
+
+@pytest.mark.parametrize("case,params", BUDGET_CASES,
+                         ids=[c + "".join(str(v) for v in p.values()) for c, p in BUDGET_CASES])
+def test_build_case_checks_pi_against_the_budget(monkeypatch, case, params):
+    # each case sizes pi from its parameters before assembling it
+    alg = build_case(case, **params)
+    entries = alg.dim_g * alg.dim_v**2
+    monkeypatch.setenv("NILHARM_BUDGET", str(entries - 1))
+    with pytest.raises(BudgetError, match="entries of pi"):
+        build_case(case, **params)
+    monkeypatch.setenv("NILHARM_BUDGET", str(entries))
+    assert build_case(case, **params).pi.size == entries

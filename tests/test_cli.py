@@ -3,6 +3,7 @@ documented examples, reproducibility, and exit codes."""
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -388,3 +389,50 @@ def test_demo_runs_without_scipy(demo):
         "import runpy\nsys.argv = sys.argv[1:]\nrunpy.run_path(sys.argv[0], run_name='__main__')\n",
         str(demo))
     assert proc.returncode == 0, proc.stderr
+
+
+# one small valid invocation per verb (and per code path of spherical and
+# invert); the fuzz sets one flag at a time to a bad value
+FUZZ_BASES = {
+    "build": ["build", "--case", "VII", "--n", "2"],
+    "classify": ["classify", "--case", "V", "--n", "3", "--lambda", "1.5"],
+    "pfaffian": ["pfaffian", "--case", "IX", "--n", "3", "--lambda", "1.5"],
+    "density": ["density", "--case", "V", "--n", "3", "--points", "3"],
+    "spherical-I": ["spherical", "--case", "I", "--n", "1", "--j", "1", "--points", "3"],
+    "spherical-VII": ["spherical", "--case", "VII", "--n", "2", "--points", "3"],
+    "spherical-IX": ["spherical", "--case", "IX", "--n", "3", "--index", "1,0,1", "--points", "2",
+                     "--mc-samples", "50"],
+    "invert-VII": ["invert", "--case", "VII", "--j", "4", "--grid", "8"],
+    "invert-I": ["invert", "--case", "I", "--j", "4", "--grid", "4", "--mc-samples", "50"],
+    "selftest": ["selftest"],
+}
+FUZZ_VALUES = ["nan", "inf", "1e308", "-1", "1.5", ""]
+
+
+def _with_flag(base, flag, value):
+    argv = list(base)
+    if flag in argv:
+        at = argv.index(flag)
+        del argv[at:at + 2]
+    return argv + [f"{flag}={value}"]
+
+
+@pytest.mark.parametrize("name", list(FUZZ_BASES))
+def test_cli_fuzz_exits_0_or_2_and_writes_only_finite_numbers(monkeypatch, capsys, name):
+    monkeypatch.setenv("NILHARM_BUDGET", "200000")
+    base = FUZZ_BASES[name]
+    parser = next(a for a in cli.build_parser()._actions if a.choices).choices[base[0]]
+    flags = [f for a in parser._actions for f in a.option_strings
+             if f.startswith("--") and f not in ("--help", "--out")]
+    assert cli.main(base) == 0
+    capsys.readouterr()
+    for flag in flags:
+        for value in FUZZ_VALUES:
+            argv = _with_flag(base, flag, value)
+            try:
+                rc = cli.main(argv)
+            except SystemExit as exc:  # argparse rejected the token
+                rc = exc.code
+            out = capsys.readouterr().out
+            assert rc in (0, 2), argv
+            assert not re.search(r"\b-?(nan|inf|infinity)\b", out, re.IGNORECASE), argv

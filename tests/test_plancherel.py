@@ -17,6 +17,7 @@ from nilharm import (
 )
 from nilharm.numerics import BudgetError, QuadratureSpec, as_rng, laguerre, laguerre_all
 from nilharm.plancherel import _laguerre_slices, _twisted_laguerre, _wynn_limit
+from nilharm.spherical import canonical_polynomials
 
 
 # ---------------------------------------------------------------------------
@@ -269,6 +270,29 @@ BAD_LAM_MAX = [{"lam_max": 0.0}, {"lam_max": -8.0}, {"lam_max": -12.0}, {"lam_ma
 def test_heisenberg_inversion_rejects_bad_sizes(bad):
     with pytest.raises(ValueError):
         heisenberg_inversion_check(**bad)
+
+
+INF = float("inf")
+WIDTHS_I = ((0.8, 1.0, 1.3), 1.0), ((1.2, 0.9, 0.7), 0.6)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: heisenberg_inversion_check(lam_max=INF),
+    lambda: heisenberg_inversion_check(widths=(INF, 1.0)),
+    lambda: heisenberg_inversion_check(widths=(1.0, INF)),
+    lambda: general_inversion_probe(lam_max=INF),
+    lambda: general_inversion_probe(width_specs=(((0.8, INF, 1.3), 1.0), WIDTHS_I[1])),
+    lambda: general_inversion_probe(width_specs=(WIDTHS_I[0], ((1.2, 0.9, 0.7), INF))),
+    lambda: projection_check(INF, 0, 1),
+    lambda: projection_check(float("nan"), 1, 1),
+    lambda: canonical_polynomials("VII", {"n": 1}, 2, lam=INF),
+    lambda: canonical_polynomials("VII", {"n": 1}, 2, lam=float("nan")),
+], ids=["heisenberg-lam-max", "heisenberg-a", "heisenberg-b", "probe-lam-max", "probe-a",
+        "probe-b", "projection-inf", "projection-nan", "canonical-inf", "canonical-nan"])
+def test_non_finite_sizes_and_widths_raise(call):
+    # each returned a NaN or infinite result (or coefficients) before
+    with pytest.raises(ValueError, match="finite"):
+        call()
 
 
 def test_heisenberg_inversion_budget(monkeypatch):

@@ -38,7 +38,7 @@ def test_spherical_index_from_functional():
     assert abs(idx.lam - np.linalg.norm(x)) < 1e-14
     assert idx.functional is not None
     with pytest.raises(ValueError):
-        SphericalIndex("VII", 0.0, (0,))
+        SphericalIndex("VII", 0.0, (0,), {"n": 1})
 
 
 def test_psi_closed_matches_numeric_trace():
@@ -199,6 +199,45 @@ def test_closed_psi_rejects_an_index_off_the_runs(case, params, index):
         psi_closed(SphericalIndex(case, 1.0, index, params), 0.0, np.zeros(2 * len(index)))
 
 
+@pytest.mark.parametrize("case,params", RUN_CASES,
+                         ids=[f"{c}-{'-'.join(map(str, p.values()))}" for c, p in RUN_CASES])
+def test_spherical_index_rejects_bad_frequencies_and_degrees(case, params):
+    # the index is checked once, when it is built; before, a fractional
+    # degree was truncated and a non-finite lam gave NaN
+    runs = fock.kx_blocks(case, params)
+    good = fock.run_index(case, (0,) * len(runs))
+    idx = SphericalIndex(case, 1.0, good, params)
+    assert idx.runs == runs and idx.degrees == (0,) * len(runs)
+    for lam in (0.0, float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError, match="finite nonzero frequency"):
+            SphericalIndex(case, lam, good, params)
+    for index in [(-1,) + good[1:], (1.7,) + good[1:], good + (0,), good[:-1]]:
+        with pytest.raises(ValueError):
+            SphericalIndex(case, 1.0, index, params)
+    alg = build_case(case, **params)
+    x = as_rng(5).standard_normal(alg.dim_g)
+    assert spherical_index(alg, x, good).degrees == idx.degrees
+    with pytest.raises(ValueError, match="nonnegative integers"):
+        spherical_index(alg, x, (1.7,) + good[1:])
+
+
+@pytest.mark.parametrize("case,params,index", [
+    ("III", {"k1": 0, "k2": 1}, (1, 0, 0, 0)),
+    ("III", {"k1": 1, "k2": 0}, (0, 0, 0, 2)),
+    ("VIII", {"k": 1, "n": 0}, (0, 0, 0, 1)),
+])
+def test_spherical_index_rejects_a_degree_on_an_empty_run(case, params, index):
+    with pytest.raises(ValueError, match="0 on an empty run"):
+        SphericalIndex(case, 1.0, index, params)
+
+
+@pytest.mark.parametrize("lam,j", [(0.0, 1), (float("nan"), 1), (float("inf"), 1),
+                                   (1.0, -1), (1.0, 1.5), (1.0, float("nan"))])
+def test_phi_case_i_closed_rejects_bad_frequency_and_degree(lam, j):
+    with pytest.raises(ValueError):
+        phi_caseI_closed(lam, j, np.zeros(3), np.zeros(4))
+
+
 @pytest.mark.parametrize("k1,k2", [(1, 1), (0, 1), (1, 0), (2, 1)])
 def test_psi_closed_iii_matches_fock_traces(k1, k2):
     # runs C^(2 k1), C, C, C^(2 k2); an empty outer run admits degree 0 only
@@ -270,10 +309,13 @@ def test_phi_orbit_caseI_matches_closed_form():
 
 
 def test_phi_orbit_requires_square_integrable():
-    alg = build_case("II", n=1)
-    idx = spherical_index(alg, np.array([0.4, -0.3, 0.8]), 0)
-    with pytest.raises(ValueError):
-        phi_orbit(idx, np.zeros(3), np.zeros(alg.dim_v), samples=10)
+    # V(3) has runs, so the index resolves; the zero middle angle is a
+    # weight of C^3, so the functional is degenerate
+    alg = build_case("V", n=3)
+    idx = spherical_index(alg, alg.from_chamber((np.array([1.0, 0.0, -1.0]),), None), (0, 0, 0))
+    assert not idx.functional.classify().square_integrable
+    with pytest.raises(ValueError, match="square-integrable"):
+        phi_orbit(idx, np.zeros(alg.dim_g), np.zeros(alg.dim_v), samples=10)
 
 
 def _laguerre_ratio_coeff(j, alpha, k, lam):
@@ -453,9 +495,10 @@ def test_viii_v_factor_on_a_stack_matches_pointwise():
     lam = 1.1
     index = (1, 2, 0, 1)
     v = 0.6 * as_rng(5).standard_normal((2, 3, 8))
-    got = spherical._v_factor("VIII", params, index, lam, v, 1.0)
-    assert got.shape == (2, 3)
     idx = SphericalIndex("VIII", lam, index, params)
+    assert (idx.runs, idx.degrees) == ((1, 1, 2), (1, 2, 1))
+    got = spherical._v_factor(idx.runs, idx.degrees, lam, v, 1.0)
+    assert got.shape == (2, 3)
     want = np.array([[psi_closed(idx, 0.0, p) for p in row] for row in v])
     assert np.max(np.abs(got - want)) < 1e-14
 
