@@ -100,8 +100,12 @@ class LauretAlgebra:
         return self.join_center(xp, zc)
 
     def pi_of(self, x):
-        """The skew matrix pi(X) of X with g-coordinates x."""
-        return np.tensordot(np.asarray(x, dtype=float), self.pi, axes=1)
+        """The skew matrix pi(X) of X with g-coordinates x (leading axes
+        of x are kept)."""
+        x = np.asarray(x, dtype=float)
+        # the contraction np.tensordot(x, pi, axes=1) makes, without its
+        # per-call overhead
+        return (x.reshape(-1, self.dim_g) @ self.pi.reshape(self.dim_g, -1)).reshape(x.shape[:-1] + self.pi.shape[1:])
 
     # -- bracket ---------------------------------------------------------------
     def bracket(self, u, v):

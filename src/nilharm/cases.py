@@ -257,8 +257,10 @@ class CaseIII(CaseOps):
         self.pi = np.stack(mats)
 
     def sample_vmats(self, rng, size):
-        g1 = quat.random_unit(rng, size)
-        g2 = quat.random_unit(rng, size)
+        # each sample draws its g1 and g2 together, so blocks of samples
+        # draw what one stack draws
+        g = quat.random_unit(rng, 2 * size).reshape(size, 2, 4)
+        g1, g2 = g[:, 0], g[:, 1]
         l1, l2 = quat.left_mult_matrix(g1), quat.left_mult_matrix(g2)
         # the middle R^4 = H carries x -> g1 x conj(g2)
         mid = l1 @ quat.right_mult_matrix(quat.qconj(g2))

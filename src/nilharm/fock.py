@@ -223,23 +223,32 @@ def kx_blocks(case, params):
         VIII, k=1  (1, 1, 2n)           degrees (r, s, l), see run_degrees
 
     A run of size 0 (k1, k2 or n = 0) admits only degree 0.  IV, VIII
-    with k >= 2 and X give None.  `params` is the dict of build_case.
+    with k >= 2 and X give None.  II, none of whose functionals is square
+    integrable, has no K_x-types and raises ValueError, as does a missing
+    parameter.  `params` is the dict of build_case.
     """
+    def param(name):
+        if name not in params:
+            raise ValueError(f"case {case} needs the parameter {name!r}")
+        return int(params[name])
+
     if case in ("I", "VII"):
-        return ((2 if case == "I" else 1) * int(params["n"]),)
+        return ((2 if case == "I" else 1) * param("n"),)
     if case in ("V", "IX"):
-        return (1,) * int(params["n"])
+        return (1,) * param("n")
     if case == "VI":
-        if int(params["n"]) % 2:
+        if param("n") % 2:
             raise ValueError("case VI components need even n")
-        return (1,) * (int(params["n"]) // 2)
+        return (1,) * (param("n") // 2)
     if case == "III":
-        return (2 * int(params["k1"]), 1, 1, 2 * int(params["k2"]))
+        return (2 * param("k1"), 1, 1, 2 * param("k2"))
     if case == "VIII":
-        return (1, 1, 2 * int(params.get("n", 0))) if int(params["k"]) == 1 else None
+        return (1, 1, 2 * int(params.get("n", 0))) if param("k") == 1 else None
     if case in ("IV", "X"):
         return None
-    raise ValueError(f"unsupported case {case!r}")
+    if case == "II":
+        raise ValueError("case II has no K_x-type runs: none of its functionals is square integrable")
+    raise ValueError(f"unknown case label {case!r}")
 
 
 def run_degrees(case, index):

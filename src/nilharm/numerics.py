@@ -6,8 +6,9 @@ The Haar samplers of O(n), SO(n), U(n), SU(n) and Sp(n) take a size
 and return a stack of size samples, drawn as one Gaussian array whose C
 order is the per-sample stream ((size, n, n) for O/SO, real and then
 imaginary parts (size, 2, n, n) for U/SU, (size, n, n, 4) for Sp) and
-orthonormalized in one stacked QR or one vectorized Gram-Schmidt, so one
-stack of size s equals s stacks of size 1 from the same generator.
+orthonormalized by Gram-Schmidt vectorized over the samples (twice per
+column for O/U, _qr_haar; once, quaternionic, for Sp), so one stack of
+size s equals s stacks of size 1 from the same generator.
 
 Points of C^n are n complex numbers or 2n interleaved reals
 (as_complex_vector).  Quadrature is the Gauss-Legendre tensor rule on a
@@ -143,11 +144,28 @@ def mc_mean(vals):
 # ---------------------------------------------------------------------------
 
 def _qr_haar(z):
-    """Stacked QR with the diagonal phase fix (Mezzadri,
-    arXiv:math-ph/0609050) that makes each Q factor Haar distributed."""
-    q, r = np.linalg.qr(z)
-    d = np.diagonal(r, axis1=-2, axis2=-1)
-    return q * (d / np.abs(d))[..., None, :]
+    """The Q factor with positive real diagonal R of each matrix of the
+    stack z (..., n, n), which makes Q Haar distributed (Mezzadri,
+    arXiv:math-ph/0609050).
+
+    Classical Gram-Schmidt, run twice per column, over the whole stack
+    one column at a time: the second pass restores orthogonality to
+    rounding however close the columns are (Giraud, Langou and
+    Rozloznik, 2005).  Each sample's columns see only that sample, so a
+    stack equals its samples computed one at a time.
+    """
+    # rows of q are the columns of z, so every column is contiguous
+    q = np.swapaxes(z, -1, -2).copy()
+    for j in range(q.shape[-1]):
+        v = q[..., j, :]
+        prev = q[..., :j, :]
+        for _ in range(2 if j else 0):
+            # <prev_k, v> as the conjugate of sum prev_k conj(v): v is
+            # shorter to conjugate than prev
+            coef = np.einsum("...ki,...i->...k", prev, v.conj()).conj()
+            v = v - np.einsum("...ki,...k->...i", prev, coef)
+        q[..., j, :] = v / np.sqrt(np.einsum("...i,...i->...", v.conj(), v).real)[..., None]
+    return np.swapaxes(q, -1, -2)
 
 
 def haar_orthogonal(n, rng, size):

@@ -56,14 +56,21 @@ _LEFT_BASIS = np.swapaxes(qmul(_EYE4[:, None], _EYE4[None, :]), 1, 2)
 _RIGHT_BASIS = np.swapaxes(qmul(_EYE4[None, :], _EYE4[:, None]), 1, 2)
 
 
+def _basis_combination(q, basis):
+    """sum_c q[..., c] basis[c], shape (..., 4, 4): the contraction
+    np.tensordot(q, basis, axes=1) makes, as one matmul."""
+    q = np.asarray(q, dtype=float)
+    return (q.reshape(-1, 4) @ basis.reshape(4, 16)).reshape(q.shape[:-1] + (4, 4))
+
+
 def left_mult_matrix(q):
     """4x4 real matrix of x -> q*x (leading axes broadcast)."""
-    return np.tensordot(np.asarray(q, dtype=float), _LEFT_BASIS, axes=1)
+    return _basis_combination(q, _LEFT_BASIS)
 
 
 def right_mult_matrix(q):
     """4x4 real matrix of x -> x*q (leading axes broadcast)."""
-    return np.tensordot(np.asarray(q, dtype=float), _RIGHT_BASIS, axes=1)
+    return _basis_combination(q, _RIGHT_BASIS)
 
 
 def rotation_matrix(g):

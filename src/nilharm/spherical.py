@@ -20,8 +20,8 @@ built, into the coordinate runs of fock.kx_blocks and one degree per
 run.  The one kernel, _v_factor, reads those without further checks
 and is vectorized over leading axes of v.
 psi_closed evaluates it at one point, phi_caseI_closed at one point
-with the sphere average of the phase, and phi_orbit on the whole stack
-of transformed points pi(g) v.
+with the sphere average of the phase, and phi_orbit on the transformed
+points pi(g) v, one block of samples at a time.
 
 canonical_polynomials gives the Gram-Schmidt invariants in closed form:
 the block norms have independent Gamma laws under the Gaussian weight,
@@ -80,7 +80,8 @@ class SphericalIndex:
     def __post_init__(self):
         runs = kx_blocks(self.case, self.params)
         if runs is None:
-            raise NotImplementedError(f"no closed psi for case {self.case!r} with parameters {self.params}")
+            raise NotImplementedError(f"case {self.case} {self.params} has no K_x-type runs, "
+                                      "so no closed psi or orbit integrand")
         degrees = run_degrees(self.case, self.index)
         _check(self.lam, runs, degrees)
         object.__setattr__(self, "runs", runs)
@@ -172,9 +173,23 @@ def phi_caseI_closed(lam, j, z, v):
     return complex(_v_factor((2 * n,), (j,), lam, v, angular))
 
 
+# samples per block of phi_orbit: large enough that the per-block Python
+# work is small, small enough that a block's arrays stay in cache and are
+# reused rather than returned to the OS after every call
+_ORBIT_BLOCK = 1024
+
+
 def phi_orbit(idx: SphericalIndex, z, v, samples=20000, seed=0):
     """Monte-Carlo orbit average realizing the generic spherical
     function at the point (z, v) of N.
+
+    The samples are drawn, paired and evaluated in blocks of
+    _ORBIT_BLOCK = 1024 into one array of values, and mc_mean runs once
+    on all of them.  Every case that reaches here draws each sample's
+    variates together, so the blocks draw exactly the samples of one
+    stack (BLAS may round a row of the pairing differently by the row
+    count, in the last bits).  The budget check covers the total
+    samples * dim_v^2 before the first block.
 
     Parameters
     ----------
@@ -199,10 +214,13 @@ def phi_orbit(idx: SphericalIndex, z, v, samples=20000, seed=0):
     z = np.asarray(z, dtype=float).reshape(alg.dim_g)
     v = np.asarray(v, dtype=float).reshape(alg.dim_v)
     require_budget(samples * alg.dim_v**2, f"{samples} orbit samples of {alg.dim_v}^2 V-matrix entries")
-    vmats = alg.ops.sample_vmats(as_rng(seed), samples)
-    pair = alg.orbit_pairing(vmats, fn.y, z)
-    w = np.einsum("sab,b->sa", vmats, v)
-    vals = _v_factor(idx.runs, idx.degrees, alam, w, np.exp(1j * alam * pair))
+    rng = as_rng(seed)
+    vals = np.empty(samples, dtype=complex)
+    for at in range(0, samples, _ORBIT_BLOCK):
+        vmats = alg.ops.sample_vmats(rng, min(_ORBIT_BLOCK, samples - at))
+        pair = alg.orbit_pairing(vmats, fn.y, z)
+        w = np.einsum("sab,b->sa", vmats, v)
+        vals[at:at + len(vmats)] = _v_factor(idx.runs, idx.degrees, alam, w, np.exp(1j * alam * pair))
     mean, stderr = mc_mean(vals)
     return SphericalValue(value=complex(mean), method="orbit-MC", stderr=stderr)
 

@@ -314,7 +314,18 @@ def test_spherical_default_index_is_degree_zero_per_run(capsys, case, index):
 def test_spherical_default_index_on_a_case_with_no_runs_exits_2(capsys):
     assert cli.main(["spherical", "--case", "IV", "--n", "1"]) == 2
     captured = capsys.readouterr()
-    assert captured.out == "" and "pass --index" in captured.err
+    assert captured.out == "" and "no K_x-type runs" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ("--case", "IV", "--n", "1", "--index", "0,0,0,0"),
+    ("--case", "II", "--n", "1", "--index", "0"),
+], ids=["IV", "II"])
+def test_spherical_index_on_a_case_with_no_runs_names_the_reason(capsys, argv):
+    # an explicit --index cannot help: the case has no runs to index
+    assert cli.main(["spherical", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "no K_x-type runs" in captured.err
 
 
 def test_spherical_v3_with_default_direction(capsys):

@@ -7,6 +7,7 @@ from scipy.special import eval_genlaguerre
 
 from nilharm.numerics import (
     BudgetError,
+    _qr_haar,
     QuadratureSpec,
     as_complex_vector,
     as_rng,
@@ -210,6 +211,47 @@ def test_haar_orthogonal_and_unitary():
         assert _is_positive_qr(haar_orthogonal(n, as_rng(n), size=6), z)
         g = as_rng(n).standard_normal((6, 2, n, n))
         assert _is_positive_qr(haar_unitary(n, as_rng(n), size=6), g[:, 0] + 1j * g[:, 1])
+
+
+def _orthogonality(q):
+    n = q.shape[-1]
+    return float(np.max(np.abs(np.conj(np.swapaxes(q, -1, -2)) @ q - np.eye(n))))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 8])
+def test_haar_samplers_on_a_large_stack(n):
+    size = 20000
+    z = as_rng(n).standard_normal((size, n, n))
+    g = as_rng(n).standard_normal((size, 2, n, n))
+    q = haar_orthogonal(n, as_rng(n), size)
+    u = haar_unitary(n, as_rng(n), size)
+    assert _orthogonality(q) <= 1e-13 and _orthogonality(u) <= 1e-13
+    assert _is_positive_qr(q, z)
+    assert _is_positive_qr(u, (g[:, 0] + 1j * g[:, 1]) / np.sqrt(2.0))
+    # SO flips the first column where det = -1; SU rotates by a phase
+    so = haar_special_orthogonal(n, as_rng(n), size)
+    flip = np.linalg.det(q) < 0
+    assert np.array_equal(so[~flip], q[~flip])
+    assert np.array_equal(so[flip][:, :, 0], -q[flip][:, :, 0])
+    assert np.array_equal(so[flip][:, :, 1:], q[flip][:, :, 1:])
+    su = haar_special_unitary(n, as_rng(n), size)
+    assert _orthogonality(so) <= 1e-13 and _orthogonality(su) <= 1e-13
+    assert np.allclose(np.linalg.det(so), 1.0, atol=1e-13)
+    assert np.allclose(np.linalg.det(su), 1.0, atol=1e-13)
+    phase = su[:, 0, 0] / u[:, 0, 0]
+    assert np.allclose(su, phase[:, None, None] * u, atol=1e-13)
+
+
+def test_qr_haar_keeps_nearly_parallel_columns_orthogonal():
+    # columns 1e-7 apart: one classical Gram-Schmidt pass loses about
+    # cond^2 * eps of orthogonality here, the second pass restores it
+    rng = as_rng(17)
+    for n in (3, 4, 8):
+        base = rng.standard_normal((200, n, 1))
+        z = base + 1e-7 * rng.standard_normal((200, n, n))
+        assert _orthogonality(_qr_haar(z)) <= 1e-13
+        zc = base + 1e-7 * (rng.standard_normal((200, n, n)) + 1j * rng.standard_normal((200, n, n)))
+        assert _orthogonality(_qr_haar(zc)) <= 1e-13
 
 
 def test_haar_unitary_moments():

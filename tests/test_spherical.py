@@ -17,7 +17,7 @@ from scipy.special import comb, eval_genlaguerre, factorial, roots_genlaguerre
 
 from nilharm import build_case, fock, spherical
 from nilharm.algebra import LauretAlgebra, OrthAutomorphism, sample_k_actions
-from nilharm.numerics import BudgetError, as_rng, sphere_character
+from nilharm.numerics import BudgetError, as_rng, mc_mean, sphere_character
 from nilharm.spherical import (
     SphericalIndex,
     canonical_polynomials,
@@ -39,6 +39,19 @@ def test_spherical_index_from_functional():
     assert idx.functional is not None
     with pytest.raises(ValueError):
         SphericalIndex("VII", 0.0, (0,), {"n": 1})
+
+
+def test_spherical_index_names_what_it_cannot_resolve():
+    with pytest.raises(ValueError, match="parameter 'n'"):
+        SphericalIndex("VII", 1.0, (1,), {})
+    with pytest.raises(ValueError, match="parameter 'k1'"):
+        SphericalIndex("III", 1.0, (0, 0, 0, 0), {"k2": 1})
+    with pytest.raises(ValueError, match="no K_x-type runs"):
+        SphericalIndex("II", 1.0, (0,), {"n": 1})
+    with pytest.raises(NotImplementedError, match="no K_x-type runs"):
+        SphericalIndex("IV", 1.0, (0, 0, 0, 0), {"n": 1})
+    with pytest.raises(ValueError, match="unknown case label"):
+        fock.kx_blocks("XI", {"n": 1})
 
 
 def test_psi_closed_matches_numeric_trace():
@@ -275,6 +288,65 @@ def test_phi_orbit_is_mean_of_psi_closed_over_vmats(case, params, index):
     got = phi_orbit(idx, np.zeros(alg.dim_g), v, samples=samples, seed=seed)
     assert abs(got.value - np.mean(ref)) < 1e-12
     assert abs(got.stderr - np.sqrt(np.sum(np.abs(ref - np.mean(ref)) ** 2)) / samples) < 1e-12
+
+
+# every case phi_orbit reaches, and IV.  X is left out on purpose: it
+# draws its SU(m) part and its quaternion part as two separate arrays,
+# so its blocks would not draw one stack, but it has no K_x-type runs
+# and phi_orbit never samples it.
+STREAM_CASES = [
+    ("I", {"n": 1}),
+    ("III", {"k1": 1, "k2": 1}),
+    ("IV", {"n": 1}),
+    ("V", {"n": 3}),
+    ("VI", {"n": 4}),
+    ("VII", {"n": 2}),
+    ("VIII", {"k": 1, "n": 1}),
+    ("IX", {"n": 3}),
+]
+
+
+@pytest.mark.parametrize("case,params", STREAM_CASES, ids=[c[0] for c in STREAM_CASES])
+def test_sample_vmats_in_blocks_draws_one_stack(case, params):
+    # each sample draws its variates together, so the blocks phi_orbit
+    # draws are, byte for byte, one stack of all the samples
+    alg = build_case(case, **params)
+    block = spherical._ORBIT_BLOCK
+    sizes = (block, block, 2500 - 2 * block)
+    rng = as_rng(5)
+    blocks = np.concatenate([alg.ops.sample_vmats(rng, size) for size in sizes])
+    assert np.array_equal(blocks, alg.ops.sample_vmats(as_rng(5), 2500))
+
+
+BLOCK_CASES = [
+    ("I", {"n": 1}, (2,)),
+    ("III", {"k1": 1, "k2": 1}, (1, 1, 0, 2)),
+    ("V", {"n": 3}, (1, 0, 2)),
+    ("VI", {"n": 4}, (1, 2)),
+    ("IX", {"n": 3}, (0, 2, 1)),
+]
+
+
+@pytest.mark.parametrize("case,params,index", BLOCK_CASES, ids=[c[0] for c in BLOCK_CASES])
+def test_phi_orbit_in_blocks_is_the_one_stack_estimate(case, params, index):
+    # 2500 samples are two full blocks and a partial one; the estimate is
+    # that of the integrand built here from one stack of all the samples
+    alg = build_case(case, **params)
+    rng = as_rng(61)
+    idx = spherical_index(alg, rng.standard_normal(alg.dim_g), index)
+    z = 0.5 * rng.standard_normal(alg.dim_g)
+    v = 0.6 * rng.standard_normal(alg.dim_v)
+    samples, seed = 2500, 13
+    alam = idx.functional.norm
+    vmats = alg.ops.sample_vmats(as_rng(seed), samples)
+    phase = np.exp(1j * alam * alg.orbit_pairing(vmats, idx.functional.y, z))
+    vals = spherical._v_factor(idx.runs, idx.degrees, alam, np.einsum("sab,b->sa", vmats, v), phase)
+    mean, stderr = mc_mean(vals)
+    got = phi_orbit(idx, z, v, samples=samples, seed=seed)
+    if case == "I":
+        assert got.value == mean and got.stderr == stderr
+    assert abs(got.value - mean) <= 1e-13 * abs(mean)
+    assert abs(got.stderr - stderr) <= 1e-13 * stderr
 
 
 def test_phi_orbit_vii_is_exact():
