@@ -7,8 +7,8 @@ from scipy.special import eval_genlaguerre
 
 from nilharm.numerics import (
     BudgetError,
-    _qr_haar,
     QuadratureSpec,
+    _qr_haar,
     as_complex_vector,
     as_rng,
     haar_orthogonal,
@@ -236,10 +236,11 @@ def test_haar_samplers_on_a_large_stack(n):
     assert np.array_equal(so[flip][:, :, 1:], q[flip][:, :, 1:])
     su = haar_special_unitary(n, as_rng(n), size)
     assert _orthogonality(so) <= 1e-13 and _orthogonality(su) <= 1e-13
-    assert np.allclose(np.linalg.det(so), 1.0, atol=1e-13)
-    assert np.allclose(np.linalg.det(su), 1.0, atol=1e-13)
-    phase = su[:, 0, 0] / u[:, 0, 0]
-    assert np.allclose(su, phase[:, None, None] * u, atol=1e-13)
+    assert np.max(np.abs(np.linalg.det(so) - 1.0)) <= 1e-13
+    assert np.max(np.abs(np.linalg.det(su) - 1.0)) <= 1e-13
+    # tr(u^H su) / n is the phase when su = phase * u
+    phase = np.einsum("sab,sab->s", u.conj(), su) / n
+    assert np.max(np.abs(su - phase[:, None, None] * u)) <= 1e-13
 
 
 def test_qr_haar_keeps_nearly_parallel_columns_orthogonal():
