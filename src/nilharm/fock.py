@@ -20,10 +20,11 @@ normalized coordinates
 with x = mu |v|^2 / 2, lo, hi = min/max(r, m), w = sqrt(mu/2) v above
 the diagonal and -sqrt(mu/2) conj(v) below it.  One builder tabulates
 them per coordinate (_entry_tables), accurate to rounding at every
-degree, for pi_matrix and coefficient_grid; psi_numeric keeps its own
-diagonal as the independent oracle.  Truncation at total degree D only
-affects operator products (composition leaks degree), so operator
-identities are asserted on degrees <= D - 2.
+degree, for pi_matrix, which reads them at one point or at a stack of
+points; psi_numeric keeps its own diagonal as the independent oracle.
+Truncation at total degree D only affects operator products
+(composition leaks degree), so operator identities are asserted on
+degrees <= D - 2.
 """
 
 from __future__ import annotations
@@ -62,8 +63,8 @@ class FockBasis:
     monomials are enumerated."""
 
     def __init__(self, n, max_degree):
-        if n < 1 or max_degree < 0:
-            raise ValueError("need n >= 1 and max_degree >= 0")
+        if not all(isinstance(a, (int, np.integer)) for a in (n, max_degree)) or n < 1 or max_degree < 0:
+            raise ValueError(f"need integers n >= 1 and max_degree >= 0, got {n!r} and {max_degree!r}")
         self.n = int(n)
         self.max_degree = int(max_degree)
         self.count = comb(self.n + self.max_degree, self.max_degree)
@@ -83,17 +84,6 @@ class FockBasis:
     def degree_slice(self, d):
         """Positions of the degree-d monomials (contiguous)."""
         return slice(self._degree_start[d], self._degree_start[d + 1])
-
-    def norms(self, lam):
-        """||z^m|| for lam > 0 under the unit-mass Gaussian weight."""
-        if lam <= 0:
-            raise ValueError("norms need lam > 0")
-        logs = np.zeros(self.count)
-        lf = _log_factorials(self.max_degree)
-        for j in range(self.n):
-            logs += lf[self.indices[:, j]]
-        logs += self.degrees * np.log(2.0 / lam)
-        return np.exp(0.5 * logs)
 
     def __repr__(self):
         return f"FockBasis(n={self.n}, max_degree={self.max_degree}, count={self.count})"
@@ -124,65 +114,54 @@ def _entry_tables(mu, z, dmax):
 
 
 def pi_matrix(lam, t, v, basis: FockBasis):
-    """Matrix of pi_lam(t, v) on the normalized monomial basis.
+    """Matrix of pi_lam(t, v) on the normalized monomial basis, at one
+    point or at a stack of points.
 
     Parameters
     ----------
     lam : float, nonzero
         Frequency; negative values give the conjugate model.
-    t : float
+    t : float or array (...)
         Central coordinate; contributes the exact phase e^{i lam t}.
-    v : array
-        Point of V as n complex numbers (or 2n interleaved reals).
+    v : array (..., n) complex or (..., 2n) interleaved reals
+        Points of V; the leading axes of t and v broadcast.
     basis : FockBasis
 
     Returns
     -------
-    (count, count) complex matrix B with B[r, m] = <pi(t, v) e_m, e_r>.
-    Entries are closed Laguerre forms, accurate to rounding; only
-    compositions are affected by truncation.  Raises BudgetError when
-    count^2 exceeds NILHARM_BUDGET.
+    (..., count, count) complex array B with B[..., r, m] =
+    <pi(t, v) e_m, e_r>, (count, count) at one point.  Entries are closed
+    Laguerre forms, accurate to rounding; only compositions are affected
+    by truncation.  ValueError unless lam is finite and nonzero and t and
+    v are finite; BudgetError when P count^2 or the P n (D+1)^2 entry
+    tables, for P broadcast points, exceed NILHARM_BUDGET.
     """
     lam = float(lam)
-    if lam == 0.0:
-        raise ValueError("lam must be nonzero")
-    alam, conj_all = abs(lam), lam < 0
+    t = np.asarray(t, dtype=float)
     z = as_complex_vector(v, basis.n)
-    require_budget(basis.count**2, f"{basis.count}^2 = {basis.count**2} Fock matrix entries")
-    dmax = basis.max_degree
-    ridx = basis.indices
-    out = np.full((basis.count, basis.count), np.exp(1j * alam * float(t)), dtype=complex)
-    for j, tab in enumerate(_entry_tables(alam, z, dmax)):
-        out *= tab[ridx[:, None, j], ridx[None, :, j]]
-    if conj_all:
-        out = np.conj(out)
-    return out
-
-
-def coefficient_grid(lam, basis: FockBasis, m, r, t, v):
-    """e_lam(e_m, e_r)(t, v) = <pi_lam(t, v) e_m, e_r> at points t (P,),
-    v (P, n) complex, read from the entry tables of pi_matrix (P n (D+1)^2
-    entries, D the top degree of m and r, checked against NILHARM_BUDGET)."""
-    lam = float(lam)
-    if lam == 0.0:
-        raise ValueError("lam must be nonzero")
-    alam = abs(lam)
-    z = np.atleast_2d(as_complex_vector(np.asarray(v), basis.n))
-    t = np.atleast_1d(np.asarray(t, dtype=float))
-    dmax = max(*m, *r)
-    require_budget(z.size * (dmax + 1) ** 2, f"{z.size} x {dmax + 1}^2 Fock entry-table entries")
-    tabs = _entry_tables(alam, z, dmax)
-    out = np.exp(1j * alam * t).astype(complex)
-    for j in range(basis.n):
-        out = out * tabs[:, j, r[j], m[j]]
-    if lam < 0:
-        out = np.conj(out)
-    return out
+    if lam == 0.0 or not (np.isfinite(lam) and np.all(np.isfinite(t)) and np.all(np.isfinite(z))):
+        raise ValueError("pi_matrix needs a finite nonzero lam and finite t and v")
+    points = prod(np.broadcast_shapes(t.shape, z.shape[:-1]))
+    dmax, ridx = basis.max_degree, basis.indices
+    total = points * max(basis.count**2, basis.n * (dmax + 1) ** 2)
+    require_budget(total, f"{points} x max({basis.count}^2, {basis.n} x {dmax + 1}^2) = {total} "
+                   "Fock matrix entries")
+    # phase x first table, then the others: each point of a stack gets
+    # the one-point product, bit for bit
+    tabs = _entry_tables(abs(lam), z, dmax)
+    out = np.exp(1j * abs(lam) * t)[..., None, None] * tabs[..., 0, ridx[:, None, 0], ridx[None, :, 0]]
+    for j in range(1, basis.n):
+        out *= tabs[..., j, ridx[:, None, j], ridx[None, :, j]]
+    return np.conj(out) if lam < 0 else out
 
 
 def truncation_defect(lam, t, v, basis: FockBasis, margin=2):
     """Operator-norm defect of unitarity of pi(t, v) restricted to
-    degrees <= max_degree - margin; bounds truncation leakage."""
+    degrees <= max_degree - margin; bounds truncation leakage.
+    ValueError unless 0 <= margin <= max_degree, so the block is never
+    empty."""
+    if not 0 <= margin <= basis.max_degree:
+        raise ValueError(f"margin must lie in 0..{basis.max_degree}, got {margin}")
     b = pi_matrix(lam, t, v, basis)
     g = b.conj().T @ b
     sel = basis.degrees <= basis.max_degree - margin
@@ -260,6 +239,18 @@ def run_degrees(case, index):
     if len(index) != 4 or index[2] != 0:
         raise ValueError(f"k = 1 components are indexed (r, s, 0, l), got {tuple(index)}")
     return (index[0], index[1], index[3])
+
+
+def check_degrees(lam, runs, degrees):
+    """ValueError unless lam is finite and nonzero (the zero functional
+    has no Fock model) and degrees holds one nonnegative integer per run,
+    0 on an empty run."""
+    if lam == 0 or not np.isfinite(lam):
+        raise ValueError(f"need a finite nonzero frequency, got {lam}")
+    if (len(degrees) != len(runs) or not all(isinstance(d, (int, np.integer)) and d >= 0 for d in degrees)
+            or any(deg for size, deg in zip(runs, degrees) if not size)):
+        raise ValueError(f"degrees {tuple(degrees)} need one degree per run of {runs}: "
+                         "nonnegative integers, and degree 0 on an empty run")
 
 
 def run_index(case, degrees):
@@ -389,34 +380,30 @@ def psi_numeric(case, lam, j, t, v):
 
     Supported cases: I and VII (index j = scalar degree; the
     C(nvars - 1 + j, j) monomials are checked against NILHARM_BUDGET),
-    V and VI (index j = monomial multi-index).  Every coordinate runs at
-    |lam|, as in the symplectically normalized coordinates in which the
-    closed Laguerre forms are stated.
+    V and VI (index j = monomial multi-index, one degree per complex
+    coordinate).  Every coordinate runs at |lam|, as in the
+    symplectically normalized coordinates in which the closed Laguerre
+    forms are stated.  The index and lam go through check_degrees, and t
+    and v must be finite.
     """
     lam = float(lam)
-    if lam == 0.0:
-        raise ValueError("lam must be nonzero")
-    if case in ("I", "VII"):
-        deg = int(j[0]) if np.ndim(j) else int(j)
-        nvars = None
-    elif case in ("V", "VI"):
-        mono = tuple(int(a) for a in np.atleast_1d(j))
-        nvars = len(mono)
-    else:
+    if case not in ("I", "V", "VI", "VII"):
         raise ValueError(f"psi_numeric supports cases I, V, VI, VII; got {case!r}")
     z = np.asarray(v).reshape(-1)
     # real coordinates interleave complex pairs (for case I the
     # quaternionic (1, i | j, k) pairs are the aligned complex pairs)
     z = as_complex_vector(z, len(z) if np.iscomplexobj(z) else len(z) // 2)
-    if nvars is None:
-        nvars = len(z)
-        count = homog_dim(nvars, deg)
-        require_budget(count, f"{count} degree-{deg} monomials in {nvars} variables")
-        mons = monomials_of_degree(nvars, deg)
+    nvars = len(z)
+    degrees = tuple(np.atleast_1d(j))
+    check_degrees(lam, (nvars,) if case in ("I", "VII") else (1,) * nvars, degrees)
+    if not (np.isfinite(t) and np.all(np.isfinite(z))):
+        raise ValueError("psi_numeric needs finite t and v")
+    if case in ("I", "VII"):
+        count = homog_dim(nvars, degrees[0])
+        require_budget(count, f"{count} degree-{degrees[0]} monomials in {nvars} variables")
+        mons = monomials_of_degree(nvars, degrees[0])
     else:
-        if len(z) != nvars:
-            raise ValueError(f"expected {nvars} complex coordinates")
-        mons = [mono]
+        mons = [degrees]
     x = 0.5 * abs(lam) * np.abs(z) ** 2
     mons = np.array(mons, dtype=int).reshape(len(mons), nvars)
     lag = laguerre_all(int(mons.max(initial=0)), 0.0, x)

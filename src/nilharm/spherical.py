@@ -45,19 +45,7 @@ import numpy as np
 from .algebra import LauretAlgebra
 from .forms import Functional
 from .numerics import as_complex_vector, as_rng, laguerre, mc_mean, require_budget, sphere_character
-from .fock import kx_blocks, monomials_of_degree, run_degrees
-
-
-def _check(lam, runs, degrees):
-    """ValueError unless lam is finite and nonzero (the zero functional
-    has no Fock model) and degrees holds one nonnegative integer per run,
-    0 on an empty run."""
-    if lam == 0 or not np.isfinite(lam):
-        raise ValueError(f"need a finite nonzero frequency, got {lam}")
-    if (len(degrees) != len(runs) or not all(isinstance(d, (int, np.integer)) and d >= 0 for d in degrees)
-            or any(deg for size, deg in zip(runs, degrees) if not size)):
-        raise ValueError(f"degrees {tuple(degrees)} need one degree per run of {runs}: "
-                         "nonnegative integers, and degree 0 on an empty run")
+from .fock import check_degrees, kx_blocks, monomials_of_degree, run_degrees
 
 
 @dataclass(frozen=True)
@@ -65,9 +53,9 @@ class SphericalIndex:
     """Case label, signed frequency lam, component index, the case
     parameters (the dict of build_case) and, for phi_orbit, the
     functional.  Construction resolves and checks the index once
-    (_check) into runs, the coordinate runs of fock.kx_blocks, and
-    degrees, the run degrees (fock.run_degrees); NotImplementedError
-    where the K_x-types are not run products."""
+    (fock.check_degrees) into runs, the coordinate runs of
+    fock.kx_blocks, and degrees, the run degrees (fock.run_degrees);
+    NotImplementedError where the K_x-types are not run products."""
 
     case: str
     lam: float
@@ -83,7 +71,7 @@ class SphericalIndex:
             raise NotImplementedError(f"case {self.case} {self.params} has no K_x-type runs, "
                                       "so no closed psi or orbit integrand")
         degrees = run_degrees(self.case, self.index)
-        _check(self.lam, runs, degrees)
+        check_degrees(self.lam, runs, degrees)
         object.__setattr__(self, "runs", runs)
         object.__setattr__(self, "degrees", degrees)
 
@@ -167,7 +155,7 @@ def phi_caseI_closed(lam, j, z, v):
     n, rem = divmod(np.shape(v)[-1], 4)
     if rem or not n:
         raise ValueError(f"case I needs v in R^(4n) with n >= 1, got length {np.shape(v)[-1]}")
-    _check(lam, (2 * n,), (j,))
+    check_degrees(lam, (2 * n,), (j,))
     lam = abs(float(lam))
     angular = sphere_character(lam * float(np.linalg.norm(z)))
     return complex(_v_factor((2 * n,), (j,), lam, v, angular))

@@ -201,12 +201,9 @@ def test_criterion_06_fock_oracle_agreement(capsys):
 
 
 def _coefficient_table(lam, basis, vc):
-    idxs = [(j,) for j in range(4)]
-    T = np.empty((4, 4, len(vc)), dtype=complex)
-    for a, mi in enumerate(idxs):
-        for b, ri in enumerate(idxs):
-            T[a, b] = fock.coefficient_grid(lam, basis, mi, ri, 0.0, vc)
-    return T
+    # T[m, r, p] = <pi_lam(0, v_p) e_m, e_r>, one stacked pi_matrix per
+    # grid, laid out contiguously: einsum's sums follow the memory layout
+    return np.ascontiguousarray(np.transpose(fock.pi_matrix(lam, 0.0, vc, basis), (2, 1, 0)))
 
 
 def test_criterion_07_matrix_coefficient_orthogonality(capsys):

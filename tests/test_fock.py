@@ -22,21 +22,6 @@ def test_basis_counts_and_slices():
     assert np.all(b.degrees[b.degree_slice(3)] == 3)
 
 
-def test_norms_are_gaussian_moments():
-    # ||z^m||^2 = m! (2/lam)^m under the unit-mass weight; check by
-    # radial Gauss-Laguerre quadrature
-    lam = 1.7
-    b = fock.FockBasis(1, 6)
-    from scipy.special import roots_genlaguerre
-
-    x, w = roots_genlaguerre(40, 0.0)
-    for deg in range(7):
-        # E |z|^(2 deg) with |z|^2 ~ Exp(rate lam/2)
-        val = np.sum(w * (2.0 * x / lam) ** deg) / np.sum(w)
-        idx = b.index_of[(deg,)]
-        assert abs(b.norms(lam)[idx] ** 2 - val) < 1e-10 * val
-
-
 def test_pi_matrix_identity_at_origin():
     # exactly, also at degree 200 where x^(gap/2) and the norm ratio
     # meet 0 * log(0) in log space
@@ -103,6 +88,16 @@ def test_pi_matrix_budget(monkeypatch):
     assert b.count == 351 == len(b.indices)
     with pytest.raises(BudgetError, match="Fock matrix entries"):
         fock.pi_matrix(1.0, 0.0, np.zeros(2, dtype=complex), b)
+    # one 4 x 4 matrix fits, a stack of 100 of them does not
+    small = fock.FockBasis(1, 3)
+    assert fock.pi_matrix(1.0, 0.0, np.zeros(1, dtype=complex), small).shape == (4, 4)
+    with pytest.raises(BudgetError, match="100 x max"):
+        fock.pi_matrix(1.0, np.zeros(100), np.zeros((100, 1), dtype=complex), small)
+    # at degree 0 the 3 entry tables per point outgrow the 1 x 1 matrix:
+    # 400 points hold 400 matrix entries but 1200 table entries
+    flat = fock.FockBasis(3, 0)
+    with pytest.raises(BudgetError, match="1200 Fock matrix entries"):
+        fock.pi_matrix(1.0, 0.0, np.zeros((400, 3), dtype=complex), flat)
     with pytest.raises(BudgetError, match="monomials"):
         fock.FockBasis(2, 50)
     # the component bases list the same monomials
@@ -115,6 +110,37 @@ def test_pi_matrix_rejects_one_real_per_coordinate():
     # a real point of C^2 has 4 interleaved coordinates
     with pytest.raises(ValueError):
         fock.pi_matrix(1.0, 0.0, np.array([0.3, 0.4]), fock.FockBasis(2, 3))
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("lam,t,v", [
+    (NAN, 0.1, [0.3 + 0.2j]), (INF, 0.1, [0.3 + 0.2j]), (-INF, 0.1, [0.3 + 0.2j]),
+    (1.2, NAN, [0.3 + 0.2j]), (1.2, INF, [0.3 + 0.2j]), (1.2, [0.1, NAN], [0.3 + 0.2j]),
+    (1.2, 0.1, [complex(NAN, 0.2)]), (1.2, 0.1, [complex(0.3, INF)]), (1.2, 0.1, [INF, 0.2]),
+])
+def test_pi_matrix_rejects_non_finite_inputs(lam, t, v):
+    # a non-finite frequency or point has no matrix, not an all-NaN one
+    with pytest.raises(ValueError, match="finite"):
+        fock.pi_matrix(lam, t, np.array(v), fock.FockBasis(1, 3))
+
+
+@pytest.mark.parametrize("n,max_degree", [(1, 2.5), (1.5, 2), (1, 2.0)])
+def test_fock_basis_rejects_non_integer_sizes(n, max_degree):
+    # a non-integer size is refused, not truncated to degree 2
+    with pytest.raises(ValueError, match="integers"):
+        fock.FockBasis(n, max_degree)
+
+
+@pytest.mark.parametrize("margin", [-1, 4, 9])
+def test_truncation_defect_rejects_margin_outside_degrees(margin):
+    # a margin above max_degree leaves an empty block, whose defect of 0
+    # would claim unitarity with nothing checked
+    v = np.array([0.5 - 0.3j])
+    with pytest.raises(ValueError, match="margin"):
+        fock.truncation_defect(1.0, 0.2, v, fock.FockBasis(1, 3), margin=margin)
+    assert fock.truncation_defect(1.0, 0.2, v, fock.FockBasis(1, 3), margin=3) >= 0.0
 
 
 def test_psi_numeric_budget(monkeypatch):
@@ -190,15 +216,33 @@ def test_pi_matrix_homomorphism_with_truncation_margin():
     assert np.max(np.abs(prod - m12[np.ix_(sel, sel)])) < 1e-9
 
 
-def test_coefficient_grid_equals_pi_matrix_entries():
-    lam, t = -1.3, 0.4
+@pytest.mark.parametrize("lam", [0.9, -1.3])
+@pytest.mark.parametrize("shape", [(5,), (2, 3)])
+@pytest.mark.parametrize("per_point_t", [False, True])
+@pytest.mark.parametrize("complex_v", [False, True])
+def test_pi_matrix_stack_equals_its_points(lam, shape, per_point_t, complex_v):
+    # a stack of points gives each point's matrix, bit for bit
     b = fock.FockBasis(2, 12)
     rng = as_rng(11)
-    pts = rng.standard_normal((5, 4)) * 1.5
-    mats = [fock.pi_matrix(lam, t, p, b) for p in pts]
-    for r, m in rng.integers(0, b.count, size=(20, 2)):
-        g = fock.coefficient_grid(lam, b, b.indices[m], b.indices[r], np.full(5, t), pts)
-        assert np.max(np.abs(g - [mat[r, m] for mat in mats])) < 1e-14
+    v = rng.standard_normal(shape + (4,)) * 1.5
+    if complex_v:
+        v = v[..., 0::2] + 1j * v[..., 1::2]
+    t = rng.standard_normal(shape) if per_point_t else 0.4
+    mats = fock.pi_matrix(lam, t, v, b)
+    assert mats.shape == shape + (b.count, b.count)
+    for p in np.ndindex(shape):
+        assert np.array_equal(mats[p], fock.pi_matrix(lam, t[p] if per_point_t else t, v[p], b))
+
+
+def test_pi_matrix_broadcasts_t_against_v():
+    # t (2, 1) against v (3, n) gives a (2, 3) stack
+    b = fock.FockBasis(1, 6)
+    t = np.array([[0.3], [-1.1]])
+    v = np.array([[0.2 + 0.1j], [-0.5j], [1.4 - 0.3j]])
+    mats = fock.pi_matrix(-0.8, t, v, b)
+    assert mats.shape == (2, 3, 7, 7)
+    for i, k in np.ndindex(2, 3):
+        assert np.array_equal(mats[i, k], fock.pi_matrix(-0.8, t[i, 0], v[k], b))
 
 
 def test_negative_lambda_is_conjugate_model():
@@ -283,6 +327,22 @@ def test_psi_numeric_matches_closed_form_at_high_degree(case, n):
             got = fock.psi_numeric(case, 1.5, j, -0.2, v)
             closed = psi_closed(SphericalIndex(case, 1.5, (j,), {"n": n}), -0.2, v)
             assert abs(got - closed) < 1e-12 * max(1.0, abs(closed))
+
+
+@pytest.mark.parametrize("case,lam,j,t,nc", [
+    ("VII", 1.1, 2.7, 0.1, 1),       # not the j = 2 value
+    ("VII", 1.1, (1, 2), 0.1, 1),    # not the j = 1 value
+    ("V", 1.1, (-1, 0, 0), 0.1, 3),  # not (0, 0, 0) by a wrapped row index
+    ("VII", NAN, 1, 0.1, 1),
+    ("I", -INF, 1, 0.1, 2),
+    ("VII", 1.1, 1, NAN, 1),
+    ("VI", 1.1, (1, 0), INF, 2),
+])
+def test_psi_numeric_rejects_bad_index_and_non_finite_inputs(case, lam, j, t, nc):
+    # the index goes through the same check as SphericalIndex
+    v = np.linspace(0.1, 0.6, 2 * nc)
+    with pytest.raises(ValueError):
+        fock.psi_numeric(case, lam, j, t, v)
 
 
 def test_psi_numeric_coordinate_input():

@@ -31,9 +31,8 @@ SIGNATURES = [
     (numerics, "QuadratureSpec.grid", ["self"]),
     (fock, "FockBasis", ["n", "max_degree"]),
     (fock, "pi_matrix", ["lam", "t", "v", "basis"]),
-    # criterion 7 reads coefficient_grid; truncation_defect is the Fock
-    # truncation measure that ROADMAP item 7's trace is to record
-    (fock, "coefficient_grid", ["lam", "basis", "m", "r", "t", "v"]),
+    # truncation_defect is the Fock truncation measure that ROADMAP
+    # item 7's trace is to record
     (fock, "truncation_defect", ["lam", "t", "v", "basis"]),
     # called positionally by the benchmark's Fock tasks
     (fock, "psi_numeric", ["case", "lam", "j", "t", "v"]),
