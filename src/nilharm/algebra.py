@@ -68,7 +68,6 @@ class LauretAlgebra:
         self.dim_v = self.ops.dim_v
         self.dim_c = self.ops.dim_c
         self.dim_gp = self.ops.dim_gp
-        self._constants = None
         flat = self.pi.reshape(self.dim_g, -1)
         self._gram_inv = np.linalg.inv(flat @ flat.T)
 
@@ -122,24 +121,17 @@ class LauretAlgebra:
         (shape (dim_g, dim_v, dim_v))."""
         return np.swapaxes(self.pi, 1, 2).copy()
 
+    def _coords(self, mats):
+        """g-coordinates (..., dim_g) of the projection of matrices
+        (..., dim_v, dim_v) onto span pi(g), by one Gram solve."""
+        flat = self.pi.reshape(self.dim_g, -1)
+        return (mats.reshape(mats.shape[:-2] + (-1,)) @ flat.T) @ self._gram_inv
+
     @property
     def structure_constants(self):
-        """f with [X_a, X_b] = sum_c f[a, b, c] X_c, recovered from the
+        """f with [X_a, X_b] = sum_c f[a, b, c] X_c, read back from the
         commutators of the pi matrices (pi is faithful on g)."""
-        if self._constants is None:
-            d = self.dim_g
-            flat = self.pi.reshape(d, -1).T
-            f = np.zeros((d, d, d))
-            resid = 0.0
-            for a in range(d):
-                for b in range(a + 1, d):
-                    comm = (self.pi[a] @ self.pi[b] - self.pi[b] @ self.pi[a]).ravel()
-                    coef, res, *_ = np.linalg.lstsq(flat, comm, rcond=None)
-                    f[a, b] = coef
-                    f[b, a] = -coef
-                    resid = max(resid, np.linalg.norm(flat @ coef - comm))
-            self._constants = (f, resid)
-        return self._constants[0]
+        return self._coords(_commutators(self))
 
     # -- the adjoint action of G' ---------------------------------------------
     def ad_of(self, vmats):
@@ -147,26 +139,28 @@ class LauretAlgebra:
         of V-matrices pi(g) (S, dim_v, dim_v).
 
         pi is faithful, so pi(Ad(g) X) = pi(g) pi(X) pi(g)^T fixes Ad(g):
-        its coefficients follow by a solve against the Gram matrix of
-        pi.  The center is fixed up to rounding.
+        column i holds the g-coordinates of pi(g) pi(X_i) pi(g)^T.  The
+        center is fixed up to rounding.
         """
-        flat = self.pi.reshape(self.dim_g, -1)
         vt = np.swapaxes(vmats, 1, 2)
-        # coef[s, j, i] = <pi(X_j), pi(g) pi(X_i) pi(g)^T>, one generator
-        # at a time so that no (S, dim_g, dim_v, dim_v) array is formed
-        coef = np.stack([(vmats @ p @ vt).reshape(len(vmats), -1) @ flat.T for p in self.pi], axis=2)
-        return self._gram_inv @ coef
+        # one generator at a time, so no (S, dim_g, dim_v, dim_v) array
+        return np.stack([self._coords(vmats @ p @ vt) for p in self.pi], axis=2)
 
     def orbit_pairing(self, vmats, y, z):
-        """<Ad(g^-1) y, z> for each pi(g) of the stack, shape (S,).
+        """<Ad(g^-1) y, z> for each pi(g) of the stack and each z of
+        shape (..., dim_g), shape (S, ...).
 
         Equal to y @ ad_of(vmats) @ z, computed as the quadratic form
         vec(pi(g))^T (pi(y) kron pi(G^-1 z)) vec(pi(g)), G the Gram
-        matrix of pi: one matrix product for the whole stack.
+        matrix of pi: one broadcast product makes the forms of all z and
+        one stacked product pairs them, each z bit for bit as if alone.
         """
-        form = np.kron(self.pi_of(y), self.pi_of(self._gram_inv @ np.asarray(z, dtype=float)))
-        flat = vmats.reshape(len(vmats), -1)
-        return np.einsum("sk,sk->s", flat @ form, flat)
+        z = np.asarray(z, dtype=float)
+        dv, n = self.dim_v, self.dim_v**2
+        pz = self.pi_of((self._gram_inv @ z[..., None])[..., 0]).reshape(-1, 1, dv, 1, dv)
+        forms = (self.pi_of(y)[:, None, :, None] * pz).reshape(-1, n, n)
+        flat = vmats.reshape(len(vmats), n)
+        return np.einsum("ksm,sm->sk", flat @ forms, flat).reshape((len(vmats),) + z.shape[:-1])
 
     # -- group law ---------------------------------------------------------------
     def group_mult(self, p, q):
@@ -256,48 +250,52 @@ class StructureReport:
     trials: int
 
 
+def _commutators(alg):
+    """The commutators [pi_a, pi_b], shape (dim_g, dim_g, dim_v, dim_v)."""
+    d, n = alg.dim_g, alg.dim_v
+    require_budget(d**2 * n**2, f"{d}^2 x {n}^2 commutator entries")
+    prods = alg.pi[:, None] @ alg.pi[None]
+    return prods - np.swapaxes(prods, 0, 1)
+
+
 def check_structure(alg: LauretAlgebra, rng=None, trials=100) -> StructureReport:
     """Verify the defining identities of the model.
 
     Checks pi skewness, closure of commutators of pi matrices inside
     pi(g) (with the Jacobi identity and invariance of the inner product
-    for the recovered structure constants), the bracket identity
-    <bracket(u, v), X> = <pi(X) u, v> on random triples, and that the
-    brackets of V with itself span all of g.
+    for the structure constants), the bracket identity
+    <bracket(u, v), X> = <pi(X) u, v> on trials >= 1 random triples, and
+    that the brackets of V with itself span all of g.  Each table is
+    checked against NILHARM_BUDGET before it is built.
     """
+    if trials < 1:
+        raise ValueError(f"check_structure needs trials >= 1, got {trials}")
     rng = as_rng(rng)
-    skew = float(np.max(np.abs(alg.pi + np.swapaxes(alg.pi, 1, 2))))
-    f = alg.structure_constants
-    closure = alg._constants[1]
-    d = alg.dim_g
-    # Jacobi: sum over cyclic permutations of f([a,b],c)
-    jac = np.einsum("abx,xcy->abcy", f, f)
-    jacobi = jac + np.einsum("bcx,xay->abcy", f, f) + np.einsum("cax,xby->abcy", f, f)
-    jacobi_res = float(np.max(np.abs(jacobi))) if d else 0.0
-    invariance = float(np.max(np.abs(f + np.swapaxes(f, 1, 2)))) if d else 0.0
-    bracket_res = 0.0
-    for _ in range(trials):
-        u = rng.standard_normal(alg.dim_v)
-        v = rng.standard_normal(alg.dim_v)
-        x = rng.standard_normal(alg.dim_g)
-        lhs = float(alg.bracket(u, v) @ x)
-        rhs = float(alg.pi_of(x) @ u @ v)
-        scale = max(1.0, abs(lhs), abs(rhs))
-        bracket_res = max(bracket_res, abs(lhs - rhs) / scale)
-    mats = []
-    for _ in range(4 * alg.dim_g + 8):
-        u = rng.standard_normal(alg.dim_v)
-        v = rng.standard_normal(alg.dim_v)
-        mats.append(alg.bracket(u, v))
-    rank = int(np.linalg.matrix_rank(np.stack(mats), tol=1e-8))
+    d, n = alg.dim_g, alg.dim_v
+    comm = _commutators(alg)
+    f = alg._coords(comm)
+    # Jacobi: the cyclic sum of jac[a, b, c], the coordinates of
+    # [[X_a, X_b], X_c], built once and read in three axis orders
+    require_budget(d**4, f"{d}^4 Jacobi-table entries")
+    jac = (f.reshape(-1, d) @ f.reshape(d, -1)).reshape(d, d, d, d)
+    jacobi = jac + np.transpose(jac, (2, 0, 1, 3))
+    jacobi += np.transpose(jac, (1, 2, 0, 3))
+    require_budget(trials * n**2, f"{trials} bracket trials of {n}^2 pi(X) entries")
+    # one (u, v, X) row per trial, then one (u, v) pair per rank sample:
+    # the stream of drawing them one vector at a time
+    u, v, x = np.split(rng.standard_normal((trials, 2 * n + d)), [n, 2 * n], axis=1)
+    # stacked (1 x k) @ (k x 1) products sum like the one-trial dots
+    lhs = (alg.bracket(u, v)[:, None] @ x[:, :, None]).ravel()
+    rhs = (np.swapaxes(alg.pi_of(x) @ u[:, :, None], 1, 2) @ v[:, :, None]).ravel()
+    pairs = rng.standard_normal((4 * d + 8, 2, n))
     return StructureReport(
         spec=alg.spec,
-        max_skewness=skew,
-        max_closure_residual=closure,
-        max_jacobi_residual=jacobi_res,
-        max_invariance_residual=invariance,
-        max_bracket_residual=bracket_res,
-        bracket_rank=rank,
+        max_skewness=float(np.max(np.abs(alg.pi + np.swapaxes(alg.pi, 1, 2)))),
+        max_closure_residual=float(np.max(np.linalg.norm((alg.pi_of(f) - comm).reshape(d, d, -1), axis=2))),
+        max_jacobi_residual=float(np.max(np.abs(jacobi))),
+        max_invariance_residual=float(np.max(np.abs(f + np.swapaxes(f, 1, 2)))),
+        max_bracket_residual=float(np.max(np.abs(lhs - rhs) / np.maximum(1.0, np.abs([lhs, rhs]).max(axis=0)))),
+        bracket_rank=int(np.linalg.matrix_rank(alg.bracket(pairs[:, 0], pairs[:, 1]), tol=1e-8)),
         dim_g=alg.dim_g,
         trials=trials,
     )

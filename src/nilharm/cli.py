@@ -318,10 +318,8 @@ def _cmd_spherical(args):
     elif args.j is not None:
         index = (args.j,)
     else:
-        runs = fock.kx_blocks(alg.spec.case, alg.spec.params)
-        if runs is None:
-            raise ValueError(f"case {alg.spec.case} {alg.spec.params} has no K_x-type runs, "
-                             "so no closed psi or orbit integrand")
+        # without runs the index is empty, and SphericalIndex says why
+        runs = fock.kx_blocks(alg.spec.case, alg.spec.params) or ()
         index = fock.run_index(alg.spec.case, (0,) * len(runs))
     idx = sph.spherical_index(alg, x, index)
     vnorms = np.linspace(0.0, args.v_norm, args.points)

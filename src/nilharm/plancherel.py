@@ -279,41 +279,37 @@ def heisenberg_inversion_check(
     nodes = (nodes + 1.0) * (lam_max / 2.0)
     wts = wts * (lam_max / 2.0)
     P = len(probes)
-    rhs = np.zeros(P)
-    rhs_raw = np.zeros(P)
+    sums = np.zeros((2, P))
     tvals = np.array([t for t, _ in probes])
     orders = []
     for lam, wk in zip(nodes, wts):
         slices = _laguerre_slices(lam, b, probes, J, vnodes)
         partial = np.cumsum(slices, axis=0)
-        inner_raw = partial[J]
-        inner = inner_raw.copy()
+        # row 0 extrapolated by Wynn below, row 1 the raw truncated sum
+        inner = partial[[J, J]]
         node_orders = [0] * P
         if J >= 2:
             window = min(9, J + 1)
             for p in range(P):
-                inner[p], node_orders[p] = _wynn_limit(partial[J - window + 1: J + 1, p],
-                                                       abs(partial[J, p]) + 1.0)
+                inner[0, p], node_orders[p] = _wynn_limit(partial[J - window + 1: J + 1, p],
+                                                          abs(partial[J, p]) + 1.0)
         orders.append(tuple(node_orders))
         tfac = np.sqrt(np.pi / a) * np.exp(-lam**2 / (4.0 * a))
         # the lam < 0 half mirrors to the conjugate, so each node
         # contributes twice the real part
         phase_t = np.exp(1j * lam * tvals)
-        rhs += wk * lam * tfac * 2.0 * np.real(phase_t * inner)
-        rhs_raw += wk * lam * tfac * 2.0 * np.real(phase_t * inner_raw)
+        sums += wk * lam * tfac * 2.0 * np.real(phase_t * inner)
     fvals = np.array([np.exp(-a * t**2 - b * (v[0] ** 2 + v[1] ** 2)) for t, v in probes])
-    c_fit = float(np.dot(rhs, fvals) / np.dot(rhs, rhs))
-    c_raw = float(np.dot(rhs_raw, fvals) / np.dot(rhs_raw, rhs_raw))
-    rel = np.abs(c_fit * rhs - fvals) / np.abs(fvals)
-    rel_raw = np.abs(c_raw * rhs_raw - fvals) / np.abs(fvals)
+    c = np.array([np.dot(s, fvals) / np.dot(s, s) for s in sums])
+    rel = np.abs(c[:, None] * sums - fvals) / np.abs(fvals)
     return InversionReport(
-        fitted_c=c_fit,
+        fitted_c=float(c[0]),
         classical_c=1.0 / (2.0 * np.pi) ** 2,
         probes=probes,
         f_values=tuple(fvals),
-        reconstructed=tuple(c_fit * rhs),
-        rel_errors=tuple(float(r) for r in rel),
-        raw_rel_errors=tuple(float(r) for r in rel_raw),
+        reconstructed=tuple(c[0] * sums[0]),
+        rel_errors=tuple(float(r) for r in rel[0]),
+        raw_rel_errors=tuple(float(r) for r in rel[1]),
         J=J,
         lam_nodes=lam_nodes,
         lam_max=lam_max,
@@ -465,7 +461,7 @@ def _probe_one_width(alg, avec, b, J, lam_max, lam_nodes, samples, seed):
     for knode, (r, wk) in enumerate(zip(nodes, wts)):
         rng = as_rng((seed, knode))
         vmats = alg.ops.sample_vmats(rng, samples)
-        u = np.stack([alg.orbit_pairing(vmats, y, e) for e in np.eye(alg.dim_g)], axis=1)
+        u = alg.orbit_pairing(vmats, y, np.eye(alg.dim_g))
         zint = zfac * np.exp(-(r**2) * np.sum(u**2 / (4.0 * avec), axis=1))
         mean, sem = mc_mean(zint)
         p, q = b + r / 4.0, b - r / 4.0

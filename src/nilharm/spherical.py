@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from math import comb
+from math import comb, isfinite
 from typing import Optional
 
 import numpy as np
@@ -134,9 +134,12 @@ def psi_closed(idx: SphericalIndex, t, v):
     the reduced group (the pairing <Y, z>).
 
     Supported: the cases with coordinate runs (fock.kx_blocks).  Values
-    at the identity equal dim W.  v must have the case's dimension."""
-    lam = float(idx.lam)
-    phase = np.exp(1j * lam * float(t))
+    at the identity equal dim W.  v must have the case's dimension;
+    ValueError unless t and v are finite."""
+    lam, t = float(idx.lam), float(t)
+    if not (isfinite(t) and np.isfinite(v).all()):
+        raise ValueError("psi_closed needs finite t and v")
+    phase = np.exp(1j * lam * t)
     return complex(_v_factor(idx.runs, idx.degrees, abs(lam), v, phase))
 
 
@@ -147,7 +150,7 @@ def phi_caseI_closed(lam, j, z, v):
     The angular factor is the normalized sphere average
     sphere_character(|lam| |z|) (value 1 at z = 0); the radial factor is
     the Laguerre envelope of psi.  Unnormalized: value C(2n-1+j, j) at
-    the identity.
+    the identity.  ValueError unless z and v are finite.
     """
     z = np.asarray(z, dtype=float).reshape(-1)
     if len(z) != 3:
@@ -155,6 +158,8 @@ def phi_caseI_closed(lam, j, z, v):
     n, rem = divmod(np.shape(v)[-1], 4)
     if rem or not n:
         raise ValueError(f"case I needs v in R^(4n) with n >= 1, got length {np.shape(v)[-1]}")
+    if not np.isfinite(np.concatenate((z, v), axis=None)).all():
+        raise ValueError("phi_caseI_closed needs finite z and v")
     check_degrees(lam, (2 * n,), (j,))
     lam = abs(float(lam))
     angular = sphere_character(lam * float(np.linalg.norm(z)))
@@ -201,6 +206,8 @@ def phi_orbit(idx: SphericalIndex, z, v, samples=20000, seed=0):
     alam = fn.norm
     z = np.asarray(z, dtype=float).reshape(alg.dim_g)
     v = np.asarray(v, dtype=float).reshape(alg.dim_v)
+    if not np.isfinite(np.concatenate((z, v))).all():
+        raise ValueError("phi_orbit needs finite z and v")
     require_budget(samples * alg.dim_v**2, f"{samples} orbit samples of {alg.dim_v}^2 V-matrix entries")
     rng = as_rng(seed)
     vals = np.empty(samples, dtype=complex)

@@ -10,7 +10,7 @@ from nilharm.algebra import (
     sample_automorphisms,
     sample_k_actions,
 )
-from nilharm.cases import block_diag
+from nilharm.cases import CASES, block_diag
 from nilharm.numerics import BudgetError, as_rng
 
 ALL_CASES = [
@@ -61,6 +61,82 @@ def test_structure_identities(case, params):
     assert rep.max_invariance_residual < 1e-10
     assert rep.max_bracket_residual < 1e-12
     assert rep.bracket_rank == alg.dim_g  # brackets of V span g
+
+
+# all ten cases, each at two sizes
+TWO_SIZES = [
+    ("I", {"n": 1}), ("I", {"n": 2}), ("II", {"n": 1}), ("II", {"n": 2}),
+    ("III", {"k1": 1, "k2": 1}), ("III", {"k1": 0, "k2": 2}), ("IV", {"n": 1}), ("IV", {"n": 2}),
+    ("V", {"n": 3}), ("V", {"n": 4}), ("VI", {"n": 3}), ("VI", {"n": 5}),
+    ("VII", {"n": 1}), ("VII", {"n": 2}), ("VIII", {"k": 1, "n": 1}), ("VIII", {"k": 2, "n": 1}),
+    ("IX", {"n": 3}), ("IX", {"n": 4}), ("X", {"m": 3, "k": 1, "n": 0}), ("X", {"m": 4, "k": 2, "n": 1}),
+]
+TWO_SIZES_IDS = [c + "".join(str(v) for v in p.values()) for c, p in TWO_SIZES]
+
+
+@pytest.mark.parametrize("case,params", TWO_SIZES, ids=TWO_SIZES_IDS)
+def test_structure_constants_match_a_per_pair_lstsq_oracle(case, params):
+    # the Gram-solve readback against the least-squares coefficients of
+    # each commutator [pi_a, pi_b] in the basis pi(X_c), one pair at a time
+    alg = build_case(case, **params)
+    d = alg.dim_g
+    basis = alg.pi.reshape(d, -1).T
+    want = np.zeros((d, d, d))
+    for a in range(d):
+        for b in range(d):
+            comm = alg.pi[a] @ alg.pi[b] - alg.pi[b] @ alg.pi[a]
+            want[a, b] = np.linalg.lstsq(basis, comm.ravel(), rcond=None)[0]
+    assert np.max(np.abs(alg.structure_constants - want)) <= 1e-13
+
+
+@pytest.mark.parametrize("case,params", [("V", {"n": 3}), ("IX", {"n": 3}), ("X", {"m": 3, "k": 1, "n": 0})])
+def test_check_structure_sees_a_generator_pushed_out_of_closure(monkeypatch, case, params):
+    # a model built the usual way from a skew pi whose first generator
+    # is moved by 1e-2 A, A generic skew: the commutators leave pi(g)
+    cls, names = CASES[case]
+    gen = as_rng(9).standard_normal((build_case(case, **params).dim_v,) * 2)
+
+    class Pushed(cls):
+        def __init__(self, params):
+            super().__init__(params)
+            self.pi = self.pi.copy()
+            self.pi[0] += 1e-2 * (gen - gen.T)
+
+    monkeypatch.setitem(CASES, case, (Pushed, names))
+    rep = check_structure(build_case(case, **params), rng=as_rng(0), trials=5)
+    assert rep.max_skewness < 1e-12
+    assert rep.max_closure_residual >= 1e-3
+
+
+@pytest.mark.parametrize("trials", [0, -3])
+def test_check_structure_needs_a_trial(trials):
+    # before, no trial ran and the bracket residual read 0.0
+    with pytest.raises(ValueError, match="trials >= 1"):
+        check_structure(build_case("V", n=3), rng=as_rng(0), trials=trials)
+
+
+def test_check_structure_checks_its_tables_against_the_budget(monkeypatch):
+    # VI(8): dim_g = 28, so 28^2 x 8^2 = 50,176 commutator entries fit
+    # and the 28^4 = 614,656-entry Jacobi table does not
+    alg = build_case("VI", n=8)
+    monkeypatch.setenv("NILHARM_BUDGET", "100000")
+    with pytest.raises(BudgetError, match="28\\^4 Jacobi-table entries"):
+        check_structure(alg, rng=as_rng(0), trials=5)
+    monkeypatch.setenv("NILHARM_BUDGET", "50000")
+    with pytest.raises(BudgetError, match="commutator entries"):
+        check_structure(alg, rng=as_rng(0), trials=5)
+
+
+@pytest.mark.parametrize("case,params", [("I", {"n": 1}), ("V", {"n": 3}), ("X", {"m": 3, "k": 1, "n": 1})])
+def test_orbit_pairing_stack_of_z_is_its_single_calls(case, params):
+    alg = build_case(case, **params)
+    rng = as_rng(11)
+    vmats = alg.ops.sample_vmats(rng, 300)
+    y = rng.standard_normal(alg.dim_g)
+    zs = rng.standard_normal((4, alg.dim_g))
+    got = alg.orbit_pairing(vmats, y, zs)
+    assert got.shape == (300, 4)
+    assert np.array_equal(got, np.stack([alg.orbit_pairing(vmats, y, z) for z in zs], axis=1))
 
 
 def test_expected_dimensions():

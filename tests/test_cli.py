@@ -348,6 +348,15 @@ def test_budget_cap_exits_2(monkeypatch, capsys):
     assert rc == 2
 
 
+def test_build_checks_its_structure_tables_against_the_budget(monkeypatch, capsys):
+    # VI(8) has dim_g = 28: its 28^4 = 614,656-entry Jacobi table is over the cap
+    monkeypatch.setenv("NILHARM_BUDGET", "100000")
+    assert cli.main(["build", "--case", "VI", "--n", "8"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: 28^4 Jacobi-table entries exceed NILHARM_BUDGET=100000\n"
+
+
 @pytest.mark.parametrize("argv", [
     ["spherical", "--case", "IX", "--n", "3", "--lambda", "1.2", "--index", "1,0,1",
      "--points", "1", "--mc-samples", "2000"],

@@ -251,6 +251,35 @@ def test_phi_case_i_closed_rejects_bad_frequency_and_degree(lam, j):
         phi_caseI_closed(lam, j, np.zeros(3), np.zeros(4))
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("t,v", [(NAN, [0.1, 0.2]), (INF, [0.1, 0.2]), (0.3, [INF, 0.2]),
+                                 (0.3, [0.1, NAN]), (0.3, [complex(0.1, -INF)])])
+def test_psi_closed_rejects_non_finite_points(t, v):
+    # before, nan+nanj, where psi_numeric and pi_matrix raise
+    with pytest.raises(ValueError, match="finite t and v"):
+        psi_closed(SphericalIndex("VII", 1.0, (1,), {"n": 1}), t, v)
+
+
+@pytest.mark.parametrize("z,v", [([NAN, 0.0, 0.0], np.zeros(4)), (np.zeros(3), [0.0, -INF, 0.0, 0.0])])
+def test_phi_case_i_closed_rejects_non_finite_points(z, v):
+    with pytest.raises(ValueError, match="finite z and v"):
+        phi_caseI_closed(1, 1, z, v)
+
+
+@pytest.mark.parametrize("where", ["z", "v"])
+def test_phi_orbit_rejects_non_finite_points(where):
+    # before, a value and a standard error of nan
+    alg = build_case("V", n=3)
+    rng = as_rng(62)
+    idx = spherical_index(alg, rng.standard_normal(alg.dim_g), (1, 0, 2))
+    z, v = np.zeros(alg.dim_g), np.zeros(alg.dim_v)
+    (z if where == "z" else v)[1] = NAN
+    with pytest.raises(ValueError, match="finite z and v"):
+        phi_orbit(idx, z, v, samples=10)
+
+
 @pytest.mark.parametrize("k1,k2", [(1, 1), (0, 1), (1, 0), (2, 1)])
 def test_psi_closed_iii_matches_fock_traces(k1, k2):
     # runs C^(2 k1), C, C, C^(2 k2); an empty outer run admits degree 0 only
