@@ -17,6 +17,7 @@ V x g with the Baker-Campbell-Hausdorff product
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -154,9 +155,13 @@ class LauretAlgebra:
         vec(pi(g))^T (pi(y) kron pi(G^-1 z)) vec(pi(g)), G the Gram
         matrix of pi: one broadcast product makes the forms of all z and
         one stacked product pairs them, each z bit for bit as if alone.
+        The len(z) dim_v^4 entries of the forms are checked against
+        NILHARM_BUDGET first.
         """
         z = np.asarray(z, dtype=float)
         dv, n = self.dim_v, self.dim_v**2
+        count = math.prod(z.shape[:-1])
+        require_budget(count * n**2, f"{count} x {dv}^4 Kronecker-form entries")
         pz = self.pi_of((self._gram_inv @ z[..., None])[..., 0]).reshape(-1, 1, dv, 1, dv)
         forms = (self.pi_of(y)[:, None, :, None] * pz).reshape(-1, n, n)
         flat = vmats.reshape(len(vmats), n)

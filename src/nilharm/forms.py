@@ -15,6 +15,7 @@ conjugated X; `pfaffian_via_weights` evaluates those products, while
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -36,9 +37,9 @@ def _pfaffian_of(ev):
     the kernel): the product of its upper half, 0 when the dimension is
     odd or fewer than half the eigenvalues are positive."""
     half = len(ev) // 2
-    if len(ev) % 2 or np.count_nonzero(ev > 0) < half:
+    if len(ev) % 2 or (ev > 0).sum() < half:
         return 0.0
-    return float(np.prod(ev[half:]))
+    return float(ev[half:].prod())
 
 
 def pfaffian_abs(mat):
@@ -77,8 +78,9 @@ def classify(alg: LauretAlgebra, x) -> SquareIntegrability:
     if not np.isfinite(x).all():
         raise ValueError("g-coordinates must be finite")
     ev = np.linalg.eigvalsh(1j * skew_form(alg, x))
-    mod = np.abs(ev)
-    kernel = int(np.count_nonzero(mod <= _RANK_TOL * np.max(mod, initial=0.0)))
+    # the spectrum ascends, so its largest modulus sits at one end
+    top = max(-ev[0], ev[-1]) if len(ev) else 0.0
+    kernel = int((abs(ev) <= _RANK_TOL * top).sum())
     return SquareIntegrability(
         square_integrable=(kernel == 0 and alg.dim_v > 0),
         kernel_dim=kernel,
@@ -99,7 +101,7 @@ class Functional:
             raise ValueError(f"expected {alg.dim_g} finite g-coordinates")
         self.alg = alg
         self.x = x
-        self.norm = float(np.linalg.norm(x))
+        self.norm = math.sqrt(x @ x)
         self.y = x / self.norm if self.norm > 0 else x.copy()
 
     @cached_property
@@ -117,7 +119,7 @@ class Functional:
             raise NotImplementedError(
                 f"case {self.alg.spec.case} has no Cartan chamber for its "
                 "g' part")
-        _, point = torus.to_chamber(rs, self.alg.ops.to_factor_mats(xp))
+        point = torus.to_chamber(rs, self.alg.ops.to_factor_mats(xp))
         return point.angles, zc, point.regular
 
     def classify(self) -> SquareIntegrability:

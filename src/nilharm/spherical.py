@@ -182,7 +182,8 @@ def phi_orbit(idx: SphericalIndex, z, v, samples=20000, seed=0):
     variates together, so the blocks draw exactly the samples of one
     stack (BLAS may round a row of the pairing differently by the row
     count, in the last bits).  The budget check covers the total
-    samples * dim_v^2 before the first block.
+    samples * dim_v^2 before the first block, and orbit_pairing checks
+    its dim_v^4 Kronecker form.
 
     Parameters
     ----------

@@ -15,6 +15,13 @@ Angles have one format: a tuple with one 1-d array per factor of the
 root system, in factor order, each of the factor's angle_len (n for
 su(n) and sp(n), m for so(2m)).  theta and chamber_matrices reject any
 other shape with a ValueError.
+
+The chart to_chamber returns the angles alone, since theta and the
+Pfaffian weights depend only on the Cartan part of x: for su(n) and
+sp(n) they are the spectrum of iX (eigvalsh), and so(2m) reads its
+eigenvectors only for the orientation that signs its last angle.  The
+conjugating element g with x = Ad(g) H is never formed; the tests build
+it as an independent oracle (tests/_oracles.py).
 """
 
 from __future__ import annotations
@@ -88,11 +95,6 @@ def sp_basis_quat(n):
     return out
 
 
-def sp_basis(n):
-    """Orthonormal basis of sp(n) as 2n x 2n complex matrices."""
-    return [quat.qmat_to_complex(b) for b in sp_basis_quat(n)]
-
-
 class Factor:
     """Common interface: kind, n, rank, roots (int matrix over angles)."""
 
@@ -100,9 +102,6 @@ class Factor:
     n: int
     rank: int
     dim: int
-
-    def conjugate(self, g, h):
-        return g @ h @ np.conj(g).T
 
     def theta(self, angles):
         vals = self.roots @ np.asarray(angles, dtype=float)
@@ -113,8 +112,8 @@ class Factor:
         answer does not change when the angles are scaled."""
         if not len(self.roots):
             return True
-        vals = self.roots @ np.asarray(angles, dtype=float)
-        return bool(np.min(np.abs(vals)) > _REG_TOL * float(np.max(np.abs(angles))))
+        angles = np.asarray(angles, dtype=float)
+        return bool(abs(self.roots @ angles).min() > _REG_TOL * float(abs(angles).max()))
 
 
 class SUFactor(Factor):
@@ -142,22 +141,10 @@ class SUFactor(Factor):
             raise ValueError("su(n) angles must sum to zero")
         return 1j * np.diag(angles).astype(complex)
 
-    def basis(self):
-        return su_basis(self.n)
-
-    def random_element(self, rng):
-        z = rng.standard_normal((self.n, self.n)) + 1j * rng.standard_normal((self.n, self.n))
-        x = (z - np.conj(z).T) / 2.0
-        x -= np.trace(x) / self.n * np.eye(self.n)
-        return x
-
     def to_chamber(self, x):
-        mu, u = np.linalg.eigh(1j * np.asarray(x, dtype=complex))
-        theta = -mu  # ascending mu gives descending theta
-        det = np.linalg.det(u)
-        u = u.copy()
-        u[:, 0] = u[:, 0] / det
-        return u, theta
+        """Dominant angles of x: X v = i theta v, so theta is minus the
+        spectrum of iX, descending as that spectrum ascends."""
+        return 0.0 - np.linalg.eigvalsh(1j * np.asarray(x, dtype=complex))
 
 
 class SOFactor(Factor):
@@ -187,43 +174,24 @@ class SOFactor(Factor):
             h[2 * l + 1, 2 * l] = t
         return h
 
-    def basis(self):
-        return so_basis(self.n)
-
-    def random_element(self, rng):
-        a = rng.standard_normal((self.n, self.n))
-        return (a - a.T) / 2.0
-
     def to_chamber(self, x):
-        """(q, theta) with q in SO(n) and q^T x q = h_matrix(theta),
-        theta in the closed chamber.
+        """Dominant angles of x, theta_1 >= ... >= |theta_m|.
 
-        iX is Hermitian with spectrum +-mu.  An eigenvector u with mu > 0
-        is orthogonal to conj(u) (eigenvalue -mu), so sqrt(2) Re u,
-        sqrt(2) Im u are orthonormal, and X maps the first to mu times
-        the second: the pair spans a block of angle mu.  The top half of
-        the spectrum, taken in descending order, gives the blocks sorted;
-        eigenvalues below 1e-12 max|mu| count as zero, and their blocks
-        take a real orthonormal basis of the remaining complement.
+        iX is Hermitian with spectrum +-mu, and the top half, descending,
+        gives the moduli; eigenvalues below 1e-12 max|mu| count as zero.
+        An eigenvector u with mu > 0 is orthogonal to conj(u), and X maps
+        sqrt(2) Re u to mu sqrt(2) Im u, so these pairs form a rotation
+        basis q with q^T x q = h_matrix(mu).  When no angle vanishes the
+        sign of the last one is the orientation of q: swapping one pair
+        flips both.
         """
         mu, u = np.linalg.eigh(1j * np.asarray(x, dtype=float))
         mu, u = mu[self.rank:][::-1], u[:, self.rank:][:, ::-1]
         live = mu > 1e-12 * abs(mu[0])
         theta = np.where(live, mu, 0.0)
-        q = np.sqrt(2.0) * np.stack([u.real, u.imag], axis=-1)[:, live].reshape(self.n, -1)
-        if q.shape[1] < self.n:
-            left = np.linalg.svd(np.eye(self.n) - q @ q.T)[0]
-            q = np.concatenate([q, left[:, : self.n - q.shape[1]]], axis=1)
-        # swapping the last pair of columns flips the determinant and
-        # the sign of the last angle
-        if np.linalg.det(q) < 0:
-            l = self.rank - 1
-            q[:, [2 * l, 2 * l + 1]] = q[:, [2 * l + 1, 2 * l]]
-            theta[l] = -theta[l]
-        return q, theta
-
-    def conjugate(self, g, h):
-        return g @ h @ g.T
+        if live.all() and np.linalg.det(np.stack([u.real, u.imag], axis=-1).reshape(self.n, self.n)) < 0:
+            theta[-1] = -theta[-1]
+        return theta
 
 
 class SpFactor(Factor):
@@ -255,23 +223,10 @@ class SpFactor(Factor):
         angles = np.asarray(angles, dtype=float)
         return np.diag(np.concatenate([1j * angles, -1j * angles])).astype(complex)
 
-    def basis(self):
-        return sp_basis(self.n)
-
-    def random_element(self, rng):
-        coeffs = rng.standard_normal(self.dim)
-        return sum(c * b for c, b in zip(coeffs, self.basis()))
-
     def to_chamber(self, x):
-        n = self.n
-        mu, u = np.linalg.eigh(1j * np.asarray(x, dtype=complex))
-        # eigenvalue -theta of iX corresponds to X v = i theta v
-        idx = np.argsort(mu)[:n]
-        theta = -mu[idx]
-        v = u[:, idx]
-        jbar = np.concatenate([-np.conj(v[n:, :]), np.conj(v[:n, :])], axis=0)
-        g = np.concatenate([v, jbar], axis=1)
-        return g, theta
+        """Dominant angles of x: the spectrum of iX is -theta, +theta,
+        and its lower half, ascending, gives theta descending."""
+        return 0.0 - np.linalg.eigvalsh(1j * np.asarray(x, dtype=complex))[: self.n]
 
 
 @dataclass(frozen=True)
@@ -333,29 +288,18 @@ def theta(rs, angles):
 
 
 def to_chamber(rs, x):
-    """Conjugate x into the closed fundamental chamber.
+    """The ChamberPoint of x: the dominant angles H with x = Ad(g) H
+    blockwise for some g, which is not formed.
 
     x is a factor matrix (single factor) or list of factor matrices.
-    Returns (gs, ChamberPoint) with Ad(gs) H = x blockwise.
     """
     xs = x if isinstance(x, (list, tuple)) else [x]
     if len(xs) != len(rs.factors):
         raise ValueError(f"expected {len(rs.factors)} factor matrices, got {len(xs)}")
-    gs, angs, regular = [], [], True
-    for f, xm in zip(rs.factors, xs):
-        g, a = f.to_chamber(xm)
-        gs.append(g)
-        angs.append(a)
-        regular = regular and f.is_regular(a)
-    return gs, ChamberPoint(angles=tuple(angs), regular=regular)
+    angs = tuple(f.to_chamber(xm) for f, xm in zip(rs.factors, xs))
+    return ChamberPoint(angles=angs, regular=all(f.is_regular(a) for f, a in zip(rs.factors, angs)))
 
 
 def chamber_matrices(rs, angles):
     """Cartan matrices of the per-factor angles."""
     return [f.h_matrix(a) for f, a in zip(rs.factors, _angle_groups(rs, angles))]
-
-
-def reconstruct(rs, gs, point):
-    """Ad(gs) applied to the chamber point, factor by factor."""
-    hs = chamber_matrices(rs, point.angles)
-    return [f.conjugate(g, h) for f, g, h in zip(rs.factors, gs, hs)]

@@ -2,11 +2,16 @@
 
 The chamber-chart Jacobian here is measured by matrix exponentials and
 central finite differences only; it never touches the root-product
-formula it is used to verify.  The so(2m) chamber angles here come
-from a real Schur form, a different factorization from the Hermitian
-eigendecomposition the library uses.  The Fock entries here are the
-alternating shift series, summed exactly in rationals; the library uses
-the closed Laguerre form instead.  The canonical invariant polynomials
+formula it is used to verify.  The library charts a factor element x
+by its angles alone; the conjugating element g with x = Ad(g) H is
+built here instead: for su(n) the phase-fixed eigenbasis of iX, for
+sp(n) the quaternionic frame [v, j conj(v)], and for so(2m) a real
+Schur form, a different factorization from the Hermitian
+eigendecomposition the library uses.  Regularity here is read from the
+singular values of ad_x on the factor, not from the roots.  The Fock
+entries here are the alternating shift series, summed exactly in
+rationals; the library uses the closed Laguerre form instead.  The
+canonical invariant polynomials
 here come from classical Gram-Schmidt of the generator monomials against
 their moments, exact or by Gauss-Laguerre quadrature, and from the
 Laguerre coefficient formula in exact rationals; the library builds the
@@ -27,8 +32,9 @@ import numpy as np
 from scipy.linalg import expm, null_space, schur
 from scipy.special import roots_genlaguerre
 
+from nilharm import torus
 from nilharm.numerics import as_complex_vector, node_budget
-from nilharm.quat import qconj, qmul
+from nilharm.quat import qconj, qmat_to_complex, qmul
 
 
 def _coords_fn(basis):
@@ -64,7 +70,7 @@ def chamber_jacobian_fd(factor, angles, g0=None, step=1e-5):
     so the determinant is independent of g0; passing one exercises the
     chart away from the identity coset.
     """
-    coords, matrix = _coords_fn(factor.basis())
+    coords, matrix = _coords_fn(factor_basis(factor))
     dim = factor.dim
     h0 = np.asarray(factor.h_matrix(angles), dtype=complex)
     traw = np.stack([coords(factor.h_matrix(q)) for q in _angle_directions(factor)])
@@ -80,7 +86,7 @@ def chamber_jacobian_fd(factor, angles, g0=None, step=1e-5):
         y = matrix(dirs[:, :nm] @ p[:nm])
         h = h0 + matrix(tdirs @ p[nm:])
         g = g0 @ expm(y)
-        return coords(factor.conjugate(g, h))
+        return coords(conjugate(g, h))
 
     cols = np.empty((dim, dim))
     for a in range(dim):
@@ -90,19 +96,93 @@ def chamber_jacobian_fd(factor, angles, g0=None, step=1e-5):
     return abs(np.linalg.det(cols))
 
 
-def schur_chamber_angles(x):
-    """Chamber angles of a real skew 2m x 2m matrix from its real Schur
-    form: each 2 x 2 block carries an angle t[2l+1, 2l]; a negative
-    angle is made positive by swapping the block's columns (which
-    flips det q), and if det q is then negative the smallest angle
-    takes the minus sign."""
-    t, q = schur(np.asarray(x, dtype=float), output="real")
-    theta = np.array([t[2 * l + 1, 2 * l] for l in range(x.shape[0] // 2)])
-    sign = np.sign(np.linalg.det(q)) * np.prod(np.where(theta < 0, -1.0, 1.0))
-    theta = np.sort(np.abs(theta))[::-1]
-    if sign < 0:
-        theta[-1] = -theta[-1]
-    return theta
+def factor_basis(factor):
+    """Orthogonal matrix basis of a torus factor: the library's su(n) and
+    so(2m) bases (orthonormal), and for sp(n) its quaternionic basis as
+    2n x 2n complex matrices (each of squared norm 2)."""
+    if factor.kind == "sp":
+        return [qmat_to_complex(b) for b in torus.sp_basis_quat(factor.n)]
+    return {"su": torus.su_basis, "so": torus.so_basis}[factor.kind](factor.n)
+
+
+def random_factor_element(factor, rng):
+    """A random element of the factor's matrix model."""
+    n = factor.n
+    if factor.kind == "su":
+        z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        x = (z - np.conj(z).T) / 2.0
+        return x - np.trace(x) / n * np.eye(n)
+    if factor.kind == "so":
+        a = rng.standard_normal((n, n))
+        return (a - a.T) / 2.0
+    coeffs = rng.standard_normal(factor.dim)
+    return sum(c * b for c, b in zip(coeffs, factor_basis(factor)))
+
+
+def conjugate(g, h):
+    """Ad(g) h = g h g^dagger (g h g^T for a real g)."""
+    return g @ h @ np.conj(g).T
+
+
+def _so_schur_element(x):
+    """(q, theta) for a real skew 2m x 2m matrix from its real Schur
+    form, sorted so that the rotation blocks precede the zero
+    eigenvalues: each 2 x 2 block carries an angle t[2l+1, 2l]; a
+    negative angle turns positive when the block's columns swap (which
+    flips det q); the blocks are then ordered by angle, and if det q is
+    negative the last block's columns swap and the last angle takes the
+    minus sign."""
+    x = np.asarray(x, dtype=float)
+    n = x.shape[0]
+    tol = 1e-12 * np.abs(x).max()
+    t, q, _ = schur(x, output="real", sort=lambda re, im: abs(im) > tol)
+    theta = t[np.arange(1, n, 2), np.arange(0, n, 2)]
+    pairs = np.arange(n).reshape(-1, 2)
+    pairs[theta < 0] = pairs[theta < 0, ::-1]
+    theta = np.abs(theta)
+    order = np.argsort(-theta, kind="stable")
+    pairs, theta = pairs[order], theta[order]
+    q = q[:, pairs.ravel()]
+    if np.linalg.det(q) < 0:
+        q[:, -2:] = q[:, [-1, -2]]
+        theta[-1] = 0.0 - theta[-1]
+    return q, theta
+
+
+def chamber_element(factor, x):
+    """(g, theta): an element g of the factor's group and chamber angles
+    theta with Ad(g) h_matrix(theta) = x.
+
+    su(n): the eigenbasis of iX (eigenvalues -theta, ascending), its
+    first column divided by the determinant so that g lies in SU(n).
+    sp(n): the eigenvectors v of the n lowest eigenvalues -theta of iX
+    and their quaternionic partners j conj(v) = (-conj(v_2), conj(v_1)),
+    the frame [v, j conj(v)] in Sp(n).  so(2m): the real Schur form.
+    """
+    if factor.kind == "so":
+        return _so_schur_element(x)
+    mu, u = np.linalg.eigh(1j * np.asarray(x, dtype=complex))
+    if factor.kind == "su":
+        u[:, 0] = u[:, 0] / np.linalg.det(u)
+        return u, 0.0 - mu
+    n = factor.n
+    v = u[:, :n]
+    jbar = np.concatenate([-np.conj(v[n:]), np.conj(v[:n])], axis=0)
+    return np.concatenate([v, jbar], axis=1), 0.0 - mu[:n]
+
+
+def regular_by_centralizer(factor, x, theta, tol=1e-9):
+    """Regularity of x from ad_x alone: x is regular when its centralizer
+    is a maximal torus, i.e. ad_x on the factor has exactly rank
+    vanishing singular values; the next one (the smallest |alpha(H)|
+    over the roots) must exceed tol times the largest angle, the scale
+    the library uses."""
+    stack = np.stack([np.asarray(b, dtype=complex) for b in factor_basis(factor)])
+    norms = np.real(np.einsum("kij,kij->k", np.conj(stack), stack))
+    x = np.asarray(x, dtype=complex)
+    ad = np.real(np.einsum("kij,bij->kb", np.conj(stack), x @ stack - stack @ x)) / norms[:, None]
+    sv = np.sort(np.linalg.svd(ad, compute_uv=False))
+    return bool(len(sv) == factor.rank or sv[factor.rank] > tol * np.abs(theta).max())
 
 
 def _cmul(a, b):

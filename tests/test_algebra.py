@@ -139,6 +139,23 @@ def test_orbit_pairing_stack_of_z_is_its_single_calls(case, params):
     assert np.array_equal(got, np.stack([alg.orbit_pairing(vmats, y, z) for z in zs], axis=1))
 
 
+
+def test_orbit_pairing_checks_its_forms_against_the_budget(monkeypatch):
+    # IX(5) has dim_v = 10: each z makes a 10^4-entry Kronecker form
+    alg = build_case("IX", n=5)
+    rng = as_rng(12)
+    vmats = alg.ops.sample_vmats(rng, 3)
+    y = rng.standard_normal(alg.dim_g)
+    zs = rng.standard_normal((3, alg.dim_g))
+    monkeypatch.setenv("NILHARM_BUDGET", "9999")
+    with pytest.raises(BudgetError, match="1 x 10\\^4 Kronecker-form entries"):
+        alg.orbit_pairing(vmats, y, zs[0])
+    monkeypatch.setenv("NILHARM_BUDGET", "29999")
+    with pytest.raises(BudgetError, match="3 x 10\\^4 Kronecker-form entries"):
+        alg.orbit_pairing(vmats, y, zs)
+    monkeypatch.setenv("NILHARM_BUDGET", "30000")
+    assert alg.orbit_pairing(vmats, y, zs).shape == (3, 3)
+
 def test_expected_dimensions():
     for case, params in ALL_CASES:
         alg = build_case(case, **params)

@@ -120,6 +120,13 @@ def test_density_csv_structure(capsys):
         assert abs(dens - pf) < 1e-12
 
 
+
+def test_density_at_the_origin_prints_no_negative_zero(capsys):
+    # the chart of x = 0 has angles +0.0, so the h columns print 0, not -0
+    rc, out = _run(capsys, ["density", "--case", "I", "--n", "1", "--H", "0,0", "--points", "1"])
+    assert rc == 0
+    assert out.splitlines()[-2:] == ["s,h1,h2,theta,pfaffian,density", "1,0,0,0,0,0"]
+
 def test_invert_heisenberg_reduced(capsys):
     rc, out = _run(capsys, [
         "invert", "--case", "VII", "--n", "1", "--j", "10", "--grid", "48",
@@ -356,6 +363,17 @@ def test_build_checks_its_structure_tables_against_the_budget(monkeypatch, capsy
     assert captured.out == ""
     assert captured.err == "error: 28^4 Jacobi-table entries exceed NILHARM_BUDGET=100000\n"
 
+
+def test_spherical_checks_its_orbit_forms_against_the_budget(monkeypatch, capsys):
+    # IX(5): 40 orbit samples of 10^2 entries fit under 5000, the one
+    # 10^4-entry Kronecker form of the orbit pairing does not
+    monkeypatch.setenv("NILHARM_BUDGET", "5000")
+    argv = ["spherical", "--case", "IX", "--n", "5", "--index", "0,0,0,0,0",
+            "--mc-samples", "40", "--points", "1"]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: 1 x 10^4 Kronecker-form entries exceed NILHARM_BUDGET=5000\n"
 
 @pytest.mark.parametrize("argv", [
     ["spherical", "--case", "IX", "--n", "3", "--lambda", "1.2", "--index", "1,0,1",

@@ -665,16 +665,22 @@ def test_functional_equation_maps_the_stack_once(monkeypatch):
 
 
 def test_monte_carlo_budget(monkeypatch):
-    # IX(n=3): dim_v = 6, dim_g = 9; the budget admits 20 orbit samples
-    # (720 entries) but not 100 (3600), and 5 K-actions but not 6: the G'
-    # stack, Ad, U and U pi(g) are 5 * (3 * 36 + 81) = 945 entries, 1134 at 6
+    # IX(n=3): dim_v = 6, dim_g = 9; the orbit pairing's Kronecker form
+    # is 6^4 = 1296 entries, so a budget of 1296 admits 20 orbit samples
+    # (720 entries) but not 100 (3600), and 1000 admits no orbit average;
+    # 1000 admits 5 K-actions but not 6: the G' stack, Ad, U and U pi(g)
+    # are 5 * (3 * 36 + 81) = 945 entries, 1134 at 6
     monkeypatch.setenv("NILHARM_BUDGET", "1000")
     alg = build_case("IX", n=3)
     idx = spherical_index(alg, np.array([0.3, -0.2, 0.9, 0.1, 0.4, -0.5, 0.2, 0.7, -0.1]), (1, 0, 1))
     z, v = np.zeros(alg.dim_g), 0.5 * np.ones(alg.dim_v)
+    with pytest.raises(BudgetError, match="1 x 6\\^4 Kronecker-form entries"):
+        phi_orbit(idx, z, v, samples=20)
+    monkeypatch.setenv("NILHARM_BUDGET", "1296")
     assert phi_orbit(idx, z, v, samples=20).stderr > 0.0
     with pytest.raises(BudgetError, match="orbit samples"):
         phi_orbit(idx, z, v, samples=100)
+    monkeypatch.setenv("NILHARM_BUDGET", "1000")
     assert len(sample_k_actions(alg, as_rng(0), count=5)) == 5
     with pytest.raises(BudgetError, match="automorphisms"):
         sample_k_actions(alg, as_rng(0), count=20)

@@ -6,8 +6,11 @@ import numpy as np
 import pytest
 
 from nilharm import torus
+from nilharm.algebra import build_case, sample_k_actions
+from nilharm.forms import Functional
 from nilharm.numerics import as_rng, haar_special_unitary
-from _oracles import chamber_jacobian_fd, schur_chamber_angles
+from _oracles import (chamber_element, chamber_jacobian_fd, conjugate, factor_basis,
+                      random_factor_element, regular_by_centralizer)
 
 
 @pytest.mark.parametrize("name,maker,dim,scale", [
@@ -15,7 +18,7 @@ from _oracles import chamber_jacobian_fd, schur_chamber_angles
     ("su(2)", lambda: torus.su_basis(2), 3, 1.0),
     ("su(3)", lambda: torus.su_basis(3), 8, 1.0),
     ("so(4)", lambda: torus.so_basis(4), 6, 1.0),
-    ("sp(2)", lambda: torus.sp_basis(2), 10, 2.0),
+    ("sp(2)", lambda: factor_basis(torus.SpFactor(2)), 10, 2.0),
 ])
 def test_bases_orthogonal_antihermitian(name, maker, dim, scale):
     basis = maker()
@@ -53,19 +56,29 @@ def test_so_angle_roundtrip():
     assert np.array_equal(h, [[0, -1.2, 0, 0], [1.2, 0, 0, 0], [0, 0, 0, -0.4], [0, 0, 0.4, 0]])
 
 
+def _check_against_oracle(f, x, angles, tol=1e-10):
+    """Ad(g) h_matrix(angles) = x for the oracle element g, and the
+    library's angles equal the oracle's within 1e-13 max|theta|;
+    returns the oracle's (g, theta)."""
+    g, ref = chamber_element(f, x)
+    assert np.max(np.abs(conjugate(g, f.h_matrix(angles)) - x)) < tol
+    assert np.max(np.abs(angles - ref)) <= 1e-13 * np.abs(ref).max()
+    return g, ref
+
+
 def test_to_chamber_su():
     rng = as_rng(0)
     rs = torus.root_system("su(3)")
     f = rs.factors[0]
     for _ in range(10):
-        x = f.random_element(rng)
-        gs, point = torus.to_chamber(rs, (x,))
+        x = random_factor_element(f, rng)
+        point = torus.to_chamber(rs, (x,))
         ang = point.angles[0]
         # dominant: descending, sum zero
         assert np.all(np.diff(ang) <= 1e-12)
         assert abs(ang.sum()) < 1e-10
-        back = torus.reconstruct(rs, gs, point)[0]
-        assert np.allclose(back, x, atol=1e-10)
+        g, _ = _check_against_oracle(f, x, ang)
+        assert abs(np.linalg.det(g) - 1) < 1e-10
 
 
 def test_to_chamber_so():
@@ -73,13 +86,12 @@ def test_to_chamber_so():
     rs = torus.root_system("so(4)")
     f = rs.factors[0]
     for _ in range(10):
-        x = f.random_element(rng)
-        gs, point = torus.to_chamber(rs, (x,))
+        x = random_factor_element(f, rng)
+        point = torus.to_chamber(rs, (x,))
         ang = point.angles[0]
         assert ang[0] >= abs(ang[1]) - 1e-12  # dominant D_2 chamber
-        assert abs(np.linalg.det(gs[0]) - 1) < 1e-10
-        back = torus.reconstruct(rs, gs, point)[0]
-        assert np.allclose(back, x, atol=1e-10)
+        g, _ = _check_against_oracle(f, x, ang)
+        assert abs(np.linalg.det(g) - 1) < 1e-10
 
 
 def _so_elements(f, rng):
@@ -88,7 +100,7 @@ def _so_elements(f, rng):
     m = f.rank
     q, r = np.linalg.qr(rng.standard_normal((f.n, f.n)))
     q = q * np.sign(np.diag(r))
-    yield "random", f.random_element(rng)
+    yield "random", random_factor_element(f, rng)
     for kind, ang in [
         ("repeated", np.full(m, 0.8)),
         ("repeated-signed", np.r_[np.full(m - 1, 1.1), -1.1]),
@@ -99,20 +111,22 @@ def _so_elements(f, rng):
 
 @pytest.mark.parametrize("n", [2, 4, 6, 8])
 def test_so_to_chamber_matches_schur(n):
-    # q in SO(n) to 1e-12, q^T x q = h_matrix(theta) to 1e-12, theta in
-    # the closed chamber, and theta equal to the Schur-form angles
+    # the Schur element q in SO(n) to 1e-12 with q h_matrix(theta) q^T = x
+    # to 1e-12 at the library's theta, theta in the closed chamber, and
+    # theta equal to the Schur-form angles
     rng = as_rng(100 + n)
     f = torus.SOFactor(n)
     for _ in range(5):
         for kind, x in _so_elements(f, rng):
-            q, theta = f.to_chamber(x)
+            theta = f.to_chamber(x)
+            q, ref = chamber_element(f, x)
             assert np.max(np.abs(q.T @ q - np.eye(n))) < 1e-12, kind
             assert abs(np.linalg.det(q) - 1.0) < 1e-12, kind
             assert np.max(np.abs(q @ f.h_matrix(theta) @ q.T - x)) < 1e-12, kind
             assert np.all(np.diff(theta[:-1]) <= 1e-12), kind
             if n > 2:
                 assert theta[-2] >= abs(theta[-1]) - 1e-12, kind
-            assert np.max(np.abs(theta - schur_chamber_angles(x))) < 1e-12, kind
+            assert np.max(np.abs(theta - ref)) < 1e-12, kind
 
 
 def test_to_chamber_sp():
@@ -120,10 +134,16 @@ def test_to_chamber_sp():
     rs = torus.root_system("sp(2)")
     f = rs.factors[0]
     for _ in range(5):
-        x = f.random_element(rng)
-        gs, point = torus.to_chamber(rs, (x,))
-        back = torus.reconstruct(rs, gs, point)[0]
-        assert np.allclose(back, x, atol=1e-9)
+        x = random_factor_element(f, rng)
+        point = torus.to_chamber(rs, (x,))
+        ang = point.angles[0]
+        # dominant C_2 chamber: descending and nonnegative
+        assert np.all(np.diff(ang) <= 1e-12) and ang[-1] >= 0
+        g, _ = _check_against_oracle(f, x, ang)
+        # g is unitary and keeps the quaternionic structure J = [[0, -1], [1, 0]]
+        jay = np.block([[np.zeros((2, 2)), -np.eye(2)], [np.eye(2), np.zeros((2, 2))]])
+        assert np.max(np.abs(g.conj().T @ g - np.eye(4))) < 1e-12
+        assert np.max(np.abs(g.T @ jay @ g - jay)) < 1e-12
 
 
 def test_theta_values():
@@ -143,11 +163,68 @@ def test_theta_conjugation_invariant():
     rng = as_rng(3)
     rs = torus.root_system("su(3)")
     f = rs.factors[0]
-    x = f.random_element(rng)
-    _, point = torus.to_chamber(rs, (x,))
+    x = random_factor_element(f, rng)
+    point = torus.to_chamber(rs, (x,))
     g = haar_special_unitary(3, rng, 1)[0]
-    _, point2 = torus.to_chamber(rs, (f.conjugate(g, x),))
+    gx = conjugate(g, x)
+    point2 = torus.to_chamber(rs, (gx,))
     assert np.allclose(point.angles[0], point2.angles[0], atol=1e-10)
+    assert abs(torus.theta(rs, point.angles) - torus.theta(rs, point2.angles)) < 1e-10
+    _check_against_oracle(f, x, point.angles[0])
+    _check_against_oracle(f, gx, point2.angles[0])
+
+
+def _singular_angles(f):
+    """Angles on a wall of the chamber: a repeated pair, or all zero
+    where the factor's only wall is the origin (su(2), sp(1))."""
+    if f.kind == "su":
+        return np.r_[np.full(f.n - 1, 0.6), -0.6 * (f.n - 1)] if f.n > 2 else np.zeros(2)
+    return np.full(f.angle_len, 0.7) if f.angle_len > 1 else np.zeros(f.angle_len)
+
+
+@pytest.mark.parametrize("case,params", [
+    ("I", {"n": 1}), ("II", {"n": 1}), ("III", {"k1": 1, "k2": 1}), ("IV", {"n": 1}),
+    ("V", {"n": 3}), ("VI", {"n": 4}), ("VIII", {"k": 1, "n": 1}), ("IX", {"n": 3}),
+    ("X", {"m": 3, "k": 1, "n": 1}),
+])
+def test_functional_chamber_matches_the_oracle(case, params):
+    # every case with a root system: the angles of Functional.chamber
+    # rebuild each factor matrix through the oracle element, equal the
+    # oracle's angles, and the regular flag is the centralizer verdict;
+    # random functionals plus G'-conjugates of a Cartan element on a wall
+    alg = build_case(case, **params)
+    rs = alg.root_system()
+    rng = as_rng(zlib.crc32(case.encode()))
+    wall = alg.from_chamber(tuple(_singular_angles(f) for f in rs.factors),
+                            rng.standard_normal(alg.dim_c))
+    xs = list(rng.standard_normal((6, alg.dim_g)))
+    xs += [wall] + [k.apply_functional(wall) for k in sample_k_actions(alg, rng=rng, count=2)]
+    verdicts = []
+    for x in xs:
+        angles, _, regular = Functional(alg, x).chamber
+        mats = alg.ops.to_factor_mats(alg.split_center(x)[0])
+        scale = max(1.0, max(np.abs(m).max() for m in mats))
+        flags = []
+        for f, m, a in zip(rs.factors, mats, angles):
+            _, ref = _check_against_oracle(f, m, a, tol=1e-10 * scale)
+            flags.append(regular_by_centralizer(f, m, ref))
+        assert regular == all(flags)
+        verdicts.append(regular)
+    # a conjugate of the wall element may leave it by rounding (a zero
+    # su(2) part picks up 1e-19 from the centre in VIII), so only the
+    # Cartan element itself is required to be singular
+    assert verdicts[:6] == [True] * 6 and not verdicts[6]
+
+
+def test_vanishing_angles_are_positive_zeros():
+    # the chart forms angles as 0.0 - eigenvalue, so no angle is -0.0
+    for case, params in [("I", {"n": 1}), ("IV", {"n": 1}), ("V", {"n": 3}), ("VI", {"n": 4}),
+                         ("X", {"m": 3, "k": 1, "n": 1})]:
+        alg = build_case(case, **params)
+        angles, _, regular = Functional(alg, np.zeros(alg.dim_g)).chamber
+        assert not regular
+        for a in angles:
+            assert np.array_equal(a, np.zeros_like(a)) and not np.signbit(a).any(), case
 
 
 @pytest.mark.parametrize("spec", ["su(2)", "su(3)", "so(4)"])
