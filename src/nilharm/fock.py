@@ -25,10 +25,15 @@ points; psi_numeric keeps its own diagonal as the independent oracle.
 Truncation at total degree D only affects operator products
 (composition leaks degree), so operator identities are asserted on
 degrees <= D - 2.
+
+The K_x-types (metaplectic_components) are one degree per coordinate
+run (kx_blocks) or, in IV, VIII with k >= 2 and X, Weyl dimensions of
+the torus root tables (Factor.weyl_dim of sp(n) and su(k)).
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from math import comb, prod
@@ -36,6 +41,7 @@ from typing import Optional
 
 import numpy as np
 
+from . import torus
 from .numerics import as_complex_vector, laguerre_all, require_budget
 
 
@@ -186,6 +192,16 @@ class MetaplecticComponent:
     basis: Optional[tuple] = None
 
 
+def _param(case, params, name):
+    """The integer case parameter name; ValueError when it is missing,
+    except n of VIII and X, which is 0 then, as in build_case."""
+    if name == "n" and case in ("VIII", "X"):
+        return int(params.get("n", 0))
+    if name not in params:
+        raise ValueError(f"case {case} needs the parameter {name!r}")
+    return int(params[name])
+
+
 def kx_blocks(case, params):
     """Complex sizes of the coordinate runs of V = C^(dim_v / 2), in
     coordinate order, or None where the K_x-types are not run products.
@@ -206,11 +222,7 @@ def kx_blocks(case, params):
     integrable, has no K_x-types and raises ValueError, as does a missing
     parameter.  `params` is the dict of build_case.
     """
-    def param(name):
-        if name not in params:
-            raise ValueError(f"case {case} needs the parameter {name!r}")
-        return int(params[name])
-
+    param = functools.partial(_param, case, params)
     if case in ("I", "VII"):
         return ((2 if case == "I" else 1) * param("n"),)
     if case in ("V", "IX"):
@@ -222,7 +234,7 @@ def kx_blocks(case, params):
     if case == "III":
         return (2 * param("k1"), 1, 1, 2 * param("k2"))
     if case == "VIII":
-        return (1, 1, 2 * int(params.get("n", 0))) if param("k") == 1 else None
+        return (1, 1, 2 * param("n")) if param("k") == 1 else None
     if case in ("IV", "X"):
         return None
     if case == "II":
@@ -266,41 +278,17 @@ def homog_dim(nvars, d):
     return comb(nvars - 1 + d, d)
 
 
-def gl_dim(hw, k):
-    """Weyl dimension of the irreducible GL(k) module with highest
-    weight the partition hw padded with zeros; 0 if hw needs more than k
-    rows."""
-    hw = [int(a) for a in hw]
-    if any(hw[i] < hw[i + 1] for i in range(len(hw) - 1)) or (hw and hw[-1] < 0):
-        raise ValueError("hw must be a partition")
-    if len([a for a in hw if a > 0]) > k:
-        return 0
-    lam = hw + [0] * (k - len(hw))
-    num, den = 1, 1
-    for i in range(k):
-        for j in range(i + 1, k):
-            num *= lam[i] - lam[j] + j - i
-            den *= j - i
-    return num // den
-
-
-def sp_dim(hw, n):
-    """Weyl dimension of the irreducible Sp(n) module with highest
-    weight the partition hw (padded); 0 if hw needs more than n rows."""
-    hw = [int(a) for a in hw]
-    if len([a for a in hw if a > 0]) > n:
-        return 0
-    lam = hw + [0] * (n - len(hw))
-    rho = [n - i for i in range(n)]
-    lr = [lam[i] + rho[i] for i in range(n)]
-    num, den = 1, 1
-    for i in range(n):
-        num *= lr[i]
-        den *= rho[i]
-        for j in range(i + 1, n):
-            num *= (lr[i] - lr[j]) * (lr[i] + lr[j])
-            den *= (rho[i] - rho[j]) * (rho[i] + rho[j])
-    return num // den
+def _viii_types(gl_dim, n, d):
+    """The degree-d K_x-types on (C^2)^k + (C^2)^n as (index, dim): index
+    (r, s, j, l) is the GL(k) weight (r + s - j, j) of gl_dim times the
+    degree-l polynomials on C^2n, r + s + l = d."""
+    for r in range(d + 1):
+        for s in range(d - r + 1):
+            lag = homog_dim(2 * n, d - r - s)
+            for j in range(min(r, s) + 1):
+                dim = gl_dim((r + s - j, j)) * lag
+                if dim:
+                    yield (r, s, j, d - r - s), dim
 
 
 def metaplectic_components(case, params, max_degree):
@@ -310,17 +298,34 @@ def metaplectic_components(case, params, max_degree):
 
     Where kx_blocks gives coordinate runs, a component is one degree per
     run (indexed as in run_degrees) of dimension prod homog_dim(size,
-    degree), with the products of the monomials of each run as its basis
-    (C(n + D, D) monomials in all, checked against NILHARM_BUDGET).  IV,
-    VIII with k >= 2 and X list indices with Weyl dimensions only.
-    `params` is the dict of build_case.
+    degree), with the products of the monomials of each run as its basis.
+    IV (r, s, j, i), at Sp(n) highest weight (r + s - j - i, j - i),
+    VIII with k >= 2 (_viii_types) and X (kvec, r, s, j, l), a C^m
+    monomial times a VIII type, list Weyl dimensions only.  The
+    components split the polynomials of degree <= D on C^(dim_v / 2), so
+    C(dim_v / 2 + D, D) bounds their count and basis monomials; it is
+    checked against NILHARM_BUDGET first (X(3,1,1) at D = 30, 1.03e7,
+    fits the default).  ValueError unless max_degree is a nonnegative
+    integer, or for a missing parameter (n defaults to 0 in VIII and X,
+    as in build_case).  `params` is the dict of build_case.
     """
+    if not isinstance(max_degree, (int, np.integer)) or max_degree < 0:
+        raise ValueError(f"max_degree must be a nonnegative integer, got {max_degree!r}")
     D = int(max_degree)
+    param = functools.partial(_param, case, params)
     runs = kx_blocks(case, params)
+    if case == "IV":
+        n = param("n")
+        nvars = 4 * n
+    elif runs is None:
+        m, k, n = param("m") if case == "X" else 0, param("k"), param("n")
+        nvars = m + 2 * (k + n)
+    else:
+        nvars = sum(runs)
+    total = comb(nvars + D, D)
+    require_budget(total, f"C({nvars}+{D}, {D}) = {total} component basis monomials")
     out = []
     if runs is not None:
-        total = comb(sum(runs) + D, D)
-        require_budget(total, f"C({sum(runs)}+{D}, {D}) = {total} component basis monomials")
         for d in range(D + 1):
             for degrees in monomials_of_degree(len(runs), d):
                 dim = prod(homog_dim(size, deg) for size, deg in zip(runs, degrees))
@@ -330,46 +335,23 @@ def metaplectic_components(case, params, max_degree):
                     out.append(MetaplecticComponent(case, run_index(case, degrees), dim, d, basis))
         return out
     if case == "IV":
-        n = int(params["n"])
+        sp_dim = torus.SpFactor(n).weyl_dim
         for d in range(D + 1):
             for r in range(d + 1):
-                s = d - r
-                for j in range(min(r, s) + 1):
+                for j in range(min(r, d - r) + 1):
                     for i in range(j + 1):
-                        dim = sp_dim((r + s - j - i, j - i), n)
+                        dim = sp_dim((d - j - i, j - i))
                         if dim:
-                            out.append(MetaplecticComponent(case, (r, s, j, i), dim, d))
+                            out.append(MetaplecticComponent(case, (r, d - r, j, i), dim, d))
         return out
-    if case == "VIII":
-        k, n = int(params["k"]), int(params.get("n", 0))
-        for d in range(D + 1):
-            for r in range(d + 1):
-                for s in range(d - r + 1):
-                    l = d - r - s
-                    lag = homog_dim(2 * n, l)
-                    if lag == 0:
-                        continue
-                    for j in range(min(r, s) + 1):
-                        dim = gl_dim((r + s - j, j), k) * lag
-                        if dim:
-                            out.append(MetaplecticComponent(case, (r, s, j, l), dim, d))
-        return out
-    # X
-    m, k, n = (int(params[key]) for key in ("m", "k", "n"))
+    gl_dim = (lambda hw: int(sum(map(bool, hw)) <= 1)) if k == 1 else torus.SUFactor(k).weyl_dim
+    # VIII is X without the C^m factor: m = 0 leaves only kvec = ()
     for d in range(D + 1):
         for dk in range(d + 1):
             for kvec in monomials_of_degree(m, dk):
-                rem = d - dk
-                for r in range(rem + 1):
-                    for s in range(rem - r + 1):
-                        j = rem - r - s
-                        lag = homog_dim(2 * n, j)
-                        if lag == 0:
-                            continue
-                        for i in range(min(r, s) + 1):
-                            dim = gl_dim((r + s - i, i), k) * lag
-                            if dim:
-                                out.append(MetaplecticComponent(case, (kvec, r, s, i, j), dim, d))
+                head = (kvec,) if case == "X" else ()
+                out.extend(MetaplecticComponent(case, head + index, dim, d)
+                           for index, dim in _viii_types(gl_dim, n, d - dk))
     return out
 
 

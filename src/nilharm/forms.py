@@ -119,7 +119,7 @@ class Functional:
             raise NotImplementedError(
                 f"case {self.alg.spec.case} has no Cartan chamber for its "
                 "g' part")
-        point = torus.to_chamber(rs, self.alg.ops.to_factor_mats(xp))
+        point = torus.to_chamber(rs, self.alg.ops.to_factor_mats(xp), self.norm)
         return point.angles, zc, point.regular
 
     def classify(self) -> SquareIntegrability:

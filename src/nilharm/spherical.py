@@ -309,8 +309,10 @@ def canonical_polynomials(case, params, max_total_degree, lam=1.0):
 
     Supported: VII (generator |v|^2), VIII with k = 1 (|u|^2, |w|^2),
     IV (block norms |u|^2, |w|^2).  Cross invariants beyond block norms
-    are out of scope.  `params` is the case-parameter dict, as in
-    build_case.
+    are out of scope, so IV gets d + 1 polynomials of degree d, fewer
+    than its K_x-types (fock.metaplectic_components) from d = 2 on:
+    3 against 4 at d = 2 and 4 against 6 at d = 3 for IV(1), 5 and 8
+    for IV(2).  `params` is the case-parameter dict, as in build_case.
     """
     if not 0 < lam < np.inf:
         raise ValueError("lam must be positive and finite")

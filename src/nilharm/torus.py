@@ -7,7 +7,10 @@ angle vector theta, and the chart g'_r ~ G'/T x C has Jacobian modulus
 
     theta(H) = | prod_{alpha in Delta} alpha(H) |
 
-over the full root set Delta (both signs).  Chamber conventions:
+over the full root set Delta (both signs): e_j - e_k for su(n), the
+pairs +-e_a +- e_b for so(2m), and +-2e_a ahead of the same pairs for
+sp(n), one int table per factor, which the Weyl dimensions of the
+K_x-types (Factor.weyl_dim) also read.  Chamber conventions:
 su(n): theta_1 >= ... >= theta_n (sum zero); so(2m): theta_1 >= ... >=
 theta_{m-1} >= |theta_m|; sp(n): theta_1 >= ... >= theta_n >= 0.
 
@@ -21,13 +24,16 @@ Pfaffian weights depend only on the Cartan part of x: for su(n) and
 sp(n) they are the spectrum of iX (eigvalsh), and so(2m) reads its
 eigenvectors only for the orientation that signs its last angle.  The
 conjugating element g with x = Ad(g) H is never formed; the tests build
-it as an independent oracle (tests/_oracles.py).
+it as an independent oracle (tests/_oracles.py).  Regularity is judged
+against the norm of the whole functional, so a g' part that is rounding
+next to a central part is singular.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from math import prod
 
 import numpy as np
 
@@ -95,6 +101,15 @@ def sp_basis_quat(n):
     return out
 
 
+def _pair_roots(m):
+    """The roots +-e_a +- e_b (a < b) over m angles, signs (+,+), (+,-),
+    (-,+), (-,-) per pair: all of so(2m), the short roots of sp(m)."""
+    eye = np.eye(m, dtype=int)
+    rows = [sa * eye[a] + sb * eye[b] for a in range(m) for b in range(a + 1, m)
+            for sa in (1, -1) for sb in (1, -1)]
+    return np.array(rows, dtype=int).reshape(-1, m)
+
+
 class Factor:
     """Common interface: kind, n, rank, roots (int matrix over angles)."""
 
@@ -107,13 +122,29 @@ class Factor:
         vals = self.roots @ np.asarray(angles, dtype=float)
         return float(np.abs(np.prod(vals))) if len(vals) else 1.0
 
-    def is_regular(self, angles):
-        """No root vanishes, relative to the largest angle, so the
-        answer does not change when the angles are scaled."""
+    def is_regular(self, angles, norm=0.0):
+        """No root vanishes, relative to the larger of the largest angle
+        and norm, the norm of the functional the angles chart: both scale
+        with it, so the answer does not."""
         if not len(self.roots):
             return True
         angles = np.asarray(angles, dtype=float)
-        return bool(abs(self.roots @ angles).min() > _REG_TOL * float(abs(angles).max()))
+        return bool(abs(self.roots @ angles).min() > _REG_TOL * max(norm, float(abs(angles).max())))
+
+    def weyl_dim(self, hw):
+        """Weyl dimension of the module with highest weight the partition
+        hw (0 past angle_len parts): prod <hw + rho, a> / <rho, a> over the
+        positive roots a, the rows whose first nonzero entry is positive,
+        in exact integers over 2 rho."""
+        hw = [int(a) for a in hw]
+        if any(a < b for a, b in zip(hw, hw[1:] + [0])):
+            raise ValueError(f"hw must be a partition, got {tuple(hw)}")
+        if sum(map(bool, hw)) > self.angle_len:
+            return 0
+        pos = self.roots[[r[np.flatnonzero(r)[0]] > 0 for r in self.roots]]
+        two_rho = pos.sum(axis=0)
+        shifted = 2 * np.array((hw + [0] * self.angle_len)[: self.angle_len]) + two_rho
+        return prod(int(v) for v in pos @ shifted) // prod(int(v) for v in pos @ two_rho)
 
 
 class SUFactor(Factor):
@@ -126,14 +157,8 @@ class SUFactor(Factor):
         self.rank = n - 1
         self.dim = n * n - 1
         self.angle_len = n
-        roots = []
-        for j in range(n):
-            for k in range(n):
-                if j != k:
-                    r = np.zeros(n, dtype=int)
-                    r[j], r[k] = 1, -1
-                    roots.append(r)
-        self.roots = np.array(roots)
+        eye = np.eye(n, dtype=int)
+        self.roots = np.array([eye[j] - eye[k] for j in range(n) for k in range(n) if j != k])
 
     def h_matrix(self, angles):
         angles = np.asarray(angles, dtype=float)
@@ -157,15 +182,7 @@ class SOFactor(Factor):
         self.rank = n // 2
         self.dim = n * (n - 1) // 2
         self.angle_len = self.rank
-        roots = []
-        for a in range(self.rank):
-            for b in range(a + 1, self.rank):
-                for sa in (1, -1):
-                    for sb in (1, -1):
-                        r = np.zeros(self.rank, dtype=int)
-                        r[a], r[b] = sa, sb
-                        roots.append(r)
-        self.roots = np.array(roots) if roots else np.zeros((0, self.rank), dtype=int)
+        self.roots = _pair_roots(self.rank)
 
     def h_matrix(self, angles):
         h = np.zeros((self.n, self.n))
@@ -204,20 +221,8 @@ class SpFactor(Factor):
         self.rank = n
         self.dim = n * (2 * n + 1)
         self.angle_len = n
-        roots = []
-        for a in range(n):
-            r = np.zeros(n, dtype=int)
-            r[a] = 2
-            roots.append(r.copy())
-            roots.append(-r)
-        for a in range(n):
-            for b in range(a + 1, n):
-                for sa in (1, -1):
-                    for sb in (1, -1):
-                        r = np.zeros(n, dtype=int)
-                        r[a], r[b] = sa, sb
-                        roots.append(r)
-        self.roots = np.array(roots)
+        long = 2 * np.eye(n, dtype=int)
+        self.roots = np.concatenate([np.stack([long, -long], axis=1).reshape(-1, n), _pair_roots(n)])
 
     def h_matrix(self, angles):
         angles = np.asarray(angles, dtype=float)
@@ -287,17 +292,18 @@ def theta(rs, angles):
     return out
 
 
-def to_chamber(rs, x):
+def to_chamber(rs, x, norm=0.0):
     """The ChamberPoint of x: the dominant angles H with x = Ad(g) H
     blockwise for some g, which is not formed.
 
-    x is a factor matrix (single factor) or list of factor matrices.
+    x is a factor matrix (single factor) or list of factor matrices;
+    norm is that of the functional whose g' part x is (Factor.is_regular).
     """
     xs = x if isinstance(x, (list, tuple)) else [x]
     if len(xs) != len(rs.factors):
         raise ValueError(f"expected {len(rs.factors)} factor matrices, got {len(xs)}")
     angs = tuple(f.to_chamber(xm) for f, xm in zip(rs.factors, xs))
-    return ChamberPoint(angles=angs, regular=all(f.is_regular(a) for f, a in zip(rs.factors, angs)))
+    return ChamberPoint(angles=angs, regular=all(f.is_regular(a, norm) for f, a in zip(rs.factors, angs)))
 
 
 def chamber_matrices(rs, angles):

@@ -171,18 +171,18 @@ def chamber_element(factor, x):
     return np.concatenate([v, jbar], axis=1), 0.0 - mu[:n]
 
 
-def regular_by_centralizer(factor, x, theta, tol=1e-9):
+def regular_by_centralizer(factor, x, theta, norm=0.0, tol=1e-9):
     """Regularity of x from ad_x alone: x is regular when its centralizer
     is a maximal torus, i.e. ad_x on the factor has exactly rank
     vanishing singular values; the next one (the smallest |alpha(H)|
-    over the roots) must exceed tol times the largest angle, the scale
-    the library uses."""
+    over the roots) must exceed tol times the larger of the largest
+    angle and norm, the functional's norm: the scale the library uses."""
     stack = np.stack([np.asarray(b, dtype=complex) for b in factor_basis(factor)])
     norms = np.real(np.einsum("kij,kij->k", np.conj(stack), stack))
     x = np.asarray(x, dtype=complex)
     ad = np.real(np.einsum("kij,bij->kb", np.conj(stack), x @ stack - stack @ x)) / norms[:, None]
     sv = np.sort(np.linalg.svd(ad, compute_uv=False))
-    return bool(len(sv) == factor.rank or sv[factor.rank] > tol * np.abs(theta).max())
+    return bool(len(sv) == factor.rank or sv[factor.rank] > tol * max(norm, np.abs(theta).max()))
 
 
 def _cmul(a, b):

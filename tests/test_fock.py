@@ -1,6 +1,8 @@
 """Truncated Fock matrices, matrix coefficients, component bookkeeping,
 and the twisted convolution."""
 
+from math import comb
+
 import numpy as np
 import pytest
 from _oracles import fock_entry, symplectic_form, twisted_convolution
@@ -264,7 +266,7 @@ def test_component_dimensions():
 
 @pytest.mark.parametrize("case,params", [
     ("III", (1, 1)), ("III", (2, 1)), ("IV", 1), ("IV", 2), ("VIII", (1, 0)), ("VIII", (2, 1)),
-    ("X", (3, 1, 1)),
+    ("X", (3, 1, 1)), ("IV", 3), ("VIII", (3, 1)), ("X", (4, 2, 1)),
 ])
 def test_component_dimensions_sum_to_homog_dim(case, params):
     # the components of degree d split the degree-d polynomials on
@@ -274,6 +276,34 @@ def test_component_dimensions_sum_to_homog_dim(case, params):
     comps = fock.metaplectic_components(case, params, 5)
     for d in range(6):
         assert sum(c.dim for c in comps if c.degree == d) == fock.homog_dim(dim_v // 2, d)
+
+
+@pytest.mark.parametrize("case,params,nvars", [
+    ("IV", {"n": 1}, 4), ("VIII", {"k": 2, "n": 1}, 6), ("X", {"m": 3, "k": 1, "n": 1}, 7),
+])
+def test_component_budget_covers_every_case(monkeypatch, case, params, nvars):
+    # C(dim_v / 2 + D, D) bounds the components of every case and is
+    # checked before they are enumerated
+    monkeypatch.setenv("NILHARM_BUDGET", str(comb(nvars + 6, 6)))
+    assert fock.metaplectic_components(case, params, 6)
+    with pytest.raises(BudgetError, match=rf"C\({nvars}\+7, 7\)"):
+        fock.metaplectic_components(case, params, 7)
+
+
+def test_component_parameters_are_those_of_build_case():
+    # X and VIII take n = 0 when it is missing, as build_case does
+    for case, params in (("X", {"m": 3, "k": 1}), ("VIII", {"k": 2})):
+        assert (fock.metaplectic_components(case, params, 4)
+                == fock.metaplectic_components(case, {**params, "n": 0}, 4))
+    with pytest.raises(ValueError, match="parameter 'n'"):
+        fock.metaplectic_components("IV", {}, 2)
+
+
+def test_component_degree_is_a_nonnegative_integer():
+    for bad in (2.5, -1, 3.0):
+        with pytest.raises(ValueError, match="nonnegative integer"):
+            fock.metaplectic_components("IV", {"n": 1}, bad)
+    assert fock.metaplectic_components("VII", {"n": 2}, np.int64(1))
 
 
 def test_psi_numeric_is_component_trace():

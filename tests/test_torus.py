@@ -1,6 +1,7 @@
 """Compact factors: bases, chamber reduction, and the theta density."""
 
 import zlib
+from math import comb
 
 import numpy as np
 import pytest
@@ -207,13 +208,10 @@ def test_functional_chamber_matches_the_oracle(case, params):
         flags = []
         for f, m, a in zip(rs.factors, mats, angles):
             _, ref = _check_against_oracle(f, m, a, tol=1e-10 * scale)
-            flags.append(regular_by_centralizer(f, m, ref))
+            flags.append(regular_by_centralizer(f, m, ref, np.linalg.norm(x)))
         assert regular == all(flags)
         verdicts.append(regular)
-    # a conjugate of the wall element may leave it by rounding (a zero
-    # su(2) part picks up 1e-19 from the centre in VIII), so only the
-    # Cartan element itself is required to be singular
-    assert verdicts[:6] == [True] * 6 and not verdicts[6]
+    assert verdicts[:6] == [True] * 6 and not any(verdicts[6:])
 
 
 def test_vanishing_angles_are_positive_zeros():
@@ -250,6 +248,52 @@ def test_regularity_detection():
     f = torus.root_system("su(3)").factors[0]
     assert f.is_regular(np.array([0.8, 0.1, -0.9]))
     assert not f.is_regular(np.array([0.5, 0.5, -1.0]))
+
+
+def _partitions(size, largest=None):
+    """The partitions of size, parts descending."""
+    if size == 0:
+        yield ()
+        return
+    for first in range(min(size, largest or size), 0, -1):
+        for rest in _partitions(size - first, first):
+            yield (first,) + rest
+
+
+def _hook_content_dim(hw, k):
+    """dim of the GL(k) module of the partition hw: prod over the cells
+    (i, j) of (k + j - i) / hook(i, j)."""
+    cols = [sum(1 for a in hw if a > j) for j in range(hw[0])] if hw else []
+    num = den = 1
+    for i, a in enumerate(hw):
+        for j in range(a):
+            num *= k + j - i
+            den *= (a - j) + (cols[j] - i) - 1
+    return num // den
+
+
+@pytest.mark.parametrize("k", range(2, 7))
+def test_su_weyl_dim_is_hook_content(k):
+    f = torus.root_system(f"su({k})").factors[0]
+    for size in range(9):
+        for hw in _partitions(size):
+            assert f.weyl_dim(hw) == _hook_content_dim(hw, k), hw
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+def test_sp_weyl_dim_closed_values(n):
+    f = torus.root_system(f"sp({n})").factors[0]
+    for a in range(9):
+        # the degree-a polynomials on C^2n
+        assert f.weyl_dim((a,)) == comb(2 * n + a - 1, a)
+    if n >= 2:
+        # the traceless part of the 2-forms
+        assert f.weyl_dim((1, 1)) == n * (2 * n - 1) - 1
+    for hw in _partitions(n + 3):
+        if len(hw) > n:
+            assert f.weyl_dim(hw) == 0, hw
+    with pytest.raises(ValueError, match="partition"):
+        f.weyl_dim((1, 2))
 
 
 def test_angle_groups_are_checked():
