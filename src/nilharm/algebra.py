@@ -11,8 +11,9 @@ V x g with the Baker-Campbell-Hausdorff product
 
     (z1, v1) (z2, v2) = (z1 + z2 + bracket(v1, v2) / 2, v1 + v2).
 
-`build_case` constructs the classified models by label; see
-`cases.CASES` for the parameter names of each family.
+`build_case` constructs the classified models by label; `cases.CASES`
+states the parameter names, defaults and ranges of each family, and
+`cases.case_params` checks them.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cases import CASES
+from .cases import CASES, case_params
 from .numerics import as_rng, require_budget
 
 
@@ -53,17 +54,9 @@ class LauretAlgebra:
     """
 
     def __init__(self, spec: CaseSpec):
-        if spec.case not in CASES:
-            raise ValueError(f"unknown case label {spec.case!r}")
-        cls, names = CASES[spec.case]
-        missing = [k for k in names if k not in spec.params and k != "n"]
-        extra = [k for k in spec.params if k not in names]
-        if extra:
-            raise ValueError(f"unexpected parameters for case {spec.case}: {extra}")
-        if missing:
-            raise ValueError(f"missing parameters for case {spec.case}: {missing}")
+        params = case_params(spec.case, spec.params)
         self.spec = spec
-        self.ops = cls(spec.params)
+        self.ops = CASES[spec.case].model(params)
         self.pi = self.ops.pi
         self.dim_g = self.ops.dim_g
         self.dim_v = self.ops.dim_v
@@ -187,7 +180,9 @@ class LauretAlgebra:
 
 def build_case(case, **params) -> LauretAlgebra:
     """Construct the classified model with label case ("I".."X") and
-    the keyword parameters of cases.CASES, e.g. build_case("V", n=3)."""
+    the keyword parameters of cases.CASES, e.g. build_case("V", n=3);
+    ValueError where cases.case_params rejects them.  spec.params keeps
+    the parameters as given."""
     return LauretAlgebra(CaseSpec(str(case), dict(params)))
 
 

@@ -24,9 +24,14 @@ Conventions fixed here and relied on elsewhere:
   acting as multiplication by 1j on its block has norm one.  This makes
   central characters integral (zeta(t Z0) = 1j t) and removes stray
   sqrt(dim) factors from the densities and spherical functions.
+* CASES holds the parameter contract of every family (names, defaults,
+  ranges) and case_params is its one check: every entry point that
+  takes a (case, params) pair calls it before it builds anything.
 """
 
 from __future__ import annotations
+
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -87,13 +92,11 @@ def block_diag(*blocks):
 
 
 class CaseOps:
-    """Shared plumbing; subclasses fill in the per-case data."""
+    """Shared plumbing; subclasses fill in the per-case data from the
+    checked parameters of case_params."""
 
     label = "?"
     has_weights = False
-
-    def __init__(self, params):
-        self.params = dict(params)
 
     def _require_pi(self, dim_g):
         """Check the dim_g x dim_v^2 entries of pi against NILHARM_BUDGET."""
@@ -176,11 +179,7 @@ class CaseI(CaseOps):
     factor_bases = (SU2_MATS,)
 
     def __init__(self, params):
-        super().__init__(params)
-        n = int(params["n"])
-        if n < 1:
-            raise ValueError("case I needs n >= 1")
-        self.n = n
+        self.n = n = params["n"]
         self.dim_c = 0
         self.v_blocks = [("(C^2)^n", 4 * n)]
         self._require_pi(3)
@@ -211,11 +210,7 @@ class CaseII(CaseOps):
     factor_bases = (SU2_MATS,)
 
     def __init__(self, params):
-        super().__init__(params)
-        n = int(params["n"])
-        if n < 0:
-            raise ValueError("case II needs n >= 0")
-        self.n = n
+        self.n = n = params["n"]
         self.dim_c = 0
         self.v_blocks = [("R^3", 3), ("(C^2)^n", 4 * n)]
         self._require_pi(3)
@@ -239,11 +234,7 @@ class CaseIII(CaseOps):
     factor_bases = (SU2_MATS, SU2_MATS)
 
     def __init__(self, params):
-        super().__init__(params)
-        k1, k2 = int(params["k1"]), int(params["k2"])
-        if k1 < 0 or k2 < 0 or k1 + k2 < 1:
-            raise ValueError("case III needs k1, k2 >= 0 with k1 + k2 >= 1")
-        self.k1, self.k2 = k1, k2
+        self.k1, self.k2 = k1, k2 = params["k1"], params["k2"]
         self.dim_c = 0
         self.v_blocks = [("(C^2)^k1", 4 * k1), ("R^4", 4), ("(C^2)^k2", 4 * k2)]
         self._require_pi(6)
@@ -274,11 +265,7 @@ class CaseIV(CaseOps):
     root_spec = "sp(2)"
 
     def __init__(self, params):
-        super().__init__(params)
-        n = int(params["n"])
-        if n < 1:
-            raise ValueError("case IV needs n >= 1")
-        self.n = n
+        self.n = n = params["n"]
         self.dim_c = 0
         self.v_blocks = [("(C^4)^n", 8 * n)]
         self._require_pi(10)
@@ -307,11 +294,7 @@ class CaseV(CaseOps):
     dim_c = 0
 
     def __init__(self, params):
-        super().__init__(params)
-        n = int(params["n"])
-        if n < 3:
-            raise ValueError(f"case {self.label} needs n >= 3")
-        self.n = n
+        self.n = n = params["n"]
         self.v_blocks = [("C^n", 2 * n)]
         self._require_pi(n * n - 1 + self.dim_c)
         self.factor_bases = (np.stack(torus.su_basis(n)),)
@@ -335,11 +318,7 @@ class CaseVI(CaseOps):
     label = "VI"
 
     def __init__(self, params):
-        super().__init__(params)
-        n = int(params["n"])
-        if n < 2:
-            raise ValueError("case VI needs n >= 2")
-        self.n = n
+        self.n = n = params["n"]
         self.v_blocks = [("R^n", n)]
         self._require_pi(n * (n - 1) // 2)
         self.pi = np.stack(torus.so_basis(n))
@@ -375,11 +354,7 @@ class CaseVII(CaseOps):
     has_weights = True
 
     def __init__(self, params):
-        super().__init__(params)
-        n = int(params["n"])
-        if n < 1:
-            raise ValueError("case VII needs n >= 1")
-        self.n = n
+        self.n = n = params["n"]
         self.dim_c = 1
         self.v_blocks = [("C^n", 2 * n)]
         self._require_pi(1)
@@ -402,11 +377,7 @@ class CaseVIII(CaseOps):
     factor_bases = (SU2_MATS,)
 
     def __init__(self, params):
-        super().__init__(params)
-        k, n = int(params["k"]), int(params.get("n", 0))
-        if k < 1 or n < 0:
-            raise ValueError("case VIII needs k >= 1 and n >= 0")
-        self.k, self.n = k, n
+        self.k, self.n = k, n = params["k"], params["n"]
         self.dim_c = 1
         self.v_blocks = [("(C^2)^k", 4 * k), ("(C^2)^n", 4 * n)]
         self._require_pi(4)
@@ -464,11 +435,7 @@ class CaseX(CaseOps):
     label = "X"
 
     def __init__(self, params):
-        super().__init__(params)
-        m, k, n = int(params["m"]), int(params["k"]), int(params.get("n", 0))
-        if m < 3 or k < 1 or n < 0:
-            raise ValueError("case X instance needs m >= 3, k >= 1, n >= 0")
-        self.m, self.k, self.n = m, k, n
+        self.m, self.k, self.n = m, k, n = params["m"], params["k"], params["n"]
         self.dim_c = 1
         self.v_blocks = [("C^m", 2 * m), ("(C^2)^k", 4 * k), ("(C^2)^n", 4 * n)]
         self._require_pi(m * m + 3)
@@ -494,15 +461,58 @@ class CaseX(CaseOps):
         return _block_diag_stack(blocks)
 
 
+class Family(NamedTuple):
+    """One family of the catalog and its parameter contract: the model
+    class, the parameter names in order, the range (valid, called with
+    the values in that order) with the message a value outside it
+    raises, and the defaults of the names that may be left out."""
+
+    model: type
+    names: tuple
+    valid: Callable
+    message: str
+    defaults: dict = {}
+
+
 CASES = {
-    "I": (CaseI, ("n",)),
-    "II": (CaseII, ("n",)),
-    "III": (CaseIII, ("k1", "k2")),
-    "IV": (CaseIV, ("n",)),
-    "V": (CaseV, ("n",)),
-    "VI": (CaseVI, ("n",)),
-    "VII": (CaseVII, ("n",)),
-    "VIII": (CaseVIII, ("k", "n")),
-    "IX": (CaseIX, ("n",)),
-    "X": (CaseX, ("m", "k", "n")),
+    "I": Family(CaseI, ("n",), lambda n: n >= 1, "case I needs n >= 1"),
+    "II": Family(CaseII, ("n",), lambda n: n >= 0, "case II needs n >= 0"),
+    "III": Family(CaseIII, ("k1", "k2"), lambda k1, k2: k1 >= 0 and k2 >= 0 and k1 + k2 >= 1,
+                  "case III needs k1, k2 >= 0 with k1 + k2 >= 1"),
+    "IV": Family(CaseIV, ("n",), lambda n: n >= 1, "case IV needs n >= 1"),
+    "V": Family(CaseV, ("n",), lambda n: n >= 3, "case V needs n >= 3"),
+    "VI": Family(CaseVI, ("n",), lambda n: n >= 2, "case VI needs n >= 2"),
+    "VII": Family(CaseVII, ("n",), lambda n: n >= 1, "case VII needs n >= 1"),
+    "VIII": Family(CaseVIII, ("k", "n"), lambda k, n: k >= 1 and n >= 0,
+                   "case VIII needs k >= 1 and n >= 0", {"n": 0}),
+    "IX": Family(CaseIX, ("n",), lambda n: n >= 3, "case IX needs n >= 3"),
+    "X": Family(CaseX, ("m", "k", "n"), lambda m, k, n: m >= 3 and k >= 1 and n >= 0,
+                "case X instance needs m >= 3, k >= 1, n >= 0", {"n": 0}),
 }
+
+
+def case_params(case, params):
+    """The parameters of the family labelled case, as a dict of Python
+    ints in the order of its names with the defaults filled in.  This is
+    the one check of a (case, params) pair, and it builds nothing.
+    ValueError for an unknown label, or for a missing, extra,
+    non-integer (int and np.integer count as integers) or out-of-range
+    parameter."""
+    family = CASES.get(case)
+    if family is None:
+        raise ValueError(f"unknown case label {case!r}")
+    for name in params:
+        if name not in family.names:
+            raise ValueError(f"case {case} has no parameter {name!r}")
+    given = {**family.defaults, **params}
+    out = {}
+    for name in family.names:
+        if name not in given:
+            raise ValueError(f"case {case} needs the parameter {name!r}")
+        value = given[name]
+        if not isinstance(value, (int, np.integer)):
+            raise ValueError(f"case {case} needs an integer parameter {name!r}, got {value!r}")
+        out[name] = int(value)
+    if not family.valid(*out.values()):
+        raise ValueError(family.message)
+    return out

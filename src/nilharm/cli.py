@@ -21,6 +21,7 @@ import numpy as np
 
 from . import __version__
 from .algebra import LauretAlgebra, build_case, check_structure
+from .cases import CASES
 from .forms import Functional, classify, pfaffian_via_weights
 from .numerics import BudgetError, as_rng, node_budget
 from . import fock
@@ -124,7 +125,9 @@ def _emit(text, out):
 # run configuration
 # ---------------------------------------------------------------------------
 
-_PARAM_FLAGS = ("n", "k", "k1", "k2", "m")
+# the names of cases.CASES in first-seen order, which keeps each family's
+# own order in the params that _run_config writes
+_PARAM_FLAGS = tuple(dict.fromkeys(name for family in CASES.values() for name in family.names))
 
 
 def _run_config(args):

@@ -33,7 +33,6 @@ the torus root tables (Factor.weyl_dim of sp(n) and su(k)).
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
 from math import comb, prod
@@ -42,6 +41,7 @@ from typing import Optional
 import numpy as np
 
 from . import torus
+from .cases import case_params
 from .numerics import as_complex_vector, laguerre_all, require_budget
 
 
@@ -192,16 +192,6 @@ class MetaplecticComponent:
     basis: Optional[tuple] = None
 
 
-def _param(case, params, name):
-    """The integer case parameter name; ValueError when it is missing,
-    except n of VIII and X, which is 0 then, as in build_case."""
-    if name == "n" and case in ("VIII", "X"):
-        return int(params.get("n", 0))
-    if name not in params:
-        raise ValueError(f"case {case} needs the parameter {name!r}")
-    return int(params[name])
-
-
 def kx_blocks(case, params):
     """Complex sizes of the coordinate runs of V = C^(dim_v / 2), in
     coordinate order, or None where the K_x-types are not run products.
@@ -219,27 +209,25 @@ def kx_blocks(case, params):
 
     A run of size 0 (k1, k2 or n = 0) admits only degree 0.  IV, VIII
     with k >= 2 and X give None.  II, none of whose functionals is square
-    integrable, has no K_x-types and raises ValueError, as does a missing
-    parameter.  `params` is the dict of build_case.
+    integrable, has no K_x-types and raises ValueError.  params goes
+    through cases.case_params first, as in build_case.
     """
-    param = functools.partial(_param, case, params)
+    p = case_params(case, params)
     if case in ("I", "VII"):
-        return ((2 if case == "I" else 1) * param("n"),)
+        return ((2 if case == "I" else 1) * p["n"],)
     if case in ("V", "IX"):
-        return (1,) * param("n")
+        return (1,) * p["n"]
     if case == "VI":
-        if param("n") % 2:
+        if p["n"] % 2:
             raise ValueError("case VI components need even n")
-        return (1,) * (param("n") // 2)
+        return (1,) * (p["n"] // 2)
     if case == "III":
-        return (2 * param("k1"), 1, 1, 2 * param("k2"))
+        return (2 * p["k1"], 1, 1, 2 * p["k2"])
     if case == "VIII":
-        return (1, 1, 2 * param("n")) if param("k") == 1 else None
+        return (1, 1, 2 * p["n"]) if p["k"] == 1 else None
     if case in ("IV", "X"):
         return None
-    if case == "II":
-        raise ValueError("case II has no K_x-type runs: none of its functionals is square integrable")
-    raise ValueError(f"unknown case label {case!r}")
+    raise ValueError("case II has no K_x-type runs: none of its functionals is square integrable")
 
 
 def run_degrees(case, index):
@@ -306,19 +294,18 @@ def metaplectic_components(case, params, max_degree):
     C(dim_v / 2 + D, D) bounds their count and basis monomials; it is
     checked against NILHARM_BUDGET first (X(3,1,1) at D = 30, 1.03e7,
     fits the default).  ValueError unless max_degree is a nonnegative
-    integer, or for a missing parameter (n defaults to 0 in VIII and X,
-    as in build_case).  `params` is the dict of build_case.
+    integer, or where cases.case_params rejects params.
     """
     if not isinstance(max_degree, (int, np.integer)) or max_degree < 0:
         raise ValueError(f"max_degree must be a nonnegative integer, got {max_degree!r}")
     D = int(max_degree)
-    param = functools.partial(_param, case, params)
-    runs = kx_blocks(case, params)
+    p = case_params(case, params)
+    runs = kx_blocks(case, p)
     if case == "IV":
-        n = param("n")
+        n = p["n"]
         nvars = 4 * n
     elif runs is None:
-        m, k, n = param("m") if case == "X" else 0, param("k"), param("n")
+        m, k, n = p.get("m", 0), p["k"], p["n"]
         nvars = m + 2 * (k + n)
     else:
         nvars = sum(runs)

@@ -43,6 +43,7 @@ from typing import Optional
 import numpy as np
 
 from .algebra import LauretAlgebra
+from .cases import case_params
 from .forms import Functional
 from .numerics import as_complex_vector, as_rng, laguerre, mc_mean, require_budget, sphere_character
 from .fock import check_degrees, kx_blocks, monomials_of_degree, run_degrees
@@ -52,7 +53,8 @@ from .fock import check_degrees, kx_blocks, monomials_of_degree, run_degrees
 class SphericalIndex:
     """Case label, signed frequency lam, component index, the case
     parameters (the dict of build_case) and, for phi_orbit, the
-    functional.  Construction resolves and checks the index once
+    functional.  Construction checks the parameters (fock.kx_blocks
+    calls cases.case_params) and resolves and checks the index once
     (fock.check_degrees) into runs, the coordinate runs of
     fock.kx_blocks, and degrees, the run degrees (fock.run_degrees);
     NotImplementedError where the K_x-types are not run products."""
@@ -264,10 +266,10 @@ class InvariantPolynomial:
 
 
 _GENERATORS = {
-    # case -> callable(params dict) -> (labels, alphas)
-    "VII": lambda p: (("|v|^2",), (int(p["n"]) - 1,)),
-    "VIII": lambda p: (("|u|^2", "|w|^2"), (0, 0)) if int(p["k"]) == 1 else None,
-    "IV": lambda p: (("|u|^2", "|w|^2"), (2 * int(p["n"]) - 1, 2 * int(p["n"]) - 1)),
+    # case -> callable(checked params of cases.case_params) -> (labels, alphas)
+    "VII": lambda p: (("|v|^2",), (p["n"] - 1,)),
+    "VIII": lambda p: (("|u|^2", "|w|^2"), (0, 0)) if p["k"] == 1 else None,
+    "IV": lambda p: (("|u|^2", "|w|^2"), (2 * p["n"] - 1,) * 2),
 }
 
 
@@ -312,8 +314,10 @@ def canonical_polynomials(case, params, max_total_degree, lam=1.0):
     are out of scope, so IV gets d + 1 polynomials of degree d, fewer
     than its K_x-types (fock.metaplectic_components) from d = 2 on:
     3 against 4 at d = 2 and 4 against 6 at d = 3 for IV(1), 5 and 8
-    for IV(2).  `params` is the case-parameter dict, as in build_case.
+    for IV(2).  params goes through cases.case_params first, as in
+    build_case.
     """
+    p = case_params(case, params)
     if not 0 < lam < np.inf:
         raise ValueError("lam must be positive and finite")
     if max_total_degree < 0 or int(max_total_degree) != max_total_degree:
@@ -321,7 +325,7 @@ def canonical_polynomials(case, params, max_total_degree, lam=1.0):
     gens = _GENERATORS.get(case)
     if gens is None:
         raise NotImplementedError(f"no invariant generators for case {case!r}")
-    made = gens(params)
+    made = gens(p)
     if made is None:
         raise NotImplementedError(f"case {case!r} invariant polynomials are limited to block-norm generators (k = 1)")
     labels, alphas = made

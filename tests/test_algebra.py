@@ -93,16 +93,16 @@ def test_structure_constants_match_a_per_pair_lstsq_oracle(case, params):
 def test_check_structure_sees_a_generator_pushed_out_of_closure(monkeypatch, case, params):
     # a model built the usual way from a skew pi whose first generator
     # is moved by 1e-2 A, A generic skew: the commutators leave pi(g)
-    cls, names = CASES[case]
+    family = CASES[case]
     gen = as_rng(9).standard_normal((build_case(case, **params).dim_v,) * 2)
 
-    class Pushed(cls):
+    class Pushed(family.model):
         def __init__(self, params):
             super().__init__(params)
             self.pi = self.pi.copy()
             self.pi[0] += 1e-2 * (gen - gen.T)
 
-    monkeypatch.setitem(CASES, case, (Pushed, names))
+    monkeypatch.setitem(CASES, case, family._replace(model=Pushed))
     rep = check_structure(build_case(case, **params), rng=as_rng(0), trials=5)
     assert rep.max_skewness < 1e-12
     assert rep.max_closure_residual >= 1e-3

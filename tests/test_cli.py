@@ -202,6 +202,19 @@ def test_bad_arguments_exit_2(capsys):
 
 
 @pytest.mark.parametrize("argv", [
+    ["build", "--case", "I"],
+    ["classify", "--case", "V", "--lambda", "1"],
+], ids=["build-I", "classify-V"])
+def test_missing_case_parameter_exits_2(capsys, argv):
+    # before, the model read params["n"] and the KeyError reached the
+    # user as a traceback with exit code 1
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: case {argv[2]} needs the parameter 'n'\n"
+
+
+@pytest.mark.parametrize("argv", [
     ["--case", "VII", "--n", "1", "--j", "-1"],
     ["--case", "VII", "--n", "1", "--grid", "0"],
     ["--case", "I", "--n", "1", "--j", "-1"],

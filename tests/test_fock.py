@@ -271,7 +271,7 @@ def test_component_dimensions():
 def test_component_dimensions_sum_to_homog_dim(case, params):
     # the components of degree d split the degree-d polynomials on
     # C^(dim_v / 2), also where they list Weyl dimensions only
-    params = dict(zip(CASES[case][1], np.atleast_1d(params).tolist()))
+    params = dict(zip(CASES[case].names, np.atleast_1d(params).tolist()))
     dim_v = build_case(case, **params).dim_v
     comps = fock.metaplectic_components(case, params, 5)
     for d in range(6):
@@ -291,11 +291,11 @@ def test_component_budget_covers_every_case(monkeypatch, case, params, nvars):
 
 
 def test_component_parameters_are_those_of_build_case():
-    # X and VIII take n = 0 when it is missing, as build_case does
+    # X and VIII take n = 0 when it is missing, as cases.CASES states
     for case, params in (("X", {"m": 3, "k": 1}), ("VIII", {"k": 2})):
         assert (fock.metaplectic_components(case, params, 4)
                 == fock.metaplectic_components(case, {**params, "n": 0}, 4))
-    with pytest.raises(ValueError, match="parameter 'n'"):
+    with pytest.raises(ValueError, match="case IV needs the parameter 'n'"):
         fock.metaplectic_components("IV", {}, 2)
 
 

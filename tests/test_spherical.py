@@ -42,9 +42,9 @@ def test_spherical_index_from_functional():
 
 
 def test_spherical_index_names_what_it_cannot_resolve():
-    with pytest.raises(ValueError, match="parameter 'n'"):
+    with pytest.raises(ValueError, match="case VII needs the parameter 'n'"):
         SphericalIndex("VII", 1.0, (1,), {})
-    with pytest.raises(ValueError, match="parameter 'k1'"):
+    with pytest.raises(ValueError, match="case III needs the parameter 'k1'"):
         SphericalIndex("III", 1.0, (0, 0, 0, 0), {"k2": 1})
     with pytest.raises(ValueError, match="no K_x-type runs"):
         SphericalIndex("II", 1.0, (0,), {"n": 1})
