@@ -51,6 +51,8 @@ class LauretAlgebra:
         Coordinates on g list g' first and c last.
     pi : ndarray, shape (dim_g, dim_v, dim_v)
         Skew matrices of the generators acting on V.
+    last_functional : forms.Functional or None
+        The one slot of forms.functional.
     """
 
     def __init__(self, spec: CaseSpec):
@@ -64,6 +66,7 @@ class LauretAlgebra:
         self.dim_gp = self.ops.dim_gp
         flat = self.pi.reshape(self.dim_g, -1)
         self._gram_inv = np.linalg.inv(flat @ flat.T)
+        self.last_functional = None
 
     # -- coordinates ---------------------------------------------------------
     def split_center(self, x):
@@ -120,12 +123,6 @@ class LauretAlgebra:
         (..., dim_v, dim_v) onto span pi(g), by one Gram solve."""
         flat = self.pi.reshape(self.dim_g, -1)
         return (mats.reshape(mats.shape[:-2] + (-1,)) @ flat.T) @ self._gram_inv
-
-    @property
-    def structure_constants(self):
-        """f with [X_a, X_b] = sum_c f[a, b, c] X_c, read back from the
-        commutators of the pi matrices (pi is faithful on g)."""
-        return self._coords(_commutators(self))
 
     # -- the adjoint action of G' ---------------------------------------------
     def ad_of(self, vmats):

@@ -153,11 +153,16 @@ def pi_matrix(lam, t, v, basis: FockBasis):
     require_budget(total, f"{points} x max({basis.count}^2, {basis.n} x {dmax + 1}^2) = {total} "
                    "Fock matrix entries")
     # phase x first table, then the others: each point of a stack gets
-    # the one-point product, bit for bit
+    # the one-point product, bit for bit; two 1-d takes gather the
+    # (row, column) entries faster than one 2-d fancy index
     tabs = _entry_tables(abs(lam), z, dmax)
-    out = np.exp(1j * abs(lam) * t)[..., None, None] * tabs[..., 0, ridx[:, None, 0], ridx[None, :, 0]]
+
+    def entries(j):
+        return tabs[..., j, :, :].take(ridx[:, j], -2).take(ridx[:, j], -1)
+
+    out = np.exp(1j * abs(lam) * t)[..., None, None] * entries(0)
     for j in range(1, basis.n):
-        out *= tabs[..., j, ridx[:, None, j], ridx[None, :, j]]
+        out *= entries(j)
     return np.conj(out) if lam < 0 else out
 
 

@@ -11,6 +11,11 @@ Pfaffian of B_x has a closed product form over the weights of the
 complexified V restricted to a Cartan subalgebra containing the
 conjugated X; `pfaffian_via_weights` evaluates those products, while
 `pfaffian_abs` computes |Pf| numerically from any skew matrix.
+
+A `Functional` holds the one spectrum of 1j B_x (`verdict`) and the one
+chamber chart (`chamber`) of x.  Every entry point taking x accepts
+g-coordinates or a `Functional` through `functional(alg, x)`, so
+consecutive calls on the same coordinates share one spectrum and chart.
 """
 
 from __future__ import annotations
@@ -65,35 +70,14 @@ class SquareIntegrability:
 
 
 def classify(alg: LauretAlgebra, x) -> SquareIntegrability:
-    """Decide square integrability of the functional dual to x.
-
-    One spectrum of 1j B_x gives both answers.  B_x is skew, so its
-    singular values are the moduli |mu| of that spectrum: the kernel
-    dimension is the numerical nullity (|mu| at most _RANK_TOL times
-    the largest one, all of V when B_x = 0), and |Pf| is the product of
-    the upper half, exactly 0 when the kernel is nonzero (rounding
-    would otherwise leave a product of tiny eigenvalues).
-    """
-    x = np.asarray(x, dtype=float)
-    if not np.isfinite(x).all():
-        raise ValueError("g-coordinates must be finite")
-    ev = np.linalg.eigvalsh(1j * skew_form(alg, x))
-    # the spectrum ascends, so its largest modulus sits at one end
-    top = max(-ev[0], ev[-1]) if len(ev) else 0.0
-    kernel = int((abs(ev) <= _RANK_TOL * top).sum())
-    return SquareIntegrability(
-        square_integrable=(kernel == 0 and alg.dim_v > 0),
-        kernel_dim=kernel,
-        pfaffian=_pfaffian_of(ev) if kernel == 0 else 0.0,
-    )
+    """Square integrability of the functional x (Functional.verdict)."""
+    return functional(alg, x).verdict
 
 
 class Functional:
-    """A functional on g, dual to the g-coordinates x.
-
-    Carries the polar data used downstream (the norm lam = |x| and the
-    unit direction y) and the one chamber chart of x.
-    """
+    """A functional on g, dual to the g-coordinates x: the norm lam = |x|
+    and unit direction y (read-only like x, since one Functional is
+    shared between calls), the spectrum verdict and the chamber chart."""
 
     def __init__(self, alg: LauretAlgebra, x):
         x = np.asarray(x, dtype=float).copy()
@@ -103,6 +87,25 @@ class Functional:
         self.x = x
         self.norm = math.sqrt(x @ x)
         self.y = x / self.norm if self.norm > 0 else x.copy()
+        x.flags.writeable = self.y.flags.writeable = False
+
+    @cached_property
+    def verdict(self) -> SquareIntegrability:
+        """Square integrability of x from one spectrum of 1j B_x.  B_x is
+        skew, so its singular values are the moduli |mu| of that spectrum:
+        the kernel dimension is the numerical nullity (|mu| at most
+        _RANK_TOL times the largest one, all of V when B_x = 0), and |Pf|
+        is the product of the upper half, exactly 0 when the kernel is
+        nonzero (rounding would otherwise leave a tiny product)."""
+        ev = np.linalg.eigvalsh(1j * skew_form(self.alg, self.x))
+        # the spectrum ascends, so its largest modulus sits at one end
+        top = max(-ev[0], ev[-1]) if len(ev) else 0.0
+        kernel = int((abs(ev) <= _RANK_TOL * top).sum())
+        return SquareIntegrability(
+            square_integrable=(kernel == 0 and self.alg.dim_v > 0),
+            kernel_dim=kernel,
+            pfaffian=_pfaffian_of(ev) if kernel == 0 else 0.0,
+        )
 
     @cached_property
     def chamber(self):
@@ -123,7 +126,23 @@ class Functional:
         return point.angles, zc, point.regular
 
     def classify(self) -> SquareIntegrability:
-        return classify(self.alg, self.x)
+        return self.verdict
+
+
+def functional(alg: LauretAlgebra, x) -> Functional:
+    """x itself when it is a Functional of alg, else alg's last Functional
+    when its coordinates are byte-equal to np.asarray(x, float) (so -0.0
+    is not 0.0), else a new one, which takes that one slot.  ValueError
+    as in Functional, leaving the slot as it was."""
+    if isinstance(x, Functional):
+        if x.alg is not alg:
+            raise ValueError("the Functional belongs to another algebra")
+        return x
+    x = np.asarray(x, dtype=float)
+    last = alg.last_functional
+    if last is None or last.x.shape != x.shape or last.x.tobytes() != x.tobytes():
+        last = alg.last_functional = Functional(alg, x)
+    return last
 
 
 def weight_table(alg: LauretAlgebra, x):
@@ -139,7 +158,7 @@ def weight_table(alg: LauretAlgebra, x):
         raise NotImplementedError(
             f"no tabulated weights for case {alg.spec.case}; use pfaffian_abs"
         )
-    angles, zc, _ = Functional(alg, x).chamber
+    angles, zc, _ = functional(alg, x).chamber
     return alg.ops.weights(angles, zc)
 
 

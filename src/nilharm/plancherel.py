@@ -39,7 +39,7 @@ from math import comb
 import numpy as np
 
 from .algebra import LauretAlgebra, build_case
-from .forms import Functional
+from .forms import functional
 from .numerics import QuadratureSpec, as_rng, laguerre_all, leggauss, mc_mean, require_budget
 from .spherical import _v_factor
 from . import fock
@@ -65,10 +65,10 @@ class PlancherelDensity:
 
 
 def density_of(alg: LauretAlgebra, x) -> PlancherelDensity:
-    """Plancherel density of the functional with g-coordinates x, or of
-    the Functional x, whose chamber chart is then reused."""
-    fn = x if isinstance(x, Functional) else Functional(alg, x)
-    verdict = fn.classify()
+    """Plancherel density of the functional x, g-coordinates or a
+    Functional (see forms.functional)."""
+    fn = functional(alg, x)
+    verdict = fn.verdict
     rs = alg.root_system()
     # with no compact factors the root product is empty
     th = torus.theta(rs, fn.chamber[0]) if rs.factors else 1.0

@@ -44,7 +44,7 @@ import numpy as np
 
 from .algebra import LauretAlgebra
 from .cases import case_params
-from .forms import Functional
+from .forms import Functional, functional
 from .numerics import as_complex_vector, as_rng, laguerre, mc_mean, require_budget, sphere_character
 from .fock import check_degrees, kx_blocks, monomials_of_degree, run_degrees
 
@@ -79,8 +79,8 @@ class SphericalIndex:
 
 
 def spherical_index(alg: LauretAlgebra, x, index) -> SphericalIndex:
-    """Build a SphericalIndex from a functional's g-coordinates."""
-    fn = Functional(alg, x)
+    """Build a SphericalIndex from a functional (see forms.functional)."""
+    fn = functional(alg, x)
     return SphericalIndex(
         case=alg.spec.case,
         lam=fn.norm,
@@ -239,36 +239,14 @@ class InvariantPolynomial:
     coeffs: tuple           # ((exponents, coefficient), ...)
     leading: tuple          # graded-lex leading exponent
 
-    @property
-    def degree(self):
-        return sum(self.leading)
-
-    def evaluate(self, svals):
-        """Value at generator values svals, shape (..., ngens): the
-        product over generators of L_a^alpha(lam s / 2) / L_a^alpha(0)
-        at the leading exponents a, by the Laguerre recurrence; coeffs
-        drops the terms below 1e-14, which s^k multiplies back up from
-        degree about 16 on.  Leading axes are kept, and a single 1-d
-        point gives a float."""
-        svals = np.asarray(svals, dtype=float)
-        if svals.ndim == 0 or svals.shape[-1] != len(self.alphas):
-            raise ValueError(f"expected generator values of shape (..., {len(self.alphas)})")
-        out = np.ones(svals.shape[:-1])
-        for g, (a, alpha) in enumerate(zip(self.leading, self.alphas)):
-            out = out * (laguerre(a, alpha, self.lam * svals[..., g] / 2.0) / laguerre(a, alpha, 0.0))
-        return float(out) if svals.ndim == 1 else out
-
-    def coefficient(self, expo):
-        for e, c in self.coeffs:
-            if e == tuple(expo):
-                return c
-        return 0.0
-
 
 _GENERATORS = {
     # case -> callable(checked params of cases.case_params) -> (labels, alphas)
     "VII": lambda p: (("|v|^2",), (p["n"] - 1,)),
-    "VIII": lambda p: (("|u|^2", "|w|^2"), (0, 0)) if p["k"] == 1 else None,
+    # k = 1: the runs (1, 1, 2n) of fock.kx_blocks, the last one empty at n = 0
+    "VIII": lambda p: (None if p["k"] != 1 else
+                       (("|u|^2", "|w|^2"), (0, 0)) if p["n"] == 0 else
+                       (("|u|^2", "|w|^2", "|y|^2"), (0, 0, 2 * p["n"] - 1))),
     "IV": lambda p: (("|u|^2", "|w|^2"), (2 * p["n"] - 1,) * 2),
 }
 
@@ -309,13 +287,13 @@ def canonical_polynomials(case, params, max_total_degree, lam=1.0):
     leading one.  The coefficient count is checked against
     NILHARM_BUDGET before anything is built.
 
-    Supported: VII (generator |v|^2), VIII with k = 1 (|u|^2, |w|^2),
+    Supported: VII (generator |v|^2), VIII with k = 1 (|u|^2, |w|^2 and,
+    for n >= 1, |y|^2 on the (C^2)^n run: one polynomial per K_x-type),
     IV (block norms |u|^2, |w|^2).  Cross invariants beyond block norms
     are out of scope, so IV gets d + 1 polynomials of degree d, fewer
     than its K_x-types (fock.metaplectic_components) from d = 2 on:
     3 against 4 at d = 2 and 4 against 6 at d = 3 for IV(1), 5 and 8
-    for IV(2).  params goes through cases.case_params first, as in
-    build_case.
+    for IV(2).  params goes through cases.case_params first.
     """
     p = case_params(case, params)
     if not 0 < lam < np.inf:

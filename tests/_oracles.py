@@ -20,7 +20,9 @@ convolution here is the generic sum over a full 2n-dimensional tensor
 grid; the library splits its Laguerre integrals over the real axes by
 the addition theorem instead.  The quaternionic matrix product, adjoint
 and complex-to-quaternionic map here check the library's quaternionic
-Haar samples and its quaternionic-to-complex map.
+Haar samples and its quaternionic-to-complex map.  The value of a
+canonical polynomial and the structure constants of an algebra are
+read-outs that only the tests need.
 """
 
 import itertools
@@ -33,7 +35,8 @@ from scipy.linalg import expm, null_space, schur
 from scipy.special import roots_genlaguerre
 
 from nilharm import torus
-from nilharm.numerics import as_complex_vector, node_budget
+from nilharm.algebra import _commutators
+from nilharm.numerics import as_complex_vector, laguerre, node_budget
 from nilharm.quat import qconj, qmat_to_complex, qmul
 
 
@@ -294,6 +297,29 @@ def laguerre_product_coefficient(leading, expo, alphas, lam):
             return Fraction(0)
         out *= (-half) ** k * Fraction(comb(a + alpha, a - k), factorial(k) * comb(a + alpha, a))
     return out
+
+
+def invariant_polynomial_value(q, svals):
+    """Value of the canonical polynomial q at generator values svals,
+    shape (..., ngens): the product over generators of
+    L_a^alpha(lam s / 2) / L_a^alpha(0) at the leading exponents a, by
+    the Laguerre recurrence; q.coeffs drops the terms below 1e-14, which
+    s^k multiplies back up from degree about 16 on.  Leading axes are
+    kept, and a single 1-d point gives a float."""
+    svals = np.asarray(svals, dtype=float)
+    if svals.ndim == 0 or svals.shape[-1] != len(q.alphas):
+        raise ValueError(f"expected generator values of shape (..., {len(q.alphas)})")
+    out = np.ones(svals.shape[:-1])
+    for g, (a, alpha) in enumerate(zip(q.leading, q.alphas)):
+        out = out * (laguerre(a, alpha, q.lam * svals[..., g] / 2.0) / laguerre(a, alpha, 0.0))
+    return float(out) if svals.ndim == 1 else out
+
+
+def structure_constants(alg):
+    """f with [X_a, X_b] = sum_c f[a, b, c] X_c, read back from the
+    commutators of the pi matrices by the library's Gram solve (pi is
+    faithful on g)."""
+    return alg._coords(_commutators(alg))
 
 
 def symplectic_form(w, v):

@@ -33,6 +33,26 @@ def test_pi_matrix_identity_at_origin():
         assert np.array_equal(m, np.eye(b.count))
 
 
+# (3, 25) is left out: one of its matrices holds 3276^2 complex entries,
+# 172 MB
+@pytest.mark.parametrize("n,D", [(1, 0), (1, 5), (1, 25), (2, 0), (2, 5), (2, 25), (3, 0), (3, 5), (3, 12)])
+@pytest.mark.parametrize("lam", [1.3, -0.7])
+def test_pi_matrix_gathers_like_the_2d_fancy_index(n, D, lam):
+    # the two 1-d takes against the 2-d fancy index they replaced, on
+    # one point and on a stack: same entries, same product order
+    basis = fock.FockBasis(n, D)
+    ridx = basis.indices
+    rng = as_rng(17)
+    for t, v in ((0.4, rng.standard_normal(n) + 1j * rng.standard_normal(n)),
+                 (rng.standard_normal(3), rng.standard_normal((3, n)) + 1j * rng.standard_normal((3, n)))):
+        tabs = fock._entry_tables(abs(lam), v, D)
+        want = np.exp(1j * abs(lam) * np.asarray(t))[..., None, None]
+        want = want * tabs[..., 0, ridx[:, None, 0], ridx[None, :, 0]]
+        for j in range(1, n):
+            want *= tabs[..., j, ridx[:, None, j], ridx[None, :, j]]
+        assert np.array_equal(fock.pi_matrix(lam, t, v, basis), np.conj(want) if lam < 0 else want)
+
+
 # (a, b, D, v): the table at frequency lam = a * b (the pairs keep the
 # test ids of the points), with dyadic v, so the float inputs are the
 # exact rationals the oracle sums; |v| <= 6, x = |lam| |v|^2 / 2 up to 72

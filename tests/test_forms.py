@@ -8,6 +8,7 @@ from nilharm.algebra import build_case, sample_k_actions
 from nilharm.forms import (
     Functional,
     classify,
+    functional,
     pfaffian_abs,
     pfaffian_via_weights,
     skew_form,
@@ -321,8 +322,9 @@ def test_one_chart_per_call_and_one_root_system_per_algebra(monkeypatch, capsys)
             charts.clear()
             density_of(alg, x)
             assert len(charts) == 1
+            # the same coordinates share the Functional and its chart
             pfaffian_via_weights(alg, x)
-            assert len(charts) == 2
+            assert len(charts) == 1
         angles, zc, _ = Functional(alg, x).chamber
         alg.from_chamber(angles, zc)
         assert len(builds) == 1, case
@@ -331,3 +333,69 @@ def test_one_chart_per_call_and_one_root_system_per_algebra(monkeypatch, capsys)
     charts.clear()
     assert cli.main(["density", "--case", "V", "--n", "3", "--points", "4"]) == 0
     assert len(charts) == 4
+
+
+@pytest.mark.parametrize("case,params", [("V", {"n": 3}), ("VII", {"n": 2}), ("VIII", {"k": 1, "n": 1})])
+def test_classify_then_density_take_one_spectrum_of_b_x(monkeypatch, case, params):
+    alg = build_case(case, **params)
+    x = as_rng(15).standard_normal(alg.dim_g)
+    ibx = 1j * skew_form(alg, x)
+    spectra = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting(a, *args, **kwargs):
+        if np.shape(a) == ibx.shape and np.array_equal(a, ibx):
+            spectra.append(1)
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    verdict = classify(alg, x)
+    dens = density_of(alg, x)
+    assert len(spectra) == 1
+    assert dens.pfaffian == verdict.pfaffian and dens.square_integrable == verdict.square_integrable
+
+
+def _answers(alg, x):
+    return classify(alg, x), pfaffian_via_weights(alg, x), density_of(alg, x)
+
+
+def _fresh(alg, x):
+    # a new Functional, passed on, never the algebra's slot
+    fn = Functional(alg, x)
+    return fn.classify(), pfaffian_via_weights(alg, fn), density_of(alg, fn)
+
+
+def test_shared_functional_is_never_stale():
+    alg = build_case("V", n=3)
+    x1, x2 = as_rng(16).standard_normal((2, alg.dim_g))
+    for x in (x1, x2, x1):
+        assert _answers(alg, x) == _fresh(alg, x)
+    # writing into the caller's array after a call gives the new answer
+    buf = x1.copy()
+    first = _answers(alg, buf)
+    buf[:] = x2
+    assert _answers(alg, buf) == _fresh(alg, x2) != first
+    buf *= 2.0
+    assert _answers(alg, buf) == _fresh(alg, 2.0 * x2)
+    # -0.0 and +0.0 are different coordinates
+    pos = x1.copy()
+    pos[0] = 0.0
+    neg = pos.copy()
+    neg[0] = -0.0
+    fpos = functional(alg, pos)
+    fneg = functional(alg, neg)
+    assert fneg is not fpos and np.signbit(fneg.x[0]) and not np.signbit(fpos.x[0])
+    # a Functional is returned as it is, the slot only for equal bytes
+    assert functional(alg, fpos) is fpos and functional(alg, neg) is fneg
+    with pytest.raises(ValueError, match="another algebra"):
+        functional(build_case("V", n=3), fneg)
+    # a non-finite or misshapen x raises and leaves the slot as it was
+    for bad in (np.where(np.arange(alg.dim_g) == 1, np.nan, x1), np.full(alg.dim_g, np.inf), neg[None]):
+        for call in (classify, pfaffian_via_weights, density_of):
+            with pytest.raises(ValueError):
+                call(alg, bad)
+        assert alg.last_functional is fneg
+    # the shared coordinates are read-only
+    for arr in (fneg.x, fneg.y):
+        with pytest.raises(ValueError):
+            arr[0] = 1.0

@@ -10,6 +10,7 @@ from _oracles import (
     gamma_moments,
     gauss_laguerre_moments,
     gram_schmidt_invariants,
+    invariant_polynomial_value,
     laguerre_product_coefficient,
 )
 from test_acceptance import CASES as ACCEPTANCE_CASES, DEGENERATE_CASES
@@ -436,7 +437,7 @@ def test_canonical_polynomials_vii_are_laguerre():
                 assert q.leading == (j,)
                 for k in range(j + 1):
                     want = _laguerre_ratio_coeff(j, n - 1, k, lam)
-                    assert abs(q.coefficient((k,)) - want) < 1e-8 * max(1.0, abs(want))
+                    assert abs(dict(q.coeffs).get((k,), 0.0) - want) < 1e-8 * max(1.0, abs(want))
 
 
 def test_canonical_polynomials_viii_orthogonal():
@@ -450,14 +451,14 @@ def test_canonical_polynomials_viii_orthogonal():
     uu, ww_ = np.meshgrid(u, u, indexing="ij")
     wts = np.outer(w, w).ravel()
     pts = np.stack([uu.ravel(), ww_.ravel()], axis=-1)
-    vals = np.array([q.evaluate(pts) for q in qs])
+    vals = np.array([invariant_polynomial_value(q, pts) for q in qs])
     gram = (vals * wts) @ vals.T
     norms = np.sqrt(np.diag(gram))
     off = gram / np.outer(norms, norms) - np.eye(len(qs))
     assert np.max(np.abs(off)) < 1e-10
     assert qs[0].coeffs == (((0, 0), 1.0),)
     for q in qs:
-        assert abs(q.evaluate(np.zeros((1, 2))) - 1.0) < 1e-14
+        assert abs(invariant_polynomial_value(q, np.zeros((1, 2))) - 1.0) < 1e-14
 
 
 @pytest.mark.parametrize("alpha", [0, 1, 3])
@@ -470,7 +471,9 @@ def test_gamma_moments_match_gauss_laguerre(alpha, lam):
 
 
 # generator radial exponents per case, stated independently of the library
-_ALPHAS = {"VII": lambda p: (p["n"] - 1,), "VIII": lambda p: (0, 0),
+# (VIII with k = 1: the two C runs, then (C^2)^n, real dimension 4n, when n >= 1)
+_ALPHAS = {"VII": lambda p: (p["n"] - 1,),
+           "VIII": lambda p: (0, 0) + ((2 * p["n"] - 1,) if p.get("n", 0) else ()),
            "IV": lambda p: (2 * p["n"] - 1,) * 2}
 
 
@@ -532,6 +535,23 @@ def test_canonical_polynomials_exact_to_degree_20(case, params, lam):
         assert not got, f"coefficients outside the leading box: {got}"
 
 
+@pytest.mark.parametrize("n", [0, 1, 2])
+def test_canonical_polynomials_viii_count_its_kx_types(n):
+    # one polynomial per K_x-type of each degree (1, 3, 6, 10 for n >= 1),
+    # each the product of normalized Laguerre polynomials in the run norms
+    params, lam = {"k": 1, "n": n}, 1.3
+    qs = canonical_polynomials("VIII", params, 3, lam=lam)
+    comps = fock.metaplectic_components("VIII", params, 3)
+    assert [sum(sum(q.leading) == d for q in qs) for d in range(4)] == \
+        [sum(c.degree == d for c in comps) for d in range(4)]
+    alphas = _ALPHAS["VIII"](params)
+    for q in qs:
+        assert q.alphas == alphas
+        for expo in itertools.product(*(range(a + 1) for a in q.leading)):
+            want = laguerre_product_coefficient(q.leading, expo, alphas, lam)
+            assert abs(Fraction(dict(q.coeffs).get(expo, 0.0)) - want) <= 1e-14 * abs(want)
+
+
 def test_canonical_polynomials_budget(monkeypatch):
     # IV has two generators: C(D + 4, 4) coefficients, 635,376 at degree
     # 60 and 10,626 at degree 20
@@ -553,7 +573,7 @@ def test_canonical_polynomials_iv_orthogonal_at_degree_8():
     s = 2.0 * x / lam
     pts = np.stack(np.meshgrid(s, s, indexing="ij"), axis=-1)
     wts = np.outer(w, w) / w.sum() ** 2
-    vals = np.array([q.evaluate(pts) for q in qs])
+    vals = np.array([invariant_polynomial_value(q, pts) for q in qs])
     gram = np.einsum("aij,bij,ij->ab", vals, vals, wts)
     norms = np.sqrt(np.diag(gram))
     off = gram / np.outer(norms, norms) - np.eye(len(qs))
@@ -564,13 +584,13 @@ def test_canonical_polynomials_iv_orthogonal_at_degree_8():
 def test_invariant_polynomial_evaluate_at_degree_20(case, alpha):
     # coeffs drops the coefficients below 1e-14, which s^k multiplies
     # back up: the monomial sum of VII's is off by 33 at s = 10 (value 2.02)
-    qs = [q for q in canonical_polynomials(case, {"n": 1}, 20) if q.degree == 20]
+    qs = [q for q in canonical_polynomials(case, {"n": 1}, 20) if sum(q.leading) == 20]
     s = np.array([5.0, 10.0, 20.0])
     pts = np.stack([s, s[::-1]], axis=-1)[:, : len(qs[0].alphas)]
     for q in qs:
         want = np.prod([eval_genlaguerre(a, alpha, pts[:, g] / 2.0) / eval_genlaguerre(a, alpha, 0.0)
                         for g, a in enumerate(q.leading)], axis=0)
-        got = q.evaluate(pts)
+        got = invariant_polynomial_value(q, pts)
         assert np.all(np.abs(got - want) <= 1e-10 * np.abs(want)), (q.leading, got, want)
 
 
@@ -578,15 +598,15 @@ def test_invariant_polynomial_evaluate_keeps_leading_axes():
     q = canonical_polynomials("IV", {"n": 1}, 2, lam=1.0)[4]
     assert q.leading == (1, 1)
     pts = np.linspace(0.1, 2.0, 12).reshape(2, 3, 2)
-    got = q.evaluate(pts)
+    got = invariant_polynomial_value(q, pts)
     assert got.shape == (2, 3)
     want = (1.0 - pts[..., 0] / 4.0) * (1.0 - pts[..., 1] / 4.0)
     assert np.max(np.abs(got - want)) < 1e-15
-    one = q.evaluate(np.ones((1, 2)))
+    one = invariant_polynomial_value(q, np.ones((1, 2)))
     assert isinstance(one, np.ndarray) and one.shape == (1,)
-    assert isinstance(q.evaluate([1.0, 2.0]), float)
+    assert isinstance(invariant_polynomial_value(q, [1.0, 2.0]), float)
     with pytest.raises(ValueError):
-        q.evaluate(np.ones((4, 3)))
+        invariant_polynomial_value(q, np.ones((4, 3)))
 
 
 def test_viii_v_factor_on_a_stack_matches_pointwise():
