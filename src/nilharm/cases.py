@@ -2,8 +2,8 @@
 
 Each case bundles an orthonormal basis of g = g' + c (center last), the
 stack of skew matrices pi(X_i) on V, the block structure of V, the
-factor bases of its Cartan bridge, weight tables for the Pfaffian where
-available, and a Haar sampler for G' that returns the stack of
+factor bases of its Cartan bridge, the weights of its Cartan elements
+where V is complex, and a Haar sampler for G' that returns the stack of
 V-matrices pi(g), shape (size, dim_v, dim_v).  That stack is the only
 representation of G': the adjoint action follows from it
 (LauretAlgebra.ad_of), as do the orbit integrals and the K-samples.
@@ -15,6 +15,11 @@ Conventions fixed here and relied on elsewhere:
 * Complex blocks C^m sit inside R^(2m) with interleaved coordinates
   (Re z_1, Im z_1, Re z_2, ...); quaternionic blocks use (1, i, j, k)
   components per coordinate.
+* coord_weights(angles, zc) gives one weight mu_a per complex
+  coordinate of V: pi(h) of h = LauretAlgebra.from_chamber(angles, zc)
+  multiplies coordinate a by 1j mu_a.  forms.weight_table and
+  spherical.phi_orbit, which works in h's frame (psi_closed in the
+  normalized one, every frequency |lam|), read this one table.
 * factor_bases holds one stack per factor of the root system, in the
   order of root_spec: the torus-module matrices of the g' basis vectors
   that the factor spans, in coordinate order, so the stacks together
@@ -96,7 +101,6 @@ class CaseOps:
     checked parameters of case_params."""
 
     label = "?"
-    has_weights = False
 
     def _require_pi(self, dim_g):
         """Check the dim_g x dim_v^2 entries of pi against NILHARM_BUDGET."""
@@ -115,6 +119,12 @@ class CaseOps:
     @property
     def dim_v(self):
         return self.pi.shape[1]
+
+    @property
+    def has_weights(self):
+        """Whether V is complex, so that coord_weights is defined: every
+        case but II and VI with odd n."""
+        return self.dim_v % 2 == 0
 
     # -- torus bridges -----------------------------------------------------
     root_spec = None
@@ -155,9 +165,6 @@ class CaseOps:
             raise NotImplementedError(f"case {self.label} has no Cartan bridge")
         return self.from_factor_mats(torus.chamber_matrices(self.root_system(), angles))
 
-    def weights(self, angles, zc):
-        raise NotImplementedError(f"case {self.label} has no tabulated weight data")
-
     # -- samplers ----------------------------------------------------------
     def sample_vmats(self, rng, size):
         """Haar sample of G' as the stack pi(g), shape (size, dim_v, dim_v);
@@ -174,7 +181,6 @@ class CaseI(CaseOps):
     """su(2) acting on H^n by left quaternion multiplication."""
 
     label = "I"
-    has_weights = True
     root_spec = "su(2)"
     factor_bases = (SU2_MATS,)
 
@@ -187,9 +193,8 @@ class CaseI(CaseOps):
             [block_diag(*([quat.left_mult_matrix(q)] * n)) for q in SU2_QUATS]
         )
 
-    def weights(self, angles, zc):
-        th = float(angles[0][0])
-        return [(th, 2 * self.n), (-th, 2 * self.n)]
+    def coord_weights(self, angles, zc):
+        return np.full(2 * self.n, angles[0][0])
 
     def sample_vmats(self, rng, size):
         g = quat.random_unit(rng, size)
@@ -247,6 +252,10 @@ class CaseIII(CaseOps):
             mats.append(block_diag(*blocks))
         self.pi = np.stack(mats)
 
+    def coord_weights(self, angles, zc):
+        a, b = angles[0][0], angles[1][0]
+        return np.array([a] * (2 * self.k1) + [a - b, a + b] + [b] * (2 * self.k2))
+
     def sample_vmats(self, rng, size):
         # each sample draws its g1 and g2 together, so blocks of samples
         # draw what one stack draws
@@ -279,6 +288,10 @@ class CaseIV(CaseOps):
             mats.append(block_diag(*([blk] * n)))
         self.pi = np.stack(mats)
 
+    def coord_weights(self, angles, zc):
+        a, b = angles[0]
+        return np.array([a, a, b, b] * self.n)
+
     def sample_vmats(self, rng, size):
         gs = haar_symplectic_quat(2, rng, size)
         # (S, 2, 2, 4, 4) quaternion entries -> (S, 8, 8) on H^2
@@ -290,7 +303,6 @@ class CaseV(CaseOps):
     """su(n) acting on C^n, n >= 3."""
 
     label = "V"
-    has_weights = True
     dim_c = 0
 
     def __init__(self, params):
@@ -301,9 +313,8 @@ class CaseV(CaseOps):
         self.pi = realify(self.factor_bases[0])
         self.root_spec = f"su({n})"
 
-    def weights(self, angles, zc):
-        th = angles[0]
-        return [(float(t), 1) for t in th] + [(-float(t), 1) for t in th]
+    def coord_weights(self, angles, zc):
+        return np.array(angles[0], dtype=float)
 
     def sample_vmats(self, rng, size):
         return realify(haar_special_unitary(self.n, rng, size))
@@ -327,19 +338,10 @@ class CaseVI(CaseOps):
         if n % 2 == 0 and n >= 4:
             self.root_spec = f"so({n})"
             self.factor_bases = (self.pi,)
-            self.has_weights = True
-        elif n == 2:
-            self.root_spec = None
-            self.has_weights = True
 
-    def weights(self, angles, zc):
-        if self.n % 2:
-            raise NotImplementedError("weight data covers even n only")
-        if self.n == 2:
-            t = float(np.atleast_1d(zc)[0]) / np.sqrt(2.0)
-            return [(t, 1), (-t, 1)]
-        th = angles[0]
-        return [(float(t), 1) for t in th] + [(-float(t), 1) for t in th]
+    def coord_weights(self, angles, zc):
+        # even n; at n = 2 the unit central generator turns R^2 at rate 1/sqrt(2)
+        return zc / np.sqrt(2.0) if self.n == 2 else np.array(angles[0], dtype=float)
 
     def sample_vmats(self, rng, size):
         if self.n == 2:
@@ -351,7 +353,6 @@ class CaseVII(CaseOps):
     """The Heisenberg pair: g = R acting on C^n by multiples of 1j."""
 
     label = "VII"
-    has_weights = True
 
     def __init__(self, params):
         self.n = n = params["n"]
@@ -360,9 +361,8 @@ class CaseVII(CaseOps):
         self._require_pi(1)
         self.pi = realify(1j * np.eye(n))[None, :, :]
 
-    def weights(self, angles, zc):
-        t = float(np.atleast_1d(zc)[0])
-        return [(t, self.n), (-t, self.n)]
+    def coord_weights(self, angles, zc):
+        return np.full(self.n, zc[0])
 
     def u_part_automorphisms(self, rng, size):
         return realify(haar_unitary(self.n, rng, size))
@@ -372,7 +372,6 @@ class CaseVIII(CaseOps):
     """u(2) on (C^2)^k + (C^2)^n; the center acts only on the first block."""
 
     label = "VIII"
-    has_weights = True
     root_spec = "su(2)"
     factor_bases = (SU2_MATS,)
 
@@ -389,13 +388,10 @@ class CaseVIII(CaseOps):
         mats.append(central)
         self.pi = np.stack(mats)
 
-    def weights(self, angles, zc):
-        th = float(angles[0][0])
-        t = float(np.atleast_1d(zc)[0])
-        out = [(th + t, self.k), (-th + t, self.k), (th - t, self.k), (-th - t, self.k)]
-        if self.n:
-            out += [(th, 2 * self.n), (-th, 2 * self.n)]
-        return out
+    def coord_weights(self, angles, zc):
+        # the su(2) factor comes last, so case X reads its tail from here
+        th, t = angles[-1][0], zc[0]
+        return np.array([th + t, t - th] * self.k + [th] * (2 * self.n))
 
     def sample_vmats(self, rng, size):
         g = quat.random_unit(rng, size)
@@ -418,10 +414,8 @@ class CaseIX(CaseV):
         super().__init__(params)
         self.pi = np.concatenate([self.pi, realify(1j * np.eye(self.n))[None]])
 
-    def weights(self, angles, zc):
-        th = angles[0]
-        t = float(np.atleast_1d(zc)[0])
-        return [(float(a) + t, 1) for a in th] + [(-float(a) - t, 1) for a in th]
+    def coord_weights(self, angles, zc):
+        return super().coord_weights(angles, zc) + zc[0]
 
 
 class CaseX(CaseOps):
@@ -453,6 +447,9 @@ class CaseX(CaseOps):
         mats.append(central)
         self.pi = np.stack(mats)
         self.root_spec = f"su({m})+su(2)"
+
+    def coord_weights(self, angles, zc):
+        return np.concatenate([angles[0] + zc[0], CaseVIII.coord_weights(self, angles, zc)])
 
     def sample_vmats(self, rng, size):
         us = realify(haar_special_unitary(self.m, rng, size))

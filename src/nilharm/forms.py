@@ -6,11 +6,14 @@ dual X in g.  The associated bilinear form is
     B_x(u, v) = <pi(X) u, v>,
 
 and the coadjoint orbit of the functional is flat exactly when B_x is
-nondegenerate ("square-integrable" below).  For most cases the absolute
-Pfaffian of B_x has a closed product form over the weights of the
-complexified V restricted to a Cartan subalgebra containing the
-conjugated X; `pfaffian_via_weights` evaluates those products, while
-`pfaffian_abs` computes |Pf| numerically from any skew matrix.
+nondegenerate ("square-integrable" below).  Wherever V is complex the
+absolute Pfaffian of B_x is the product of |mu_a| over the weights of
+the Cartan element h conjugate to X on the complex coordinates of V
+(`weight_table`, read from the case's coord_weights);
+`pfaffian_via_weights` evaluates that product, while `pfaffian_abs`
+computes |Pf| numerically from any skew matrix.  The same weights are
+the frequencies of spherical.phi_orbit in h's frame (the closed psi is
+stated in normalized coordinates, every frequency |lam|).
 
 A `Functional` holds the one spectrum of 1j B_x (`verdict`) and the one
 chamber chart (`chamber`) of x.  Every entry point taking x accepts
@@ -111,7 +114,7 @@ class Functional:
     def chamber(self):
         """(angles, zc, regular): the per-factor dominant angles of the g'
         part of x, its central coordinates, and chamber regularity.  The
-        weight tables, theta and the CLI all read this chart."""
+        weight table, theta, phi_orbit and the CLI all read this chart."""
         xp, zc = self.alg.split_center(self.x)
         if self.alg.dim_gp == 0:
             return (), zc, True
@@ -146,32 +149,26 @@ def functional(alg: LauretAlgebra, x) -> Functional:
 
 
 def weight_table(alg: LauretAlgebra, x):
-    """Weights of the complexified V against the conjugated direction of
-    x, as (value, multiplicity) pairs; the form B_x has eigenvalue pairs
-    +- 1j * value with that multiplicity.
-
-    Only tabulated for the cases where V decomposes into explicit weight
-    spaces (I, V, VI even, VII, VIII, IX); raises NotImplementedError
-    otherwise.
-    """
+    """The weights mu_a of the chamber element h of x on the dim_v / 2
+    complex coordinates of V, a 1-d array: pi(h) acts on coordinate a as
+    multiplication by 1j mu_a, so B_x has the eigenvalue pairs
+    +- 1j mu_a.  NotImplementedError where V is not complex (II, VI with
+    odd n)."""
     if not alg.ops.has_weights:
         raise NotImplementedError(
-            f"no tabulated weights for case {alg.spec.case}; use pfaffian_abs"
+            f"case {alg.spec.case} has odd dim V, so no weights; use pfaffian_abs"
         )
     angles, zc, _ = functional(alg, x).chamber
-    return alg.ops.weights(angles, zc)
+    return alg.ops.coord_weights(angles, zc)
 
 
 def pfaffian_via_weights(alg: LauretAlgebra, x):
-    """|Pf(B_x)| as the product of |value|^(mult/2) over the weight
-    table; agrees with pfaffian_abs(skew_form(alg, x)) on the tabulated
-    cases.  Exactly 0 when a weight vanishes to rounding (|value| at
-    most the classify tolerance times the largest), as in classify."""
-    table = weight_table(alg, x)
-    mods = [abs(value) for value, _ in table]
-    if any(m <= _RANK_TOL * max(mods) for m in mods):
+    """|Pf(B_x)| as the product of |mu_a| over the weight table; agrees
+    with pfaffian_abs(skew_form(alg, x)) wherever V is complex.  Exactly
+    0 when a weight vanishes to rounding (|mu_a| at most the classify
+    tolerance times the largest), as in classify."""
+    # a handful of Python floats reduce faster than numpy calls would
+    mods = np.abs(weight_table(alg, x)).tolist()
+    if min(mods) <= _RANK_TOL * max(mods):
         return 0.0
-    out = 1.0
-    for value, mult in table:
-        out *= abs(value) ** (mult / 2.0)
-    return float(out)
+    return math.prod(mods)

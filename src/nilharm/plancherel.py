@@ -372,7 +372,7 @@ def projection_check(lam, i, j, nodes=120, points=None, seed=0):
             raise ValueError("points is empty: need at least one point of C^1")
     vals = _twisted_laguerre(lam, i, lam / 4.0, pts * [1.0, -1.0], j, nodes, half)[j]
     # the closed VII kernel at the points
-    phij = _v_factor((1,), (j,), lam, pts, 1.0)
+    phij = _v_factor((1,), (j,), [lam], pts, 1.0)
     if i != j:
         return ProjectionReport(
             lam=lam, i=i, j=j,

@@ -6,31 +6,34 @@ representation over one metaplectic component, a function on the
 Heisenberg-type quotient (t, v) with t the pairing of the central
 variable with the direction of the functional; the paper's closed forms
 are products of Laguerre polynomials times the Gaussian envelope.  phi
-is the K-spherical function of the full group, an orbit average
+is the K-spherical function of the full group, an orbit average in the
+frame of the chamber element h conjugate to the functional,
 
     phi(z, v) = avg over Haar g of
-        e^{i |lam| <Ad(g^-1) Y, z>} * (psi v-factor at pi(g) v),
+        e^{i <Ad(g^-1) h, z>} * (psi_h v-factor at pi(g) v),
 
 computed by Monte Carlo over the full compact factor G' (the integrand
 is right-torus-invariant, so full-group Haar sampling realizes the
-quotient integral exactly in law).
+quotient integral exactly in law).  pi(h) acts on complex coordinate a
+of V as multiplication by 1j mu_a (cases.CaseOps.coord_weights), and
+psi_h gives coordinate a the frequency |mu_a|.
 
 A SphericalIndex resolves and checks its K_x-type once, when it is
 built, into the coordinate runs of fock.kx_blocks and one degree per
-run.  The one kernel, _v_factor, reads those without further checks
-and is vectorized over leading axes of v.
-psi_closed evaluates it at one point, phi_caseI_closed at one point
-with the sphere average of the phase, and phi_orbit on the transformed
-points pi(g) v, one block of samples at a time.
+run.  The one kernel, _v_factor, reads those and one frequency per
+complex coordinate without further checks, and is vectorized over
+leading axes of v.  psi_closed and phi_caseI_closed (with the sphere
+average of the phase) give every coordinate |lam|; phi_orbit gives the
+points pi(g) v the weights of h, one block of samples at a time.
 
 canonical_polynomials gives the Gram-Schmidt invariants in closed form:
 the block norms have independent Gamma laws under the Gaussian weight,
 so they are products of normalized one-variable Laguerre polynomials.
 
-Conventions: the closed forms are stated in the symplectically
-normalized coordinates in which every frequency equals |lam| (see
-fock.psi_numeric); the spherical traces are UNNORMALIZED, with value
-dim W at the identity.
+Conventions: psi_closed is stated in the symplectically normalized
+coordinates in which every frequency equals |lam| (see
+fock.psi_numeric), phi_orbit in h's frame.  The spherical traces are
+UNNORMALIZED, with value dim W at the identity.
 """
 
 from __future__ import annotations
@@ -44,7 +47,7 @@ import numpy as np
 
 from .algebra import LauretAlgebra
 from .cases import case_params
-from .forms import Functional, functional
+from .forms import Functional, functional, weight_table
 from .numerics import as_complex_vector, as_rng, laguerre, mc_mean, require_budget, sphere_character
 from .fock import check_degrees, kx_blocks, monomials_of_degree, run_degrees
 
@@ -99,36 +102,30 @@ class SphericalValue:
     stderr: float = 0.0
 
 
-def _v_factor(runs, degrees, alam, v, scale):
+def _v_factor(runs, degrees, mu, v, scale):
     """scale times the v-factor of the closed psi at the points v of V,
-    shape (..., dim_v); scale is the caller's factor in the central
-    variable (a phase, or the sphere average for phi in case I).
+    shape (..., dim_v); mu holds one nonnegative frequency per complex
+    coordinate, and scale is the caller's factor in the central variable
+    (a phase, or the sphere average for phi in case I).
 
-    The v-factor is the Gaussian envelope e^{-alam |v|^2 / 4} times one
-    Laguerre block L_deg^(size - 1) per coordinate run, at the run
-    degrees of an index (SphericalIndex.runs and degrees).
+    The v-factor is the Gaussian envelope e^{-sum_a mu_a |v_a|^2 / 4}
+    times one Laguerre block L_deg^(size - 1)(sum_{a in run} mu_a
+    |v_a|^2 / 2) per coordinate run, at the run degrees of an index
+    (SphericalIndex.runs and degrees).
     """
-    count = sum(runs)
-    z = as_complex_vector(v, count)
+    mu = np.asarray(mu, dtype=float)
+    z = as_complex_vector(v, len(mu))
     sq = z.real**2 + z.imag**2
-    # a product with ones sums a short last axis several times faster
-    # than .sum on a stack of points; one coordinate needs no sum
-    total = sq[..., 0] if count == 1 else sq @ np.ones(count)
     out = 1.0
     a = 0
     for size, deg in zip(runs, degrees):
-        if not size:
-            continue
-        # the total and single coordinates need no further sum
-        if size == count:
-            x = total
-        elif size == 1:
-            x = sq[..., a]
-        else:
-            x = sq[..., a:a + size] @ np.ones(size)
-        out = out * laguerre(deg, size - 1, alam * x / 2.0)
+        # L_0 = 1, and an empty run has degree 0
+        if deg:
+            # a product with mu sums a short last axis several times
+            # faster than .sum on a stack of points
+            out = out * laguerre(deg, size - 1, (sq[..., a:a + size] @ mu[a:a + size]) / 2.0)
         a += size
-    return scale * out * np.exp(-alam * total / 4.0)
+    return scale * out * np.exp(-(sq @ mu) / 4.0)
 
 
 def psi_closed(idx: SphericalIndex, t, v):
@@ -142,7 +139,7 @@ def psi_closed(idx: SphericalIndex, t, v):
     if not (isfinite(t) and np.isfinite(v).all()):
         raise ValueError("psi_closed needs finite t and v")
     phase = np.exp(1j * lam * t)
-    return complex(_v_factor(idx.runs, idx.degrees, abs(lam), v, phase))
+    return complex(_v_factor(idx.runs, idx.degrees, np.full(sum(idx.runs), abs(lam)), v, phase))
 
 
 def phi_caseI_closed(lam, j, z, v):
@@ -165,7 +162,7 @@ def phi_caseI_closed(lam, j, z, v):
     check_degrees(lam, (2 * n,), (j,))
     lam = abs(float(lam))
     angular = sphere_character(lam * float(np.linalg.norm(z)))
-    return complex(_v_factor((2 * n,), (j,), lam, v, angular))
+    return complex(_v_factor((2 * n,), (j,), np.full(2 * n, lam), v, angular))
 
 
 # samples per block of phi_orbit: large enough that the per-block Python
@@ -178,6 +175,9 @@ def phi_orbit(idx: SphericalIndex, z, v, samples=20000, seed=0):
     """Monte-Carlo orbit average realizing the generic spherical
     function at the point (z, v) of N.
 
+    The integrand is taken in h's frame (see the module docstring): the
+    phase pairs Ad(g^-1) h with z, and coordinate a of pi(g) v has the
+    frequency |mu_a| of forms.weight_table.
     The samples are drawn, paired and evaluated in blocks of
     _ORBIT_BLOCK = 1024 into one array of values, and mc_mean runs once
     on all of them.  Every case that reaches here draws each sample's
@@ -206,7 +206,9 @@ def phi_orbit(idx: SphericalIndex, z, v, samples=20000, seed=0):
     alg = fn.alg
     if not fn.classify().square_integrable:
         raise ValueError("phi_orbit needs a square-integrable functional")
-    alam = fn.norm
+    angles, zc, _ = fn.chamber
+    h = alg.from_chamber(angles, zc)
+    mu = np.abs(weight_table(alg, fn))
     z = np.asarray(z, dtype=float).reshape(alg.dim_g)
     v = np.asarray(v, dtype=float).reshape(alg.dim_v)
     if not np.isfinite(np.concatenate((z, v))).all():
@@ -216,9 +218,9 @@ def phi_orbit(idx: SphericalIndex, z, v, samples=20000, seed=0):
     vals = np.empty(samples, dtype=complex)
     for at in range(0, samples, _ORBIT_BLOCK):
         vmats = alg.ops.sample_vmats(rng, min(_ORBIT_BLOCK, samples - at))
-        pair = alg.orbit_pairing(vmats, fn.y, z)
+        pair = alg.orbit_pairing(vmats, h, z)
         w = np.einsum("sab,b->sa", vmats, v)
-        vals[at:at + len(vmats)] = _v_factor(idx.runs, idx.degrees, alam, w, np.exp(1j * alam * pair))
+        vals[at:at + len(vmats)] = _v_factor(idx.runs, idx.degrees, mu, w, np.exp(1j * pair))
     mean, stderr = mc_mean(vals)
     return SphericalValue(value=complex(mean), method="orbit-MC", stderr=stderr)
 

@@ -22,7 +22,9 @@ the addition theorem instead.  The quaternionic matrix product, adjoint
 and complex-to-quaternionic map here check the library's quaternionic
 Haar samples and its quaternionic-to-complex map.  The value of a
 canonical polynomial and the structure constants of an algebra are
-read-outs that only the tests need.
+read-outs that only the tests need.  The sub-Laplacian here is a
+finite-difference operator on the group law alone; it never reads the
+weights or the Laguerre forms of the spherical functions it checks.
 """
 
 import itertools
@@ -379,3 +381,22 @@ def complex_to_qmat(c):
     A = c[:p, :n]
     B = -c[:p, n:]
     return np.stack([A.real, A.imag, B.real, B.imag], axis=-1)
+
+
+# the 9-point central second difference, exact for polynomials of degree 9
+_SECOND_DIFFERENCE = np.array([-1 / 560, 8 / 315, -1 / 5, 8 / 5, -205 / 72, 8 / 5, -1 / 5, 8 / 315, -1 / 560])
+
+
+def sublaplacian(alg, f, z, v, step=1.5e-2):
+    """L f at the point (z, v) of N for the sub-Laplacian L = sum_i X_i^2
+    over the orthonormal basis e_i of V, where X_i f(p) is the derivative
+    of s -> f(p (0, s e_i)) at 0 (left-invariant).  The points (0, s e_i)
+    commute, so X_i^2 f(p) is the second derivative of that curve, taken
+    here by the 9-point central difference at spacing step.  f takes
+    (z, v) and returns a number."""
+    zero = np.zeros(alg.dim_g)
+    total = 0.0
+    for e in np.eye(alg.dim_v):
+        curve = [f(*alg.group_mult((z, v), (zero, s * e))) for s in step * np.arange(-4, 5)]
+        total += _SECOND_DIFFERENCE @ np.array(curve) / step**2
+    return total

@@ -49,6 +49,21 @@ def test_pfaffian_heisenberg_example(capsys):
     assert doc["rel_deviation"] < 1e-12
 
 
+@pytest.mark.parametrize("case_args", [
+    ["--case", "III", "--k1", "1", "--k2", "1"],
+    ["--case", "IV", "--n", "1"],
+    ["--case", "X", "--m", "3", "--k", "1", "--n", "0"],
+], ids=["III", "IV", "X"])
+def test_pfaffian_weights_on_every_complex_case(capsys, case_args):
+    # III, IV and X have complex V, so they report the weight Pfaffian
+    rc, out = _run(capsys, ["pfaffian", *case_args, "--lambda", "random"])
+    assert rc == 0
+    doc = json.loads(out)
+    assert doc["verdict"] == "SquareIntegrable"
+    assert doc["pfaffian_weights"] > 0.0
+    assert doc["rel_deviation"] <= 1e-9
+
+
 def test_spherical_zero_of_angular_factor(capsys):
     # at |z| = pi and lam = 1 the sphere average sin(pi)/pi vanishes
     rc, out = _run(capsys, [

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from nilharm import cli, torus
+from nilharm import cli, fock, torus
 from nilharm.algebra import build_case, sample_k_actions
 from nilharm.forms import (
     Functional,
@@ -122,6 +122,8 @@ def test_non_finite_functional_raises(bad):
 
 @pytest.mark.parametrize("case,params", [
     ("I", {"n": 2}), ("V", {"n": 3}), ("VII", {"n": 3}), ("IX", {"n": 3}),
+    ("III", {"k1": 1, "k2": 1}), ("IV", {"n": 1}), ("VI", {"n": 6}), ("VIII", {"k": 1, "n": 1}),
+    ("VIII", {"k": 2, "n": 2}), ("X", {"m": 3, "k": 1, "n": 0}),
 ])
 def test_weight_formula_matches_numeric(case, params):
     alg = build_case(case, **params)
@@ -134,19 +136,60 @@ def test_weight_formula_matches_numeric(case, params):
 
 
 def test_weight_table_multiplicities():
-    # total multiplicity sums to dim_v over C (pairs +-i*value)
+    # one weight per complex coordinate of V
     for case, params in [("I", {"n": 2}), ("V", {"n": 3}), ("VII", {"n": 3}), ("IX", {"n": 3})]:
         alg = build_case(case, **params)
         rng = as_rng(7)
         x = rng.standard_normal(alg.dim_g)
         table = weight_table(alg, x)
-        assert sum(mult for _, mult in table) == alg.dim_v
+        assert table.shape == (alg.dim_v // 2,)
 
 
 def test_weight_table_unavailable_raises():
-    alg = build_case("III", k1=1, k2=1)
-    with pytest.raises(NotImplementedError):
-        weight_table(alg, np.ones(alg.dim_g))
+    # V is not complex: dim V is odd
+    for case, params in [("II", {"n": 1}), ("VI", {"n": 3})]:
+        alg = build_case(case, **params)
+        assert alg.ops.has_weights is False
+        with pytest.raises(NotImplementedError):
+            weight_table(alg, np.ones(alg.dim_g))
+
+
+# every case with complex V, at least two parameter sets each
+COMPLEX_V_CASES = [
+    ("I", {"n": 1}), ("I", {"n": 2}),
+    ("III", {"k1": 1, "k2": 1}), ("III", {"k1": 0, "k2": 2}), ("III", {"k1": 2, "k2": 1}),
+    ("IV", {"n": 1}), ("IV", {"n": 2}),
+    ("V", {"n": 3}), ("V", {"n": 4}),
+    ("VI", {"n": 2}), ("VI", {"n": 4}), ("VI", {"n": 6}),
+    ("VII", {"n": 1}), ("VII", {"n": 3}),
+    ("VIII", {"k": 1, "n": 0}), ("VIII", {"k": 1, "n": 1}), ("VIII", {"k": 2, "n": 2}),
+    ("IX", {"n": 3}), ("IX", {"n": 4}),
+    ("X", {"m": 3, "k": 1, "n": 0}), ("X", {"m": 3, "k": 2, "n": 1}),
+]
+
+
+@pytest.mark.parametrize("case,params", COMPLEX_V_CASES,
+                         ids=[f"{c}-{'-'.join(map(str, p.values()))}" for c, p in COMPLEX_V_CASES])
+def test_coord_weights_are_the_blocks_of_pi_h(case, params):
+    # pi(h) of the chamber element h is 2 x 2 block diagonal in the
+    # interleaved complex coordinates, multiplication by 1j mu_a on
+    # coordinate a, and constant on each run of fock.kx_blocks
+    alg = build_case(case, **params)
+    assert alg.ops.has_weights is True
+    runs = fock.kx_blocks(case, params)
+    rng = as_rng(9)
+    for _ in range(5):
+        fn = functional(alg, rng.standard_normal(alg.dim_g))
+        ph = alg.pi_of(alg.from_chamber(*fn.chamber[:2]))
+        mu = weight_table(alg, fn)
+        off_block = ~np.kron(np.eye(alg.dim_v // 2), np.ones((2, 2))).astype(bool)
+        assert np.all(ph[off_block] == 0.0)
+        diag = ph[1::2, 0::2].diagonal()
+        tol = 1e-12 * max(1.0, np.abs(mu).max())
+        assert np.max(np.abs(mu - diag)) <= tol
+        if runs:
+            for run in np.split(diag, np.cumsum(runs)[:-1]):
+                assert run.size == 0 or np.ptp(run) <= tol
 
 
 def test_case_vii_pfaffian_power_law():

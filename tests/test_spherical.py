@@ -12,12 +12,14 @@ from _oracles import (
     gram_schmidt_invariants,
     invariant_polynomial_value,
     laguerre_product_coefficient,
+    sublaplacian,
 )
 from test_acceptance import CASES as ACCEPTANCE_CASES, DEGENERATE_CASES
 from scipy.special import comb, eval_genlaguerre, factorial, roots_genlaguerre
 
 from nilharm import build_case, fock, spherical
 from nilharm.algebra import LauretAlgebra, OrthAutomorphism, sample_k_actions
+from nilharm.forms import weight_table
 from nilharm.numerics import BudgetError, as_rng, mc_mean, sphere_character
 from nilharm.spherical import (
     SphericalIndex,
@@ -306,14 +308,17 @@ ORBIT_WIRING = [
 
 @pytest.mark.parametrize("case,params,index", ORBIT_WIRING, ids=[c[0] for c in ORBIT_WIRING])
 def test_phi_orbit_is_mean_of_psi_closed_over_vmats(case, params, index):
-    # at z = 0 the orbit integrand is the closed psi at pi(g) v, so the
-    # Monte Carlo value and its stderr are those of the same draws
+    # at z = 0 the orbit integrand is the closed psi at pi(g) v in the
+    # symplectically normalized coordinates of h, complex coordinate a
+    # scaled by sqrt(|mu_a| / |lam|), so the Monte Carlo value and its
+    # stderr are those of the same draws
     alg = build_case(case, **params)
     rng = as_rng(51)
     idx = spherical_index(alg, rng.standard_normal(alg.dim_g), index)
     v = 0.7 * rng.standard_normal(alg.dim_v)
     samples, seed = 64, 9
-    w = alg.ops.sample_vmats(as_rng(seed), samples) @ v
+    normalize = np.repeat(np.sqrt(np.abs(weight_table(alg, idx.functional)) / idx.lam), 2)
+    w = (alg.ops.sample_vmats(as_rng(seed), samples) @ v) * normalize
     ref = np.array([psi_closed(idx, 0.0, wi) for wi in w])
     got = phi_orbit(idx, np.zeros(alg.dim_g), v, samples=samples, seed=seed)
     assert abs(got.value - np.mean(ref)) < 1e-12
@@ -367,10 +372,12 @@ def test_phi_orbit_in_blocks_is_the_one_stack_estimate(case, params, index):
     z = 0.5 * rng.standard_normal(alg.dim_g)
     v = 0.6 * rng.standard_normal(alg.dim_v)
     samples, seed = 2500, 13
-    alam = idx.functional.norm
+    fn = idx.functional
+    h = alg.from_chamber(*fn.chamber[:2])
+    mu = np.abs(weight_table(alg, fn))
     vmats = alg.ops.sample_vmats(as_rng(seed), samples)
-    phase = np.exp(1j * alam * alg.orbit_pairing(vmats, idx.functional.y, z))
-    vals = spherical._v_factor(idx.runs, idx.degrees, alam, np.einsum("sab,b->sa", vmats, v), phase)
+    phase = np.exp(1j * alg.orbit_pairing(vmats, h, z))
+    vals = spherical._v_factor(idx.runs, idx.degrees, mu, np.einsum("sab,b->sa", vmats, v), phase)
     mean, stderr = mc_mean(vals)
     got = phi_orbit(idx, z, v, samples=samples, seed=seed)
     if case == "I":
@@ -408,6 +415,47 @@ def test_phi_orbit_caseI_matches_closed_form():
             ref = phi_caseI_closed(idx.lam, j, z, v)
             assert abs(mc.value - ref) <= 3.5 * mc.stderr
             assert mc.stderr < 0.02
+
+
+SUBLAPLACIAN_CASES = [
+    ("I", {"n": 2}),
+    ("III", {"k1": 1, "k2": 1}),
+    ("V", {"n": 3}),
+    ("VI", {"n": 4}),
+    ("VII", {"n": 2}),
+    ("VIII", {"k": 1, "n": 1}),
+    ("IX", {"n": 3}),
+]
+
+
+@pytest.mark.parametrize("case,params", SUBLAPLACIAN_CASES, ids=[c[0] for c in SUBLAPLACIAN_CASES])
+def test_phi_orbit_is_a_sublaplacian_eigenfunction(case, params):
+    # a bounded spherical function of a Gelfand pair is an eigenfunction
+    # of every K-invariant left-invariant operator, the sub-Laplacian
+    # among them (Benson, Jenkins and Ratcliff, "On Gelfand pairs
+    # associated with solvable Lie groups", 1990).  At a fixed seed
+    # phi_orbit is a fixed average of smooth functions, so L phi / phi is
+    # one constant with no sampling error: -sum over runs of
+    # |mu_run| (2 deg + size), mu_run the weight of h on the run
+    alg = build_case(case, **params)
+    rng = as_rng(5)
+    runs = fock.kx_blocks(case, params)
+    idx = spherical_index(alg, rng.standard_normal(alg.dim_g),
+                          fock.run_index(case, (1,) + (0,) * (len(runs) - 1)))
+
+    def phi(z, v):
+        return phi_orbit(idx, z, v, samples=300, seed=17).value
+
+    ratios = []
+    for _ in range(3):
+        z = 0.5 * rng.standard_normal(alg.dim_g)
+        v = 0.6 * rng.standard_normal(alg.dim_v)
+        ratios.append(sublaplacian(alg, phi, z, v) / phi(z, v))
+    assert max(abs(r - ratios[0]) for r in ratios) <= 1e-9 * abs(ratios[0]), ratios
+    mu = np.abs(weight_table(alg, idx.functional))
+    starts = np.cumsum((0,) + runs[:-1])
+    want = -sum(mu[a] * (2 * deg + size) for a, size, deg in zip(starts, runs, idx.degrees) if size)
+    assert max(abs(r - want) for r in ratios) <= 1e-8 * abs(want), (ratios, want)
 
 
 def test_phi_orbit_requires_square_integrable():
@@ -618,7 +666,7 @@ def test_viii_v_factor_on_a_stack_matches_pointwise():
     v = 0.6 * as_rng(5).standard_normal((2, 3, 8))
     idx = SphericalIndex("VIII", lam, index, params)
     assert (idx.runs, idx.degrees) == ((1, 1, 2), (1, 2, 1))
-    got = spherical._v_factor(idx.runs, idx.degrees, lam, v, 1.0)
+    got = spherical._v_factor(idx.runs, idx.degrees, np.full(4, lam), v, 1.0)
     assert got.shape == (2, 3)
     want = np.array([[psi_closed(idx, 0.0, p) for p in row] for row in v])
     assert np.max(np.abs(got - want)) < 1e-14
