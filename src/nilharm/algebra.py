@@ -66,6 +66,9 @@ class LauretAlgebra:
         self.dim_gp = self.ops.dim_gp
         flat = self.pi.reshape(self.dim_g, -1)
         self._gram_inv = np.linalg.inv(flat @ flat.T)
+        # _pi_rows[i, x dim_v + j] = pi[x, i, j]: v @ _pi_rows holds every
+        # pi(X_x)^T v in one product
+        self._pi_rows = np.ascontiguousarray(self.pi.transpose(1, 0, 2).reshape(self.dim_v, -1))
         self.last_functional = None
 
     # -- coordinates ---------------------------------------------------------
@@ -107,10 +110,21 @@ class LauretAlgebra:
     def bracket(self, u, v):
         """bracket(u, v) in g-coordinates, characterized by
         <bracket(u, v), X> = <pi(X) u, v>.  Leading batch axes of u and
-        v broadcast."""
+        v broadcast.
+
+        One product t = v @ _pi_rows makes the rows pi(X_x)^T v of every
+        generator, and a contraction with u pairs them.  t has
+        count(v) dim_g dim_v entries, checked against NILHARM_BUDGET
+        first; bracket(u, v) = -bracket(v, u), so a caller can put the
+        smaller stack in v.
+        """
         u = np.asarray(u, dtype=float)
         v = np.asarray(v, dtype=float)
-        return np.einsum("xij,...j,...i->...x", self.pi, u, v)
+        count = math.prod(v.shape[:-1])
+        require_budget(count * self._pi_rows.shape[1],
+                       f"{count} x {self.dim_g} x {self.dim_v} bracket-product entries")
+        t = (v @ self._pi_rows).reshape(v.shape[:-1] + (self.dim_g, self.dim_v))
+        return np.einsum("...xj,...j->...x", t, u)
 
     @property
     def bracket_tensor(self):

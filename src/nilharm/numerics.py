@@ -120,14 +120,16 @@ def sphere_character(a):
 
     Equals sin(a)/a, with the even Taylor series used near a = 0; the
     classical Bessel form sqrt(pi/(2a)) J_{1/2}(a) is proportional to
-    this (we keep the normalization value 1 at a = 0).
+    this (we keep the normalization value 1 at a = 0).  ValueError
+    unless every a is finite.
     """
     a = np.asarray(a, dtype=float)
+    if not np.isfinite(a).all():
+        raise ValueError("sphere_character needs a finite argument")
     small = np.abs(a) < 1e-4
     a2 = a * a
     series = 1.0 - a2 / 6.0 + a2 * a2 / 120.0
-    with np.errstate(invalid="ignore", divide="ignore"):
-        full = np.where(small, series, np.sin(np.where(small, 1.0, a)) / np.where(small, 1.0, a))
+    full = np.where(small, series, np.sin(np.where(small, 1.0, a)) / np.where(small, 1.0, a))
     return full if full.shape else float(full)
 
 

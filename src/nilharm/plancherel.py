@@ -95,7 +95,10 @@ def group_convolution(alg: LauretAlgebra, f, g, spec: QuadratureSpec):
 
     f and g map (P, dim_g + dim_v) point arrays to values; the returned
     callable does the same.  Lebesgue measure on the coordinates is the
-    Haar measure of the two-step group.
+    Haar measure of the two-step group.  The points y^{-1} x of one x
+    are written into one preallocated (P, dim_g + dim_v) buffer, which
+    g reads and must not keep; the x run one at a time, so no array
+    grows with their number.
     """
     dg = alg.dim_g
     if spec.dim != dg + alg.dim_v:
@@ -103,6 +106,8 @@ def group_convolution(alg: LauretAlgebra, f, g, spec: QuadratureSpec):
     ys, w = spec.grid()
     fy = np.asarray(f(ys)) * w
     zs, vs = ys[:, :dg], ys[:, dg:]
+    buf = np.empty_like(ys)
+    zbuf, vbuf = buf[:, :dg], buf[:, dg:]
 
     def conv(x):
         x = np.atleast_2d(np.asarray(x, dtype=float))
@@ -110,9 +115,10 @@ def group_convolution(alg: LauretAlgebra, f, g, spec: QuadratureSpec):
         for p, row in enumerate(x):
             zx, vx = row[:dg], row[dg:]
             # y^{-1} x = (zx - zy - [vy, vx]/2, vx - vy)
-            znew = zx[None, :] - zs - 0.5 * alg.bracket(vs, vx)
-            vnew = vx[None, :] - vs
-            out[p] = fy @ np.asarray(g(np.concatenate([znew, vnew], axis=1)))
+            np.subtract(zx, zs, out=zbuf)
+            np.subtract(zbuf, 0.5 * alg.bracket(vs, vx), out=zbuf)
+            np.subtract(vx, vs, out=vbuf)
+            out[p] = fy @ np.asarray(g(buf))
         return out if len(out) > 1 else out[0]
 
     return conv
@@ -221,27 +227,37 @@ def _laguerre_slices(lam, b, probes, J, vnodes):
 
 
 def _wynn_limit(partial, scale):
-    """Wynn epsilon limit estimate from a short run of partial sums.
+    """Wynn epsilon limit estimates from short runs of partial sums, one
+    run per column of partial (K, M).
 
     Exact for sums of a few geometric components, which is the measured
     structure of the Laguerre slices (a decaying ratio plus a slowly
-    rotating oscillatory pair); the iteration stops before any
-    difference underflows relative to scale, falling back to the last
-    stable even column.  Returns (estimate, order reached).
+    rotating oscillatory pair).  Column m stops before any of its
+    differences underflows relative to scale[m] (a scalar scale applies
+    to every column), falling back to its last stable even column of
+    the epsilon table; a stopped column divides by 1 from then on and
+    is never read again, so each column does the arithmetic of a table
+    of its own.  Returns (estimates (M,), orders reached (M,) ints).
     """
-    eps_prev = np.zeros(len(partial) + 1, dtype=complex)
     eps_cur = np.asarray(partial, dtype=complex)
-    best = eps_cur[-1]
-    order = 0
+    eps_prev = np.zeros((len(eps_cur) + 1,) + eps_cur.shape[1:], dtype=complex)
+    floor = 1e-13 * np.asarray(scale, dtype=float)
+    best = eps_cur[-1].copy()
+    order = np.zeros(eps_cur.shape[1:], dtype=int)
+    live = np.ones(eps_cur.shape[1:], dtype=bool)
+    step = 0
     while len(eps_cur) >= 2:
         diffs = eps_cur[1:] - eps_cur[:-1]
-        if np.any(np.abs(diffs) < 1e-13 * scale):
+        live &= ~np.any(np.abs(diffs) < floor, axis=0)
+        if not live.any():
             break
+        diffs[:, ~live] = 1.0
         nxt = eps_prev[1: len(eps_cur)] + 1.0 / diffs
         eps_prev, eps_cur = eps_cur, nxt
-        order += 1
-        if order % 2 == 0:
-            best = eps_cur[-1]
+        step += 1
+        order[live] = step
+        if step % 2 == 0:
+            best[live] = eps_cur[-1, live]
     return best, order
 
 
@@ -264,8 +280,10 @@ def heisenberg_inversion_check(
     least squares over all probes; classically c = (2 pi)^{-2}.
 
     For J >= 2 the truncation remainder per frequency node and probe
-    is estimated by Wynn epsilon extrapolation of the trailing measured
-    partial sums; the raw truncated errors are reported alongside.
+    is estimated by Wynn epsilon extrapolation of the last min(9, J + 1)
+    measured partial sums, one _wynn_limit call for all of them with
+    one column per node and probe; the raw truncated errors are
+    reported alongside.
     """
     a, b = (float(widths[0]), float(widths[1]))
     if not (0 < a < np.inf and 0 < b < np.inf):
@@ -281,24 +299,23 @@ def heisenberg_inversion_check(
     P = len(probes)
     sums = np.zeros((2, P))
     tvals = np.array([t for t, _ in probes])
-    orders = []
-    for lam, wk in zip(nodes, wts):
-        slices = _laguerre_slices(lam, b, probes, J, vnodes)
-        partial = np.cumsum(slices, axis=0)
-        # row 0 extrapolated by Wynn below, row 1 the raw truncated sum
-        inner = partial[[J, J]]
-        node_orders = [0] * P
-        if J >= 2:
-            window = min(9, J + 1)
-            for p in range(P):
-                inner[0, p], node_orders[p] = _wynn_limit(partial[J - window + 1: J + 1, p],
-                                                          abs(partial[J, p]) + 1.0)
-        orders.append(tuple(node_orders))
+    window = min(9, J + 1)
+    # the last window partial sums of every node and probe, (window,
+    # lam_nodes, P); row 0 of inner is replaced by the Wynn estimate
+    # below, row 1 stays the raw truncated sum
+    tails = np.stack([np.cumsum(_laguerre_slices(lam, b, probes, J, vnodes), axis=0)[J + 1 - window:]
+                      for lam in nodes], axis=1)
+    inner = np.stack([tails[-1], tails[-1]], axis=1)
+    orders = np.zeros((lam_nodes, P), dtype=int)
+    if J >= 2:
+        est, orders = _wynn_limit(tails.reshape(window, -1), np.abs(tails[-1]).ravel() + 1.0)
+        inner[:, 0] = est.reshape(lam_nodes, P)
+    for lam, wk, node_inner in zip(nodes, wts, inner):
         tfac = np.sqrt(np.pi / a) * np.exp(-lam**2 / (4.0 * a))
         # the lam < 0 half mirrors to the conjugate, so each node
         # contributes twice the real part
         phase_t = np.exp(1j * lam * tvals)
-        sums += wk * lam * tfac * 2.0 * np.real(phase_t * inner)
+        sums += wk * lam * tfac * 2.0 * np.real(phase_t * node_inner)
     fvals = np.array([np.exp(-a * t**2 - b * (v[0] ** 2 + v[1] ** 2)) for t, v in probes])
     c = np.array([np.dot(s, fvals) / np.dot(s, s) for s in sums])
     rel = np.abs(c[:, None] * sums - fvals) / np.abs(fvals)
@@ -313,7 +330,7 @@ def heisenberg_inversion_check(
         J=J,
         lam_nodes=lam_nodes,
         lam_max=lam_max,
-        wynn_orders=tuple(orders),
+        wynn_orders=tuple(map(tuple, orders.reshape(lam_nodes, P).tolist())),
     )
 
 

@@ -134,10 +134,12 @@ def psi_closed(idx: SphericalIndex, t, v):
 
     Supported: the cases with coordinate runs (fock.kx_blocks).  Values
     at the identity equal dim W.  v must have the case's dimension;
-    ValueError unless t and v are finite."""
+    ValueError unless t, v and lam t are finite."""
     lam, t = float(idx.lam), float(t)
     if not (isfinite(t) and np.isfinite(v).all()):
         raise ValueError("psi_closed needs finite t and v")
+    if not isfinite(lam * t):
+        raise ValueError(f"psi_closed: lam t = {lam!r} x {t!r} overflows")
     phase = np.exp(1j * lam * t)
     return complex(_v_factor(idx.runs, idx.degrees, np.full(sum(idx.runs), abs(lam)), v, phase))
 
@@ -149,7 +151,7 @@ def phi_caseI_closed(lam, j, z, v):
     The angular factor is the normalized sphere average
     sphere_character(|lam| |z|) (value 1 at z = 0); the radial factor is
     the Laguerre envelope of psi.  Unnormalized: value C(2n-1+j, j) at
-    the identity.  ValueError unless z and v are finite.
+    the identity.  ValueError unless z, v and |lam| |z| are finite.
     """
     z = np.asarray(z, dtype=float).reshape(-1)
     if len(z) != 3:
@@ -161,7 +163,10 @@ def phi_caseI_closed(lam, j, z, v):
         raise ValueError("phi_caseI_closed needs finite z and v")
     check_degrees(lam, (2 * n,), (j,))
     lam = abs(float(lam))
-    angular = sphere_character(lam * float(np.linalg.norm(z)))
+    znorm = float(np.linalg.norm(z))
+    if not isfinite(lam * znorm):
+        raise ValueError(f"phi_caseI_closed: |lam| |z| = {lam!r} x {znorm!r} overflows")
+    angular = sphere_character(lam * znorm)
     return complex(_v_factor((2 * n,), (j,), np.full(2 * n, lam), v, angular))
 
 

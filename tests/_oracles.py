@@ -25,6 +25,9 @@ canonical polynomial and the structure constants of an algebra are
 read-outs that only the tests need.  The sub-Laplacian here is a
 finite-difference operator on the group law alone; it never reads the
 weights or the Laguerre forms of the spherical functions it checks.
+The Wynn epsilon table here runs on one run of partial sums at a time;
+the library runs the runs of all frequency nodes and probes as the
+columns of one table.
 """
 
 import itertools
@@ -400,3 +403,24 @@ def sublaplacian(alg, f, z, v, step=1.5e-2):
         curve = [f(*alg.group_mult((z, v), (zero, s * e))) for s in step * np.arange(-4, 5)]
         total += _SECOND_DIFFERENCE @ np.array(curve) / step**2
     return total
+
+
+def wynn_limit(partial, scale):
+    """Wynn epsilon limit estimate from one run of partial sums, the
+    table built one column at a time: stop before any difference falls
+    below 1e-13 scale, keep the last even column's final entry.
+    Returns (estimate, order reached)."""
+    eps_prev = np.zeros(len(partial) + 1, dtype=complex)
+    eps_cur = np.asarray(partial, dtype=complex)
+    best = eps_cur[-1]
+    order = 0
+    while len(eps_cur) >= 2:
+        diffs = eps_cur[1:] - eps_cur[:-1]
+        if np.any(np.abs(diffs) < 1e-13 * scale):
+            break
+        nxt = eps_prev[1: len(eps_cur)] + 1.0 / diffs
+        eps_prev, eps_cur = eps_cur, nxt
+        order += 1
+        if order % 2 == 0:
+            best = eps_cur[-1]
+    return best, order

@@ -188,6 +188,44 @@ def test_bracket_batched_axes():
         assert np.allclose(out[s], alg.bracket(u[s], v[s]), atol=1e-13)
 
 
+BRACKET_SHAPES = [((7,), ()), ((), (7,)), ((7,), (7,)), ((), ()), ((2, 3), (3,))]
+
+
+@pytest.mark.parametrize("case,params", ALL_CASES,
+                         ids=[c + "".join(str(v) for v in p.values()) for c, p in ALL_CASES])
+def test_bracket_broadcasts_against_the_pairing_oracle(case, params):
+    # <bracket(u, v), X_x> = <pi(X_x) u, v> entry by entry, with u and v
+    # of every broadcast shape the library uses
+    assert {c for c, _ in ALL_CASES} == set(CASES)
+    alg = build_case(case, **params)
+    d = alg.dim_v
+    rng = as_rng(21)
+    for ushape, vshape in BRACKET_SHAPES + [(b, a) for a, b in BRACKET_SHAPES[4:]]:
+        u = rng.standard_normal(ushape + (d,))
+        v = rng.standard_normal(vshape + (d,))
+        got = alg.bracket(u, v)
+        lead = np.broadcast_shapes(ushape, vshape)
+        assert got.shape == lead + (alg.dim_g,)
+        ub, vb = np.broadcast_to(u, lead + (d,)), np.broadcast_to(v, lead + (d,))
+        for s in np.ndindex(lead):
+            want = np.array([float(np.dot(alg.pi[x] @ ub[s], vb[s])) for x in range(alg.dim_g)])
+            assert np.max(np.abs(got[s] - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+def test_bracket_checks_its_product_against_the_budget(monkeypatch):
+    # v @ _pi_rows has count(v) dim_g dim_v entries
+    alg = build_case("I", n=1)
+    u, v = as_rng(22).standard_normal((2, 10, alg.dim_v))
+    entries = 10 * alg.dim_g * alg.dim_v
+    monkeypatch.setenv("NILHARM_BUDGET", str(entries - 1))
+    with pytest.raises(BudgetError, match="bracket-product entries"):
+        alg.bracket(u, v)
+    # a single v makes one dim_g x dim_v product, whatever the stack of u
+    assert alg.bracket(u, v[0]).shape == (10, alg.dim_g)
+    monkeypatch.setenv("NILHARM_BUDGET", str(entries))
+    assert alg.bracket(u, v).shape == (10, alg.dim_g)
+
+
 def test_bracket_antisymmetric():
     rng = as_rng(3)
     alg = build_case("III", k1=1, k2=1)

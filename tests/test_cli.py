@@ -296,6 +296,17 @@ def test_non_finite_number_exits_2(capsys, argv):
     assert captured.err.startswith("error: expected a finite number") and captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("case", ["I", "VII"])
+def test_overflowing_frequency_exits_2(capsys, case):
+    # lam |z| = 1e309 has no finite spherical function value
+    argv = ["spherical", "--case", case, "--n", "1", "--lambda", "1e308", "--z-norm", "10",
+            "--points", "1"]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
 # every case off the exception list (II, and VI with odd n)
 REGULAR_CASES = [
     ("I", "--n", "1"), ("I", "--n", "2"),

@@ -123,6 +123,13 @@ def test_sphere_character_is_sphere_average():
     assert sphere_character(0.0) == 1.0
 
 
+@pytest.mark.parametrize("a", [float("inf"), -float("inf"), float("nan"), [0.5, float("inf")]])
+def test_sphere_character_rejects_a_non_finite_argument(a):
+    # before, nan under a suppressed invalid-value warning
+    with pytest.raises(ValueError, match="finite argument"):
+        sphere_character(a)
+
+
 def test_quadrature_gaussian_integral():
     spec = QuadratureSpec.cube(40, 6.0, 2)
     pts, w = spec.grid()

@@ -3,7 +3,7 @@ and twisted-convolution projections."""
 
 import numpy as np
 import pytest
-from _oracles import twisted_convolution
+from _oracles import twisted_convolution, wynn_limit
 from scipy.special import eval_laguerre
 
 from nilharm import (
@@ -314,9 +314,32 @@ def test_heisenberg_inversion_rejects_empty_probes():
 def test_wynn_limit_is_exact_on_a_geometric_series():
     r = 0.7 - 0.2j
     partial = np.cumsum(r ** np.arange(9))
-    limit, order = _wynn_limit(partial, 1.0)
+    (limit,), (order,) = _wynn_limit(partial[:, None], 1.0)
     assert abs(limit - 1.0 / (1.0 - r)) < 1e-13
     assert order == 2
+
+
+def test_wynn_limit_columns_are_the_one_run_tables():
+    # each column of one table equals the one-run oracle bit for bit:
+    # a repeated partial sum stops at order 0, sums of m geometric
+    # components become exact and stop at order 2m, noise never stops
+    rng = as_rng(5)
+    K = 9
+    cols = [np.cumsum(rng.standard_normal(K) + 1j * rng.standard_normal(K))]
+    cols[0][4] = cols[0][3]
+    for m in (1, 2, 3):
+        for _ in range(3):
+            r = rng.uniform(0.2, 0.9, m) * np.exp(1j * rng.uniform(-np.pi, np.pi, m))
+            a = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+            cols.append(np.cumsum(a @ r[:, None] ** np.arange(K)))
+    cols.append(np.cumsum(rng.standard_normal(K) + 1j * rng.standard_normal(K)))
+    table = np.stack(cols, axis=1)
+    scale = np.abs(table[-1]) + 1.0
+    est, orders = _wynn_limit(table, scale)
+    ref = [wynn_limit(table[:, m], scale[m]) for m in range(table.shape[1])]
+    assert orders.tolist() == [k for _, k in ref]
+    assert orders.tolist() == [0, 2, 2, 2, 4, 4, 4, 6, 6, 6, K - 1]
+    assert all(e == r for e, (r, _) in zip(est, ref))
 
 
 def test_heisenberg_inversion_reports_wynn_orders():

@@ -271,6 +271,18 @@ def test_phi_case_i_closed_rejects_non_finite_points(z, v):
         phi_caseI_closed(1, 1, z, v)
 
 
+def test_psi_closed_rejects_an_overflowing_phase():
+    # lam t = 1e309: before, nan+nanj with a RuntimeWarning
+    with pytest.raises(ValueError, match="lam t .* overflows"):
+        psi_closed(SphericalIndex("VII", 1e308, (0,), {"n": 1}), 10.0, [0.1, 0.2])
+
+
+def test_phi_case_i_closed_rejects_an_overflowing_angle():
+    # |lam| |z| = 1e309: before, nan+0j with a RuntimeWarning
+    with pytest.raises(ValueError, match=r"\|lam\| \|z\| .* overflows"):
+        phi_caseI_closed(1e308, 0, [10, 0, 0], [0.1, 0, 0, 0])
+
+
 @pytest.mark.parametrize("where", ["z", "v"])
 def test_phi_orbit_rejects_non_finite_points(where):
     # before, a value and a standard error of nan
