@@ -206,7 +206,7 @@ class OrthAutomorphism:
     stack of S pairs (g_mat (S, dim_g, dim_g), v_mat (S, dim_v, dim_v));
     on a stack, apply and apply_functional map one point to the S
     transformed points, and len, indexing and iteration run over the
-    pairs.
+    pairs.  len and iteration raise TypeError on one pair.
     """
 
     g_mat: np.ndarray
@@ -227,6 +227,11 @@ class OrthAutomorphism:
 
     def __getitem__(self, i):
         return OrthAutomorphism(self.g_mat[i], self.v_mat[i])
+
+    def __iter__(self):
+        # without it Python would iterate through __getitem__ and split one
+        # pair into its matrix rows; len raises on one pair at iter() time
+        return map(self.__getitem__, range(len(self)))
 
 
 def sample_k_actions(alg: LauretAlgebra, rng=None, count=8):

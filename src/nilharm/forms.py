@@ -11,9 +11,10 @@ absolute Pfaffian of B_x is the product of |mu_a| over the weights of
 the Cartan element h conjugate to X on the complex coordinates of V
 (`weight_table`, read from the case's coord_weights);
 `pfaffian_via_weights` evaluates that product, while `pfaffian_abs`
-computes |Pf| numerically from any skew matrix.  The same weights are
-the frequencies of spherical.phi_orbit in h's frame (the closed psi is
-stated in normalized coordinates, every frequency |lam|).
+computes |Pf| numerically from any skew matrix (one LU, through
+slogdet).  The same weights are the frequencies of
+spherical.phi_orbit in h's frame (the closed psi is stated in
+normalized coordinates, every frequency |lam|).
 
 A `Functional` holds the one spectrum of 1j B_x (`verdict`) and the one
 chamber chart (`chamber`) of x.  Every entry point taking x accepts
@@ -53,10 +54,20 @@ def _pfaffian_of(ev):
 def pfaffian_abs(mat):
     """|Pf(M)| of a real skew-symmetric matrix, 0 when dim is odd.
 
-    Computed as the product of the positive eigenvalues of 1j M, which
-    is stable for the moderate dimensions used here.
+    Computed from one LU as sqrt |det M| (Cayley: Pf(M)^2 = det M), in
+    logarithms through slogdet so that no determinant overflows below
+    |Pf| of about 1e308; exactly 0 when the dimension is odd or the LU
+    finds a zero pivot.  ValueError unless M is a square matrix.
     """
-    return _pfaffian_of(np.linalg.eigvalsh(1j * np.asarray(mat, dtype=float)))
+    mat = np.asarray(mat, dtype=float)
+    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+        raise ValueError(f"pfaffian_abs needs a square matrix, got shape {mat.shape}")
+    if len(mat) % 2:
+        return 0.0
+    sign, logdet = np.linalg.slogdet(mat)
+    # np.exp: inf with a RuntimeWarning beyond the float range, as the
+    # product of the eigenvalues gave, where math.exp raises
+    return float(np.exp(logdet / 2)) if sign else 0.0
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,14 @@
 laguerre is its row k), the Monte Carlo estimator (mc_mean), Haar
 sampling and tensor-product quadrature.
 
+laguerre_all and sphere_character have two forms, chosen by the shape
+of the argument alone.  Arrays run numpy ufuncs over all points (in
+place for the recurrence).  One point (a 0-d x with a scalar order, a
+0-d a) runs the same operations in the same order in Python floats,
+whose + - * / are the IEEE operations of numpy, and keeps np.sin, so
+both forms give the same bits while one point costs about its
+arithmetic rather than numpy's per-call overhead.
+
 The Haar samplers of O(n), SO(n), U(n), SU(n) and Sp(n) take a size
 and return a stack of size samples, drawn as one Gaussian array whose C
 order is the per-sample stream ((size, n, n) for O/SO, real and then
@@ -22,6 +30,7 @@ tensor nodes or matrix entries; default 3e7) through require_budget.
 from __future__ import annotations
 
 import functools
+import math
 import os
 from dataclasses import dataclass
 
@@ -79,6 +88,10 @@ def as_complex_vector(v, n):
 # Laguerre polynomials
 # ---------------------------------------------------------------------------
 
+# the scalar orders that laguerre_all runs in Python floats
+_REALS = (int, float, np.integer, np.floating)
+
+
 def laguerre(k, alpha, x):
     """Generalized Laguerre polynomial L_k^alpha(x), vectorized in x:
     row k of laguerre_all."""
@@ -90,14 +103,20 @@ def laguerre_all(kmax, alpha, x):
 
     Runs the stable upward recurrence (m+1) L_{m+1} = (2m+1+alpha-x) L_m
     - (m+alpha) L_{m-1} in place.  alpha may be an array that
-    broadcasts against x (one order per entry).
+    broadcasts against x (one order per entry).  A 0-d x with a Python
+    or numpy scalar alpha runs the same steps in Python floats, whose
+    + - * / are the IEEE operations of the array path, so both give the
+    same bits.
     """
     if kmax < 0 or int(kmax) != kmax:
         raise ValueError("kmax must be a nonnegative integer")
-    if (np.asarray(alpha) <= -1).any():
+    one_alpha = isinstance(alpha, _REALS)
+    if (alpha <= -1) if one_alpha else (np.asarray(alpha) <= -1).any():
         raise ValueError("alpha must exceed -1")
     kmax = int(kmax)
     x = np.asarray(x, dtype=float)
+    if one_alpha and not x.ndim:
+        return np.array(_laguerre_floats(kmax, float(alpha), float(x)))
     out = np.empty((kmax + 1,) + x.shape)
     out[0] = 1.0
     # out[k, ...] is a writable view also for a scalar x, where out[k]
@@ -115,22 +134,41 @@ def laguerre_all(kmax, alpha, x):
     return out
 
 
+def _laguerre_floats(kmax, alpha, x):
+    """laguerre_all at one point, as a list of kmax+1 floats, with the
+    array path's operations in its order."""
+    out = [1.0]
+    if kmax >= 1:
+        out.append((1.0 + alpha) - x)
+    for m in range(1, kmax):
+        out.append((((2 * m + 1 + alpha) - x) * out[m] - (m + alpha) * out[m - 1]) / (m + 1))
+    return out
+
+
 def sphere_character(a):
     """Normalized average of exp(i a <xi, e>) over the unit sphere S^2.
 
     Equals sin(a)/a, with the even Taylor series used near a = 0; the
     classical Bessel form sqrt(pi/(2a)) J_{1/2}(a) is proportional to
     this (we keep the normalization value 1 at a = 0).  ValueError
-    unless every a is finite.
+    unless every a is finite.  A 0-d a gives a float, computed in Python
+    floats with np.sin (math.sin may round differently).
     """
     a = np.asarray(a, dtype=float)
+    if not a.ndim:
+        a = float(a)
+        if not math.isfinite(a):
+            raise ValueError("sphere_character needs a finite argument")
+        if abs(a) < 1e-4:
+            a2 = a * a
+            return 1.0 - a2 / 6.0 + a2 * a2 / 120.0
+        return float(np.sin(a)) / a
     if not np.isfinite(a).all():
         raise ValueError("sphere_character needs a finite argument")
     small = np.abs(a) < 1e-4
     a2 = a * a
     series = 1.0 - a2 / 6.0 + a2 * a2 / 120.0
-    full = np.where(small, series, np.sin(np.where(small, 1.0, a)) / np.where(small, 1.0, a))
-    return full if full.shape else float(full)
+    return np.where(small, series, np.sin(np.where(small, 1.0, a)) / np.where(small, 1.0, a))
 
 
 def mc_mean(vals):

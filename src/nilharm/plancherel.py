@@ -94,11 +94,12 @@ def group_convolution(alg: LauretAlgebra, f, g, spec: QuadratureSpec):
     """(f * g)(x) = int f(y) g(y^{-1} x) dy over the spec's cube.
 
     f and g map (P, dim_g + dim_v) point arrays to values; the returned
-    callable does the same.  Lebesgue measure on the coordinates is the
-    Haar measure of the two-step group.  The points y^{-1} x of one x
-    are written into one preallocated (P, dim_g + dim_v) buffer, which
-    g reads and must not keep; the x run one at a time, so no array
-    grows with their number.
+    callable does the same, with shape (P,) for every P, and maps one
+    point of shape (dim_g + dim_v,) to one value.  Lebesgue measure on
+    the coordinates is the Haar measure of the two-step group.  The
+    points y^{-1} x of one x are written into one preallocated
+    (P, dim_g + dim_v) buffer, which g reads and must not keep; the x
+    run one at a time, so no array grows with their number.
     """
     dg = alg.dim_g
     if spec.dim != dg + alg.dim_v:
@@ -110,16 +111,19 @@ def group_convolution(alg: LauretAlgebra, f, g, spec: QuadratureSpec):
     zbuf, vbuf = buf[:, :dg], buf[:, dg:]
 
     def conv(x):
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        out = np.empty(len(x), dtype=complex)
-        for p, row in enumerate(x):
+        x = np.asarray(x, dtype=float)
+        if x.ndim not in (1, 2):
+            raise ValueError(f"expected one point or a (P, dim) array, got shape {x.shape}")
+        pts = np.atleast_2d(x)
+        out = np.empty(len(pts), dtype=complex)
+        for p, row in enumerate(pts):
             zx, vx = row[:dg], row[dg:]
             # y^{-1} x = (zx - zy - [vy, vx]/2, vx - vy)
             np.subtract(zx, zs, out=zbuf)
             np.subtract(zbuf, 0.5 * alg.bracket(vs, vx), out=zbuf)
             np.subtract(vx, vs, out=vbuf)
             out[p] = fy @ np.asarray(g(buf))
-        return out if len(out) > 1 else out[0]
+        return out if x.ndim == 2 else out[0]
 
     return conv
 

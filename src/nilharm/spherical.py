@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from math import comb, isfinite
+from math import comb, isfinite, sqrt
 from typing import Optional
 
 import numpy as np
@@ -59,8 +59,10 @@ class SphericalIndex:
     functional.  Construction checks the parameters (fock.kx_blocks
     calls cases.case_params) and resolves and checks the index once
     (fock.check_degrees) into runs, the coordinate runs of
-    fock.kx_blocks, and degrees, the run degrees (fock.run_degrees);
-    NotImplementedError where the K_x-types are not run products."""
+    fock.kx_blocks, degrees, the run degrees (fock.run_degrees), and
+    mu, the read-only frequency |lam| of every complex coordinate that
+    psi_closed passes to _v_factor; NotImplementedError where the
+    K_x-types are not run products."""
 
     case: str
     lam: float
@@ -69,6 +71,7 @@ class SphericalIndex:
     functional: Optional[Functional] = None
     runs: tuple = field(init=False)
     degrees: tuple = field(init=False)
+    mu: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         runs = kx_blocks(self.case, self.params)
@@ -77,8 +80,11 @@ class SphericalIndex:
                                       "so no closed psi or orbit integrand")
         degrees = run_degrees(self.case, self.index)
         check_degrees(self.lam, runs, degrees)
+        mu = np.full(sum(runs), abs(float(self.lam)))
+        mu.flags.writeable = False
         object.__setattr__(self, "runs", runs)
         object.__setattr__(self, "degrees", degrees)
+        object.__setattr__(self, "mu", mu)
 
 
 def spherical_index(alg: LauretAlgebra, x, index) -> SphericalIndex:
@@ -141,7 +147,7 @@ def psi_closed(idx: SphericalIndex, t, v):
     if not isfinite(lam * t):
         raise ValueError(f"psi_closed: lam t = {lam!r} x {t!r} overflows")
     phase = np.exp(1j * lam * t)
-    return complex(_v_factor(idx.runs, idx.degrees, np.full(sum(idx.runs), abs(lam)), v, phase))
+    return complex(_v_factor(idx.runs, idx.degrees, idx.mu, v, phase))
 
 
 def phi_caseI_closed(lam, j, z, v):
@@ -159,11 +165,12 @@ def phi_caseI_closed(lam, j, z, v):
     n, rem = divmod(np.shape(v)[-1], 4)
     if rem or not n:
         raise ValueError(f"case I needs v in R^(4n) with n >= 1, got length {np.shape(v)[-1]}")
-    if not np.isfinite(np.concatenate((z, v), axis=None)).all():
+    if not (np.isfinite(z).all() and np.isfinite(v).all()):
         raise ValueError("phi_caseI_closed needs finite z and v")
     check_degrees(lam, (2 * n,), (j,))
     lam = abs(float(lam))
-    znorm = float(np.linalg.norm(z))
+    # the computation of np.linalg.norm for a real vector
+    znorm = sqrt(z @ z)
     if not isfinite(lam * znorm):
         raise ValueError(f"phi_caseI_closed: |lam| |z| = {lam!r} x {znorm!r} overflows")
     angular = sphere_character(lam * znorm)

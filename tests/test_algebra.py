@@ -333,6 +333,22 @@ def test_automorphism_stack_acts_like_its_elements(case, params):
         len(ks[0])
 
 
+def test_iteration_runs_over_the_pairs_of_a_stack_only():
+    # one pair is not a stack: iterating it would otherwise fall back to
+    # __getitem__ and yield "automorphisms" built from matrix rows
+    alg = build_case("VII", n=1)
+    ks = sample_k_actions(alg, 0, 3)
+    pairs = [k for k in ks]
+    assert len(pairs) == 3
+    for i, k in enumerate(pairs):
+        assert k.g_mat.shape == (1, 1) and k.v_mat.shape == (2, 2)
+        assert np.array_equal(k.g_mat, ks.g_mat[i]) and np.array_equal(k.v_mat, ks.v_mat[i])
+    with pytest.raises(TypeError, match="not a stack"):
+        iter(ks[0])
+    with pytest.raises(TypeError, match="not a stack"):
+        list(ks[0])
+
+
 @pytest.mark.parametrize("case,params", ALL_CASES)
 def test_u_part_is_the_orthogonal_commutant(case, params):
     # U, the part of K that fixes g, is a stack of orthogonal maps of V

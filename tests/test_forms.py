@@ -7,6 +7,7 @@ from nilharm import cli, fock, torus
 from nilharm.algebra import build_case, sample_k_actions
 from nilharm.forms import (
     Functional,
+    _pfaffian_of,
     classify,
     functional,
     pfaffian_abs,
@@ -49,6 +50,33 @@ def test_pfaffian_odd_dimension_vanishes():
     a = rng.standard_normal((5, 5))
     m = a - a.T
     assert pfaffian_abs(m) == 0.0
+
+
+def test_pfaffian_abs_agrees_with_the_spectrum_on_the_catalog():
+    # one LU (slogdet) against the product of the upper half of the
+    # spectrum of 1j B_x, which Functional.verdict keeps
+    rng = as_rng(7)
+    for case, params in FAMILIES:
+        alg = build_case(case, **params)
+        for _ in range(5):
+            m = skew_form(alg, rng.standard_normal(alg.dim_g))
+            got = pfaffian_abs(m)
+            if alg.dim_v % 2:
+                assert got == 0.0
+                continue
+            ref = _pfaffian_of(np.linalg.eigvalsh(1j * m))
+            assert ref > 0 and abs(got - ref) <= 1e-12 * ref, (case, params)
+
+
+def test_pfaffian_abs_does_not_overflow_and_checks_its_input():
+    # det = 1e400 overflows, its logarithm does not
+    big = pfaffian_abs(np.array([[0.0, 1e200], [-1e200, 0.0]]))
+    assert np.isfinite(big) and abs(big - 1e200) <= 1e-12 * 1e200
+    assert pfaffian_abs(np.zeros((4, 4))) == 0.0
+    assert pfaffian_abs(np.zeros((0, 0))) == 1.0
+    for bad in (np.zeros((2, 3)), np.zeros(4), np.zeros((2, 2, 2))):
+        with pytest.raises(ValueError, match="square matrix"):
+            pfaffian_abs(bad)
 
 
 def test_skew_form_matches_bracket_pairing():

@@ -63,6 +63,27 @@ def test_laguerre_all_scalar_rows_equal_laguerre(alpha):
                 assert np.array_equal(table[k], laguerre(k, alpha, x))
 
 
+@pytest.mark.parametrize("alpha", [-0.5, 0, 1, 3])
+def test_laguerre_all_one_point_has_the_bits_of_the_array_path(alpha):
+    # a 0-d x runs the recurrence in Python floats; every row must carry
+    # the bits of the same x inside an array
+    xs = np.array([0.0, 1e-8, 0.7, 30.0, 400.0])
+    for kmax in (0, 1, 2, 7, 60):
+        table = laguerre_all(kmax, alpha, xs)
+        for i, x in enumerate(xs):
+            for point in (float(x), x, np.array(x)):
+                one = laguerre_all(kmax, alpha, point)
+                assert one.shape == (kmax + 1,) and one.dtype == np.float64
+                for k in range(kmax + 1):
+                    assert np.array_equal(one[k], table[k, i]), (kmax, k, x)
+
+
+@pytest.mark.parametrize("alpha", [-1.0, -2.5, np.float64(-1.0), -1])
+def test_laguerre_all_one_point_rejects_alpha(alpha):
+    with pytest.raises(ValueError, match="alpha must exceed -1"):
+        laguerre_all(3, alpha, 0.5)
+
+
 def test_laguerre_addition_theorem():
     # L_j^(0)(x + y) = sum_{i <= j} L_i^(-1/2)(x) L_{j-i}^(-1/2)(y), the
     # identity that splits the Heisenberg inversion slices over two axes
@@ -123,7 +144,20 @@ def test_sphere_character_is_sphere_average():
     assert sphere_character(0.0) == 1.0
 
 
-@pytest.mark.parametrize("a", [float("inf"), -float("inf"), float("nan"), [0.5, float("inf")]])
+def test_sphere_character_one_point_has_the_bits_of_the_array_path():
+    # both sides of the series threshold |a| < 1e-4
+    pts = np.array([0.0, 5e-5, -5e-5, 1e-4, -1e-4, 0.7, 1e3])
+    table = sphere_character(pts)
+    assert table.shape == pts.shape
+    for a, want in zip(pts, table):
+        for point in (float(a), a, np.array(a)):
+            got = sphere_character(point)
+            assert type(got) is float and np.array_equal(got, want), a
+
+
+@pytest.mark.parametrize("a", [float("inf"), -float("inf"), float("nan"), [0.5, float("inf")],
+                               np.array(float("nan")), np.array([float("nan")]),
+                               np.array([float("inf")]), np.array([-float("inf")])])
 def test_sphere_character_rejects_a_non_finite_argument(a):
     # before, nan under a suppressed invalid-value warning
     with pytest.raises(ValueError, match="finite argument"):

@@ -166,6 +166,21 @@ def test_group_convolution_associative():
     assert np.abs(left - right) < 0.05
 
 
+def test_group_convolution_shape_follows_the_input():
+    # (P, dim) gives (P,) for every P, one (dim,) point gives one value
+    alg = build_case("VII", n=1)
+    conv = group_convolution(alg, _gauss(0.7), _gauss(0.5), QuadratureSpec.cube(8, 3.0, 3))
+    pts = np.array([[0.2, -0.1, 0.3], [0.0, 0.4, -0.2]])
+    both = conv(pts)
+    assert both.shape == (2,)
+    one = conv(pts[:1])
+    assert one.shape == (1,) and one[0] == both[0]
+    point = conv(pts[0])
+    assert np.ndim(point) == 0 and point == both[0]
+    with pytest.raises(ValueError, match="one point or a"):
+        conv(pts[None])
+
+
 def test_group_convolution_dimension_check():
     alg = build_case("VII", n=1)
     with pytest.raises(ValueError):
