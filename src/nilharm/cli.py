@@ -321,8 +321,7 @@ def _cmd_spherical(args):
         index = (args.j,)
     else:
         # without runs the index is empty, and SphericalIndex says why
-        runs = fock.kx_blocks(alg.spec.case, alg.spec.params) or ()
-        index = fock.run_index(alg.spec.case, (0,) * len(runs))
+        index = (0,) * len(fock.kx_blocks(alg.spec.case, alg.spec.params) or ())
     idx = sph.spherical_index(alg, x, index)
     vnorms = np.linspace(0.0, args.v_norm, args.points)
     zvec = np.zeros(alg.dim_g)

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import comb, prod
+from math import comb, isfinite, prod
 from typing import Optional
 
 import numpy as np
@@ -210,12 +210,13 @@ def kx_blocks(case, params):
         V, IX      (1,) * n             the monomial multi-index
         VI         (1,) * (n / 2)       the monomial multi-index; even n
         III        (2 k1, 1, 1, 2 k2)   degrees (j, l1, l2, s)
-        VIII, k=1  (1, 1, 2n)           degrees (r, s, l), see run_degrees
+        VIII, k=1  (1, 1, 0, 2n)        degrees (r, s, 0, l)
 
-    A run of size 0 (k1, k2 or n = 0) admits only degree 0.  IV, VIII
-    with k >= 2 and X give None.  II, none of whose functionals is square
-    integrable, has no K_x-types and raises ValueError.  params goes
-    through cases.case_params first, as in build_case.
+    A run of size 0 (k1, k2 or n = 0; VIII's third, the slot of the GL(k)
+    label j for k >= 2) admits only degree 0, so each index is its run
+    degrees.  IV, VIII with k >= 2 and X give None.  II, none of whose
+    functionals is square integrable, has no K_x-types and raises
+    ValueError.  params goes through cases.case_params, as in build_case.
     """
     p = case_params(case, params)
     if case in ("I", "VII"):
@@ -229,38 +230,22 @@ def kx_blocks(case, params):
     if case == "III":
         return (2 * p["k1"], 1, 1, 2 * p["k2"])
     if case == "VIII":
-        return (1, 1, 2 * p["n"]) if p["k"] == 1 else None
+        return (1, 1, 0, 2 * p["n"]) if p["k"] == 1 else None
     if case in ("IV", "X"):
         return None
     raise ValueError("case II has no K_x-type runs: none of its functionals is square integrable")
-
-
-def run_degrees(case, index):
-    """The run degrees of a component index.  VIII (k = 1) indexes its
-    runs (r, s, l) as (r, s, j, l) with the GL(k) label j = 0 (the
-    index of the k >= 2 enumeration); every other case by the degrees."""
-    if case != "VIII":
-        return tuple(index)
-    if len(index) != 4 or index[2] != 0:
-        raise ValueError(f"k = 1 components are indexed (r, s, 0, l), got {tuple(index)}")
-    return (index[0], index[1], index[3])
 
 
 def check_degrees(lam, runs, degrees):
     """ValueError unless lam is finite and nonzero (the zero functional
     has no Fock model) and degrees holds one nonnegative integer per run,
     0 on an empty run."""
-    if lam == 0 or not np.isfinite(lam):
+    if lam == 0 or not isfinite(lam):
         raise ValueError(f"need a finite nonzero frequency, got {lam}")
-    if (len(degrees) != len(runs) or not all(isinstance(d, (int, np.integer)) and d >= 0 for d in degrees)
-            or any(deg for size, deg in zip(runs, degrees) if not size)):
+    if len(degrees) != len(runs) or not all(isinstance(d, (int, np.integer)) and d >= 0 and (size or not d)
+                                            for size, d in zip(runs, degrees)):
         raise ValueError(f"degrees {tuple(degrees)} need one degree per run of {runs}: "
                          "nonnegative integers, and degree 0 on an empty run")
-
-
-def run_index(case, degrees):
-    """The component index of run degrees; inverse of run_degrees."""
-    return degrees[:2] + (0,) + degrees[2:] if case == "VIII" else degrees
 
 
 def homog_dim(nvars, d):
@@ -289,9 +274,9 @@ def metaplectic_components(case, params, max_degree):
     of a generic functional) up to total degree max_degree, ordered by
     degree.
 
-    Where kx_blocks gives coordinate runs, a component is one degree per
-    run (indexed as in run_degrees) of dimension prod homog_dim(size,
-    degree), with the products of the monomials of each run as its basis.
+    Where kx_blocks gives coordinate runs, a component's index is its run
+    degrees, one per run, its dimension prod homog_dim(size, degree), and
+    its basis the products of the monomials of each run.
     IV (r, s, j, i), at Sp(n) highest weight (r + s - j - i, j - i),
     VIII with k >= 2 (_viii_types) and X (kvec, r, s, j, l), a C^m
     monomial times a VIII type, list Weyl dimensions only.  The
@@ -324,7 +309,7 @@ def metaplectic_components(case, params, max_degree):
                 if dim:
                     parts = [monomials_of_degree(size, deg) for size, deg in zip(runs, degrees)]
                     basis = tuple(sum(mons, ()) for mons in itertools.product(*parts))
-                    out.append(MetaplecticComponent(case, run_index(case, degrees), dim, d, basis))
+                    out.append(MetaplecticComponent(case, degrees, dim, d, basis))
         return out
     if case == "IV":
         sp_dim = torus.SpFactor(n).weyl_dim

@@ -57,11 +57,14 @@ def pfaffian_abs(mat):
     Computed from one LU as sqrt |det M| (Cayley: Pf(M)^2 = det M), in
     logarithms through slogdet so that no determinant overflows below
     |Pf| of about 1e308; exactly 0 when the dimension is odd or the LU
-    finds a zero pivot.  ValueError unless M is a square matrix.
+    finds a zero pivot.  ValueError unless M is square and skew to rounding.
     """
     mat = np.asarray(mat, dtype=float)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError(f"pfaffian_abs needs a square matrix, got shape {mat.shape}")
+    top = np.maximum.reduce  # ndarray.max without its Python wrapper
+    if not top(abs(mat + mat.T), axis=None, initial=0.0) <= 1e-12 * top(abs(mat), axis=None, initial=0.0):
+        raise ValueError("pfaffian_abs needs a finite skew-symmetric matrix: max |M + M^T| > 1e-12 max |M|")
     if len(mat) % 2:
         return 0.0
     sign, logdet = np.linalg.slogdet(mat)

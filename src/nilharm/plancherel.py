@@ -34,7 +34,6 @@ axes, so each integral is a Cauchy product of two per-axis tables of
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
 
 import numpy as np
 
@@ -478,7 +477,7 @@ def _probe_one_width(alg, avec, b, J, lam_max, lam_nodes, samples, seed):
     y = np.array([1.0, 0.0, 0.0])
     (d,) = fock.kx_blocks("I", alg.spec.params)
     js = np.arange(J + 1)
-    dims = np.array([comb(j + d - 1, j) for j in js], dtype=float)
+    dims = np.array([fock.homog_dim(d, j) for j in js], dtype=float)
     for knode, (r, wk) in enumerate(zip(nodes, wts)):
         rng = as_rng((seed, knode))
         vmats = alg.ops.sample_vmats(rng, samples)

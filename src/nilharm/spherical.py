@@ -49,7 +49,7 @@ from .algebra import LauretAlgebra
 from .cases import case_params
 from .forms import Functional, functional, weight_table
 from .numerics import as_complex_vector, as_rng, laguerre, mc_mean, require_budget, sphere_character
-from .fock import check_degrees, kx_blocks, monomials_of_degree, run_degrees
+from .fock import check_degrees, kx_blocks, monomials_of_degree
 
 
 @dataclass(frozen=True)
@@ -59,9 +59,9 @@ class SphericalIndex:
     functional.  Construction checks the parameters (fock.kx_blocks
     calls cases.case_params) and resolves and checks the index once
     (fock.check_degrees) into runs, the coordinate runs of
-    fock.kx_blocks, degrees, the run degrees (fock.run_degrees), and
-    mu, the read-only frequency |lam| of every complex coordinate that
-    psi_closed passes to _v_factor; NotImplementedError where the
+    fock.kx_blocks, degrees, the index as a tuple (one degree per run),
+    and mu, the read-only frequency |lam| of every complex coordinate
+    that psi_closed passes to _v_factor; NotImplementedError where the
     K_x-types are not run products."""
 
     case: str
@@ -78,7 +78,7 @@ class SphericalIndex:
         if runs is None:
             raise NotImplementedError(f"case {self.case} {self.params} has no K_x-type runs, "
                                       "so no closed psi or orbit integrand")
-        degrees = run_degrees(self.case, self.index)
+        degrees = tuple(self.index)
         check_degrees(self.lam, runs, degrees)
         mu = np.full(sum(runs), abs(float(self.lam)))
         mu.flags.writeable = False
@@ -255,13 +255,11 @@ class InvariantPolynomial:
 
 
 _GENERATORS = {
-    # case -> callable(checked params of cases.case_params) -> (labels, alphas)
-    "VII": lambda p: (("|v|^2",), (p["n"] - 1,)),
-    # k = 1: the runs (1, 1, 2n) of fock.kx_blocks, the last one empty at n = 0
-    "VIII": lambda p: (None if p["k"] != 1 else
-                       (("|u|^2", "|w|^2"), (0, 0)) if p["n"] == 0 else
-                       (("|u|^2", "|w|^2", "|y|^2"), (0, 0, 2 * p["n"] - 1))),
-    "IV": lambda p: (("|u|^2", "|w|^2"), (2 * p["n"] - 1,) * 2),
+    # case -> one label per non-empty run of fock.kx_blocks (VIII's last
+    # is empty at n = 0) or, for IV, per C^{2n} weight space
+    "VII": ("|v|^2",),
+    "VIII": ("|u|^2", "|w|^2", "|y|^2"),
+    "IV": ("|u|^2", "|w|^2"),
 }
 
 
@@ -301,11 +299,11 @@ def canonical_polynomials(case, params, max_total_degree, lam=1.0):
     leading one.  The coefficient count is checked against
     NILHARM_BUDGET before anything is built.
 
-    Supported: VII (generator |v|^2), VIII with k = 1 (|u|^2, |w|^2 and,
-    for n >= 1, |y|^2 on the (C^2)^n run: one polynomial per K_x-type),
-    IV (block norms |u|^2, |w|^2).  Cross invariants beyond block norms
-    are out of scope, so IV gets d + 1 polynomials of degree d, fewer
-    than its K_x-types (fock.metaplectic_components) from d = 2 on:
+    The blocks are the non-empty runs of fock.kx_blocks (alpha_g = size
+    - 1), one polynomial per K_x-type: VII |v|^2, VIII (k = 1) |u|^2,
+    |w|^2 and, for n >= 1, |y|^2.  IV, without runs, has |u|^2 and |w|^2
+    on its two C^{2n} weight spaces and no cross invariants, so d + 1
+    polynomials of degree d, fewer than its K_x-types from d = 2 on:
     3 against 4 at d = 2 and 4 against 6 at d = 3 for IV(1), 5 and 8
     for IV(2).  params goes through cases.case_params first.
     """
@@ -314,13 +312,14 @@ def canonical_polynomials(case, params, max_total_degree, lam=1.0):
         raise ValueError("lam must be positive and finite")
     if max_total_degree < 0 or int(max_total_degree) != max_total_degree:
         raise ValueError("max_total_degree must be a nonnegative integer")
-    gens = _GENERATORS.get(case)
-    if gens is None:
+    labels = _GENERATORS.get(case)
+    if labels is None:
         raise NotImplementedError(f"no invariant generators for case {case!r}")
-    made = gens(p)
-    if made is None:
+    runs = (2 * p["n"],) * 2 if case == "IV" else kx_blocks(case, p)
+    if runs is None:
         raise NotImplementedError(f"case {case!r} invariant polynomials are limited to block-norm generators (k = 1)")
-    labels, alphas = made
+    alphas = tuple(size - 1 for size in runs if size)
+    labels = labels[:len(alphas)]
     D = int(max_total_degree)
     # the polynomial of leading exponent a has prod(a_g + 1) coefficients,
     # C(D + 2g, 2g) in all for g generators

@@ -357,6 +357,15 @@ def test_spherical_default_index_is_degree_zero_per_run(capsys, case, index):
     assert float(rows[0][4]) == pytest.approx(1.0, abs=1e-12)
 
 
+def test_spherical_viii_gl_label_sits_on_an_empty_run(capsys):
+    # VIII (k = 1) indexes (r, s, 0, l) by its runs (1, 1, 0, 2n): a GL(k)
+    # label j > 0 is a degree on the empty third run
+    assert cli.main(["spherical", "--case", "VIII", "--k", "1", "--n", "1", "--index", "0,0,1,0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "empty run" in captured.err
+
+
 def test_spherical_default_index_on_a_case_with_no_runs_exits_2(capsys):
     assert cli.main(["spherical", "--case", "IV", "--n", "1"]) == 2
     captured = capsys.readouterr()

@@ -79,6 +79,24 @@ def test_pfaffian_abs_does_not_overflow_and_checks_its_input():
             pfaffian_abs(bad)
 
 
+def test_pfaffian_abs_rejects_a_matrix_that_is_not_skew():
+    # sqrt |det| is no Pfaffian off the skew matrices: diag(1, 4) gave 2.0
+    for bad in ([[1.0, 0.0], [0.0, 4.0]], [[0.0, 2.0], [3.0, 0.0]], np.eye(3),
+                [[0.0, np.nan], [0.0, 0.0]], [[0.0, np.inf], [-np.inf, 0.0]]):
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="skew-symmetric"):
+            pfaffian_abs(bad)
+    # rounding-level asymmetry passes, relative to the largest entry
+    m = np.array([[0.0, 3.0e5], [-3.0e5 * (1 + 1e-15), 0.0]])
+    assert abs(pfaffian_abs(m) - 3.0e5) <= 1e-12 * 3.0e5
+    # every skew form of the catalog is skew to the bit
+    rng = as_rng(11)
+    for case, params in FAMILIES:
+        alg = build_case(case, **params)
+        m = skew_form(alg, rng.standard_normal(alg.dim_g))
+        assert np.max(np.abs(m + m.T), initial=0.0) == 0.0, (case, params)
+        pfaffian_abs(m)
+
+
 def test_skew_form_matches_bracket_pairing():
     alg = build_case("V", n=3)
     rng = as_rng(3)

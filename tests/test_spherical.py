@@ -204,6 +204,17 @@ def test_kx_blocks_serve_components_and_closed_psi(case, params):
     _assert_closed_psi_is_fock_trace(case, params, dim_v // 2, 61, D=4)
 
 
+@pytest.mark.parametrize("case,params", RUN_CASES,
+                         ids=[f"{c}-{'-'.join(map(str, p.values()))}" for c, p in RUN_CASES])
+def test_a_component_index_is_one_degree_per_run(case, params):
+    # one index per K_x-type: VIII's GL(k) label j sits on an empty run,
+    # so no case translates between a component index and run degrees
+    runs = fock.kx_blocks(case, params)
+    for comp in fock.metaplectic_components(case, params, 3):
+        assert len(comp.index) == len(runs)
+        assert SphericalIndex(case, 1.0, comp.index, params).degrees == comp.index
+
+
 @pytest.mark.parametrize("case,params,index", [
     ("V", {"n": 3}, (1, 0)), ("VI", {"n": 2}, (2, 1)), ("IX", {"n": 3}, (1,)),
 ])
@@ -221,7 +232,7 @@ def test_spherical_index_rejects_bad_frequencies_and_degrees(case, params):
     # the index is checked once, when it is built; before, a fractional
     # degree was truncated and a non-finite lam gave NaN
     runs = fock.kx_blocks(case, params)
-    good = fock.run_index(case, (0,) * len(runs))
+    good = (0,) * len(runs)
     idx = SphericalIndex(case, 1.0, good, params)
     assert idx.runs == runs and idx.degrees == (0,) * len(runs)
     for lam in (0.0, float("nan"), float("inf"), -float("inf")):
@@ -452,8 +463,7 @@ def test_phi_orbit_is_a_sublaplacian_eigenfunction(case, params):
     alg = build_case(case, **params)
     rng = as_rng(5)
     runs = fock.kx_blocks(case, params)
-    idx = spherical_index(alg, rng.standard_normal(alg.dim_g),
-                          fock.run_index(case, (1,) + (0,) * (len(runs) - 1)))
+    idx = spherical_index(alg, rng.standard_normal(alg.dim_g), (1,) + (0,) * (len(runs) - 1))
 
     def phi(z, v):
         return phi_orbit(idx, z, v, samples=300, seed=17).value
@@ -677,7 +687,7 @@ def test_viii_v_factor_on_a_stack_matches_pointwise():
     index = (1, 2, 0, 1)
     v = 0.6 * as_rng(5).standard_normal((2, 3, 8))
     idx = SphericalIndex("VIII", lam, index, params)
-    assert (idx.runs, idx.degrees) == ((1, 1, 2), (1, 2, 1))
+    assert (idx.runs, idx.degrees) == ((1, 1, 0, 2), (1, 2, 0, 1))
     got = spherical._v_factor(idx.runs, idx.degrees, np.full(4, lam), v, 1.0)
     assert got.shape == (2, 3)
     want = np.array([[psi_closed(idx, 0.0, p) for p in row] for row in v])
