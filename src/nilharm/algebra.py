@@ -121,8 +121,8 @@ class LauretAlgebra:
         u = np.asarray(u, dtype=float)
         v = np.asarray(v, dtype=float)
         count = math.prod(v.shape[:-1])
-        require_budget(count * self._pi_rows.shape[1],
-                       f"{count} x {self.dim_g} x {self.dim_v} bracket-product entries")
+        require_budget(count * self._pi_rows.shape[1], "{} x {} x {} bracket-product entries",
+                       count, self.dim_g, self.dim_v)
         t = (v @ self._pi_rows).reshape(v.shape[:-1] + (self.dim_g, self.dim_v))
         return np.einsum("...xj,...j->...x", t, u)
 
@@ -165,7 +165,7 @@ class LauretAlgebra:
         z = np.asarray(z, dtype=float)
         dv, n = self.dim_v, self.dim_v**2
         count = math.prod(z.shape[:-1])
-        require_budget(count * n**2, f"{count} x {dv}^4 Kronecker-form entries")
+        require_budget(count * n**2, "{} x {}^4 Kronecker-form entries", count, dv)
         pz = self.pi_of((self._gram_inv @ z[..., None])[..., 0]).reshape(-1, 1, dv, 1, dv)
         forms = (self.pi_of(y)[:, None, :, None] * pz).reshape(-1, n, n)
         flat = vmats.reshape(len(vmats), n)
@@ -240,7 +240,7 @@ def sample_k_actions(alg: LauretAlgebra, rng=None, count=8):
     V-intertwiner from U that fixes g (the identity where the case
     draws none)."""
     # entries of the G' stack, Ad, U and U pi(g)
-    require_budget(count * (3 * alg.dim_v**2 + alg.dim_g**2), f"{count} automorphisms of (Ad, pi) matrices")
+    require_budget(count * (3 * alg.dim_v**2 + alg.dim_g**2), "{} automorphisms of (Ad, pi) matrices", count)
     rng = as_rng(rng)
     vmats = alg.ops.sample_vmats(rng, count)
     return OrthAutomorphism(alg.ad_of(vmats), alg.ops.u_part_automorphisms(rng, count) @ vmats)
@@ -269,7 +269,7 @@ class StructureReport:
 def _commutators(alg):
     """The commutators [pi_a, pi_b], shape (dim_g, dim_g, dim_v, dim_v)."""
     d, n = alg.dim_g, alg.dim_v
-    require_budget(d**2 * n**2, f"{d}^2 x {n}^2 commutator entries")
+    require_budget(d**2 * n**2, "{}^2 x {}^2 commutator entries", d, n)
     prods = alg.pi[:, None] @ alg.pi[None]
     return prods - np.swapaxes(prods, 0, 1)
 
@@ -292,11 +292,11 @@ def check_structure(alg: LauretAlgebra, rng=None, trials=100) -> StructureReport
     f = alg._coords(comm)
     # Jacobi: the cyclic sum of jac[a, b, c], the coordinates of
     # [[X_a, X_b], X_c], built once and read in three axis orders
-    require_budget(d**4, f"{d}^4 Jacobi-table entries")
+    require_budget(d**4, "{}^4 Jacobi-table entries", d)
     jac = (f.reshape(-1, d) @ f.reshape(d, -1)).reshape(d, d, d, d)
     jacobi = jac + np.transpose(jac, (2, 0, 1, 3))
     jacobi += np.transpose(jac, (1, 2, 0, 3))
-    require_budget(trials * n**2, f"{trials} bracket trials of {n}^2 pi(X) entries")
+    require_budget(trials * n**2, "{} bracket trials of {}^2 pi(X) entries", trials, n)
     # one (u, v, X) row per trial, then one (u, v) pair per rank sample:
     # the stream of drawing them one vector at a time
     u, v, x = np.split(rng.standard_normal((trials, 2 * n + d)), [n, 2 * n], axis=1)

@@ -58,15 +58,15 @@ SU2_QUATS = (quat.I, quat.J, quat.K)
 
 def realify(a):
     """Complex (..., m, m) matrices as real (..., 2m, 2m) matrices on
-    interleaved coordinates."""
+    interleaved coordinates: four strided writes of the 2x2 blocks
+    [[Re, -Im], [Im, Re]] into one (..., m, 2, m, 2) array."""
     a = np.asarray(a, dtype=complex)
     m = a.shape[-1]
-    out = np.zeros(a.shape[:-2] + (2 * m, 2 * m))
-    out[..., 0::2, 0::2] = a.real
-    out[..., 0::2, 1::2] = -a.imag
-    out[..., 1::2, 0::2] = a.imag
-    out[..., 1::2, 1::2] = a.real
-    return out
+    out = np.empty(a.shape[:-2] + (m, 2, m, 2))
+    out[..., 0, :, 0] = out[..., 1, :, 1] = a.real
+    np.negative(a.imag, out=out[..., 0, :, 1])
+    out[..., 1, :, 0] = a.imag
+    return out.reshape(a.shape[:-2] + (2 * m, 2 * m))
 
 
 def cross_matrix(u):
@@ -105,7 +105,7 @@ class CaseOps:
     def _require_pi(self, dim_g):
         """Check the dim_g x dim_v^2 entries of pi against NILHARM_BUDGET."""
         dim_v = sum(dim for _, dim in self.v_blocks)
-        require_budget(dim_g * dim_v**2, f"{dim_g} x {dim_v}^2 entries of pi")
+        require_budget(dim_g * dim_v**2, "{} x {}^2 entries of pi", dim_g, dim_v)
 
     # -- structure ---------------------------------------------------------
     @property

@@ -74,9 +74,7 @@ class FockBasis:
         self.n = int(n)
         self.max_degree = int(max_degree)
         self.count = comb(self.n + self.max_degree, self.max_degree)
-        require_budget(
-            self.count, f"C({self.n}+{self.max_degree}, {self.max_degree}) = {self.count} monomials"
-        )
+        require_budget(self.count, "C({0}+{1}, {1}) = {2} monomials", self.n, self.max_degree, self.count)
         idx = []
         self._degree_start = []
         for d in range(self.max_degree + 1):
@@ -150,8 +148,8 @@ def pi_matrix(lam, t, v, basis: FockBasis):
     points = prod(np.broadcast_shapes(t.shape, z.shape[:-1]))
     dmax, ridx = basis.max_degree, basis.indices
     total = points * max(basis.count**2, basis.n * (dmax + 1) ** 2)
-    require_budget(total, f"{points} x max({basis.count}^2, {basis.n} x {dmax + 1}^2) = {total} "
-                   "Fock matrix entries")
+    require_budget(total, "{} x max({}^2, {} x {}^2) = {} Fock matrix entries",
+                   points, basis.count, basis.n, dmax + 1, total)
     # phase x first table, then the others: each point of a stack gets
     # the one-point product, bit for bit; two 1-d takes gather the
     # (row, column) entries faster than one 2-d fancy index
@@ -300,7 +298,7 @@ def metaplectic_components(case, params, max_degree):
     else:
         nvars = sum(runs)
     total = comb(nvars + D, D)
-    require_budget(total, f"C({nvars}+{D}, {D}) = {total} component basis monomials")
+    require_budget(total, "C({0}+{1}, {1}) = {2} component basis monomials", nvars, D, total)
     out = []
     if runs is not None:
         for d in range(D + 1):
@@ -359,7 +357,7 @@ def psi_numeric(case, lam, j, t, v):
         raise ValueError("psi_numeric needs finite t and v")
     if case in ("I", "VII"):
         count = homog_dim(nvars, degrees[0])
-        require_budget(count, f"{count} degree-{degrees[0]} monomials in {nvars} variables")
+        require_budget(count, "{} degree-{} monomials in {} variables", count, degrees[0], nvars)
         mons = monomials_of_degree(nvars, degrees[0])
     else:
         mons = [degrees]

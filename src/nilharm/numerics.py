@@ -15,8 +15,14 @@ and return a stack of size samples, drawn as one Gaussian array whose C
 order is the per-sample stream ((size, n, n) for O/SO, real and then
 imaginary parts (size, 2, n, n) for U/SU, (size, n, n, 4) for Sp) and
 orthonormalized by Gram-Schmidt vectorized over the samples (twice per
-column for O/U, _qr_haar; once, quaternionic, for Sp), so one stack of
-size s equals s stacks of size 1 from the same generator.
+column for O/U; once, quaternionic, for Sp).  O/SO/U/SU hold the stack
+column-major, as planes q[p, c, r]: one contiguous vector over the
+samples per part p (real, or real and imaginary), column c and row r,
+so each step is a few long elementwise operations.  Sums over a short
+axis are added left to right and complex products are spelled out in
+real ones (_fold, _mul), so every sample rounds alike in any stack and
+one stack of size s equals s stacks of size 1 from the same generator.
+SO/SU take their determinants in closed form up to n = 4 (_det).
 
 Points of C^n are n complex numbers or 2n interleaved reals
 (as_complex_vector).  Quadrature is the Gauss-Legendre tensor rule on a
@@ -31,6 +37,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import os
 from dataclasses import dataclass
 
@@ -45,20 +52,25 @@ class BudgetError(RuntimeError):
     """Raised when a requested grid exceeds the configured node budget."""
 
 
+@functools.lru_cache(maxsize=1)
+def _parse_budget(raw):
+    return int(float(raw)) if raw else DEFAULT_BUDGET
+
+
 def node_budget():
-    raw = os.environ.get("NILHARM_BUDGET", "")
-    if not raw:
-        return DEFAULT_BUDGET
-    return int(float(raw))
+    """NILHARM_BUDGET, parsed once per distinct value of the variable."""
+    return _parse_budget(os.environ.get("NILHARM_BUDGET", ""))
 
 
-def require_budget(total, what):
+def require_budget(total, what, *args):
     """Return total, or raise BudgetError when it exceeds NILHARM_BUDGET.
 
     Callers size an allocation first and pass the estimate with a
-    description (what), so oversize requests fail before allocating."""
-    if total > node_budget():
-        raise BudgetError(f"{what} exceed NILHARM_BUDGET={node_budget()}")
+    description, what.format(*args), so oversize requests fail before
+    allocating; the description is formatted only for the error."""
+    budget = node_budget()
+    if total > budget:
+        raise BudgetError(f"{what.format(*args)} exceed NILHARM_BUDGET={budget}")
     return total
 
 
@@ -183,51 +195,104 @@ def mc_mean(vals):
 # Haar sampling
 # ---------------------------------------------------------------------------
 
-def _qr_haar(z):
-    """The Q factor with positive real diagonal R of each matrix of the
-    stack z (..., n, n), which makes Q Haar distributed (Mezzadri,
-    arXiv:math-ph/0609050).
+def _mul(a, b, conj=False):
+    """a * b, or conj(a) * b, on planes (1, ...) or (2, ...): a complex
+    product as four real products and two real adds, where numpy's
+    complex multiply fuses them on some paths (a one-element array) and
+    not on others."""
+    if len(a) == 1:
+        return a * b
+    rr = a[0] * b[0]
+    out = np.empty((2,) + rr.shape)
+    (np.add if conj else np.subtract)(rr, a[1] * b[1], out=out[0])
+    (np.subtract if conj else np.add)(a[0] * b[1], a[1] * b[0], out=out[1])
+    return out
 
-    Classical Gram-Schmidt, run twice per column, over the whole stack
-    one column at a time: the second pass restores orthogonality to
-    rounding however close the columns are (Giraud, Langou and
-    Rozloznik, 2005).  Each sample's columns see only that sample, so a
-    stack equals its samples computed one at a time.
-    """
-    # rows of q are the columns of z, so every column is contiguous
-    q = np.swapaxes(z, -1, -2).copy()
-    for j in range(q.shape[-1]):
-        v = q[..., j, :]
-        prev = q[..., :j, :]
+
+def _fold(parts):
+    """parts[0] + parts[1] + ..., added left to right."""
+    return functools.reduce(operator.add, parts)
+
+
+def _orthonormalize(z, scale=1.0):
+    """The planes q[p, c, r] of the Q factors with positive real diagonal
+    R of the stack z[:, p, r, c] times scale: Haar distributed (Mezzadri,
+    arXiv:math-ph/0609050).  Classical Gram-Schmidt, twice per column:
+    the second pass restores orthogonality to rounding however close the
+    columns are (Giraud, Langou and Rozloznik, 2005)."""
+    t = np.transpose(z, (1, 3, 2, 0))
+    q = np.multiply(t, scale, out=np.empty(t.shape))
+    n = q.shape[1]
+    for j in range(n):
+        v, prev = q[:, j], q[:, :j]
         for _ in range(2 if j else 0):
-            # <prev_k, v> as the conjugate of sum prev_k conj(v): v is
-            # shorter to conjugate than prev
-            coef = np.einsum("...ki,...i->...k", prev, v.conj()).conj()
-            v = v - np.einsum("...ki,...k->...i", prev, coef)
-        q[..., j, :] = v / np.sqrt(np.einsum("...i,...i->...", v.conj(), v).real)[..., None]
-    return np.swapaxes(q, -1, -2)
-
-
-def haar_orthogonal(n, rng, size):
-    return _qr_haar(rng.standard_normal((size, n, n)))
-
-
-def haar_special_orthogonal(n, rng, size):
-    q = haar_orthogonal(n, rng, size)
-    neg = np.linalg.det(q) < 0
-    q[neg, :, 0] = -q[neg, :, 0]
+            # v - sum_k <prev_k, v> prev_k, <prev_k, v> = sum_r conj(prev_kr) v_r
+            w = _mul(prev, v[:, None], conj=True)
+            w = _mul(prev, _fold(w[:, :, r] for r in range(n))[:, :, None])
+            v = v - _fold(w[:, k] for k in range(j))
+        # complex v times 1 / |v|, which is how numpy divides a complex by a real
+        norm = np.sqrt(_fold(_fold(v * v)))
+        q[:, j] = v / norm if len(v) == 1 else v * (1 / norm)
     return q
 
 
+def _matrices(q):
+    """The real or complex (S, n, n) stack of the planes q."""
+    m = np.ascontiguousarray(np.transpose(q, (3, 2, 1, 0)))
+    return m[..., 0] if len(q) == 1 else m.view(complex)[..., 0]
+
+
+def _qr_haar(z):
+    """The Q factors of a (..., n, n) stack of real or complex matrices."""
+    flat = z.reshape((-1,) + z.shape[-2:])
+    parts = np.stack([flat.real, flat.imag], axis=1) if np.iscomplexobj(z) else flat[:, None]
+    return _matrices(_orthonormalize(parts)).reshape(z.shape)
+
+
+def _det(q):
+    """The determinant of every sample from its planes, as that of the
+    transpose, rows q[:, c]: cofactors along the first row (n = 3), the
+    2x2 minors of the first two rows (n = 4), np.linalg.det (n >= 5)."""
+    n = q.shape[1]
+    if n > 4:
+        return np.linalg.det(_matrices(q))
+
+    def minor(c, i, j):
+        return _mul(q[:, c, i], q[:, c + 1, j]) - _mul(q[:, c, j], q[:, c + 1, i])
+
+    if n < 3:
+        d = q[:, 0, 0] if n == 1 else minor(0, 0, 1)
+    elif n == 3:
+        d = _mul(q[:, 0, 0], minor(1, 1, 2)) - _mul(q[:, 0, 1], minor(1, 0, 2)) + _mul(q[:, 0, 2], minor(1, 0, 1))
+    else:
+        pairs = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
+        t = [_mul(minor(0, *p), minor(2, *c)) for p, c in zip(pairs, pairs[::-1])]
+        d = t[0] - t[1] + t[2] + t[3] - t[4] + t[5]
+    return d[0] if len(d) == 1 else d[0] + 1j * d[1]
+
+
+def haar_orthogonal(n, rng, size):
+    return _matrices(_orthonormalize(rng.standard_normal((size, 1, n, n))))
+
+
+def haar_special_orthogonal(n, rng, size):
+    q = _orthonormalize(rng.standard_normal((size, 1, n, n)))
+    # |det| = 1, so its sign picks the samples whose first column flips
+    np.negative(q[:, 0], out=q[:, 0], where=_det(q) < 0)
+    return _matrices(q)
+
+
 def haar_unitary(n, rng, size):
-    g = rng.standard_normal((size, 2, n, n))
-    return _qr_haar((g[:, 0] + 1j * g[:, 1]) / np.sqrt(2.0))
+    # the Gaussians' real and then imaginary parts, over sqrt(2)
+    return _matrices(_orthonormalize(rng.standard_normal((size, 2, n, n)), 1 / np.sqrt(2.0)))
 
 
 def haar_special_unitary(n, rng, size):
-    u = haar_unitary(n, rng, size)
-    det = np.linalg.det(u)
-    return u * (det ** (-1.0 / n))[:, None, None]
+    q = _orthonormalize(rng.standard_normal((size, 2, n, n)), 1 / np.sqrt(2.0))
+    d = _det(q)
+    # d ** (-1/n) on the principal branch
+    phase = np.exp(np.arctan2(d.imag, d.real) * (-1j / n)) * np.abs(d) ** (-1.0 / n)
+    return _matrices(_mul(q, np.stack([phase.real, phase.imag])[:, None, None]))
 
 
 def haar_symplectic_quat(n, rng, size):
@@ -289,7 +354,7 @@ class QuadratureSpec:
         """Total tensor nodes, or BudgetError when they exceed
         NILHARM_BUDGET."""
         total = self.nodes ** self.dim
-        return require_budget(total, f"{self.nodes}^{self.dim} = {total} nodes")
+        return require_budget(total, "{}^{} = {} nodes", self.nodes, self.dim, total)
 
     def grid(self):
         """Return (points, weights): (P, dim) nodes and (P,) weights."""

@@ -203,7 +203,7 @@ def _twisted_laguerre(lam, i, beta, vs, J, nodes, half):
     against NILHARM_BUDGET first.
     """
     total = (J + 1) * len(vs) * 2 * nodes
-    require_budget(total, f"{J + 1} x {len(vs)} x 2 x {nodes} = {total} Laguerre-table entries")
+    require_budget(total, "{} x {} x 2 x {} = {} Laguerre-table entries", J + 1, len(vs), nodes, total)
     x, w1 = leggauss(nodes)
     w, wgt = x * half, w1 * half
     # (P, 2, nodes): per point and axis k, fk on the 1-d rule
@@ -516,7 +516,7 @@ def general_inversion_probe(
     alg = build_case("I", n=1)
     if len(width_specs) != 2 or any(np.shape(avec) != (alg.dim_g,) for avec, _ in width_specs):
         raise ValueError(f"need two width pairs (a, b), each a with dim g = {alg.dim_g} entries")
-    require_budget(samples * alg.dim_v**2, f"{samples} orbit samples of {alg.dim_v}^2 V-matrix entries")
+    require_budget(samples * alg.dim_v**2, "{} orbit samples of {}^2 V-matrix entries", samples, alg.dim_v)
     ratios = []
     errs = []
     for widx, (avec, b) in enumerate(width_specs):

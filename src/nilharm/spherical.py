@@ -225,7 +225,7 @@ def phi_orbit(idx: SphericalIndex, z, v, samples=20000, seed=0):
     v = np.asarray(v, dtype=float).reshape(alg.dim_v)
     if not np.isfinite(np.concatenate((z, v))).all():
         raise ValueError("phi_orbit needs finite z and v")
-    require_budget(samples * alg.dim_v**2, f"{samples} orbit samples of {alg.dim_v}^2 V-matrix entries")
+    require_budget(samples * alg.dim_v**2, "{} orbit samples of {}^2 V-matrix entries", samples, alg.dim_v)
     rng = as_rng(seed)
     vals = np.empty(samples, dtype=complex)
     for at in range(0, samples, _ORBIT_BLOCK):
@@ -324,7 +324,7 @@ def canonical_polynomials(case, params, max_total_degree, lam=1.0):
     # the polynomial of leading exponent a has prod(a_g + 1) coefficients,
     # C(D + 2g, 2g) in all for g generators
     ncoef = comb(D + 2 * len(alphas), 2 * len(alphas))
-    require_budget(ncoef, f"{ncoef} canonical-polynomial coefficients up to degree {D}")
+    require_budget(ncoef, "{} canonical-polynomial coefficients up to degree {}", ncoef, D)
     rows = [_laguerre_rows(D, a, lam) for a in alphas]
     out = []
     for d in range(D + 1):

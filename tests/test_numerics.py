@@ -5,9 +5,12 @@ import pytest
 from _oracles import qmat_dagger, qmat_mul
 from scipy.special import eval_genlaguerre
 
+from nilharm import quat
 from nilharm.numerics import (
+    DEFAULT_BUDGET,
     BudgetError,
     QuadratureSpec,
+    _det,
     _qr_haar,
     as_complex_vector,
     as_rng,
@@ -20,6 +23,8 @@ from nilharm.numerics import (
     laguerre_all,
     leggauss,
     mc_mean,
+    node_budget,
+    require_budget,
     sphere_character,
 )
 
@@ -218,6 +223,36 @@ def test_budget_error(monkeypatch):
         QuadratureSpec.cube(50, 1.0, 2).grid()
 
 
+def test_budget_follows_the_variable_between_calls(monkeypatch):
+    # the parsed bound is cached per value of the variable, so a new
+    # value takes effect on the next call
+    monkeypatch.setenv("NILHARM_BUDGET", "100")
+    assert require_budget(100, "{} nodes", 100) == 100
+    with pytest.raises(BudgetError, match=r"^101 nodes exceed NILHARM_BUDGET=100$"):
+        require_budget(101, "{} nodes", 101)
+    monkeypatch.setenv("NILHARM_BUDGET", "1e3")
+    assert node_budget() == 1000 and require_budget(101, "{} nodes", 101) == 101
+    monkeypatch.setenv("NILHARM_BUDGET", "100")
+    with pytest.raises(BudgetError):
+        require_budget(101, "{} nodes", 101)
+    monkeypatch.delenv("NILHARM_BUDGET")
+    assert node_budget() == DEFAULT_BUDGET
+    monkeypatch.setenv("NILHARM_BUDGET", "lots")
+    with pytest.raises(ValueError):
+        require_budget(1, "{} nodes", 1)
+
+
+def test_budget_formats_its_message_only_on_failure(monkeypatch):
+    class Unformattable:
+        def __format__(self, spec):
+            raise AssertionError("formatted on success")
+
+    monkeypatch.setenv("NILHARM_BUDGET", "10")
+    assert require_budget(10, "{} entries", Unformattable()) == 10
+    with pytest.raises(AssertionError, match="formatted on success"):
+        require_budget(11, "{} entries", Unformattable())
+
+
 def _is_positive_qr(q, z):
     r = np.conj(np.swapaxes(q, -1, -2)) @ z
     d = np.diagonal(r, axis1=-2, axis2=-1)
@@ -234,9 +269,10 @@ def test_haar_orthogonal_and_unitary():
         assert np.allclose(u @ np.conj(u).T, np.eye(n), atol=1e-12)
         su = haar_special_unitary(n, rng, 1)[0]
         assert abs(np.linalg.det(su) - 1) < 1e-12
-    # one stack of 6 draws what six consecutive stacks of 1 draw
+    # one stack of 6 draws what six consecutive stacks of 1 draw: n = 1
+    # to 4 take the closed-form determinants, 5 and 6 np.linalg.det
     for sampler in (haar_orthogonal, haar_special_orthogonal, haar_unitary, haar_special_unitary):
-        for n in (2, 3, 5):
+        for n in (1, 2, 3, 4, 5, 6):
             rng = as_rng(n)
             singles = np.concatenate([sampler(n, rng, 1) for _ in range(6)])
             stack = sampler(n, as_rng(n), size=6)
@@ -259,7 +295,8 @@ def _orthogonality(q):
     return float(np.max(np.abs(np.conj(np.swapaxes(q, -1, -2)) @ q - np.eye(n))))
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 8])
+# n <= 4 takes the closed-form determinants, 5 and 8 np.linalg.det
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8])
 def test_haar_samplers_on_a_large_stack(n):
     size = 20000
     z = as_rng(n).standard_normal((size, n, n))
@@ -294,6 +331,45 @@ def test_qr_haar_keeps_nearly_parallel_columns_orthogonal():
         assert _orthogonality(_qr_haar(z)) <= 1e-13
         zc = base + 1e-7 * (rng.standard_normal((200, n, n)) + 1j * rng.standard_normal((200, n, n)))
         assert _orthogonality(_qr_haar(zc)) <= 1e-13
+
+
+def _planes(m):
+    """The column planes (parts, n, n, S) of a real or complex (S, n, n)
+    stack, as the samplers hold them."""
+    parts = np.stack([m.real, m.imag], axis=1) if np.iscomplexobj(m) else m[:, None]
+    return np.ascontiguousarray(np.transpose(parts, (1, 3, 2, 0)))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_closed_form_determinants_match_linalg(n):
+    # Gaussian stacks are far from unitary and some are nearly singular,
+    # where both routes lose accuracy relative to |det|: the deviation is
+    # measured against Hadamard's bound prod_c |z_c| >= |det z|
+    rng = as_rng(40 + n)
+    z = rng.standard_normal((2000, n, n))
+    for m in (z, z + 1j * rng.standard_normal((2000, n, n))):
+        d = _det(_planes(m))
+        assert np.iscomplexobj(d) == np.iscomplexobj(m) and d.shape == (2000,)
+        bound = np.prod(np.linalg.norm(m, axis=-2), axis=-1)
+        assert np.max(np.abs(d - np.linalg.det(m)) / bound) <= 1e-13
+
+
+@pytest.mark.parametrize("sampler,n", [(haar_special_unitary, 2), (haar_special_unitary, 3),
+                                       (haar_special_unitary, 4), (haar_special_orthogonal, 3),
+                                       (haar_special_orthogonal, 4), (haar_special_orthogonal, 5)])
+def test_haar_trace_moments(sampler, n):
+    # the defining representation is irreducible and has no invariant
+    # vector, so E tr g = 0 and E |tr g|^2 = 1 under Haar measure
+    tr = np.trace(sampler(n, as_rng(60 + n), 20000), axis1=1, axis2=2)
+    for vals, expected in ((tr, 0.0), (np.abs(tr) ** 2, 1.0)):
+        assert abs(vals.mean() - expected) <= 5 * vals.std() / np.sqrt(len(vals))
+
+
+def test_haar_symplectic_one_is_random_unit():
+    # Sp(1) is the group of unit quaternions: the same draw, bit for bit
+    for size in (1, 7, 1000):
+        assert np.array_equal(haar_symplectic_quat(1, as_rng(9), size)[:, 0, 0],
+                              quat.random_unit(as_rng(9), size))
 
 
 def test_haar_unitary_moments():
