@@ -27,7 +27,8 @@ SO/SU take their determinants in closed form up to n = 4 (_det).
 Points of C^n are n complex numbers or 2n interleaved reals
 (as_complex_vector).  Quadrature is the Gauss-Legendre tensor rule on a
 cube (QuadratureSpec); its 1-d rules are computed once per node count
-(leggauss) and shared read-only.  Everything here is deterministic
+(leggauss) and shared read-only; its points are column-major, each
+coordinate column contiguous.  Everything here is deterministic
 given an explicit seed, and grid, Fock-matrix and Monte Carlo sample
 sizes are guarded by the NILHARM_BUDGET environment variable (total
 tensor nodes or matrix entries; default 3e7) through require_budget.
@@ -343,8 +344,9 @@ class QuadratureSpec:
     rule = "gauss-legendre"
 
     def __post_init__(self):
-        if self.nodes < 1:
-            raise ValueError(f"the {self.rule} rule needs at least 1 node, got {self.nodes}")
+        ints = all(isinstance(k, (int, np.integer)) and k >= 1 for k in (self.nodes, self.dim))
+        if not (ints and 0 < self.half_width < math.inf):
+            raise ValueError(f"the {self.rule} rule needs integer nodes, dim >= 1 and finite half_width > 0: {self}")
 
     @staticmethod
     def cube(nodes, half_width, dim):
@@ -357,11 +359,12 @@ class QuadratureSpec:
         return require_budget(total, "{}^{} = {} nodes", self.nodes, self.dim, total)
 
     def grid(self):
-        """Return (points, weights): (P, dim) nodes and (P,) weights."""
+        """Return (points, weights): (P, dim) nodes, column-major so that
+        each coordinate column points[:, k] is contiguous, and (P,) weights."""
         total = self.check_budget()
         x, w1 = leggauss(self.nodes)
         mesh = np.meshgrid(*(x * self.half_width,) * self.dim, indexing="ij")
-        points = np.stack([m.ravel() for m in mesh], axis=-1)
+        points = np.stack([m.ravel() for m in mesh]).T
         wmesh = np.meshgrid(*(w1 * self.half_width,) * self.dim, indexing="ij")
         weights = np.ones(total)
         for w in wmesh:

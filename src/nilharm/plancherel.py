@@ -28,7 +28,9 @@ frequency lam (_twisted_laguerre).  The Laguerre addition theorem
 L_j^(0)(x + y) = sum_{i <= j} L_i^(-1/2)(x) L_{j-i}^(-1/2)(y), applied
 to both Laguerre factors, splits the whole integrand over the two real
 axes, so each integral is a Cauchy product of two per-axis tables of
-1-d sums on one cached rule and nothing is built on the 2-d grid.
+1-d sums on one cached rule and nothing is built on the 2-d grid.  The
+inversion check takes it per chunk of frequency nodes, so its largest
+array is the (J+1, chunk, points, 2, nodes) Laguerre table.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ import numpy as np
 
 from .algebra import LauretAlgebra, build_case
 from .forms import functional
-from .numerics import QuadratureSpec, as_rng, laguerre_all, leggauss, mc_mean, require_budget
+from .numerics import QuadratureSpec, as_rng, laguerre_all, leggauss, mc_mean, node_budget, require_budget
 from .spherical import _v_factor
 from . import fock
 from . import torus
@@ -95,10 +97,10 @@ def group_convolution(alg: LauretAlgebra, f, g, spec: QuadratureSpec):
     f and g map (P, dim_g + dim_v) point arrays to values; the returned
     callable does the same, with shape (P,) for every P, and maps one
     point of shape (dim_g + dim_v,) to one value.  Lebesgue measure on
-    the coordinates is the Haar measure of the two-step group.  The
-    points y^{-1} x of one x are written into one preallocated
-    (P, dim_g + dim_v) buffer, which g reads and must not keep; the x
-    run one at a time, so no array grows with their number.
+    the coordinates is the Haar measure of the two-step group.  f and g
+    receive column-major arrays; the points y^{-1} x of one x are written
+    into one preallocated (P, dim_g + dim_v) buffer, which g reads and
+    must not keep; the x run one at a time, so no array grows.
     """
     dg = alg.dim_g
     if spec.dim != dg + alg.dim_v:
@@ -178,8 +180,10 @@ def _twisted_laguerre(lam, i, beta, vs, J, nodes, half):
                  e^{-i lam (w_0 v_1 - w_1 v_0) / 2} dw,   j <= J,
 
     on C^1 = R^2 at the real points vs (P, 2), with L_k = L_k^(0);
-    returns (J+1, P).  The phase is e^{-i lam [w, v] / 2}, with [w, v]
-    the Heisenberg bracket Im<w, v>.
+    lam and half are scalars or 1-d stacks of frequencies and their
+    half-widths (each frequency gets the bits of its own call); returns
+    (J+1,) + lam.shape + (P,).  The phase is e^{-i lam [w, v] / 2}, with
+    [w, v] the Heisenberg bracket Im<w, v>.
 
     The integral runs over a nodes x nodes Gauss-Legendre tensor rule
     on [-half, half]^2, but nothing is built on the 2-d grid.  Each
@@ -199,31 +203,33 @@ def _twisted_laguerre(lam, i, beta, vs, J, nodes, half):
     the integral is the Cauchy product I_j = sum_{a <= i} sum_{c <= j}
     A_0[a, c] A_1[i-a, j-c].  It agrees with a full-grid evaluation to
     rounding (about 1e-15 of the integrals' size).  The largest array,
-    the (J+1, P, 2, nodes) table of the v-w Laguerre values, is checked
+    the (J+1) + lam.shape + (P, 2, nodes) v-w Laguerre table, is checked
     against NILHARM_BUDGET first.
     """
-    total = (J + 1) * len(vs) * 2 * nodes
-    require_budget(total, "{} x {} x 2 x {} = {} Laguerre-table entries", J + 1, len(vs), nodes, total)
+    lam, half = (np.asarray(a, dtype=float)[..., None, None, None] for a in (lam, half))
+    total = (J + 1) * lam.size * len(vs) * 2 * nodes
+    require_budget(total, "{} x {} x {} x 2 x {} = {} Laguerre-table entries", J + 1, lam.size, len(vs), nodes, total)
     x, w1 = leggauss(nodes)
     w, wgt = x * half, w1 * half
-    # (P, 2, nodes): per point and axis k, fk on the 1-d rule
+    # lam.shape + (P, 2, nodes): per frequency, point and axis k, fk on the 1-d rule
     d = (vs[:, :, None] - w) ** 2
     turn = np.stack([-vs[:, 1], vs[:, 0]], axis=1)[:, :, None]
     f = np.exp(-beta * w**2 - lam * d / 4.0 + 0.5j * lam * turn * w) * wgt
     lv = laguerre_all(J, -0.5, lam * d / 2.0)
-    # (i+1, J+1, P, 2): the tables A_k[a, c] per point
-    sums = np.stack([np.einsum("cpkn,pkn->cpk", lv, la * f)
+    # (i+1, J+1) + lam.shape + (P, 2): the tables A_k[a, c] per point
+    sums = np.stack([np.einsum("c...n,...n->c...", lv, la * f)
                      for la in laguerre_all(i, -0.5, lam * w**2 / 2.0)])
+    cols = sums.reshape(i + 1, J + 1, -1, 2)
     return sum(np.stack([np.convolve(a0, a1)[: J + 1]
-                         for a0, a1 in zip(sums[a, :, :, 0].T, sums[i - a, :, :, 1].T)], axis=1)
-               for a in range(i + 1))
+                         for a0, a1 in zip(cols[a, :, :, 0].T, cols[i - a, :, :, 1].T)], axis=1)
+               for a in range(i + 1)).reshape(sums.shape[1:-1])
 
 
 def _laguerre_slices(lam, b, probes, J, vnodes):
     """Measured twisted-convolution slices I_j(v_p) for the Gaussian
-    e^{-b |w|^2} against the Laguerre functions of frequency lam: the
-    integrals of _twisted_laguerre at i = 0 on the probes' v-points.
-    Returns (J+1, P)."""
+    e^{-b |w|^2} against the Laguerre functions of frequency lam (a
+    scalar or a 1-d stack): the integrals of _twisted_laguerre at i = 0
+    on the probes' v-points.  Returns (J+1,) + lam.shape + (P,)."""
     vs = np.array([v for _, v in probes], dtype=float)
     half = np.max(np.linalg.norm(vs, axis=1)) + np.sqrt((37.0 + 2.0 * J) / (b + lam / 4.0))
     return _twisted_laguerre(lam, 0, b, vs, J, vnodes, half)
@@ -262,6 +268,11 @@ def _wynn_limit(partial, scale):
         if step % 2 == 0:
             best[live] = eps_cur[-1, live]
     return best, order
+
+
+# Laguerre-table entries per chunk of frequency nodes (1 MiB): with its
+# working arrays (1.3 to 1.6 times the table) a chunk stays in a 2 MiB L2
+_SLICE_BLOCK = 1 << 17
 
 
 def heisenberg_inversion_check(
@@ -304,10 +315,11 @@ def heisenberg_inversion_check(
     tvals = np.array([t for t, _ in probes])
     window = min(9, J + 1)
     # the last window partial sums of every node and probe, (window,
-    # lam_nodes, P); row 0 of inner is replaced by the Wynn estimate
-    # below, row 1 stays the raw truncated sum
-    tails = np.stack([np.cumsum(_laguerre_slices(lam, b, probes, J, vnodes), axis=0)[J + 1 - window:]
-                      for lam in nodes], axis=1)
+    # lam_nodes, P), from the slices of one chunk of nodes at a time; row
+    # 0 of inner is replaced by the Wynn estimate below, row 1 stays raw
+    chunk = max(1, min(node_budget(), _SLICE_BLOCK) // ((J + 1) * P * 2 * vnodes))
+    tails = np.cumsum(np.concatenate([_laguerre_slices(nodes[k:k + chunk], b, probes, J, vnodes)
+                                      for k in range(0, lam_nodes, chunk)], axis=1), axis=0)[J + 1 - window:]
     inner = np.stack([tails[-1], tails[-1]], axis=1)
     orders = np.zeros((lam_nodes, P), dtype=int)
     if J >= 2:

@@ -204,6 +204,8 @@ def test_grid_matches_direct_leggauss_construction():
     axes = [1.5 * x] * 3
     wts = [1.5 * w1] * 3
     mesh = np.meshgrid(*axes, indexing="ij")
+    # column-major points with the values of the interleaved construction
+    assert pts.flags.f_contiguous and pts.shape == (11**3, 3)
     assert np.array_equal(pts, np.stack([m.ravel() for m in mesh], axis=-1))
     wmesh = np.meshgrid(*wts, indexing="ij")
     assert np.array_equal(w, wmesh[0].ravel() * wmesh[1].ravel() * wmesh[2].ravel())
@@ -215,6 +217,19 @@ def test_quadrature_rejects_too_few_nodes():
             QuadratureSpec.cube(nodes, 1.0, 2)
     pts, w = QuadratureSpec.cube(1, 1.0, 1).grid()
     assert pts.shape == (1, 1) and w[0] == 2.0
+
+
+@pytest.mark.parametrize("args", [
+    (3, -1.0, 1), (3, 0.0, 1), (3, float("inf"), 2), (3, float("nan"), 2),
+    (3, 1.0, 0), (3, 1.0, -1), (3, 1.0, 1.5), (2.5, 1.0, 1), (3.0, 1.0, 1),
+], ids=["negative-width", "zero-width", "inf-width", "nan-width", "dim-0", "dim-negative",
+        "dim-float", "nodes-float", "nodes-float-integral"])
+def test_quadrature_rejects_bad_sizes(args):
+    # before, a negative width integrated 1 over [-1, 1] as -2, a
+    # non-finite one gave non-finite nodes and weights, and dim = 0 or a
+    # float size failed inside numpy, or not at all
+    with pytest.raises(ValueError, match="gauss-legendre rule needs"):
+        QuadratureSpec.cube(*args)
 
 
 def test_budget_error(monkeypatch):
@@ -376,7 +391,9 @@ def test_haar_unitary_moments():
     # E |u_11|^2 = 1/n for Haar U(n)
     rng = as_rng(5)
     n = 3
-    vals = np.array([abs(haar_unitary(n, rng, 1)[0, 0, 0]) ** 2 for _ in range(4000)])
+    # one sized draw: a stack equals its single draws (see
+    # test_haar_orthogonal_and_unitary)
+    vals = np.abs(haar_unitary(n, rng, 4000)[:, 0, 0]) ** 2
     assert abs(vals.mean() - 1.0 / n) < 4 * vals.std() / np.sqrt(len(vals))
 
 

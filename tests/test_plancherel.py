@@ -181,6 +181,26 @@ def test_group_convolution_shape_follows_the_input():
         conv(pts[None])
 
 
+@pytest.mark.parametrize("case, n", [("VII", 1), ("VII", 2), ("I", 1)])
+def test_group_convolution_column_major_buffer(case, n):
+    # g reads the points y^{-1} x in the grid's column-major order (the
+    # first convolution's three calls), and its row sums give the bits
+    # of a C-ordered copy
+    alg = build_case(case, n=n)
+    dim = alg.dim_g + alg.dim_v
+    seen = []
+
+    def g(p):
+        seen.append(p.flags.f_contiguous)
+        return np.exp(-0.5 * np.sum(p**2, axis=1)) * (1 + 0.3 * p[:, 0])
+
+    spec = QuadratureSpec.cube(6, 3.0, dim)
+    pts = as_rng(2).standard_normal((3, dim))
+    cols = group_convolution(alg, _gauss(0.7), g, spec)(pts)
+    rows = group_convolution(alg, _gauss(0.7), lambda p: g(np.ascontiguousarray(p)), spec)(pts)
+    assert all(seen[:3]) and np.array_equal(cols, rows)
+
+
 def test_group_convolution_dimension_check():
     alg = build_case("VII", n=1)
     with pytest.raises(ValueError):
@@ -321,6 +341,17 @@ def test_heisenberg_inversion_budget(monkeypatch):
     assert heisenberg_inversion_check(vnodes=160).passed()
 
 
+def test_heisenberg_inversion_chunks_do_not_show(monkeypatch):
+    # the slices run in chunks of frequency nodes under the budget: one
+    # node's table per chunk, uneven chunks of 5 and one chunk of all 12
+    # give the same report
+    table = 11 * 5 * 2 * 80
+    ref = heisenberg_inversion_check(J=10, lam_nodes=12, vnodes=80)
+    for budget in (table, 5 * table + 7):
+        monkeypatch.setenv("NILHARM_BUDGET", str(budget))
+        assert heisenberg_inversion_check(J=10, lam_nodes=12, vnodes=80) == ref, budget
+
+
 def test_heisenberg_inversion_rejects_empty_probes():
     with pytest.raises(ValueError, match="probes is empty"):
         heisenberg_inversion_check(probes=())
@@ -452,6 +483,18 @@ def test_twisted_laguerre_matches_twisted_convolution_oracle():
         for j in range(J + 1):
             ref = twisted_convolution(f, _phi(lam, j), -lam, spec)(vs[:, :1] + 1j * vs[:, 1:])
             assert np.max(np.abs(got[j] - ref)) <= 1e-13 * max(1.0, np.max(np.abs(ref))), (i, j)
+
+
+def test_twisted_laguerre_over_a_stack_of_frequencies():
+    # one call on 3 frequencies and half-widths is the 3 scalar calls
+    lams, halfs = np.array([0.4, 1.7, 5.2]), np.array([11.0, 9.0, 6.5])
+    vs = np.array([[0.0, 0.0], [0.5, -0.2], [-1.1, 0.7]])
+    for i in (0, 1, 3):
+        got = _twisted_laguerre(lams, i, 0.9, vs, 5, 60, halfs)
+        assert got.shape == (6, 3, len(vs))
+        want = np.stack([_twisted_laguerre(lam, i, 0.9, vs, 5, 60, half)
+                         for lam, half in zip(lams, halfs)], axis=1)
+        assert np.array_equal(got, want), i
 
 
 def test_general_inversion_probe_consistent():
