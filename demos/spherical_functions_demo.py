@@ -14,9 +14,9 @@ from nilharm.numerics import as_rng
 from nilharm.spherical import (
     canonical_polynomials,
     functional_equation_residual,
+    phi,
     phi_caseI_closed,
     phi_orbit,
-    psi_closed,
     spherical_index,
 )
 
@@ -49,13 +49,13 @@ def main():
     idx7 = spherical_index(alg7, [0.9], 1)
     ks = sample_k_actions(alg7, as_rng(args.seed + 100), count=3000)
 
-    def phi(p):
-        return psi_closed(idx7, float(idx7.functional.y @ p[0]), p[1])
+    def at(p):
+        return phi(idx7, *p).value
 
     for trial in range(3):
         xp = (rng.standard_normal(1) * 0.3, rng.standard_normal(4) * 0.6)
         yp = (rng.standard_normal(1) * 0.3, rng.standard_normal(4) * 0.6)
-        rep = functional_equation_residual(phi, alg7, xp, yp, ks)
+        rep = functional_equation_residual(at, alg7, xp, yp, ks)
         print(f"pair {trial}: residual {rep.residual:.2e} vs MC stderr {rep.stderr:.2e}")
     print()
 

@@ -301,15 +301,6 @@ def _cmd_density(args):
     return 0
 
 
-def _spherical_value(alg, idx, z, v, args):
-    if alg.spec.case in ("I", "VII"):
-        # phi_caseI_closed takes the degree of case I's one run
-        val = (sph.phi_caseI_closed(idx.lam, idx.degrees[0], z, v) if alg.spec.case == "I"
-               else sph.psi_closed(idx, float(idx.functional.y @ z), v))
-        return sph.SphericalValue(value=val, method="closed-form", stderr=0.0)
-    return sph.phi_orbit(idx, z, v, samples=args.mc_samples, seed=args.seed)
-
-
 def _cmd_spherical(args):
     _check_points(args)
     args.z_norm, args.v_norm = _finite(args.z_norm), _finite(args.v_norm)
@@ -330,7 +321,7 @@ def _cmd_spherical(args):
     for vn in vnorms:
         vvec = np.zeros(alg.dim_v)
         vvec[0] = vn
-        val = _spherical_value(alg, idx, zvec, vvec, args)
+        val = sph.phi(idx, zvec, vvec, samples=args.mc_samples, seed=args.seed)
         point = ";".join(_fmt(c) for c in np.concatenate([zvec, vvec]))
         rows.append(
             [alg.spec.case, idx.lam, ";".join(str(i) for i in index), point,

@@ -142,9 +142,6 @@ class Functional:
         point = torus.to_chamber(rs, self.alg.ops.to_factor_mats(xp), self.norm)
         return point.angles, zc, point.regular
 
-    def classify(self) -> SquareIntegrability:
-        return self.verdict
-
 
 def functional(alg: LauretAlgebra, x) -> Functional:
     """x itself when it is a Functional of alg, else alg's last Functional

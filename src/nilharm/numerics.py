@@ -75,6 +75,12 @@ def require_budget(total, what, *args):
     return total
 
 
+def is_count(k, low=1):
+    """True when k is a Python or numpy integer, not a bool, and at
+    least low: the size check of the quadrature and of phi_orbit."""
+    return isinstance(k, (int, np.integer)) and not isinstance(k, bool) and k >= low
+
+
 def as_rng(seed):
     """Coerce an int seed (or an existing Generator) to a Generator."""
     if isinstance(seed, np.random.Generator):
@@ -344,8 +350,7 @@ class QuadratureSpec:
     rule = "gauss-legendre"
 
     def __post_init__(self):
-        ints = all(isinstance(k, (int, np.integer)) and k >= 1 for k in (self.nodes, self.dim))
-        if not (ints and 0 < self.half_width < math.inf):
+        if not (is_count(self.nodes) and is_count(self.dim) and 0 < self.half_width < math.inf):
             raise ValueError(f"the {self.rule} rule needs integer nodes, dim >= 1 and finite half_width > 0: {self}")
 
     @staticmethod

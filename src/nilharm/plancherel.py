@@ -41,7 +41,7 @@ import numpy as np
 
 from .algebra import LauretAlgebra, build_case
 from .forms import functional
-from .numerics import QuadratureSpec, as_rng, laguerre_all, leggauss, mc_mean, node_budget, require_budget
+from .numerics import QuadratureSpec, as_rng, is_count, laguerre_all, leggauss, mc_mean, node_budget, require_budget
 from .spherical import _v_factor
 from . import fock
 from . import torus
@@ -302,8 +302,8 @@ def heisenberg_inversion_check(
     a, b = (float(widths[0]), float(widths[1]))
     if not (0 < a < np.inf and 0 < b < np.inf):
         raise ValueError("widths must be positive and finite")
-    if J < 0 or not 0 < lam_max < np.inf or lam_nodes < 1 or vnodes < 1:
-        raise ValueError("need J >= 0, finite lam_max > 0, lam_nodes >= 1 and vnodes >= 1")
+    if not (is_count(J, 0) and 0 < lam_max < np.inf and is_count(lam_nodes) and is_count(vnodes)):
+        raise ValueError("need integers J >= 0, lam_nodes >= 1 and vnodes >= 1 and a finite lam_max > 0")
     probes = tuple(probes) if probes is not None else _DEFAULT_PROBES
     if not probes:
         raise ValueError("probes is empty: need at least one (t, v) point")
@@ -388,8 +388,8 @@ def projection_check(lam, i, j, nodes=120, points=None, seed=0):
     peak value.
     """
     lam = float(lam)
-    if not 0 < lam < np.inf:
-        raise ValueError("lam must be positive and finite")
+    if not (0 < lam < np.inf and is_count(nodes)):
+        raise ValueError("need a positive finite lam and an integer nodes >= 1")
     jmax = max(i, j)
     half = np.sqrt((37.0 + 4.0 * jmax) / (lam / 4.0))
     if points is None:
@@ -520,8 +520,8 @@ def general_inversion_probe(
     equality of the two ratios within the combined 3 sigma is the
     desk-scale form of the inversion theorem.
     """
-    if J < 0 or not 0 < lam_max < np.inf or lam_nodes < 1 or samples < 2:
-        raise ValueError("need J >= 0, finite lam_max > 0, lam_nodes >= 1 and samples >= 2")
+    if not (is_count(J, 0) and 0 < lam_max < np.inf and is_count(lam_nodes) and is_count(samples, 2)):
+        raise ValueError("need integers J >= 0, lam_nodes >= 1 and samples >= 2 and a finite lam_max > 0")
     flat = [np.append(np.asarray(avec, dtype=float), b) for avec, b in width_specs]
     if not all(np.all((w > 0) & (w < np.inf)) for w in flat):
         raise ValueError("widths must be positive and finite")

@@ -16,15 +16,16 @@ computed by Monte Carlo over the full compact factor G' (the integrand
 is right-torus-invariant, so full-group Haar sampling realizes the
 quotient integral exactly in law).  pi(h) acts on complex coordinate a
 of V as multiplication by 1j mu_a (cases.CaseOps.coord_weights), and
-psi_h gives coordinate a the frequency |mu_a|.
+psi_h gives coordinate a the frequency |mu_a|.  The function phi is the
+one entry point: it alone picks the closed form or phi_orbit.
 
 A SphericalIndex resolves and checks its K_x-type once, when it is
 built, into the coordinate runs of fock.kx_blocks and one degree per
-run.  The one kernel, _v_factor, reads those and one frequency per
-complex coordinate without further checks, and is vectorized over
-leading axes of v.  psi_closed and phi_caseI_closed (with the sphere
-average of the phase) give every coordinate |lam|; phi_orbit gives the
-points pi(g) v the weights of h, one block of samples at a time.
+run, the index.  The one kernel, _v_factor, reads those and one
+frequency per complex coordinate without further checks, and is
+vectorized over leading axes of v.  psi_closed and phi_caseI_closed
+(with the sphere average of the phase) give every coordinate |lam|;
+phi_orbit gives the points pi(g) v the weights of h, block by block.
 
 canonical_polynomials gives the Gram-Schmidt invariants in closed form:
 the block norms have independent Gamma laws under the Gaussian weight,
@@ -48,21 +49,21 @@ import numpy as np
 from .algebra import LauretAlgebra
 from .cases import case_params
 from .forms import Functional, functional, weight_table
-from .numerics import as_complex_vector, as_rng, laguerre, mc_mean, require_budget, sphere_character
+from .numerics import as_complex_vector, as_rng, is_count, laguerre, mc_mean, require_budget, sphere_character
 from .fock import check_degrees, kx_blocks, monomials_of_degree
 
 
 @dataclass(frozen=True)
 class SphericalIndex:
     """Case label, signed frequency lam, component index, the case
-    parameters (the dict of build_case) and, for phi_orbit, the
+    parameters (the dict of build_case) and, for phi and phi_orbit, the
     functional.  Construction checks the parameters (fock.kx_blocks
-    calls cases.case_params) and resolves and checks the index once
-    (fock.check_degrees) into runs, the coordinate runs of
-    fock.kx_blocks, degrees, the index as a tuple (one degree per run),
-    and mu, the read-only frequency |lam| of every complex coordinate
-    that psi_closed passes to _v_factor; NotImplementedError where the
-    K_x-types are not run products."""
+    calls cases.case_params), stores the index as a tuple of degrees,
+    one per run, checks it once (fock.check_degrees) and resolves runs,
+    the coordinate runs of fock.kx_blocks, and mu, the read-only
+    frequency |lam| of every complex coordinate that psi_closed passes
+    to _v_factor; NotImplementedError where the K_x-types are not run
+    products."""
 
     case: str
     lam: float
@@ -70,7 +71,6 @@ class SphericalIndex:
     params: dict
     functional: Optional[Functional] = None
     runs: tuple = field(init=False)
-    degrees: tuple = field(init=False)
     mu: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -78,12 +78,11 @@ class SphericalIndex:
         if runs is None:
             raise NotImplementedError(f"case {self.case} {self.params} has no K_x-type runs, "
                                       "so no closed psi or orbit integrand")
-        degrees = tuple(self.index)
-        check_degrees(self.lam, runs, degrees)
+        object.__setattr__(self, "index", tuple(self.index))
+        check_degrees(self.lam, runs, self.index)
         mu = np.full(sum(runs), abs(float(self.lam)))
         mu.flags.writeable = False
         object.__setattr__(self, "runs", runs)
-        object.__setattr__(self, "degrees", degrees)
         object.__setattr__(self, "mu", mu)
 
 
@@ -117,7 +116,7 @@ def _v_factor(runs, degrees, mu, v, scale):
     The v-factor is the Gaussian envelope e^{-sum_a mu_a |v_a|^2 / 4}
     times one Laguerre block L_deg^(size - 1)(sum_{a in run} mu_a
     |v_a|^2 / 2) per coordinate run, at the run degrees of an index
-    (SphericalIndex.runs and degrees).
+    (SphericalIndex.runs and index).
     """
     mu = np.asarray(mu, dtype=float)
     z = as_complex_vector(v, len(mu))
@@ -147,7 +146,7 @@ def psi_closed(idx: SphericalIndex, t, v):
     if not isfinite(lam * t):
         raise ValueError(f"psi_closed: lam t = {lam!r} x {t!r} overflows")
     phase = np.exp(1j * lam * t)
-    return complex(_v_factor(idx.runs, idx.degrees, idx.mu, v, phase))
+    return complex(_v_factor(idx.runs, idx.index, idx.mu, v, phase))
 
 
 def phi_caseI_closed(lam, j, z, v):
@@ -213,10 +212,10 @@ def phi_orbit(idx: SphericalIndex, z, v, samples=20000, seed=0):
     fn = idx.functional
     if fn is None:
         raise ValueError("phi_orbit needs an index built from a functional")
-    if samples < 2:
-        raise ValueError("phi_orbit needs samples >= 2 for a standard error")
+    if not is_count(samples, 2):
+        raise ValueError("phi_orbit needs an integer samples >= 2 for a standard error")
     alg = fn.alg
-    if not fn.classify().square_integrable:
+    if not fn.verdict.square_integrable:
         raise ValueError("phi_orbit needs a square-integrable functional")
     angles, zc, _ = fn.chamber
     h = alg.from_chamber(angles, zc)
@@ -232,9 +231,22 @@ def phi_orbit(idx: SphericalIndex, z, v, samples=20000, seed=0):
         vmats = alg.ops.sample_vmats(rng, min(_ORBIT_BLOCK, samples - at))
         pair = alg.orbit_pairing(vmats, h, z)
         w = np.einsum("sab,b->sa", vmats, v)
-        vals[at:at + len(vmats)] = _v_factor(idx.runs, idx.degrees, mu, w, np.exp(1j * pair))
+        vals[at:at + len(vmats)] = _v_factor(idx.runs, idx.index, mu, w, np.exp(1j * pair))
     mean, stderr = mc_mean(vals)
     return SphericalValue(value=complex(mean), method="orbit-MC", stderr=stderr)
+
+
+def phi(idx: SphericalIndex, z, v, samples=20000, seed=0) -> SphericalValue:
+    """The spherical function of idx at (z, v): psi_closed at t = <y, z> on
+    VII (Benson, Jenkins and Ratcliff, 1992) and phi_caseI_closed on I,
+    with stderr 0, else phi_orbit, which also rejects an index without a
+    functional.  The case label chooses, not a trivial G': VI(2) has one,
+    but its h-frame frequency is |lam| / sqrt(2), not |lam|."""
+    if idx.functional is None or idx.case not in ("I", "VII"):
+        return phi_orbit(idx, z, v, samples=samples, seed=seed)
+    if idx.case == "I":
+        return SphericalValue(phi_caseI_closed(idx.lam, idx.index[0], z, v), "closed-form")
+    return SphericalValue(psi_closed(idx, float(idx.functional.y @ z), v), "closed-form")
 
 
 # ---------------------------------------------------------------------------

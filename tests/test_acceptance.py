@@ -28,6 +28,7 @@ from nilharm.spherical import (
     SphericalIndex,
     canonical_polynomials,
     functional_equation_residual,
+    phi,
     phi_caseI_closed,
     phi_orbit,
     psi_closed,
@@ -359,7 +360,7 @@ def test_criterion_12_functional_equation(capsys):
         xp = (rng.standard_normal(1) * 0.4, rng.standard_normal(2) * 0.8)
         yp = (rng.standard_normal(1) * 0.4, rng.standard_normal(2) * 0.8)
         rep = functional_equation_residual(
-            lambda p: psi_closed(idx1, float(idx1.functional.y @ p[0]), p[1]),
+            lambda p: phi(idx1, *p).value,
             alg1, xp, yp, ks1)
         quad_worst = max(quad_worst, rep.residual)
 
@@ -375,7 +376,7 @@ def test_criterion_12_functional_equation(capsys):
         xp = (rng.standard_normal(1) * 0.3, rng.standard_normal(4) * 0.6)
         yp = (rng.standard_normal(1) * 0.3, rng.standard_normal(4) * 0.6)
         rep = functional_equation_residual(
-            lambda p: psi_closed(idx2, float(idx2.functional.y @ p[0]), p[1]),
+            lambda p: phi(idx2, *p).value,
             alg2, xp, yp, ks2)
         mc_worst = max(mc_worst, (rep.residual - 1e-6) / max(rep.stderr, 1e-300))
         xi = (rng.standard_normal(3) * 0.4, rng.standard_normal(4) * 0.6)

@@ -451,7 +451,7 @@ def _answers(alg, x):
 def _fresh(alg, x):
     # a new Functional, passed on, never the algebra's slot
     fn = Functional(alg, x)
-    return fn.classify(), pfaffian_via_weights(alg, fn), density_of(alg, fn)
+    return fn.verdict, pfaffian_via_weights(alg, fn), density_of(alg, fn)
 
 
 def test_shared_functional_is_never_stale():

@@ -17,7 +17,7 @@ from nilharm import (
 )
 from nilharm.numerics import BudgetError, QuadratureSpec, as_rng, laguerre, laguerre_all
 from nilharm.plancherel import _laguerre_slices, _twisted_laguerre, _wynn_limit
-from nilharm.spherical import canonical_polynomials
+from nilharm.spherical import canonical_polynomials, phi_orbit, spherical_index
 
 
 # ---------------------------------------------------------------------------
@@ -327,6 +327,31 @@ WIDTHS_I = ((0.8, 1.0, 1.3), 1.0), ((1.2, 0.9, 0.7), 0.6)
 def test_non_finite_sizes_and_widths_raise(call):
     # each returned a NaN or infinite result (or coefficients) before
     with pytest.raises(ValueError, match="finite"):
+        call()
+
+
+def _orbit_at(samples):
+    alg = build_case("IX", n=3)
+    idx = spherical_index(alg, np.arange(1, 10) / 10.0, (1, 0, 1))
+    return phi_orbit(idx, np.zeros(alg.dim_g), np.ones(alg.dim_v), samples=samples)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: heisenberg_inversion_check(J=2.5),
+    lambda: heisenberg_inversion_check(lam_nodes=2.5),
+    lambda: heisenberg_inversion_check(lam_nodes=True),
+    lambda: heisenberg_inversion_check(vnodes=2.5),
+    lambda: projection_check(1.1, 0, 0, nodes=2.5),
+    lambda: general_inversion_probe(J=2.5),
+    lambda: general_inversion_probe(lam_nodes=2.5),
+    lambda: general_inversion_probe(samples=100.5),
+    lambda: _orbit_at(100.5),
+], ids=["heisenberg-J", "heisenberg-lam-nodes", "heisenberg-lam-nodes-bool", "heisenberg-vnodes",
+        "projection-nodes", "probe-J", "probe-lam-nodes", "probe-samples", "orbit-samples"])
+def test_non_integer_sizes_raise(call):
+    # each failed inside numpy with a TypeError before; the sizes share
+    # QuadratureSpec's integer check (numerics.is_count)
+    with pytest.raises(ValueError, match="integer"):
         call()
 
 

@@ -23,8 +23,10 @@ from nilharm.forms import weight_table
 from nilharm.numerics import BudgetError, as_rng, mc_mean, sphere_character
 from nilharm.spherical import (
     SphericalIndex,
+    SphericalValue,
     canonical_polynomials,
     functional_equation_residual,
+    phi,
     phi_caseI_closed,
     phi_orbit,
     psi_closed,
@@ -212,7 +214,7 @@ def test_a_component_index_is_one_degree_per_run(case, params):
     runs = fock.kx_blocks(case, params)
     for comp in fock.metaplectic_components(case, params, 3):
         assert len(comp.index) == len(runs)
-        assert SphericalIndex(case, 1.0, comp.index, params).degrees == comp.index
+        assert SphericalIndex(case, 1.0, comp.index, params).index == comp.index
 
 
 @pytest.mark.parametrize("case,params,index", [
@@ -234,7 +236,8 @@ def test_spherical_index_rejects_bad_frequencies_and_degrees(case, params):
     runs = fock.kx_blocks(case, params)
     good = (0,) * len(runs)
     idx = SphericalIndex(case, 1.0, good, params)
-    assert idx.runs == runs and idx.degrees == (0,) * len(runs)
+    assert idx.runs == runs and idx.index == (0,) * len(runs)
+    assert SphericalIndex(case, 1.0, list(good), params).index == good
     for lam in (0.0, float("nan"), float("inf"), -float("inf")):
         with pytest.raises(ValueError, match="finite nonzero frequency"):
             SphericalIndex(case, lam, good, params)
@@ -243,7 +246,7 @@ def test_spherical_index_rejects_bad_frequencies_and_degrees(case, params):
             SphericalIndex(case, 1.0, index, params)
     alg = build_case(case, **params)
     x = as_rng(5).standard_normal(alg.dim_g)
-    assert spherical_index(alg, x, good).degrees == idx.degrees
+    assert spherical_index(alg, x, good).index == idx.index
     with pytest.raises(ValueError, match="nonnegative integers"):
         spherical_index(alg, x, (1.7,) + good[1:])
 
@@ -400,7 +403,7 @@ def test_phi_orbit_in_blocks_is_the_one_stack_estimate(case, params, index):
     mu = np.abs(weight_table(alg, fn))
     vmats = alg.ops.sample_vmats(as_rng(seed), samples)
     phase = np.exp(1j * alg.orbit_pairing(vmats, h, z))
-    vals = spherical._v_factor(idx.runs, idx.degrees, mu, np.einsum("sab,b->sa", vmats, v), phase)
+    vals = spherical._v_factor(idx.runs, idx.index, mu, np.einsum("sab,b->sa", vmats, v), phase)
     mean, stderr = mc_mean(vals)
     got = phi_orbit(idx, z, v, samples=samples, seed=seed)
     if case == "I":
@@ -422,6 +425,43 @@ def test_phi_orbit_vii_is_exact():
     ref = psi_closed(idx, t, v)
     assert got.stderr < 1e-10
     assert abs(got.value - ref) < 1e-10
+
+
+# (case, params, index): every route of phi; VII and VI(2) have g = R
+DISPATCH = [
+    ("I", {"n": 1}, (1,)), ("I", {"n": 2}, (2,)), ("VII", {"n": 1}, (2,)), ("VII", {"n": 2}, (1,)),
+    ("V", {"n": 3}, (1, 0, 0)), ("IX", {"n": 3}, (0, 1, 0)), ("VI", {"n": 2}, (1,)),
+    ("VI", {"n": 4}, (1, 0)), ("III", {"k1": 1, "k2": 1}, (1, 0, 0, 1)),
+    ("VIII", {"k": 1, "n": 1}, (1, 0, 0, 1)),
+]
+
+
+@pytest.mark.parametrize("case,params,index", DISPATCH,
+                         ids=[f"{c}-{'-'.join(map(str, p.values()))}" for c, p, _ in DISPATCH])
+def test_phi_picks_the_closed_form_by_case_label(case, params, index):
+    alg = build_case(case, **params)
+    rng = as_rng(31)
+    x = 1.3 * np.ones(1) if alg.dim_g == 1 else rng.standard_normal(alg.dim_g)
+    idx = spherical_index(alg, x, index)
+    z = 0.4 * rng.standard_normal(alg.dim_g)
+    v = 0.6 * rng.standard_normal(alg.dim_v)
+    got = phi(idx, z, v, samples=300, seed=9)
+    if case == "I":
+        assert got == SphericalValue(phi_caseI_closed(idx.lam, index[0], z, v), "closed-form", 0.0)
+    elif case == "VII":
+        # the direction of x = (1.3,) is y = (1,), so <y, z> = z_0
+        assert got == SphericalValue(psi_closed(idx, z[0], v), "closed-form", 0.0)
+    else:
+        assert got == phi_orbit(idx, z, v, samples=300, seed=9)
+        assert got.method == "orbit-MC"
+    if case == "VI" and params["n"] == 2:
+        # G' is trivial, but the h-frame frequency is |lam| / sqrt(2)
+        assert got.value != psi_closed(idx, z[0], v)
+
+
+def test_phi_needs_a_functional():
+    with pytest.raises(ValueError, match="built from a functional"):
+        phi(SphericalIndex("VII", 1.3, (1,), {"n": 1}), np.zeros(1), np.zeros(2))
 
 
 def test_phi_orbit_caseI_matches_closed_form():
@@ -476,7 +516,7 @@ def test_phi_orbit_is_a_sublaplacian_eigenfunction(case, params):
     assert max(abs(r - ratios[0]) for r in ratios) <= 1e-9 * abs(ratios[0]), ratios
     mu = np.abs(weight_table(alg, idx.functional))
     starts = np.cumsum((0,) + runs[:-1])
-    want = -sum(mu[a] * (2 * deg + size) for a, size, deg in zip(starts, runs, idx.degrees) if size)
+    want = -sum(mu[a] * (2 * deg + size) for a, size, deg in zip(starts, runs, idx.index) if size)
     assert max(abs(r - want) for r in ratios) <= 1e-8 * abs(want), (ratios, want)
 
 
@@ -485,7 +525,7 @@ def test_phi_orbit_requires_square_integrable():
     # weight of C^3, so the functional is degenerate
     alg = build_case("V", n=3)
     idx = spherical_index(alg, alg.from_chamber((np.array([1.0, 0.0, -1.0]),), None), (0, 0, 0))
-    assert not idx.functional.classify().square_integrable
+    assert not idx.functional.verdict.square_integrable
     with pytest.raises(ValueError, match="square-integrable"):
         phi_orbit(idx, np.zeros(alg.dim_g), np.zeros(alg.dim_v), samples=10)
 
@@ -687,8 +727,8 @@ def test_viii_v_factor_on_a_stack_matches_pointwise():
     index = (1, 2, 0, 1)
     v = 0.6 * as_rng(5).standard_normal((2, 3, 8))
     idx = SphericalIndex("VIII", lam, index, params)
-    assert (idx.runs, idx.degrees) == ((1, 1, 0, 2), (1, 2, 0, 1))
-    got = spherical._v_factor(idx.runs, idx.degrees, np.full(4, lam), v, 1.0)
+    assert (idx.runs, idx.index) == ((1, 1, 0, 2), (1, 2, 0, 1))
+    got = spherical._v_factor(idx.runs, idx.index, np.full(4, lam), v, 1.0)
     assert got.shape == (2, 3)
     want = np.array([[psi_closed(idx, 0.0, p) for p in row] for row in v])
     assert np.max(np.abs(got - want)) < 1e-14
@@ -791,34 +831,30 @@ def test_functional_equation_vii_u1_quadrature():
     # entire integrand, so the residual sits at quadrature accuracy
     alg = build_case("VII", n=1)
     idx = spherical_index(alg, [1.3], 2)
-    fn = idx.functional
 
-    def phi(point):
-        z, v = point
-        return psi_closed(idx, float(fn.y @ z), v)
+    def at(point):
+        return phi(idx, *point).value
 
     rng = as_rng(4)
     for _ in range(3):
         xp = (rng.standard_normal(1) * 0.4, rng.standard_normal(2) * 0.8)
         yp = (rng.standard_normal(1) * 0.4, rng.standard_normal(2) * 0.8)
-        rep = functional_equation_residual(phi, alg, xp, yp, _circle_actions(64))
+        rep = functional_equation_residual(at, alg, xp, yp, _circle_actions(64))
         assert rep.residual < 1e-6
 
 
 def test_functional_equation_vii_un_mc():
     alg = build_case("VII", n=2)
     idx = spherical_index(alg, [0.9], 1)
-    fn = idx.functional
 
-    def phi(point):
-        z, v = point
-        return psi_closed(idx, float(fn.y @ z), v)
+    def at(point):
+        return phi(idx, *point).value
 
     rng = as_rng(5)
     xp = (rng.standard_normal(1) * 0.3, rng.standard_normal(4) * 0.6)
     yp = (rng.standard_normal(1) * 0.3, rng.standard_normal(4) * 0.6)
     ks = sample_k_actions(alg, as_rng(6), count=4000)
-    rep = functional_equation_residual(phi, alg, xp, yp, ks)
+    rep = functional_equation_residual(at, alg, xp, yp, ks)
     assert rep.residual <= 1e-6 + 3.5 * rep.stderr
 
 
