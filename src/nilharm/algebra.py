@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cases import CASES, case_params
-from .numerics import as_rng, require_budget
+from .numerics import as_rng, is_count, require_budget
 
 
 @dataclass(frozen=True)
@@ -38,6 +38,18 @@ class CaseSpec:
     def __str__(self):
         inner = ",".join(f"{k}={v}" for k, v in sorted(self.params.items()))
         return f"{self.case}({inner})"
+
+
+# V-matrix entries per block of an orbit pass: a block's samples, their
+# Kronecker-form products and the integrand stay in cache (2,048 samples
+# at dim_v = 4, 910 at dim_v = 6), and the per-block Python work is small
+ORBIT_BLOCK_ENTRIES = 2**15
+
+
+def orbit_block(dim_v):
+    """Samples per block of LauretAlgebra.orbit_pass on a V of dimension
+    dim_v: about ORBIT_BLOCK_ENTRIES V-matrix entries, at least one."""
+    return max(1, ORBIT_BLOCK_ENTRIES // dim_v**2)
 
 
 class LauretAlgebra:
@@ -151,25 +163,47 @@ class LauretAlgebra:
         # one generator at a time, so no (S, dim_g, dim_v, dim_v) array
         return np.stack([self._coords(vmats @ p @ vt) for p in self.pi], axis=2)
 
-    def orbit_pairing(self, vmats, y, z):
-        """<Ad(g^-1) y, z> for each pi(g) of the stack and each z of
-        shape (..., dim_g), shape (S, ...).
-
-        Equal to y @ ad_of(vmats) @ z, computed as the quadratic form
-        vec(pi(g))^T (pi(y) kron pi(G^-1 z)) vec(pi(g)), G the Gram
-        matrix of pi: one broadcast product makes the forms of all z and
-        one stacked product pairs them, each z bit for bit as if alone.
-        The len(z) dim_v^4 entries of the forms are checked against
-        NILHARM_BUDGET first.
-        """
+    def kronecker_forms(self, y, z):
+        """The Kronecker forms pi(y) kron pi(G^-1 z) of y with each z of
+        shape (..., dim_g), G the Gram matrix of pi: shape
+        z.shape[:-1] + (dim_v^2, dim_v^2), made by one broadcast product.
+        The count(z) dim_v^4 entries are checked against NILHARM_BUDGET
+        first.  Build them once per orbit pass and pair every block of
+        samples against them with pair_forms."""
         z = np.asarray(z, dtype=float)
         dv, n = self.dim_v, self.dim_v**2
         count = math.prod(z.shape[:-1])
         require_budget(count * n**2, "{} x {}^4 Kronecker-form entries", count, dv)
         pz = self.pi_of((self._gram_inv @ z[..., None])[..., 0]).reshape(-1, 1, dv, 1, dv)
-        forms = (self.pi_of(y)[:, None, :, None] * pz).reshape(-1, n, n)
+        return (self.pi_of(y)[:, None, :, None] * pz).reshape(z.shape[:-1] + (n, n))
+
+    def pair_forms(self, vmats, forms):
+        """<Ad(g^-1) y, z> for each pi(g) of the stack vmats and each form
+        of kronecker_forms(y, z), shape (S,) + z.shape[:-1].
+
+        Equal to y @ ad_of(vmats) @ z, as the quadratic form
+        vec(pi(g))^T (pi(y) kron pi(G^-1 z)) vec(pi(g)): one stacked
+        product pairs every form, each bit for bit as if alone, and each
+        row of vmats as in any stack (BLAS may round a row differently by
+        the row count, in the last bits).
+        """
+        n = self.dim_v**2
         flat = vmats.reshape(len(vmats), n)
-        return np.einsum("ksm,sm->sk", flat @ forms, flat).reshape((len(vmats),) + z.shape[:-1])
+        prods = flat @ forms.reshape(-1, n, n)
+        return np.einsum("ksm,sm->sk", prods, flat).reshape((len(vmats),) + forms.shape[:-2])
+
+    def orbit_pass(self, rng, samples, forms):
+        """Draw samples Haar V-matrices pi(g) of G' from rng and pair them
+        against forms (kronecker_forms), block by block: yields
+        (vmats, pair_forms(vmats, forms)) for blocks of orbit_block(dim_v)
+        samples, the last one partial.  Every case with K_x-type runs, and
+        IV, draws each sample's variates together, so the blocks are, byte
+        for byte, one stack of all the samples.  The caller checks
+        samples * dim_v^2 against NILHARM_BUDGET."""
+        block = orbit_block(self.dim_v)
+        for at in range(0, samples, block):
+            vmats = self.ops.sample_vmats(rng, min(block, samples - at))
+            yield vmats, self.pair_forms(vmats, forms)
 
     # -- group law ---------------------------------------------------------------
     def group_mult(self, p, q):
@@ -239,6 +273,8 @@ def sample_k_actions(alg: LauretAlgebra, rng=None, count=8):
     stack: each element composes a G' pair (Ad, pi) with an independent
     V-intertwiner from U that fixes g (the identity where the case
     draws none)."""
+    if not is_count(count):
+        raise ValueError(f"sample_k_actions needs an integer count >= 1, got {count!r}")
     # entries of the G' stack, Ad, U and U pi(g)
     require_budget(count * (3 * alg.dim_v**2 + alg.dim_g**2), "{} automorphisms of (Ad, pi) matrices", count)
     rng = as_rng(rng)
@@ -284,8 +320,8 @@ def check_structure(alg: LauretAlgebra, rng=None, trials=100) -> StructureReport
     that the brackets of V with itself span all of g.  Each table is
     checked against NILHARM_BUDGET before it is built.
     """
-    if trials < 1:
-        raise ValueError(f"check_structure needs trials >= 1, got {trials}")
+    if not is_count(trials):
+        raise ValueError(f"check_structure needs an integer trials >= 1, got {trials!r}")
     rng = as_rng(rng)
     d, n = alg.dim_g, alg.dim_v
     comm = _commutators(alg)

@@ -278,11 +278,18 @@ def _det(q):
     return d[0] if len(d) == 1 else d[0] + 1j * d[1]
 
 
+def _check_size(size):
+    if not is_count(size):
+        raise ValueError(f"a Haar sample needs an integer size >= 1, got {size!r}")
+
+
 def haar_orthogonal(n, rng, size):
+    _check_size(size)
     return _matrices(_orthonormalize(rng.standard_normal((size, 1, n, n))))
 
 
 def haar_special_orthogonal(n, rng, size):
+    _check_size(size)
     q = _orthonormalize(rng.standard_normal((size, 1, n, n)))
     # |det| = 1, so its sign picks the samples whose first column flips
     np.negative(q[:, 0], out=q[:, 0], where=_det(q) < 0)
@@ -290,11 +297,13 @@ def haar_special_orthogonal(n, rng, size):
 
 
 def haar_unitary(n, rng, size):
+    _check_size(size)
     # the Gaussians' real and then imaginary parts, over sqrt(2)
     return _matrices(_orthonormalize(rng.standard_normal((size, 2, n, n)), 1 / np.sqrt(2.0)))
 
 
 def haar_special_unitary(n, rng, size):
+    _check_size(size)
     q = _orthonormalize(rng.standard_normal((size, 2, n, n)), 1 / np.sqrt(2.0))
     d = _det(q)
     # d ** (-1/n) on the principal branch
@@ -311,6 +320,7 @@ def haar_symplectic_quat(n, rng, size):
     reals, which fixes the phase ambiguity exactly as in the complex QR
     construction.
     """
+    _check_size(size)
     m = rng.standard_normal((size, n, n, 4))
     for col in range(n):
         v = m[:, :, col]

@@ -390,6 +390,9 @@ def projection_check(lam, i, j, nodes=120, points=None, seed=0):
     lam = float(lam)
     if not (0 < lam < np.inf and is_count(nodes)):
         raise ValueError("need a positive finite lam and an integer nodes >= 1")
+    for name, k in (("i", i), ("j", j)):
+        if not is_count(k, 0):
+            raise ValueError(f"projection_check needs an integer {name} >= 0, got {k!r}")
     jmax = max(i, j)
     half = np.sqrt((37.0 + 4.0 * jmax) / (lam / 4.0))
     if points is None:
@@ -458,7 +461,7 @@ class GeneralInversionReport:
 _DEFAULT_WIDTHS = (((0.8, 1.0, 1.3), 1.0), ((1.2, 0.9, 0.7), 0.6))
 
 
-def _probe_one_width(alg, avec, b, J, lam_max, lam_nodes, samples, seed):
+def _probe_one_width(alg, forms, avec, b, J, lam_max, lam_nodes, samples, seed):
     """RHS of the case I inversion at the identity for
     f = e^{-sum a_i z_i^2 - b |v|^2}, n = 1.
 
@@ -477,7 +480,12 @@ def _probe_one_width(alg, avec, b, J, lam_max, lam_nodes, samples, seed):
 
     These are summed over j <= J against the Plancherel weight
     4 r^4 dr (pfaffian r^2 times theta 4 r^2) with fresh Haar samples
-    per node, so the node errors add in quadrature.
+    per node, so the node errors add in quadrature.  forms are the
+    caller's kronecker_forms(Y, I), built once for every width and node:
+    each node runs one orbit pass on its own generator as_rng((seed,
+    node)), in blocks of algebra.orbit_block(dim_v) samples, and its
+    pairings u_g make one stack (BLAS may round a row differently by the
+    row count, in the last bits).
     """
     avec = np.asarray(avec, dtype=float)
     nodes, wts = leggauss(lam_nodes)
@@ -486,14 +494,11 @@ def _probe_one_width(alg, avec, b, J, lam_max, lam_nodes, samples, seed):
     zfac = float(np.prod(np.sqrt(np.pi / avec)))
     total = 0.0
     var = 0.0
-    y = np.array([1.0, 0.0, 0.0])
     (d,) = fock.kx_blocks("I", alg.spec.params)
     js = np.arange(J + 1)
     dims = np.array([fock.homog_dim(d, j) for j in js], dtype=float)
     for knode, (r, wk) in enumerate(zip(nodes, wts)):
-        rng = as_rng((seed, knode))
-        vmats = alg.ops.sample_vmats(rng, samples)
-        u = alg.orbit_pairing(vmats, y, np.eye(alg.dim_g))
+        u = np.concatenate([pair for _, pair in alg.orbit_pass(as_rng((seed, knode)), samples, forms)])
         zint = zfac * np.exp(-(r**2) * np.sum(u**2 / (4.0 * avec), axis=1))
         mean, sem = mc_mean(zint)
         p, q = b + r / 4.0, b - r / 4.0
@@ -529,10 +534,13 @@ def general_inversion_probe(
     if len(width_specs) != 2 or any(np.shape(avec) != (alg.dim_g,) for avec, _ in width_specs):
         raise ValueError(f"need two width pairs (a, b), each a with dim g = {alg.dim_g} entries")
     require_budget(samples * alg.dim_v**2, "{} orbit samples of {}^2 V-matrix entries", samples, alg.dim_v)
+    # the pairings with Y = e_1 of every coordinate z = e_i: one set of
+    # forms for both widths and every node
+    forms = alg.kronecker_forms(np.array([1.0, 0.0, 0.0]), np.eye(alg.dim_g))
     ratios = []
     errs = []
     for widx, (avec, b) in enumerate(width_specs):
-        val, err = _probe_one_width(alg, avec, b, J, lam_max, lam_nodes, samples,
+        val, err = _probe_one_width(alg, forms, avec, b, J, lam_max, lam_nodes, samples,
                                     seed=seed * 7919 + widx)
         ratios.append(val)
         errs.append(err)

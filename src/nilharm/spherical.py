@@ -25,7 +25,8 @@ run, the index.  The one kernel, _v_factor, reads those and one
 frequency per complex coordinate without further checks, and is
 vectorized over leading axes of v.  psi_closed and phi_caseI_closed
 (with the sphere average of the phase) give every coordinate |lam|;
-phi_orbit gives the points pi(g) v the weights of h, block by block.
+phi_orbit gives the points pi(g) v the weights of h, block by block of
+one orbit pass.
 
 canonical_polynomials gives the Gram-Schmidt invariants in closed form:
 the block norms have independent Gamma laws under the Gaussian weight,
@@ -176,12 +177,6 @@ def phi_caseI_closed(lam, j, z, v):
     return complex(_v_factor((2 * n,), (j,), np.full(2 * n, lam), v, angular))
 
 
-# samples per block of phi_orbit: large enough that the per-block Python
-# work is small, small enough that a block's arrays stay in cache and are
-# reused rather than returned to the OS after every call
-_ORBIT_BLOCK = 1024
-
-
 def phi_orbit(idx: SphericalIndex, z, v, samples=20000, seed=0):
     """Monte-Carlo orbit average realizing the generic spherical
     function at the point (z, v) of N.
@@ -189,14 +184,15 @@ def phi_orbit(idx: SphericalIndex, z, v, samples=20000, seed=0):
     The integrand is taken in h's frame (see the module docstring): the
     phase pairs Ad(g^-1) h with z, and coordinate a of pi(g) v has the
     frequency |mu_a| of forms.weight_table.
-    The samples are drawn, paired and evaluated in blocks of
-    _ORBIT_BLOCK = 1024 into one array of values, and mc_mean runs once
-    on all of them.  Every case that reaches here draws each sample's
-    variates together, so the blocks draw exactly the samples of one
-    stack (BLAS may round a row of the pairing differently by the row
-    count, in the last bits).  The budget check covers the total
-    samples * dim_v^2 before the first block, and orbit_pairing checks
-    its dim_v^4 Kronecker form.
+    One orbit pass (LauretAlgebra.orbit_pass) builds the one Kronecker
+    form of (h, z) per call and draws, pairs and evaluates the samples
+    in blocks of algebra.orbit_block(dim_v), about 2^15 V-matrix entries
+    each, into one array of values; mc_mean runs once on all of them.
+    Every case that reaches here draws each sample's variates together,
+    so the blocks draw exactly the samples of one stack (BLAS may round
+    a row of the pairing differently by the row count, in the last
+    bits).  The budget check covers the total samples * dim_v^2 before
+    the first block, and kronecker_forms checks its dim_v^4 entries.
 
     Parameters
     ----------
@@ -225,13 +221,11 @@ def phi_orbit(idx: SphericalIndex, z, v, samples=20000, seed=0):
     if not np.isfinite(np.concatenate((z, v))).all():
         raise ValueError("phi_orbit needs finite z and v")
     require_budget(samples * alg.dim_v**2, "{} orbit samples of {}^2 V-matrix entries", samples, alg.dim_v)
-    rng = as_rng(seed)
-    vals = np.empty(samples, dtype=complex)
-    for at in range(0, samples, _ORBIT_BLOCK):
-        vmats = alg.ops.sample_vmats(rng, min(_ORBIT_BLOCK, samples - at))
-        pair = alg.orbit_pairing(vmats, h, z)
-        w = np.einsum("sab,b->sa", vmats, v)
-        vals[at:at + len(vmats)] = _v_factor(idx.runs, idx.index, mu, w, np.exp(1j * pair))
+    forms = alg.kronecker_forms(h, z)
+    vals = np.concatenate([
+        _v_factor(idx.runs, idx.index, mu, np.einsum("sab,b->sa", vmats, v), np.exp(1j * pair))
+        for vmats, pair in alg.orbit_pass(as_rng(seed), samples, forms)
+    ])
     mean, stderr = mc_mean(vals)
     return SphericalValue(value=complex(mean), method="orbit-MC", stderr=stderr)
 

@@ -8,11 +8,20 @@ from nilharm.algebra import (
     OrthAutomorphism,
     build_case,
     check_structure,
+    orbit_block,
     sample_automorphisms,
     sample_k_actions,
 )
 from nilharm.cases import CASES, block_diag
-from nilharm.numerics import BudgetError, as_rng
+from nilharm.numerics import (
+    BudgetError,
+    as_rng,
+    haar_orthogonal,
+    haar_special_orthogonal,
+    haar_special_unitary,
+    haar_symplectic_quat,
+    haar_unitary,
+)
 
 ALL_CASES = [
     ("I", {"n": 2}),
@@ -135,10 +144,12 @@ def test_orbit_pairing_stack_of_z_is_its_single_calls(case, params):
     vmats = alg.ops.sample_vmats(rng, 300)
     y = rng.standard_normal(alg.dim_g)
     zs = rng.standard_normal((4, alg.dim_g))
-    got = alg.orbit_pairing(vmats, y, zs)
+    forms = alg.kronecker_forms(y, zs)
+    assert forms.shape == (4, alg.dim_v**2, alg.dim_v**2)
+    assert np.array_equal(forms, np.stack([alg.kronecker_forms(y, z) for z in zs]))
+    got = alg.pair_forms(vmats, forms)
     assert got.shape == (300, 4)
-    assert np.array_equal(got, np.stack([alg.orbit_pairing(vmats, y, z) for z in zs], axis=1))
-
+    assert np.array_equal(got, np.stack([alg.pair_forms(vmats, alg.kronecker_forms(y, z)) for z in zs], axis=1))
 
 
 def test_orbit_pairing_checks_its_forms_against_the_budget(monkeypatch):
@@ -150,12 +161,57 @@ def test_orbit_pairing_checks_its_forms_against_the_budget(monkeypatch):
     zs = rng.standard_normal((3, alg.dim_g))
     monkeypatch.setenv("NILHARM_BUDGET", "9999")
     with pytest.raises(BudgetError, match="1 x 10\\^4 Kronecker-form entries"):
-        alg.orbit_pairing(vmats, y, zs[0])
+        alg.kronecker_forms(y, zs[0])
     monkeypatch.setenv("NILHARM_BUDGET", "29999")
     with pytest.raises(BudgetError, match="3 x 10\\^4 Kronecker-form entries"):
-        alg.orbit_pairing(vmats, y, zs)
+        alg.kronecker_forms(y, zs)
     monkeypatch.setenv("NILHARM_BUDGET", "30000")
-    assert alg.orbit_pairing(vmats, y, zs).shape == (3, 3)
+    assert alg.pair_forms(vmats, alg.kronecker_forms(y, zs)).shape == (3, 3)
+
+
+@pytest.mark.parametrize("dim_v,block", [(1, 32768), (2, 8192), (4, 2048), (6, 910), (8, 512), (12, 227),
+                                         (182, 1), (1000, 1)])
+def test_orbit_block_holds_about_2_to_the_15_vmatrix_entries(dim_v, block):
+    assert orbit_block(dim_v) == block
+
+
+def test_orbit_pass_pairs_one_stack_in_blocks():
+    # V(3), dim_v = 6: 2 full blocks of 910 samples and a partial one
+    alg = build_case("V", n=3)
+    rng = as_rng(13)
+    forms = alg.kronecker_forms(rng.standard_normal(alg.dim_g), rng.standard_normal((2, alg.dim_g)))
+    samples = 2 * orbit_block(alg.dim_v) + 300
+    got = list(alg.orbit_pass(as_rng(14), samples, forms))
+    assert [len(vmats) for vmats, _ in got] == [910, 910, 300]
+    vmats = alg.ops.sample_vmats(as_rng(14), samples)
+    assert np.array_equal(np.concatenate([b for b, _ in got]), vmats)
+    for b, pair in got:
+        assert np.array_equal(pair, alg.pair_forms(b, forms))
+    # BLAS may round a row differently by the row count, in the last bits
+    assert np.allclose(np.concatenate([p for _, p in got]), alg.pair_forms(vmats, forms), rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("call,name", [
+    (lambda alg: sample_k_actions(alg, as_rng(0), count=0), "count"),
+    (lambda alg: sample_k_actions(alg, as_rng(0), count=2.5), "count"),
+    (lambda alg: sample_k_actions(alg, as_rng(0), count=True), "count"),
+    (lambda alg: check_structure(alg, as_rng(0), trials=2.5), "trials"),
+    (lambda alg: check_structure(alg, as_rng(0), trials=True), "trials"),
+    (lambda alg: haar_orthogonal(3, as_rng(0), 0), "size"),
+    (lambda alg: haar_special_orthogonal(3, as_rng(0), 1.5), "size"),
+    (lambda alg: haar_unitary(2, as_rng(0), 2.5), "size"),
+    (lambda alg: haar_unitary(2, as_rng(0), True), "size"),
+    (lambda alg: haar_special_unitary(3, as_rng(0), False), "size"),
+    (lambda alg: haar_symplectic_quat(2, as_rng(0), 0), "size"),
+    (lambda alg: haar_symplectic_quat(2, as_rng(0), 2.0), "size"),
+], ids=["k-actions-0", "k-actions-float", "k-actions-bool", "structure-float", "structure-bool",
+        "O-0", "SO-float", "U-float", "U-bool", "SU-bool", "Sp-0", "Sp-float"])
+def test_sample_counts_are_checked_and_named(call, name):
+    # before, 0 failed inside numpy's reshape and a float or bool count
+    # with a numpy TypeError (or a sample of bool size)
+    with pytest.raises(ValueError, match=f"integer {name} >= 1"):
+        call(build_case("VII", n=1))
+
 
 def test_expected_dimensions():
     for case, params in ALL_CASES:
@@ -292,7 +348,7 @@ def test_automorphisms_preserve_bracket(case, params):
     y = rng.standard_normal(alg.dim_g)
     z = rng.standard_normal(alg.dim_g)
     expected = [y @ k.g_mat @ z for k in ks[:6]]
-    assert np.allclose(alg.orbit_pairing(vmats, y, z), expected, rtol=0, atol=1e-12)
+    assert np.allclose(alg.pair_forms(vmats, alg.kronecker_forms(y, z)), expected, rtol=0, atol=1e-12)
 
 
 def test_k_actions_extend_gprime():

@@ -5,18 +5,21 @@ import numpy as np
 import pytest
 from _oracles import twisted_convolution, wynn_limit
 from scipy.special import eval_laguerre
+from test_spherical import _count_calls
 
 from nilharm import (
     build_case,
     density,
     density_of,
+    fock,
     general_inversion_probe,
     group_convolution,
     heisenberg_inversion_check,
     projection_check,
 )
-from nilharm.numerics import BudgetError, QuadratureSpec, as_rng, laguerre, laguerre_all
-from nilharm.plancherel import _laguerre_slices, _twisted_laguerre, _wynn_limit
+from nilharm.algebra import orbit_block
+from nilharm.numerics import BudgetError, QuadratureSpec, as_rng, laguerre, laguerre_all, mc_mean
+from nilharm.plancherel import _laguerre_slices, _probe_one_width, _twisted_laguerre, _wynn_limit
 from nilharm.spherical import canonical_polynomials, phi_orbit, spherical_index
 
 
@@ -355,6 +358,15 @@ def test_non_integer_sizes_raise(call):
         call()
 
 
+@pytest.mark.parametrize("i,j,name", [(1.5, 1, "i"), (True, 1, "i"), (-1, 0, "i"),
+                                      (1, 1.5, "j"), (0, False, "j"), (2, -1, "j")])
+def test_projection_check_degrees_are_named_integers(i, j, name):
+    # before, True gave a report with i=True, and 1.5 or -1 failed inside
+    # laguerre_all with a message that named no argument
+    with pytest.raises(ValueError, match=f"integer {name} >= 0"):
+        projection_check(1.1, i, j)
+
+
 def test_heisenberg_inversion_budget(monkeypatch):
     # the largest array is the (J+1, probes, 2, vnodes) Laguerre table,
     # at J = 20 and the 5 default probes
@@ -558,6 +570,34 @@ def test_general_inversion_probe_rejects_bad_widths(widths):
 def test_general_inversion_probe_rejects_malformed_width_specs(widths):
     with pytest.raises(ValueError, match="two width pairs"):
         general_inversion_probe(width_specs=widths, J=12, lam_nodes=16, samples=400)
+
+
+def test_general_inversion_probe_builds_one_form_per_call(monkeypatch):
+    # Y = e_1 against the three coordinates: one set of forms for both
+    # widths and all three nodes, where each node pairs two blocks
+    calls = _count_calls(monkeypatch, "kronecker_forms")
+    general_inversion_probe(J=6, lam_nodes=3, samples=orbit_block(4) + 1, seed=2)
+    assert [np.shape(z) for _, z in calls] == [(3, 3)]
+
+
+@pytest.mark.parametrize("seed", [0, 4])
+def test_probe_node_in_blocks_is_the_one_stack_integrand(seed):
+    # one node of 2,500 samples, a full block of 2,048 and a partial one:
+    # the integrand built here from one stack of all the samples
+    alg = build_case("I", n=1)
+    avec, b, J, lam_max, samples = np.array([0.8, 1.0, 1.3]), 1.0, 9, 12.0, 2500
+    forms = alg.kronecker_forms(np.array([1.0, 0.0, 0.0]), np.eye(3))
+    got = _probe_one_width(alg, forms, avec, b, J, lam_max, 1, samples, seed)
+    # the one Gauss-Legendre node on [0, lam_max]
+    r, wk = lam_max / 2.0, lam_max
+    u = alg.pair_forms(alg.ops.sample_vmats(as_rng((seed, 0)), samples), forms)
+    zint = np.prod(np.sqrt(np.pi / avec)) * np.exp(-(r**2) * np.sum(u**2 / (4.0 * avec), axis=1))
+    mean, sem = mc_mean(zint)
+    js = np.arange(J + 1)
+    dims = np.array([fock.homog_dim(2, j) for j in js], dtype=float)
+    p, q = b + r / 4.0, b - r / 4.0
+    weight = wk * 4.0 * r**4 * float(np.pi**2 * np.sum(dims * q**js / p ** (js + 2)))
+    assert got == (float(weight * mean), float(abs(weight * sem)))
 
 
 def test_general_inversion_probe_error_shrinks_with_samples():

@@ -18,7 +18,7 @@ from test_acceptance import CASES as ACCEPTANCE_CASES, DEGENERATE_CASES
 from scipy.special import comb, eval_genlaguerre, factorial, roots_genlaguerre
 
 from nilharm import build_case, fock, spherical
-from nilharm.algebra import LauretAlgebra, OrthAutomorphism, sample_k_actions
+from nilharm.algebra import LauretAlgebra, OrthAutomorphism, orbit_block, sample_k_actions
 from nilharm.forms import weight_table
 from nilharm.numerics import BudgetError, as_rng, mc_mean, sphere_character
 from nilharm.spherical import (
@@ -369,14 +369,15 @@ STREAM_CASES = [
 
 @pytest.mark.parametrize("case,params", STREAM_CASES, ids=[c[0] for c in STREAM_CASES])
 def test_sample_vmats_in_blocks_draws_one_stack(case, params):
-    # each sample draws its variates together, so the blocks phi_orbit
-    # draws are, byte for byte, one stack of all the samples
+    # each sample draws its variates together, so the blocks an orbit
+    # pass draws are, byte for byte, one stack of all the samples; the
+    # cases span dim_v = 4, 6, 8 and 12
     alg = build_case(case, **params)
-    block = spherical._ORBIT_BLOCK
-    sizes = (block, block, 2500 - 2 * block)
+    block = orbit_block(alg.dim_v)
+    sizes = (block, block, block // 3)
     rng = as_rng(5)
     blocks = np.concatenate([alg.ops.sample_vmats(rng, size) for size in sizes])
-    assert np.array_equal(blocks, alg.ops.sample_vmats(as_rng(5), 2500))
+    assert np.array_equal(blocks, alg.ops.sample_vmats(as_rng(5), sum(sizes)))
 
 
 BLOCK_CASES = [
@@ -384,25 +385,28 @@ BLOCK_CASES = [
     ("III", {"k1": 1, "k2": 1}, (1, 1, 0, 2)),
     ("V", {"n": 3}, (1, 0, 2)),
     ("VI", {"n": 4}, (1, 2)),
+    ("VIII", {"k": 1, "n": 1}, (1, 1, 0, 2)),
     ("IX", {"n": 3}, (0, 2, 1)),
 ]
 
 
 @pytest.mark.parametrize("case,params,index", BLOCK_CASES, ids=[c[0] for c in BLOCK_CASES])
 def test_phi_orbit_in_blocks_is_the_one_stack_estimate(case, params, index):
-    # 2500 samples are two full blocks and a partial one; the estimate is
-    # that of the integrand built here from one stack of all the samples
+    # two full blocks and a partial one (dim_v = 4, 6, 8 and 12); the
+    # estimate is that of the integrand built here from one stack of all
+    # the samples
     alg = build_case(case, **params)
     rng = as_rng(61)
     idx = spherical_index(alg, rng.standard_normal(alg.dim_g), index)
     z = 0.5 * rng.standard_normal(alg.dim_g)
     v = 0.6 * rng.standard_normal(alg.dim_v)
-    samples, seed = 2500, 13
+    block = orbit_block(alg.dim_v)
+    samples, seed = 2 * block + block // 3, 13
     fn = idx.functional
     h = alg.from_chamber(*fn.chamber[:2])
     mu = np.abs(weight_table(alg, fn))
     vmats = alg.ops.sample_vmats(as_rng(seed), samples)
-    phase = np.exp(1j * alg.orbit_pairing(vmats, h, z))
+    phase = np.exp(1j * alg.pair_forms(vmats, alg.kronecker_forms(h, z)))
     vals = spherical._v_factor(idx.runs, idx.index, mu, np.einsum("sab,b->sa", vmats, v), phase)
     mean, stderr = mc_mean(vals)
     got = phi_orbit(idx, z, v, samples=samples, seed=seed)
@@ -410,6 +414,33 @@ def test_phi_orbit_in_blocks_is_the_one_stack_estimate(case, params, index):
         assert got.value == mean and got.stderr == stderr
     assert abs(got.value - mean) <= 1e-13 * abs(mean)
     assert abs(got.stderr - stderr) <= 1e-13 * stderr
+
+
+def _count_calls(monkeypatch, name):
+    """Count the calls of LauretAlgebra.name from here on."""
+    calls = []
+    original = getattr(LauretAlgebra, name)
+
+    def spy(self, *args):
+        calls.append(args)
+        return original(self, *args)
+
+    monkeypatch.setattr(LauretAlgebra, name, spy)
+    return calls
+
+
+@pytest.mark.parametrize("case,params,index", BLOCK_CASES, ids=[c[0] for c in BLOCK_CASES])
+def test_phi_orbit_builds_one_form_per_call(monkeypatch, case, params, index):
+    # one Kronecker form for the whole pass, however many blocks it pairs
+    alg = build_case(case, **params)
+    rng = as_rng(62)
+    idx = spherical_index(alg, rng.standard_normal(alg.dim_g), index)
+    forms = _count_calls(monkeypatch, "kronecker_forms")
+    pairs = _count_calls(monkeypatch, "pair_forms")
+    phi_orbit(idx, rng.standard_normal(alg.dim_g), rng.standard_normal(alg.dim_v),
+              samples=3 * orbit_block(alg.dim_v) + 1, seed=4)
+    assert len(forms) == 1
+    assert len(pairs) == 4
 
 
 def test_phi_orbit_vii_is_exact():
