@@ -10,19 +10,22 @@ whose + - * / are the IEEE operations of numpy, and keeps np.sin, so
 both forms give the same bits while one point costs about its
 arithmetic rather than numpy's per-call overhead.
 
-The Haar samplers of O(n), SO(n), U(n), SU(n) and Sp(n) take a size
-and return a stack of size samples, drawn as one Gaussian array whose C
-order is the per-sample stream ((size, n, n) for O/SO, real and then
-imaginary parts (size, 2, n, n) for U/SU, (size, n, n, 4) for Sp) and
-orthonormalized by Gram-Schmidt vectorized over the samples (twice per
-column for O/U; once, quaternionic, for Sp).  O/SO/U/SU hold the stack
+The Haar samplers of SO(n), U(n), SU(n) and Sp(n) take a size and
+return a stack of size samples, drawn as one Gaussian array whose C
+order is the per-sample stream (real and then imaginary parts
+(size, 2, n, n) for U, (size, n, n, 4) for Sp) and orthonormalized by
+Gram-Schmidt vectorized over the samples (twice per column for U;
+once, quaternionic, for Sp).  SO/SU carry their determinant on the last
+column: up to n = 4 they draw only n - 1 columns ((size, 1, n, n - 1)
+and (size, 2, n, n - 1)) and fill in the last with the conjugate
+cofactors of the others (_cofactors), beyond that they draw n columns
+and multiply the last by conj(det).  SO/U/SU hold the stack
 column-major, as planes q[p, c, r]: one contiguous vector over the
 samples per part p (real, or real and imaginary), column c and row r,
 so each step is a few long elementwise operations.  Sums over a short
 axis are added left to right and complex products are spelled out in
 real ones (_fold, _mul), so every sample rounds alike in any stack and
 one stack of size s equals s stacks of size 1 from the same generator.
-SO/SU take their determinants in closed form up to n = 4 (_det).
 
 Points of C^n are n complex numbers or 2n interleaved reals
 (as_complex_vector).  Quadrature is the Gauss-Legendre tensor rule on a
@@ -226,16 +229,17 @@ def _orthonormalize(z, scale=1.0):
     R of the stack z[:, p, r, c] times scale: Haar distributed (Mezzadri,
     arXiv:math-ph/0609050).  Classical Gram-Schmidt, twice per column:
     the second pass restores orthogonality to rounding however close the
-    columns are (Giraud, Langou and Rozloznik, 2005)."""
+    columns are (Giraud, Langou and Rozloznik, 2005).  z may have fewer
+    columns than rows."""
     t = np.transpose(z, (1, 3, 2, 0))
     q = np.multiply(t, scale, out=np.empty(t.shape))
-    n = q.shape[1]
-    for j in range(n):
+    rows = q.shape[2]
+    for j in range(q.shape[1]):
         v, prev = q[:, j], q[:, :j]
         for _ in range(2 if j else 0):
             # v - sum_k <prev_k, v> prev_k, <prev_k, v> = sum_r conj(prev_kr) v_r
             w = _mul(prev, v[:, None], conj=True)
-            w = _mul(prev, _fold(w[:, :, r] for r in range(n))[:, :, None])
+            w = _mul(prev, _fold(w[:, :, r] for r in range(rows))[:, :, None])
             v = v - _fold(w[:, k] for k in range(j))
         # complex v times 1 / |v|, which is how numpy divides a complex by a real
         norm = np.sqrt(_fold(_fold(v * v)))
@@ -250,32 +254,42 @@ def _matrices(q):
 
 
 def _qr_haar(z):
-    """The Q factors of a (..., n, n) stack of real or complex matrices."""
+    """The Q factors of a (..., n, c) stack of real or complex matrices,
+    c <= n."""
     flat = z.reshape((-1,) + z.shape[-2:])
     parts = np.stack([flat.real, flat.imag], axis=1) if np.iscomplexobj(z) else flat[:, None]
     return _matrices(_orthonormalize(parts)).reshape(z.shape)
 
 
-def _det(q):
-    """The determinant of every sample from its planes, as that of the
-    transpose, rows q[:, c]: cofactors along the first row (n = 3), the
-    2x2 minors of the first two rows (n = 4), np.linalg.det (n >= 5)."""
-    n = q.shape[1]
-    if n > 4:
-        return np.linalg.det(_matrices(q))
+def _cofactors(q):
+    """The planes c[p, r] of the cofactors C_r = (-1)^(r+n-1) det(q minus
+    row r) of the n - 1 columns in the planes q, n <= 4: every n x n
+    matrix A with these first columns has det A = sum_r C_r A[r, n-1].
+    The cross product for n = 3; for n = 4, the 2x2 minors of the
+    first two columns times the third."""
+    parts, _, n, size = q.shape
+    if n == 1:
+        c = np.zeros((parts, 1, size))
+        c[0] = 1.0
+        return c
+    if n == 2:
+        return np.stack([-q[:, 0, 1], q[:, 0, 0]], axis=1)
 
-    def minor(c, i, j):
-        return _mul(q[:, c, i], q[:, c + 1, j]) - _mul(q[:, c, j], q[:, c + 1, i])
+    def minor(i, j):
+        return _mul(q[:, 0, i], q[:, 1, j]) - _mul(q[:, 0, j], q[:, 1, i])
 
-    if n < 3:
-        d = q[:, 0, 0] if n == 1 else minor(0, 0, 1)
-    elif n == 3:
-        d = _mul(q[:, 0, 0], minor(1, 1, 2)) - _mul(q[:, 0, 1], minor(1, 0, 2)) + _mul(q[:, 0, 2], minor(1, 0, 1))
-    else:
-        pairs = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
-        t = [_mul(minor(0, *p), minor(2, *c)) for p, c in zip(pairs, pairs[::-1])]
-        d = t[0] - t[1] + t[2] + t[3] - t[4] + t[5]
-    return d[0] if len(d) == 1 else d[0] + 1j * d[1]
+    if n == 3:
+        return np.stack([minor(1, 2), minor(2, 0), minor(0, 1)], axis=1)
+    m = {(i, j): minor(i, j) for i in range(4) for j in range(i + 1, 4)}
+    u = q[:, 2]
+
+    def term(i, j, r):
+        return _mul(m[i, j], u[:, r])
+
+    return np.stack([term(1, 3, 2) - term(1, 2, 3) - term(2, 3, 1),
+                     term(0, 2, 3) - term(0, 3, 2) + term(2, 3, 0),
+                     term(0, 3, 1) - term(0, 1, 3) - term(1, 3, 0),
+                     term(0, 1, 2) - term(0, 2, 1) + term(1, 2, 0)], axis=1)
 
 
 def _check_size(size):
@@ -283,17 +297,37 @@ def _check_size(size):
         raise ValueError(f"a Haar sample needs an integer size >= 1, got {size!r}")
 
 
-def haar_orthogonal(n, rng, size):
+def _special(n, rng, size, parts):
+    """Haar samples of SO(n) (one part) or SU(n) (two), which carry their
+    determinant on the last column.  For n <= 4 the first n - 1 columns
+    are the Q factor of an (S, parts, n, n - 1) Gaussian array and the
+    last is the conjugate cofactor vector C* of those columns; for a
+    unitary U with these first columns, C* = conj(det U) U[:, n-1].  For
+    n >= 5 the Q factor of an (S, parts, n, n) array has its last column
+    times conj(det), by np.linalg.det.  Either way the sample is
+    U diag(1, ..., 1, conj(det U)) for U Haar on O(n) or U(n), a map that
+    commutes with left multiplication by SO(n) or SU(n), so it pushes
+    Haar measure to Haar measure."""
     _check_size(size)
-    return _matrices(_orthonormalize(rng.standard_normal((size, 1, n, n))))
+    scale = 1.0 if parts == 1 else 1 / np.sqrt(2.0)
+    if n <= 4:
+        q = _orthonormalize(rng.standard_normal((size, parts, n, n - 1)), scale)
+        c = _cofactors(q)
+        if parts == 2:
+            np.negative(c[1], out=c[1])
+        return _matrices(np.concatenate([q, c[:, None]], axis=1))
+    q = _orthonormalize(rng.standard_normal((size, parts, n, n)), scale)
+    d = np.linalg.det(_matrices(q))
+    if parts == 1:
+        # |det| = 1, so conj(det) is its sign
+        np.negative(q[:, -1], out=q[:, -1], where=d < 0)
+    else:
+        q[:, -1] = _mul(np.stack([d.real, d.imag])[:, None], q[:, -1], conj=True)
+    return _matrices(q)
 
 
 def haar_special_orthogonal(n, rng, size):
-    _check_size(size)
-    q = _orthonormalize(rng.standard_normal((size, 1, n, n)))
-    # |det| = 1, so its sign picks the samples whose first column flips
-    np.negative(q[:, 0], out=q[:, 0], where=_det(q) < 0)
-    return _matrices(q)
+    return _special(n, rng, size, 1)
 
 
 def haar_unitary(n, rng, size):
@@ -303,12 +337,7 @@ def haar_unitary(n, rng, size):
 
 
 def haar_special_unitary(n, rng, size):
-    _check_size(size)
-    q = _orthonormalize(rng.standard_normal((size, 2, n, n)), 1 / np.sqrt(2.0))
-    d = _det(q)
-    # d ** (-1/n) on the principal branch
-    phase = np.exp(np.arctan2(d.imag, d.real) * (-1j / n)) * np.abs(d) ** (-1.0 / n)
-    return _matrices(_mul(q, np.stack([phase.real, phase.imag])[:, None, None]))
+    return _special(n, rng, size, 2)
 
 
 def haar_symplectic_quat(n, rng, size):

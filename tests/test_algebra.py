@@ -16,7 +16,6 @@ from nilharm.cases import CASES, block_diag
 from nilharm.numerics import (
     BudgetError,
     as_rng,
-    haar_orthogonal,
     haar_special_orthogonal,
     haar_special_unitary,
     haar_symplectic_quat,
@@ -197,7 +196,7 @@ def test_orbit_pass_pairs_one_stack_in_blocks():
     (lambda alg: sample_k_actions(alg, as_rng(0), count=True), "count"),
     (lambda alg: check_structure(alg, as_rng(0), trials=2.5), "trials"),
     (lambda alg: check_structure(alg, as_rng(0), trials=True), "trials"),
-    (lambda alg: haar_orthogonal(3, as_rng(0), 0), "size"),
+    (lambda alg: haar_special_orthogonal(3, as_rng(0), 0), "size"),
     (lambda alg: haar_special_orthogonal(3, as_rng(0), 1.5), "size"),
     (lambda alg: haar_unitary(2, as_rng(0), 2.5), "size"),
     (lambda alg: haar_unitary(2, as_rng(0), True), "size"),
@@ -205,7 +204,7 @@ def test_orbit_pass_pairs_one_stack_in_blocks():
     (lambda alg: haar_symplectic_quat(2, as_rng(0), 0), "size"),
     (lambda alg: haar_symplectic_quat(2, as_rng(0), 2.0), "size"),
 ], ids=["k-actions-0", "k-actions-float", "k-actions-bool", "structure-float", "structure-bool",
-        "O-0", "SO-float", "U-float", "U-bool", "SU-bool", "Sp-0", "Sp-float"])
+        "SO-0", "SO-float", "U-float", "U-bool", "SU-bool", "Sp-0", "Sp-float"])
 def test_sample_counts_are_checked_and_named(call, name):
     # before, 0 failed inside numpy's reshape and a float or bool count
     # with a numpy TypeError (or a sample of bool size)

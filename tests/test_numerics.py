@@ -10,11 +10,10 @@ from nilharm.numerics import (
     DEFAULT_BUDGET,
     BudgetError,
     QuadratureSpec,
-    _det,
+    _cofactors,
     _qr_haar,
     as_complex_vector,
     as_rng,
-    haar_orthogonal,
     haar_special_orthogonal,
     haar_special_unitary,
     haar_symplectic_quat,
@@ -278,29 +277,30 @@ def _is_positive_qr(q, z):
 def test_haar_orthogonal_and_unitary():
     rng = as_rng(4)
     for n in (2, 3, 5):
-        g = haar_orthogonal(n, rng, 1)[0]
+        g = haar_special_orthogonal(n, rng, 1)[0]
         assert np.allclose(g @ g.T, np.eye(n), atol=1e-12)
         u = haar_unitary(n, rng, 1)[0]
         assert np.allclose(u @ np.conj(u).T, np.eye(n), atol=1e-12)
         su = haar_special_unitary(n, rng, 1)[0]
         assert abs(np.linalg.det(su) - 1) < 1e-12
-    # one stack of 6 draws what six consecutive stacks of 1 draw: n = 1
-    # to 4 take the closed-form determinants, 5 and 6 np.linalg.det
-    for sampler in (haar_orthogonal, haar_special_orthogonal, haar_unitary, haar_special_unitary):
+    # one stack of 6 draws what six consecutive stacks of 1 draw: SO and
+    # SU take closed-form cofactors for n = 1 to 4, np.linalg.det for 5
+    # and 6
+    for sampler in (haar_special_orthogonal, haar_unitary, haar_special_unitary):
         for n in (1, 2, 3, 4, 5, 6):
             rng = as_rng(n)
             singles = np.concatenate([sampler(n, rng, 1) for _ in range(6)])
             stack = sampler(n, as_rng(n), size=6)
             assert np.array_equal(stack, singles)
             assert np.allclose(stack @ np.conj(np.swapaxes(stack, 1, 2)), np.eye(n), atol=1e-12)
-            if sampler in (haar_special_orthogonal, haar_special_unitary):
+            if sampler is not haar_unitary:
                 assert np.allclose(np.linalg.det(stack), 1.0, atol=1e-12)
-    # the stack is the Q factor, with positive diagonal R, of one Gaussian
+    # U(n) is the Q factor, with positive diagonal R, of one Gaussian
     # array in per-sample stream order: (S, n, n) real, (S, 2, n, n) for
     # the real and then imaginary parts
     for n in (2, 3, 5):
         z = as_rng(n).standard_normal((6, n, n))
-        assert _is_positive_qr(haar_orthogonal(n, as_rng(n), size=6), z)
+        assert _is_positive_qr(_qr_haar(z), z)
         g = as_rng(n).standard_normal((6, 2, n, n))
         assert _is_positive_qr(haar_unitary(n, as_rng(n), size=6), g[:, 0] + 1j * g[:, 1])
 
@@ -310,30 +310,42 @@ def _orthogonality(q):
     return float(np.max(np.abs(np.conj(np.swapaxes(q, -1, -2)) @ q - np.eye(n))))
 
 
-# n <= 4 takes the closed-form determinants, 5 and 8 np.linalg.det
+def _linalg_cofactors(a):
+    """C_r = (-1)^(r+n-1) det(a without row r) of an (S, n, n - 1) stack,
+    by np.linalg.det."""
+    n = a.shape[-2]
+    return np.stack([(-1) ** (r + n - 1) * np.linalg.det(np.delete(a, r, axis=-2)) for r in range(n)], axis=-1)
+
+
+# n <= 4 takes the closed-form cofactors, 5 and 8 np.linalg.det
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8])
 def test_haar_samplers_on_a_large_stack(n):
     size = 20000
-    z = as_rng(n).standard_normal((size, n, n))
     g = as_rng(n).standard_normal((size, 2, n, n))
-    q = haar_orthogonal(n, as_rng(n), size)
     u = haar_unitary(n, as_rng(n), size)
-    assert _orthogonality(q) <= 1e-13 and _orthogonality(u) <= 1e-13
-    assert _is_positive_qr(q, z)
+    assert _orthogonality(u) <= 1e-13
     assert _is_positive_qr(u, (g[:, 0] + 1j * g[:, 1]) / np.sqrt(2.0))
-    # SO flips the first column where det = -1; SU rotates by a phase
+    # SO and SU draw cols Gaussian columns, n - 1 for n <= 4 and n
+    # beyond, as (S, n, cols) real and (S, 2, n, cols) complex arrays;
+    # their first n - 1 columns are the positive-R Q factor of those
+    cols = n - 1 if n <= 4 else n
+    z = as_rng(n).standard_normal((size, n, cols))
+    g = as_rng(n).standard_normal((size, 2, n, cols))
     so = haar_special_orthogonal(n, as_rng(n), size)
-    flip = np.linalg.det(q) < 0
-    assert np.array_equal(so[~flip], q[~flip])
-    assert np.array_equal(so[flip][:, :, 0], -q[flip][:, :, 0])
-    assert np.array_equal(so[flip][:, :, 1:], q[flip][:, :, 1:])
     su = haar_special_unitary(n, as_rng(n), size)
-    assert _orthogonality(so) <= 1e-13 and _orthogonality(su) <= 1e-13
-    assert np.max(np.abs(np.linalg.det(so) - 1.0)) <= 1e-13
-    assert np.max(np.abs(np.linalg.det(su) - 1.0)) <= 1e-13
-    # tr(u^H su) / n is the phase when su = phase * u
-    phase = np.einsum("sab,sab->s", u.conj(), su) / n
-    assert np.max(np.abs(su - phase[:, None, None] * u)) <= 1e-13
+    for s, m in ((so, z), (su, (g[:, 0] + 1j * g[:, 1]) / np.sqrt(2.0))):
+        assert _orthogonality(s) <= 1e-13
+        assert np.max(np.abs(np.linalg.det(s) - 1.0)) <= 1e-13
+        assert _is_positive_qr(s[:, :, :n - 1], m[:, :, :n - 1])
+        # the last column carries the determinant: the conjugate cofactors
+        # of the first n - 1 columns, or conj(det) times the last column of
+        # the full Q factor
+        if n <= 4:
+            last = np.conj(_linalg_cofactors(s[:, :, :n - 1]))
+        else:
+            q = _qr_haar(m)
+            last = np.conj(np.linalg.det(q))[:, None] * q[:, :, -1]
+        assert np.max(np.abs(s[:, :, -1] - last)) <= 1e-13
 
 
 def test_qr_haar_keeps_nearly_parallel_columns_orthogonal():
@@ -349,24 +361,26 @@ def test_qr_haar_keeps_nearly_parallel_columns_orthogonal():
 
 
 def _planes(m):
-    """The column planes (parts, n, n, S) of a real or complex (S, n, n)
-    stack, as the samplers hold them."""
+    """The column planes (parts, cols, rows, S) of a real or complex
+    (S, rows, cols) stack, as the samplers hold them."""
     parts = np.stack([m.real, m.imag], axis=1) if np.iscomplexobj(m) else m[:, None]
     return np.ascontiguousarray(np.transpose(parts, (1, 3, 2, 0)))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_closed_form_determinants_match_linalg(n):
-    # Gaussian stacks are far from unitary and some are nearly singular,
-    # where both routes lose accuracy relative to |det|: the deviation is
-    # measured against Hadamard's bound prod_c |z_c| >= |det z|
+    # the cofactors are the determinants of the (n - 1) x (n - 1) minors.
+    # Gaussian stacks are far from unitary and some minors nearly
+    # singular, where both routes lose accuracy relative to |C_r|: the
+    # deviation is measured against Hadamard's bound prod_c |z_c| >= |C_r|
     rng = as_rng(40 + n)
-    z = rng.standard_normal((2000, n, n))
-    for m in (z, z + 1j * rng.standard_normal((2000, n, n))):
-        d = _det(_planes(m))
-        assert np.iscomplexobj(d) == np.iscomplexobj(m) and d.shape == (2000,)
+    z = rng.standard_normal((2000, n, n - 1))
+    for m in (z, z + 1j * rng.standard_normal((2000, n, n - 1))):
+        c = _cofactors(_planes(m))
+        assert c.shape == (1 + np.iscomplexobj(m), n, 2000)
+        c = c[0] if len(c) == 1 else c[0] + 1j * c[1]
         bound = np.prod(np.linalg.norm(m, axis=-2), axis=-1)
-        assert np.max(np.abs(d - np.linalg.det(m)) / bound) <= 1e-13
+        assert np.max(np.abs(c.T - _linalg_cofactors(m)) / bound[:, None]) <= 1e-13
 
 
 @pytest.mark.parametrize("sampler,n", [(haar_special_unitary, 2), (haar_special_unitary, 3),
@@ -378,6 +392,23 @@ def test_haar_trace_moments(sampler, n):
     tr = np.trace(sampler(n, as_rng(60 + n), 20000), axis1=1, axis2=2)
     for vals, expected in ((tr, 0.0), (np.abs(tr) ** 2, 1.0)):
         assert abs(vals.mean() - expected) <= 5 * vals.std() / np.sqrt(len(vals))
+
+
+@pytest.mark.parametrize("sampler,n,power,special,full", [
+    (haar_special_unitary, 2, 2, 1.0, 0.0), (haar_special_unitary, 3, 3, 1.0, 0.0),
+    (haar_special_unitary, 4, 4, 1.0, 0.0), (haar_special_orthogonal, 3, 3, 1.0, 0.0),
+    (haar_special_orthogonal, 4, 4, 4.0, 3.0)])
+def test_haar_special_trace_moments(sampler, n, power, special, full):
+    # E tr(g)^power counts the invariants in the power-th tensor power of
+    # the defining representation: for SU(n) the one in Lambda^n, which
+    # U(n) turns by det; for SO(3) the one in Lambda^3 = det; for SO(4),
+    # (1/2, 1/2)^4 under SU(2) x SU(2) holds 2 x 2 of them, O(4) 3 (the
+    # pairings of four factors).  At 40,000 samples the special group's
+    # value lies more than 5 sem from the full group's
+    vals = np.trace(sampler(n, as_rng(70 + n), 40000), axis1=1, axis2=2) ** power
+    sem = vals.std() / np.sqrt(len(vals))
+    assert abs(vals.mean() - special) <= 5 * sem
+    assert abs(vals.mean() - full) > 5 * sem
 
 
 def test_haar_symplectic_one_is_random_unit():
