@@ -6,6 +6,8 @@ Every artifact embeds the full run configuration (including the seed)
 so identical invocations produce byte-identical output; floats are
 emitted with 17 significant digits for exact round-trips.  Exit codes:
 2 on bad arguments (nan or inf among them), 1 on a failed selftest.
+The verbs that need fock, plancherel or spherical import them inside,
+so build, classify and pfaffian start without loading those modules.
 """
 
 from __future__ import annotations
@@ -24,9 +26,6 @@ from .algebra import LauretAlgebra, build_case, check_structure
 from .cases import CASES
 from .forms import Functional, classify, pfaffian_via_weights
 from .numerics import BudgetError, as_rng, node_budget
-from . import fock
-from . import plancherel
-from . import spherical as sph
 
 
 # ---------------------------------------------------------------------------
@@ -280,6 +279,8 @@ def _check_points(args):
 
 
 def _cmd_density(args):
+    from . import plancherel
+
     _check_points(args)
     alg = _build_alg(args)
     base = functional_from_args(alg, args)
@@ -302,6 +303,8 @@ def _cmd_density(args):
 
 
 def _cmd_spherical(args):
+    from . import fock, spherical as sph
+
     _check_points(args)
     args.z_norm, args.v_norm = _finite(args.z_norm), _finite(args.v_norm)
     alg = _build_alg(args)
@@ -332,6 +335,8 @@ def _cmd_spherical(args):
 
 
 def _cmd_invert(args):
+    from . import plancherel
+
     t0 = time.monotonic()
     cfg = _run_config(args)
     # the flags the user set; the library holds the defaults
@@ -383,6 +388,7 @@ def _cmd_invert(args):
 
 def _selftest_checks(seed):
     """(name, runner) pairs; each runner returns (ok, detail)."""
+    from . import fock, plancherel, spherical as sph
 
     def structure():
         worst = 0.0

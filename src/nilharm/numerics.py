@@ -43,6 +43,7 @@ import functools
 import math
 import operator
 import os
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -158,12 +159,22 @@ def laguerre_all(kmax, alpha, x):
 
 def _laguerre_floats(kmax, alpha, x):
     """laguerre_all at one point, as a list of kmax+1 floats, with the
-    array path's operations in its order."""
+    array path's operations in its order.  Python floats overflow to inf
+    without a signal, so a non-finite last value at a finite x is
+    signalled as numpy's 'over' setting (np.errstate) signals the array
+    path's overflow: nothing, FloatingPointError or a RuntimeWarning."""
     out = [1.0]
     if kmax >= 1:
         out.append((1.0 + alpha) - x)
     for m in range(1, kmax):
         out.append((((2 * m + 1 + alpha) - x) * out[m] - (m + alpha) * out[m - 1]) / (m + 1))
+    if not math.isfinite(out[-1]) and math.isfinite(x):
+        message = "overflow encountered in the Laguerre recurrence"
+        mode = np.geterr()["over"]
+        if mode == "raise":
+            raise FloatingPointError(message)
+        if mode != "ignore":
+            warnings.warn(message, RuntimeWarning, stacklevel=3)
     return out
 
 

@@ -82,6 +82,26 @@ def test_laguerre_all_one_point_has_the_bits_of_the_array_path(alpha):
                     assert np.array_equal(one[k], table[k, i]), (kmax, k, x)
 
 
+def test_laguerre_all_one_point_signals_overflow_like_the_array_path():
+    # Python floats overflow to inf silently; the one-point path must warn
+    # where a stack of the same x warns, and follow np.errstate as it does
+    with pytest.warns(RuntimeWarning) as stack:
+        laguerre_all(300, 0, np.array([1800.0, 1800.0]))
+    assert "overflow" in str(stack[0].message)
+    with pytest.warns(RuntimeWarning, match="overflow encountered in the Laguerre recurrence"):
+        assert np.isnan(laguerre_all(300, 0, 1800.0)[-1])
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        laguerre(300, 0.5, np.float64(1800.0))
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow"):
+        laguerre_all(300, 0, 1800.0)
+    with np.errstate(over="ignore"):
+        assert np.isnan(laguerre_all(300, 0, 1800.0)[-1])
+    # a non-finite x is the caller's NaN, not an overflow; large finite
+    # values keep their bits
+    assert np.isnan(laguerre_all(5, 0, np.nan)).any()
+    assert np.array_equal(laguerre_all(60, 0, 400.0), laguerre_all(60, 0, np.array([400.0]))[:, 0])
+
+
 @pytest.mark.parametrize("alpha", [-1.0, -2.5, np.float64(-1.0), -1])
 def test_laguerre_all_one_point_rejects_alpha(alpha):
     with pytest.raises(ValueError, match="alpha must exceed -1"):

@@ -251,6 +251,15 @@ def test_spherical_index_rejects_bad_frequencies_and_degrees(case, params):
         spherical_index(alg, x, (1.7,) + good[1:])
 
 
+def test_closed_forms_warn_where_the_laguerre_factor_overflows():
+    # one point of the closed forms runs the Laguerre recurrence in Python
+    # floats; past its range it used to return NaN with no warning
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        psi_closed(SphericalIndex("VII", 1.0, (300,), {"n": 1}), 0.0, [60.0, 0.0])
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        phi_caseI_closed(1.0, 300, [0.1, 0, 0], [60.0, 0, 0, 0])
+
+
 @pytest.mark.parametrize("case,params,index", [
     ("III", {"k1": 0, "k2": 1}, (1, 0, 0, 0)),
     ("III", {"k1": 1, "k2": 0}, (0, 0, 0, 2)),
