@@ -82,6 +82,7 @@ class LauretAlgebra:
         # pi(X_x)^T v in one product
         self._pi_rows = np.ascontiguousarray(self.pi.transpose(1, 0, 2).reshape(self.dim_v, -1))
         self.last_functional = None
+        self._commutant = None
 
     # -- coordinates ---------------------------------------------------------
     def split_center(self, x):
@@ -205,6 +206,33 @@ class LauretAlgebra:
             vmats = self.ops.sample_vmats(rng, min(block, samples - at))
             yield vmats, self.pair_forms(vmats, forms)
 
+    # -- U, the orthogonal commutant of pi --------------------------------------
+    def commutant_basis(self):
+        """A Frobenius-orthonormal basis (k, dim_v, dim_v) of the commutant
+        C = {A : A pi(X) = pi(X) A for all X}: the null space (eigenvalues
+        up to 1e-10 of the largest) of the Casimir map sum_i [pi_i, [pi_i, .]],
+        sum_i K_i^T K_i on vec(A), K_i = kron(I, pi_i^T) - kron(pi_i, I).
+        Built once, after its dim_v^4 entries pass NILHARM_BUDGET."""
+        if self._commutant is None:
+            dv = self.dim_v
+            require_budget(dv**4, "{}^4 commutant-map entries", dv)
+            eye = np.eye(dv)
+            ks = (np.kron(eye, p.T) - np.kron(p, eye) for p in self.pi)
+            w, vecs = np.linalg.eigh(sum(k.T @ k for k in ks))
+            self._commutant = np.ascontiguousarray(vecs[:, w <= 1e-10 * w[-1]].T).reshape(-1, dv, dv)
+        return self._commutant
+
+    def sample_u(self, rng, size):
+        """Haar sample of U, the orthogonal group of C, shape (size, dim_v,
+        dim_v): the polar factor u @ vt of G = sum_k g_k B_k over the
+        commutant_basis, g_k standard normal.  C is a *-algebra, so U lies
+        in C; an orthogonal W in C is an isometry of C, so WG has the law
+        of G, with polar factor WU (Mezzadri's argument for QR)."""
+        basis = self.commutant_basis()
+        g = rng.standard_normal((size, len(basis))) @ basis.reshape(len(basis), -1)
+        u, _, vt = np.linalg.svd(g.reshape(size, self.dim_v, self.dim_v))
+        return u @ vt
+
     # -- group law ---------------------------------------------------------------
     def group_mult(self, p, q):
         """BCH product of two points p = (z, v) of N."""
@@ -269,17 +297,18 @@ class OrthAutomorphism:
 
 
 def sample_k_actions(alg: LauretAlgebra, rng=None, count=8):
-    """Haar sample of the full compact factor K acting on N, as one
-    stack: each element composes a G' pair (Ad, pi) with an independent
-    V-intertwiner from U that fixes g (the identity where the case
-    draws none)."""
+    """Haar sample of K = G' x U acting on N, as one stack: each G' pair
+    (Ad(g), pi(g)), drawn first, composed with an independent U of
+    LauretAlgebra.sample_u, which fixes g.  U is +-I on VI with n >= 3;
+    phi_orbit sees pi(g) v only through its moduli, so not the sign."""
     if not is_count(count):
         raise ValueError(f"sample_k_actions needs an integer count >= 1, got {count!r}")
-    # entries of the G' stack, Ad, U and U pi(g)
-    require_budget(count * (3 * alg.dim_v**2 + alg.dim_g**2), "{} automorphisms of (Ad, pi) matrices", count)
+    # entries of the G' stack, Ad, the Gaussian in C, its u and vt, U, U pi(g)
+    require_budget(count * (6 * alg.dim_v**2 + alg.dim_g**2), "{} automorphisms of (Ad, pi) matrices", count)
+    alg.commutant_basis()  # built, or a BudgetError, before anything is drawn
     rng = as_rng(rng)
     vmats = alg.ops.sample_vmats(rng, count)
-    return OrthAutomorphism(alg.ad_of(vmats), alg.ops.u_part_automorphisms(rng, count) @ vmats)
+    return OrthAutomorphism(alg.ad_of(vmats), alg.sample_u(rng, count) @ vmats)
 
 
 # the old name, which benchmarks/workloads.py calls and tests/test_surface.py pins

@@ -6,7 +6,7 @@ factor bases of its Cartan bridge, the weights of its Cartan elements
 where V is complex, and a Haar sampler for G' that returns the stack of
 V-matrices pi(g), shape (size, dim_v, dim_v).  That stack is the only
 representation of G': the adjoint action follows from it
-(LauretAlgebra.ad_of), as do the orbit integrals and the K-samples.
+(LauretAlgebra.ad_of), as do the orbit integrals and the G' part of K.
 
 Conventions fixed here and relied on elsewhere:
 
@@ -45,7 +45,6 @@ from .numerics import (
     haar_special_orthogonal,
     haar_special_unitary,
     haar_symplectic_quat,
-    haar_unitary,
     require_budget,
 )
 
@@ -171,11 +170,6 @@ class CaseOps:
         identities where G' is trivial."""
         return np.tile(np.eye(self.dim_v), (size, 1, 1))
 
-    def u_part_automorphisms(self, rng, size):
-        """Haar sample of U, the orthogonal commutant of pi (identity on
-        g), shape (size, dim_v, dim_v); identities where the case draws none."""
-        return np.tile(np.eye(self.dim_v), (size, 1, 1))
-
 
 class CaseI(CaseOps):
     """su(2) acting on H^n by left quaternion multiplication."""
@@ -199,12 +193,6 @@ class CaseI(CaseOps):
     def sample_vmats(self, rng, size):
         g = quat.random_unit(rng, size)
         return _block_diag_stack([quat.left_mult_matrix(g)] * self.n)
-
-    def u_part_automorphisms(self, rng, size):
-        a = quat.random_unit(rng, size)
-        # right multiplication by the conjugate commutes with all left
-        # multiplications and is orthogonal
-        return _block_diag_stack([quat.right_mult_matrix(quat.qconj(a))] * self.n)
 
 
 class CaseII(CaseOps):
@@ -319,9 +307,6 @@ class CaseV(CaseOps):
     def sample_vmats(self, rng, size):
         return realify(haar_special_unitary(self.n, rng, size))
 
-    def u_part_automorphisms(self, rng, size):
-        return realify(np.exp(1j * rng.uniform(0, 2 * np.pi, size))[:, None, None] * np.eye(self.n))
-
 
 class CaseVI(CaseOps):
     """Free two-step algebra: so(n) acting on R^n."""
@@ -364,9 +349,6 @@ class CaseVII(CaseOps):
     def coord_weights(self, angles, zc):
         return np.full(self.n, zc[0])
 
-    def u_part_automorphisms(self, rng, size):
-        return realify(haar_unitary(self.n, rng, size))
-
 
 class CaseVIII(CaseOps):
     """u(2) on (C^2)^k + (C^2)^n; the center acts only on the first block."""
@@ -397,10 +379,6 @@ class CaseVIII(CaseOps):
         g = quat.random_unit(rng, size)
         blocks = [realify(quat.to_su2(g))] * self.k + [quat.left_mult_matrix(g)] * self.n
         return _block_diag_stack(blocks)
-
-    def u_part_automorphisms(self, rng, size):
-        big = np.kron(haar_unitary(self.k, rng, size), np.eye(2))
-        return _block_diag_stack([realify(big), np.tile(np.eye(4 * self.n), (size, 1, 1))])
 
 
 class CaseIX(CaseV):

@@ -10,16 +10,15 @@ whose + - * / are the IEEE operations of numpy, and keeps np.sin, so
 both forms give the same bits while one point costs about its
 arithmetic rather than numpy's per-call overhead.
 
-The Haar samplers of SO(n), U(n), SU(n) and Sp(n) take a size and
-return a stack of size samples, drawn as one Gaussian array whose C
-order is the per-sample stream (real and then imaginary parts
-(size, 2, n, n) for U, (size, n, n, 4) for Sp) and orthonormalized by
-Gram-Schmidt vectorized over the samples (twice per column for U;
+The Haar samplers of SO(n), SU(n) and Sp(n) take a size and return a
+stack of size samples, drawn as one Gaussian array whose C order is the
+per-sample stream ((size, n, n, 4) for Sp) and orthonormalized by
+Gram-Schmidt vectorized over the samples (twice per column for SO/SU;
 once, quaternionic, for Sp).  SO/SU carry their determinant on the last
 column: up to n = 4 they draw only n - 1 columns ((size, 1, n, n - 1)
 and (size, 2, n, n - 1)) and fill in the last with the conjugate
 cofactors of the others (_cofactors), beyond that they draw n columns
-and multiply the last by conj(det).  SO/U/SU hold the stack
+and multiply the last by conj(det).  SO/SU hold the stack
 column-major, as planes q[p, c, r]: one contiguous vector over the
 samples per part p (real, or real and imaginary), column c and row r,
 so each step is a few long elementwise operations.  Sums over a short
@@ -339,12 +338,6 @@ def _special(n, rng, size, parts):
 
 def haar_special_orthogonal(n, rng, size):
     return _special(n, rng, size, 1)
-
-
-def haar_unitary(n, rng, size):
-    _check_size(size)
-    # the Gaussians' real and then imaginary parts, over sqrt(2)
-    return _matrices(_orthonormalize(rng.standard_normal((size, 2, n, n)), 1 / np.sqrt(2.0)))
 
 
 def haar_special_unitary(n, rng, size):

@@ -5,7 +5,7 @@ import pytest
 from _oracles import qmat_dagger, qmat_mul
 from scipy.special import eval_genlaguerre
 
-from nilharm import quat
+from nilharm import build_case, quat
 from nilharm.numerics import (
     DEFAULT_BUDGET,
     BudgetError,
@@ -17,7 +17,6 @@ from nilharm.numerics import (
     haar_special_orthogonal,
     haar_special_unitary,
     haar_symplectic_quat,
-    haar_unitary,
     laguerre,
     laguerre_all,
     leggauss,
@@ -299,30 +298,26 @@ def test_haar_orthogonal_and_unitary():
     for n in (2, 3, 5):
         g = haar_special_orthogonal(n, rng, 1)[0]
         assert np.allclose(g @ g.T, np.eye(n), atol=1e-12)
-        u = haar_unitary(n, rng, 1)[0]
-        assert np.allclose(u @ np.conj(u).T, np.eye(n), atol=1e-12)
         su = haar_special_unitary(n, rng, 1)[0]
         assert abs(np.linalg.det(su) - 1) < 1e-12
     # one stack of 6 draws what six consecutive stacks of 1 draw: SO and
     # SU take closed-form cofactors for n = 1 to 4, np.linalg.det for 5
     # and 6
-    for sampler in (haar_special_orthogonal, haar_unitary, haar_special_unitary):
+    for sampler in (haar_special_orthogonal, haar_special_unitary):
         for n in (1, 2, 3, 4, 5, 6):
             rng = as_rng(n)
             singles = np.concatenate([sampler(n, rng, 1) for _ in range(6)])
             stack = sampler(n, as_rng(n), size=6)
             assert np.array_equal(stack, singles)
             assert np.allclose(stack @ np.conj(np.swapaxes(stack, 1, 2)), np.eye(n), atol=1e-12)
-            if sampler is not haar_unitary:
-                assert np.allclose(np.linalg.det(stack), 1.0, atol=1e-12)
-    # U(n) is the Q factor, with positive diagonal R, of one Gaussian
-    # array in per-sample stream order: (S, n, n) real, (S, 2, n, n) for
-    # the real and then imaginary parts
+            assert np.allclose(np.linalg.det(stack), 1.0, atol=1e-12)
+    # the Q factor has positive diagonal R, for a real (S, n, n) array and
+    # for a complex one
     for n in (2, 3, 5):
         z = as_rng(n).standard_normal((6, n, n))
         assert _is_positive_qr(_qr_haar(z), z)
         g = as_rng(n).standard_normal((6, 2, n, n))
-        assert _is_positive_qr(haar_unitary(n, as_rng(n), size=6), g[:, 0] + 1j * g[:, 1])
+        assert _is_positive_qr(_qr_haar(g[:, 0] + 1j * g[:, 1]), g[:, 0] + 1j * g[:, 1])
 
 
 def _orthogonality(q):
@@ -341,10 +336,6 @@ def _linalg_cofactors(a):
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8])
 def test_haar_samplers_on_a_large_stack(n):
     size = 20000
-    g = as_rng(n).standard_normal((size, 2, n, n))
-    u = haar_unitary(n, as_rng(n), size)
-    assert _orthogonality(u) <= 1e-13
-    assert _is_positive_qr(u, (g[:, 0] + 1j * g[:, 1]) / np.sqrt(2.0))
     # SO and SU draw cols Gaussian columns, n - 1 for n <= 4 and n
     # beyond, as (S, n, cols) real and (S, 2, n, cols) complex arrays;
     # their first n - 1 columns are the positive-R Q factor of those
@@ -439,12 +430,12 @@ def test_haar_symplectic_one_is_random_unit():
 
 
 def test_haar_unitary_moments():
-    # E |u_11|^2 = 1/n for Haar U(n)
-    rng = as_rng(5)
+    # E |u_11|^2 = 1/n for Haar U(n), which is U on VII(n): the commutant
+    # of multiplication by 1j on C^n is M_n(C), realified as 2x2 blocks
+    # [[Re, -Im], [Im, Re]]
     n = 3
-    # one sized draw: a stack equals its single draws (see
-    # test_haar_orthogonal_and_unitary)
-    vals = np.abs(haar_unitary(n, rng, 4000)[:, 0, 0]) ** 2
+    u = build_case("VII", n=n).sample_u(as_rng(5), 4000)
+    vals = u[:, 0, 0] ** 2 + u[:, 1, 0] ** 2
     assert abs(vals.mean() - 1.0 / n) < 4 * vals.std() / np.sqrt(len(vals))
 
 

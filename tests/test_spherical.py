@@ -836,12 +836,19 @@ def test_functional_equation_maps_the_stack_once(monkeypatch):
 
 def test_monte_carlo_budget(monkeypatch):
     # IX(n=3): dim_v = 6, dim_g = 9; the orbit pairing's Kronecker form
-    # is 6^4 = 1296 entries, so a budget of 1296 admits 20 orbit samples
-    # (720 entries) but not 100 (3600), and 1000 admits no orbit average;
-    # 1000 admits 5 K-actions but not 6: the G' stack, Ad, U and U pi(g)
-    # are 5 * (3 * 36 + 81) = 945 entries, 1134 at 6
+    # and the commutant map of U are 6^4 = 1296 entries each, so a budget
+    # of 1296 admits 20 orbit samples (720 entries) but not 100 (3600),
+    # and 1000 admits no orbit average and no first K-action; once the
+    # commutant is built, 1000 admits 3 K-actions but not 4: the G' stack,
+    # Ad, the Gaussian in the commutant, its SVD factors u and vt, U and
+    # U pi(g) are 3 * (6 * 36 + 81) = 891 entries, 1188 at 4
     monkeypatch.setenv("NILHARM_BUDGET", "1000")
     alg = build_case("IX", n=3)
+    rng = as_rng(0)
+    with pytest.raises(BudgetError, match="6\\^4 commutant-map entries"):
+        sample_k_actions(alg, rng, count=1)
+    # the check comes before any draw
+    assert rng.standard_normal() == as_rng(0).standard_normal()
     idx = spherical_index(alg, np.array([0.3, -0.2, 0.9, 0.1, 0.4, -0.5, 0.2, 0.7, -0.1]), (1, 0, 1))
     z, v = np.zeros(alg.dim_g), 0.5 * np.ones(alg.dim_v)
     with pytest.raises(BudgetError, match="1 x 6\\^4 Kronecker-form entries"):
@@ -850,12 +857,13 @@ def test_monte_carlo_budget(monkeypatch):
     assert phi_orbit(idx, z, v, samples=20).stderr > 0.0
     with pytest.raises(BudgetError, match="orbit samples"):
         phi_orbit(idx, z, v, samples=100)
+    assert len(sample_k_actions(alg, as_rng(0), count=1)) == 1
     monkeypatch.setenv("NILHARM_BUDGET", "1000")
-    assert len(sample_k_actions(alg, as_rng(0), count=5)) == 5
+    assert len(sample_k_actions(alg, as_rng(0), count=3)) == 3
     with pytest.raises(BudgetError, match="automorphisms"):
         sample_k_actions(alg, as_rng(0), count=20)
     with pytest.raises(BudgetError, match="automorphisms"):
-        sample_k_actions(alg, as_rng(0), count=6)
+        sample_k_actions(alg, as_rng(0), count=4)
 
 
 def _circle_actions(count):
@@ -912,6 +920,26 @@ def test_functional_equation_caseI_mc():
     ks = sample_k_actions(alg, as_rng(8), count=4000)
     rep = functional_equation_residual(phi, alg, xp, yp, ks)
     assert rep.residual <= 1e-6 + 3.5 * rep.stderr
+
+
+def test_functional_equation_caseI_n2_mc():
+    # on I(2) the commutant of the left quaternion action is the right
+    # action of M_2(H), and U must be all of its orthogonal group Sp(2):
+    # with U from Sp(1) alone, these three pairs read 6.5 to 11.2 sigma
+    alg = build_case("I", n=2)
+    lam, j = 1.2, 1
+
+    def phi(point):
+        z, v = point
+        return phi_caseI_closed(lam, j, z, v)
+
+    rng = as_rng(9)
+    ks = sample_k_actions(alg, as_rng(10), count=20000)
+    for _ in range(3):
+        xp = (rng.standard_normal(3) * 0.4, rng.standard_normal(8) * 0.6)
+        yp = (rng.standard_normal(3) * 0.4, rng.standard_normal(8) * 0.6)
+        rep = functional_equation_residual(phi, alg, xp, yp, ks)
+        assert rep.residual <= 1e-6 + 3.0 * rep.stderr
 
 
 def test_phi_caseI_closed_angular_factor():
