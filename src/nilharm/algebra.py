@@ -83,6 +83,7 @@ class LauretAlgebra:
         self._pi_rows = np.ascontiguousarray(self.pi.transpose(1, 0, 2).reshape(self.dim_v, -1))
         self.last_functional = None
         self._commutant = None
+        self._weights = None
 
     # -- coordinates ---------------------------------------------------------
     def split_center(self, x):
@@ -110,6 +111,30 @@ class LauretAlgebra:
         if zc.size != self.dim_c:
             raise ValueError(f"expected {self.dim_c} central coordinates, got {zc.size}")
         return self.join_center(xp, zc)
+
+    def weight_matrix(self):
+        """W, shape (dim_v / 2, chamber angles + dim_c): pi(h) of
+        h = from_chamber(angles, zc) multiplies complex coordinate a of V
+        by 1j (W @ concat(*angles, zc))[a].  h is linear in the chamber
+        data, so column k is pi(h_k)[1::2, 0::2].diagonal() at the k-th
+        unit vector (e_k - 1/n on su(n), whose angles sum to zero).  Built
+        once; NotImplementedError where dim_v is odd or some pi(h_k) is not
+        2 x 2 block diagonal, to rounding, on the interleaved coordinates."""
+        if self._weights is None:
+            if not self.ops.has_weights:
+                raise NotImplementedError(f"case {self.spec.case} has odd dim V, so no weights; use pfaffian_abs")
+            factors = self.root_system().factors if self.dim_gp else ()
+            zeros = [np.zeros(f.angle_len) for f in factors]
+            xs = [self.from_chamber(tuple(zeros[:i] + [u] + zeros[i + 1:]), None) for i, f in enumerate(factors)
+                  for u in np.eye(f.angle_len) - (1 / f.angle_len if f.kind == "su" else 0)]
+            mats = self.pi_of(np.array(xs + [self.from_chamber(tuple(zeros), z) for z in np.eye(self.dim_c)]))
+            off_block = np.kron(np.eye(self.dim_v // 2), np.ones((2, 2))) == 0
+            if (np.abs(mats[:, off_block]).max(axis=1, initial=0) > 1e-12 * np.abs(mats).max(axis=(1, 2))).any():
+                raise NotImplementedError(f"case {self.spec.case}: pi of a chamber element is not 2 x 2 block "
+                                          "diagonal on the interleaved complex coordinates of V, so no weights")
+            self._weights = mats[:, 1::2, 0::2].diagonal(axis1=1, axis2=2).T.copy()
+            self._weights.flags.writeable = False
+        return self._weights
 
     def pi_of(self, x):
         """The skew matrix pi(X) of X with g-coordinates x (leading axes

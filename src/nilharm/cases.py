@@ -2,11 +2,11 @@
 
 Each case bundles an orthonormal basis of g = g' + c (center last), the
 stack of skew matrices pi(X_i) on V, the block structure of V, the
-factor bases of its Cartan bridge, the weights of its Cartan elements
-where V is complex, and a Haar sampler for G' that returns the stack of
-V-matrices pi(g), shape (size, dim_v, dim_v).  That stack is the only
-representation of G': the adjoint action follows from it
-(LauretAlgebra.ad_of), as do the orbit integrals and the G' part of K.
+factor bases of its Cartan bridge and a Haar sampler for G' that
+returns the stack of V-matrices pi(g), shape (size, dim_v, dim_v).
+That stack is the only representation of G': the adjoint action follows
+from it (LauretAlgebra.ad_of), as do the orbit integrals and the G'
+part of K.
 
 Conventions fixed here and relied on elsewhere:
 
@@ -15,11 +15,10 @@ Conventions fixed here and relied on elsewhere:
 * Complex blocks C^m sit inside R^(2m) with interleaved coordinates
   (Re z_1, Im z_1, Re z_2, ...); quaternionic blocks use (1, i, j, k)
   components per coordinate.
-* coord_weights(angles, zc) gives one weight mu_a per complex
-  coordinate of V: pi(h) of h = LauretAlgebra.from_chamber(angles, zc)
-  multiplies coordinate a by 1j mu_a.  forms.weight_table and
-  spherical.phi_orbit, which works in h's frame (psi_closed in the
-  normalized one, every frequency |lam|), read this one table.
+* Wherever V is complex, pi(h) of a chamber element
+  h = LauretAlgebra.from_chamber(angles, zc) multiplies complex
+  coordinate a by 1j mu_a, so the weights are read off pi alone
+  (LauretAlgebra.weight_matrix); no case states them.
 * factor_bases holds one stack per factor of the root system, in the
   order of root_spec: the torus-module matrices of the g' basis vectors
   that the factor spans, in coordinate order, so the stacks together
@@ -45,6 +44,7 @@ from .numerics import (
     haar_special_orthogonal,
     haar_special_unitary,
     haar_symplectic_quat,
+    is_count,
     require_budget,
 )
 
@@ -121,8 +121,8 @@ class CaseOps:
 
     @property
     def has_weights(self):
-        """Whether V is complex, so that coord_weights is defined: every
-        case but II and VI with odd n."""
+        """Whether V is complex, so that LauretAlgebra.weight_matrix is
+        defined: every case but II and VI with odd n."""
         return self.dim_v % 2 == 0
 
     # -- torus bridges -----------------------------------------------------
@@ -187,9 +187,6 @@ class CaseI(CaseOps):
             [block_diag(*([quat.left_mult_matrix(q)] * n)) for q in SU2_QUATS]
         )
 
-    def coord_weights(self, angles, zc):
-        return np.full(2 * self.n, angles[0][0])
-
     def sample_vmats(self, rng, size):
         g = quat.random_unit(rng, size)
         return _block_diag_stack([quat.left_mult_matrix(g)] * self.n)
@@ -240,10 +237,6 @@ class CaseIII(CaseOps):
             mats.append(block_diag(*blocks))
         self.pi = np.stack(mats)
 
-    def coord_weights(self, angles, zc):
-        a, b = angles[0][0], angles[1][0]
-        return np.array([a] * (2 * self.k1) + [a - b, a + b] + [b] * (2 * self.k2))
-
     def sample_vmats(self, rng, size):
         # each sample draws its g1 and g2 together, so blocks of samples
         # draw what one stack draws
@@ -276,10 +269,6 @@ class CaseIV(CaseOps):
             mats.append(block_diag(*([blk] * n)))
         self.pi = np.stack(mats)
 
-    def coord_weights(self, angles, zc):
-        a, b = angles[0]
-        return np.array([a, a, b, b] * self.n)
-
     def sample_vmats(self, rng, size):
         gs = haar_symplectic_quat(2, rng, size)
         # (S, 2, 2, 4, 4) quaternion entries -> (S, 8, 8) on H^2
@@ -301,9 +290,6 @@ class CaseV(CaseOps):
         self.pi = realify(self.factor_bases[0])
         self.root_spec = f"su({n})"
 
-    def coord_weights(self, angles, zc):
-        return np.array(angles[0], dtype=float)
-
     def sample_vmats(self, rng, size):
         return realify(haar_special_unitary(self.n, rng, size))
 
@@ -324,10 +310,6 @@ class CaseVI(CaseOps):
             self.root_spec = f"so({n})"
             self.factor_bases = (self.pi,)
 
-    def coord_weights(self, angles, zc):
-        # even n; at n = 2 the unit central generator turns R^2 at rate 1/sqrt(2)
-        return zc / np.sqrt(2.0) if self.n == 2 else np.array(angles[0], dtype=float)
-
     def sample_vmats(self, rng, size):
         if self.n == 2:
             return super().sample_vmats(rng, size)
@@ -345,9 +327,6 @@ class CaseVII(CaseOps):
         self.v_blocks = [("C^n", 2 * n)]
         self._require_pi(1)
         self.pi = realify(1j * np.eye(n))[None, :, :]
-
-    def coord_weights(self, angles, zc):
-        return np.full(self.n, zc[0])
 
 
 class CaseVIII(CaseOps):
@@ -370,11 +349,6 @@ class CaseVIII(CaseOps):
         mats.append(central)
         self.pi = np.stack(mats)
 
-    def coord_weights(self, angles, zc):
-        # the su(2) factor comes last, so case X reads its tail from here
-        th, t = angles[-1][0], zc[0]
-        return np.array([th + t, t - th] * self.k + [th] * (2 * self.n))
-
     def sample_vmats(self, rng, size):
         g = quat.random_unit(rng, size)
         blocks = [realify(quat.to_su2(g))] * self.k + [quat.left_mult_matrix(g)] * self.n
@@ -391,9 +365,6 @@ class CaseIX(CaseV):
     def __init__(self, params):
         super().__init__(params)
         self.pi = np.concatenate([self.pi, realify(1j * np.eye(self.n))[None]])
-
-    def coord_weights(self, angles, zc):
-        return super().coord_weights(angles, zc) + zc[0]
 
 
 class CaseX(CaseOps):
@@ -425,9 +396,6 @@ class CaseX(CaseOps):
         mats.append(central)
         self.pi = np.stack(mats)
         self.root_spec = f"su({m})+su(2)"
-
-    def coord_weights(self, angles, zc):
-        return np.concatenate([angles[0] + zc[0], CaseVIII.coord_weights(self, angles, zc)])
 
     def sample_vmats(self, rng, size):
         us = realify(haar_special_unitary(self.m, rng, size))
@@ -471,8 +439,8 @@ def case_params(case, params):
     ints in the order of its names with the defaults filled in.  This is
     the one check of a (case, params) pair, and it builds nothing.
     ValueError for an unknown label, or for a missing, extra,
-    non-integer (int and np.integer count as integers) or out-of-range
-    parameter."""
+    non-integer (numerics.is_count: int and np.integer, not bool) or
+    out-of-range parameter."""
     family = CASES.get(case)
     if family is None:
         raise ValueError(f"unknown case label {case!r}")
@@ -485,7 +453,7 @@ def case_params(case, params):
         if name not in given:
             raise ValueError(f"case {case} needs the parameter {name!r}")
         value = given[name]
-        if not isinstance(value, (int, np.integer)):
+        if not is_count(value, -np.inf):  # the range is family.valid's
             raise ValueError(f"case {case} needs an integer parameter {name!r}, got {value!r}")
         out[name] = int(value)
     if not family.valid(*out.values()):

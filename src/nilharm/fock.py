@@ -42,7 +42,7 @@ import numpy as np
 
 from . import torus
 from .cases import case_params
-from .numerics import as_complex_vector, laguerre_all, require_budget
+from .numerics import as_complex_vector, is_count, laguerre_all, require_budget
 
 
 def monomials_of_degree(nvars, degree):
@@ -69,7 +69,7 @@ class FockBasis:
     monomials are enumerated."""
 
     def __init__(self, n, max_degree):
-        if not all(isinstance(a, (int, np.integer)) for a in (n, max_degree)) or n < 1 or max_degree < 0:
+        if not (is_count(n) and is_count(max_degree, 0)):
             raise ValueError(f"need integers n >= 1 and max_degree >= 0, got {n!r} and {max_degree!r}")
         self.n = int(n)
         self.max_degree = int(max_degree)
@@ -83,7 +83,6 @@ class FockBasis:
         self._degree_start.append(len(idx))
         self.indices = np.array(idx, dtype=int)
         self.degrees = self.indices.sum(axis=1)
-        self.index_of = {tuple(m): i for i, m in enumerate(idx)}
 
     def degree_slice(self, d):
         """Positions of the degree-d monomials (contiguous)."""
@@ -240,8 +239,7 @@ def check_degrees(lam, runs, degrees):
     0 on an empty run."""
     if lam == 0 or not isfinite(lam):
         raise ValueError(f"need a finite nonzero frequency, got {lam}")
-    if len(degrees) != len(runs) or not all(isinstance(d, (int, np.integer)) and d >= 0 and (size or not d)
-                                            for size, d in zip(runs, degrees)):
+    if len(degrees) != len(runs) or not all(is_count(d, 0) and (size or not d) for size, d in zip(runs, degrees)):
         raise ValueError(f"degrees {tuple(degrees)} need one degree per run of {runs}: "
                          "nonnegative integers, and degree 0 on an empty run")
 
@@ -284,7 +282,7 @@ def metaplectic_components(case, params, max_degree):
     fits the default).  ValueError unless max_degree is a nonnegative
     integer, or where cases.case_params rejects params.
     """
-    if not isinstance(max_degree, (int, np.integer)) or max_degree < 0:
+    if not is_count(max_degree, 0):
         raise ValueError(f"max_degree must be a nonnegative integer, got {max_degree!r}")
     D = int(max_degree)
     p = case_params(case, params)

@@ -9,7 +9,7 @@ and the coadjoint orbit of the functional is flat exactly when B_x is
 nondegenerate ("square-integrable" below).  Wherever V is complex the
 absolute Pfaffian of B_x is the product of |mu_a| over the weights of
 the Cartan element h conjugate to X on the complex coordinates of V
-(`weight_table`, read from the case's coord_weights);
+(`weight_table`, read off pi by LauretAlgebra.weight_matrix);
 `pfaffian_via_weights` evaluates that product, while `pfaffian_abs`
 computes |Pf| numerically from any skew matrix (one LU, through
 slogdet).  The same weights are the frequencies of
@@ -163,14 +163,12 @@ def weight_table(alg: LauretAlgebra, x):
     """The weights mu_a of the chamber element h of x on the dim_v / 2
     complex coordinates of V, a 1-d array: pi(h) acts on coordinate a as
     multiplication by 1j mu_a, so B_x has the eigenvalue pairs
-    +- 1j mu_a.  NotImplementedError where V is not complex (II, VI with
-    odd n)."""
-    if not alg.ops.has_weights:
-        raise NotImplementedError(
-            f"case {alg.spec.case} has odd dim V, so no weights; use pfaffian_abs"
-        )
+    +- 1j mu_a.  One product of LauretAlgebra.weight_matrix with the
+    chamber angles and central coordinates of x; NotImplementedError
+    where V is not complex (II, VI with odd n)."""
+    w = alg.weight_matrix()
     angles, zc, _ = functional(alg, x).chamber
-    return alg.ops.coord_weights(angles, zc)
+    return w @ np.concatenate((*angles, zc))
 
 
 def pfaffian_via_weights(alg: LauretAlgebra, x):

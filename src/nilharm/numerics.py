@@ -80,7 +80,8 @@ def require_budget(total, what, *args):
 
 def is_count(k, low=1):
     """True when k is a Python or numpy integer, not a bool, and at
-    least low: the size check of the quadrature and of phi_orbit."""
+    least low: the one integer check of every size, degree and case
+    parameter an entry point takes."""
     return isinstance(k, (int, np.integer)) and not isinstance(k, bool) and k >= low
 
 

@@ -15,7 +15,7 @@ frame of the chamber element h conjugate to the functional,
 computed by Monte Carlo over the full compact factor G' (the integrand
 is right-torus-invariant, so full-group Haar sampling realizes the
 quotient integral exactly in law).  pi(h) acts on complex coordinate a
-of V as multiplication by 1j mu_a (cases.CaseOps.coord_weights), and
+of V as multiplication by 1j mu_a (LauretAlgebra.weight_matrix), and
 psi_h gives coordinate a the frequency |mu_a|.  The function phi is the
 one entry point: it alone picks the closed form or phi_orbit.
 
@@ -316,8 +316,8 @@ def canonical_polynomials(case, params, max_total_degree, lam=1.0):
     p = case_params(case, params)
     if not 0 < lam < np.inf:
         raise ValueError("lam must be positive and finite")
-    if max_total_degree < 0 or int(max_total_degree) != max_total_degree:
-        raise ValueError("max_total_degree must be a nonnegative integer")
+    if not is_count(max_total_degree, 0):
+        raise ValueError(f"max_total_degree must be a nonnegative integer, got {max_total_degree!r}")
     labels = _GENERATORS.get(case)
     if labels is None:
         raise NotImplementedError(f"no invariant generators for case {case!r}")

@@ -429,6 +429,45 @@ def test_u_part_is_the_orthogonal_commutant(case, params):
     assert np.linalg.matrix_rank(skew, tol=1e-8) == _skew_commutant_dim(alg)
 
 
+def _derivation_dim(alg):
+    """dim of the orthogonal derivations of n: the skew pairs (A on g,
+    B on V) with [B, pi(X_i)] = pi(A e_i) for every i, the null space
+    of the stacked maps on (row-major vec(A), vec(B))."""
+    d, n = alg.dim_g, alg.dim_v
+    flip_g = np.eye(d * d)[np.arange(d * d).reshape(d, d).T.ravel()]
+    flip_v = np.eye(n * n)[np.arange(n * n).reshape(n, n).T.ravel()]
+    flat = alg.pi.reshape(d, -1)
+    rows = []
+    for i, p in enumerate(alg.pi):
+        # A -> pi(A e_i) = sum_j A[j, i] pi_j reads the entries j d + i
+        on_a = np.zeros((n * n, d * d))
+        on_a[:, i::d] = flat.T
+        rows.append(np.hstack([-on_a, np.kron(np.eye(n), p.T) - np.kron(p, np.eye(n))]))
+    rows.append(np.hstack([np.eye(d * d) + flip_g, np.zeros((d * d, n * n))]))
+    rows.append(np.hstack([np.zeros((n * n, d * d)), np.eye(n * n) + flip_v]))
+    return null_space(np.concatenate(rows)).shape[1]
+
+
+# dim_gp + the skew part of the commutant
+DERIVATION_DIMS = {("I", 2): 13, ("IV", 1): 13, ("VI", 3): 3, ("VIII", 2, 1): 10, ("X", 3, 1, 1): 16}
+
+
+@pytest.mark.parametrize("case,params", ALL_CASES + [("VIII", {"k": 2, "n": 1}), ("X", {"m": 3, "k": 1, "n": 1})])
+def test_k_is_every_orthogonal_automorphism(case, params):
+    # the Lie algebra of K is the orthogonal derivations of n; K = G' x U
+    # has dimension dim_gp + dim so(C), C the commutant of pi, so equal
+    # counts show that the sampler draws all of K's identity component
+    alg = build_case(case, **params)
+    basis = alg.commutant_basis()
+    skew = np.linalg.matrix_rank((basis - np.swapaxes(basis, 1, 2)).reshape(len(basis), -1), tol=1e-8)
+    assert skew == _skew_commutant_dim(alg)
+    count = _derivation_dim(alg)
+    assert count == alg.dim_gp + skew
+    key = (case,) + tuple(params.values())
+    if key in DERIVATION_DIMS:
+        assert count == DERIVATION_DIMS[key]
+
+
 def test_one_k_sampler():
     # the old name draws K as the functional equation does: count pairs
     # (Ad(g), U pi(g)), no appended U rows

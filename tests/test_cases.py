@@ -31,6 +31,9 @@ BAD_PARAMS = [
     ("X", {"m": 2, "k": 1}, "m"),
     ("VII", {"n": 2.7}, "n"),
     ("I", {}, "n"),
+    ("VII", {"n": True}, "n"),
+    ("VIII", {"k": 1, "n": False}, "n"),
+    ("IX", {"n": 3.0}, "n"),
 ]
 
 
@@ -68,6 +71,8 @@ def test_case_params_fills_defaults_and_returns_python_ints():
     ("VIII", {"n": 1}, "case VIII needs the parameter 'k'"),
     ("V", {"n": 3.0}, "case V needs an integer parameter 'n', got 3.0"),
     ("VI", {"n": "4"}, "case VI needs an integer parameter 'n', got '4'"),
+    ("I", {"n": True}, "case I needs an integer parameter 'n', got True"),
+    ("X", {"m": 3, "k": 1.0}, "case X needs an integer parameter 'k', got 1.0"),
 ])
 def test_case_params_names_what_it_rejects(case, params, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):

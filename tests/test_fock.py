@@ -148,9 +148,9 @@ def test_pi_matrix_rejects_non_finite_inputs(lam, t, v):
         fock.pi_matrix(lam, t, np.array(v), fock.FockBasis(1, 3))
 
 
-@pytest.mark.parametrize("n,max_degree", [(1, 2.5), (1.5, 2), (1, 2.0)])
+@pytest.mark.parametrize("n,max_degree", [(1, 2.5), (1.5, 2), (1, 2.0), (True, 2), (1, True), (2.0, 2)])
 def test_fock_basis_rejects_non_integer_sizes(n, max_degree):
-    # a non-integer size is refused, not truncated to degree 2
+    # a non-integer or bool size is refused, not truncated to degree 2
     with pytest.raises(ValueError, match="integers"):
         fock.FockBasis(n, max_degree)
 
@@ -320,7 +320,7 @@ def test_component_parameters_are_those_of_build_case():
 
 
 def test_component_degree_is_a_nonnegative_integer():
-    for bad in (2.5, -1, 3.0):
+    for bad in (2.5, -1, 3.0, True):
         with pytest.raises(ValueError, match="nonnegative integer"):
             fock.metaplectic_components("IV", {"n": 1}, bad)
     assert fock.metaplectic_components("VII", {"n": 2}, np.int64(1))

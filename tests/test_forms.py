@@ -214,11 +214,15 @@ COMPLEX_V_CASES = [
 ]
 
 
-@pytest.mark.parametrize("case,params", COMPLEX_V_CASES,
-                         ids=[f"{c}-{'-'.join(map(str, p.values()))}" for c, p in COMPLEX_V_CASES])
+COMPLEX_V_IDS = [f"{c}-{'-'.join(map(str, p.values()))}" for c, p in COMPLEX_V_CASES]
+
+
+@pytest.mark.parametrize("case,params", COMPLEX_V_CASES, ids=COMPLEX_V_IDS)
 def test_coord_weights_are_the_blocks_of_pi_h(case, params):
-    # pi(h) of the chamber element h is 2 x 2 block diagonal in the
-    # interleaved complex coordinates, multiplication by 1j mu_a on
+    # the weight table, one product of the cached weight matrix with the
+    # chamber data, is the block read of pi(h) formed directly at each
+    # functional: pi(h) of the chamber element h is 2 x 2 block diagonal
+    # in the interleaved complex coordinates, multiplication by 1j mu_a on
     # coordinate a, and constant on each run of fock.kx_blocks
     alg = build_case(case, **params)
     assert alg.ops.has_weights is True
@@ -236,6 +240,37 @@ def test_coord_weights_are_the_blocks_of_pi_h(case, params):
         if runs:
             for run in np.split(diag, np.cumsum(runs)[:-1]):
                 assert run.size == 0 or np.ptp(run) <= tol
+
+
+@pytest.mark.parametrize("case,params", COMPLEX_V_CASES, ids=COMPLEX_V_IDS)
+def test_weights_are_the_spectrum_of_pi_x(case, params):
+    # B_x is conjugate to pi(h), so the moduli |mu_a| are the upper half
+    # of the spectrum of 1j pi(x), read here without the chamber chart
+    alg = build_case(case, **params)
+    rng = as_rng(13)
+    for _ in range(5):
+        x = rng.standard_normal(alg.dim_g)
+        ev = np.linalg.eigvalsh(1j * alg.pi_of(x))[alg.dim_v // 2:]
+        mods = np.sort(np.abs(weight_table(alg, x)))
+        assert np.max(np.abs(mods - ev)) <= 1e-12 * ev[-1]
+
+
+@pytest.mark.parametrize("case,params", COMPLEX_V_CASES, ids=COMPLEX_V_IDS)
+def test_weights_need_pi_h_block_diagonal(case, params):
+    # the weights are read off pi, so a pi conjugated out of the
+    # interleaved complex coordinates has none; on a V of dimension 2
+    # every skew matrix is one block, and the conjugate reads det(q) mu
+    alg = build_case(case, **params)
+    x = as_rng(17).standard_normal(alg.dim_g)
+    mu = weight_table(alg, x)
+    q = np.linalg.qr(as_rng(19).standard_normal((alg.dim_v, alg.dim_v)))[0]
+    moved = build_case(case, **params)
+    moved.pi = q @ moved.pi @ q.T
+    if alg.dim_v == 2:
+        assert np.max(np.abs(weight_table(moved, x) - np.linalg.det(q) * mu)) <= 1e-12 * np.abs(mu).max()
+    else:
+        with pytest.raises(NotImplementedError, match=f"case {case}: pi of a chamber element"):
+            weight_table(moved, x)
 
 
 def test_case_vii_pfaffian_power_law():

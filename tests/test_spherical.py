@@ -173,6 +173,7 @@ def _assert_closed_psi_is_fock_trace(case, params, nc, seed, D=5):
     # random point, the sum of the diagonal Fock entries over its basis
     comps = fock.metaplectic_components(case, params, D)
     basis = fock.FockBasis(nc, D)
+    position = {tuple(m): i for i, m in enumerate(basis.indices.tolist())}
     rng = as_rng(seed)
     for lam in (0.8, -1.3):
         t = float(rng.standard_normal())
@@ -183,7 +184,7 @@ def _assert_closed_psi_is_fock_trace(case, params, nc, seed, D=5):
             assert all(sum(m) == comp.degree for m in comp.basis)
             idx = SphericalIndex(case, lam, comp.index, params)
             assert abs(psi_closed(idx, 0.0, np.zeros(2 * nc)) - comp.dim) < 1e-12 * comp.dim
-            trace = sum(diag[basis.index_of[m]] for m in comp.basis)
+            trace = sum(diag[position[m]] for m in comp.basis)
             assert abs(psi_closed(idx, t, v) - trace) < 1e-12 * comp.dim
 
 
@@ -241,7 +242,8 @@ def test_spherical_index_rejects_bad_frequencies_and_degrees(case, params):
     for lam in (0.0, float("nan"), float("inf"), -float("inf")):
         with pytest.raises(ValueError, match="finite nonzero frequency"):
             SphericalIndex(case, lam, good, params)
-    for index in [(-1,) + good[1:], (1.7,) + good[1:], good + (0,), good[:-1]]:
+    for index in [(-1,) + good[1:], (1.7,) + good[1:], (1.0,) + good[1:], (True,) + good[1:],
+                  good + (0,), good[:-1]]:
         with pytest.raises(ValueError):
             SphericalIndex(case, 1.0, index, params)
     alg = build_case(case, **params)
@@ -783,8 +785,9 @@ def test_canonical_polynomials_rejects_unknown():
         canonical_polynomials("VII", {"n": 1}, 2, lam=0.0)
     with pytest.raises(ValueError):
         canonical_polynomials("VII", {"n": 1}, -1)
-    with pytest.raises(ValueError):
-        canonical_polynomials("VII", {"n": 1}, 2.5)
+    for bad in (2.5, 2.0, True):
+        with pytest.raises(ValueError, match="max_total_degree"):
+            canonical_polynomials("VII", {"n": 1}, bad)
 
 
 def test_monte_carlo_sizes_without_an_error_bar_are_rejected():

@@ -31,8 +31,8 @@ SIGNATURES = [
     (numerics, "QuadratureSpec.grid", ["self"]),
     (fock, "FockBasis", ["n", "max_degree"]),
     (fock, "pi_matrix", ["lam", "t", "v", "basis"]),
-    # truncation_defect is the Fock truncation measure that ROADMAP
-    # item 12's trace is to record
+    # truncation_defect is the Fock truncation measure that the trace of
+    # the ROADMAP item "One in-library trace" is to record
     (fock, "truncation_defect", ["lam", "t", "v", "basis"]),
     # called positionally by the benchmark's Fock tasks
     (fock, "psi_numeric", ["case", "lam", "j", "t", "v"]),
